@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from .inference import (
     Draw,
     McmcConfig,
     Posterior,
+    eval_key,
     posterior_from_json,
     posterior_predict,
     posterior_to_json,
@@ -41,7 +43,7 @@ from .inference import (
 )
 from .prte import PriorSpec, format_prte, load_prior, prte_density, sample_expression
 from .pta import compile_prior, pta_eval
-from .trees import eval_expression, parse_tree
+from .trees import eval_expression, format_tree, parse_tree
 
 _MCMC_FIELDS = set(McmcConfig.__dataclass_fields__)
 _RUN_CONFIG_EXTRA = {"prior", "train", "out"}
@@ -90,6 +92,8 @@ def cmd_sample(args) -> int:
     prior = _resolve_prior(args.prior)
     if args.max_depth:
         prior = dataclasses.replace(prior, max_depth=args.max_depth)
+    if args.n < 0:
+        raise InputError(f"--n must be non-negative, got {args.n}")
     rng = np.random.default_rng(args.seed)
     for _ in range(args.n):
         expr = sample_expression(prior, rng)
@@ -205,9 +209,9 @@ def _print_fit_summary(posterior: Posterior) -> None:
     for move, s in posterior.accept_stats.items():
         rate = s["accepted"] / s["proposed"] if s["proposed"] else 0.0
         print(f"accept[{move}]: {s['accepted']}/{s['proposed']} ({rate:.3f})")
-    counts = {}
-    for d in posterior.draws:
-        counts[str(d.expr.tree)] = counts.get(str(d.expr.tree), 0) + 1
+    counts = Counter()
+    for tree, c in Counter(d.expr.tree for d in posterior.draws).items():
+        counts[format_tree(tree)] += c
     top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
     for text, c in top:
         print(f"top: {c}/{len(posterior.draws)} {text}")
@@ -229,10 +233,14 @@ def cmd_report(args) -> int:
         name = Path(data_path).stem
         inputs = ds.inputs()
         per_draw = []
+        rmse_of: dict = {}  # each distinct draw is evaluated once; None: non-finite
         for d in posterior.draws:
-            pred = eval_expression(d.expr, inputs)
-            if np.isfinite(pred).all():
-                per_draw.append(rmse(pred, ds.target))
+            key = eval_key(d.expr)
+            if key not in rmse_of:
+                pred = eval_expression(d.expr, inputs)
+                rmse_of[key] = rmse(pred, ds.target) if np.isfinite(pred).all() else None
+            if rmse_of[key] is not None:
+                per_draw.append(rmse_of[key])
         if per_draw:
             mean = float(np.mean(per_draw))
             std = float(np.std(per_draw))

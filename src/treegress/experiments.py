@@ -167,14 +167,26 @@ class Dataset:
 
 
 def read_dataset(path) -> Dataset:
+    """Read a csv written by ``Dataset.to_csv``.  A row whose cell count
+    differs from the header's, or a cell that is not a number, is an input
+    error naming its line."""
     with open(path, "r", encoding="utf-8") as fh:
         header = tuple(fh.readline().strip().split(","))
-        rows = [line.strip().split(",") for line in fh if line.strip()]
+        lines = [(no, line.strip()) for no, line in enumerate(fh, start=2) if line.strip()]
     if not header or not all(header):
         raise InputError(f"{path}: missing header")
-    cols = tuple(
-        np.array([float(r[i]) for r in rows]) for i in range(len(header))
-    )
+    rows = []
+    for no, line in lines:
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise InputError(
+                f"{path}: line {no} has {len(cells)} cells, the header has {len(header)}"
+            )
+        try:
+            rows.append([float(cell) for cell in cells])
+        except ValueError:
+            raise InputError(f"{path}: line {no} holds a non-numeric cell") from None
+    cols = tuple(np.array([r[i] for r in rows]) for i in range(len(header)))
     return Dataset(header, cols)
 
 

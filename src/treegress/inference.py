@@ -21,6 +21,7 @@ log_fwd.  Normalization constants of the tree series cancel throughout.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -241,6 +242,14 @@ def _disc_jump(theta_d_old, n_new: int, support, rng):
 # -- state construction -----------------------------------------------------------------
 
 
+def _bounded_put(cache: dict, key, value):
+    """Store value under key; a cache that has outgrown _CACHE_CAP is emptied first."""
+    if len(cache) > _CACHE_CAP:
+        cache.clear()
+    cache[key] = value
+    return value
+
+
 class _ChainContext:
     """Everything a move needs: prior, automaton, data, config, caches."""
 
@@ -254,15 +263,24 @@ class _ChainContext:
             self.inputs, self.y = {}, np.zeros(0)
         self.log_prior_cache: dict = {}
         self.marginal_cache: dict = {}
+        self.trees: dict = {}  # tree -> (first equal tree seen, its ties), see intern
+
+    def intern(self, tree: Tree) -> tuple:
+        """(the first tree object equal to ``tree`` that this chain has seen,
+        its tie table).  A proposal that rebuilds a known tree then shares
+        its cached hash, shape and compiled program, and cache lookups on it
+        hit by identity instead of comparing node by node."""
+        known = self.trees.get(tree)
+        if known is None:
+            known = _bounded_put(self.trees, tree, (tree, compute_ties(tree, self.prior)))
+        return known
 
     def log_prior_tree(self, tree: Tree) -> float:
         cached = self.log_prior_cache.get(tree)
         if cached is None:
             val = pta_eval(self.pta, tree)
             cached = math.log(val) if val > 0 else -math.inf
-            if len(self.log_prior_cache) > _CACHE_CAP:
-                self.log_prior_cache.clear()
-            self.log_prior_cache[tree] = cached
+            _bounded_put(self.log_prior_cache, tree, cached)
         return cached
 
     def boltzmann_marginal(self, tree: Tree, addr):
@@ -278,10 +296,7 @@ class _ChainContext:
             logits[support] = np.log(marginal[support]) / self.config.tau
             logits -= logits[support].max()
             weights = np.exp(logits)
-            cached = weights / weights.sum()
-            if len(self.marginal_cache) > _CACHE_CAP:
-                self.marginal_cache.clear()
-            self.marginal_cache[key] = cached
+            cached = _bounded_put(self.marginal_cache, key, weights / weights.sum())
         return cached
 
     def log_prior_params(self, expr: SymbolicExpression) -> float:
@@ -326,18 +341,13 @@ class _ChainContext:
         )
 
 
-def _rebind(tree: Tree, prior: PriorSpec, theta_c, theta_d) -> SymbolicExpression:
-    return SymbolicExpression(tree, tuple(theta_c), tuple(theta_d), compute_ties(tree, prior))
-
-
 # -- proposals ------------------------------------------------------------------------
 
 
 def propose_global(state: ChainState, ctx: _ChainContext, rng):
     """Independence proposal from the prior; parameters are dimension-matched
     through the expansion/shrinkage maps with standard-normal auxiliaries."""
-    tree = sample_tree(ctx.prior, rng)
-    ties = compute_ties(tree, ctx.prior)
+    tree, ties = ctx.intern(sample_tree(ctx.prior, rng))
     n_new = (max(ties) + 1) if ties else 0
     theta_new, _, logdet, log_pu, log_pu_rev = _draw_theta_jump(
         state.expr.theta_c, n_new, rng
@@ -358,8 +368,9 @@ def propose_local(state: ChainState, ctx: _ChainContext, rng):
     from the tempered context marginal, regrow from that state.  Returns None
     when the move aborts (impossible context or exhausted regrow depth)."""
     tree = state.expr.tree
-    addresses = tree.addresses()
-    addr = addresses[int(rng.integers(len(addresses)))]
+    n_nodes = tree.size
+    nth = int(rng.integers(n_nodes))
+    addr = next(itertools.islice(tree.walk(), nth, None))[0]
     old_sub = tree.node_at(addr)
     try:
         boltzmann = ctx.boltzmann_marginal(tree, addr)
@@ -370,12 +381,11 @@ def propose_local(state: ChainState, ctx: _ChainContext, rng):
         new_sub, _ = sample_from_state(ctx.pta, start, rng, ctx.config.max_depth)
     except DepthBudgetExhausted:
         return None
-    new_tree = tree.replace_at(addr, new_sub)
+    new_tree, ties = ctx.intern(tree.replace_at(addr, new_sub))
 
     fwd_regrow = pta_eval(ctx.pta, new_sub, initial=boltzmann)
     rev_regrow = pta_eval(ctx.pta, old_sub, initial=boltzmann)
 
-    ties = compute_ties(new_tree, ctx.prior)
     n_new = (max(ties) + 1) if ties else 0
     theta_new, _, logdet, log_pu, log_pu_rev = _draw_theta_jump(
         state.expr.theta_c, n_new, rng
@@ -388,7 +398,7 @@ def propose_local(state: ChainState, ctx: _ChainContext, rng):
     proposal = ctx.make_state(expr, state.sigma)
 
     log_fwd = (
-        -math.log(len(addresses))
+        -math.log(n_nodes)
         + (math.log(fwd_regrow) if fwd_regrow > 0 else -math.inf)
         + log_pu
         + disc_fwd
@@ -545,35 +555,57 @@ def run_chains(prior: PriorSpec, data, config: McmcConfig, chains: int, on_draw=
 # -- posterior summaries ------------------------------------------------------------------
 
 
+_BAND_BLOCK = 256  # points per vectorised block in posterior_predict
+
+
+def eval_key(expr: SymbolicExpression) -> tuple:
+    """Draws with equal keys evaluate to the same bytes.  Parameters are keyed
+    by their hex form, which keeps -0.0 apart from 0.0."""
+    return expr.tree, expr.ties, expr.theta_d, tuple(v.hex() for v in expr.theta_c)
+
+
 def posterior_predict(posterior: Posterior, inputs, rng=None, strict=True):
     """Pointwise predictive mean and 5/50/95% quantiles over the draws.
     Passing an rng adds observation noise (one sigma-scaled draw per
     posterior sample), giving aleatoric-plus-epistemic bands; without it the
     bands are epistemic only.  Draws that evaluate non-finite at a point are
     dropped there and counted; a point with no finite draw raises under
-    strict=True and yields a NaN row otherwise."""
+    strict=True and yields a NaN row otherwise.  Each distinct draw is
+    evaluated once."""
     if not posterior.draws:
         raise InputError("posterior holds no draws")
     inputs = {k: np.asarray(v, dtype=float) for k, v in inputs.items()}
     n = len(next(iter(inputs.values()))) if inputs else 1
-    values = np.empty((len(posterior.draws), n))
+    values = np.empty((n, len(posterior.draws)))  # one row per point
+    preds: dict = {}
     for i, draw in enumerate(posterior.draws):
-        pred = eval_expression(draw.expr, inputs)
+        key = eval_key(draw.expr)
+        pred = preds.get(key)
+        if pred is None:
+            pred = preds[key] = eval_expression(draw.expr, inputs)
         if rng is not None:
             pred = pred + draw.sigma * rng.standard_normal(n)
-        values[i] = pred
+        values[:, i] = pred
     finite = np.isfinite(values)
-    dropped = (~finite).sum(axis=0)
+    dropped = (~finite).sum(axis=1)
     if strict and (dropped == len(posterior.draws)).any():
         bad = int(np.argmax(dropped == len(posterior.draws)))
         raise AllDrawsNonFinite(f"every draw is non-finite at point index {bad}")
     mean = np.full(n, np.nan)
     quantiles = np.full((3, n), np.nan)
-    for j in range(n):
-        col = values[finite[:, j], j]
-        if col.size:
-            mean[j] = col.mean()
-            quantiles[:, j] = np.percentile(col, [5.0, 50.0, 95.0])
+    # Points where every draw is finite go through numpy a block of rows at a
+    # time; a row reduces and interpolates exactly as the single point does.
+    whole = np.flatnonzero(dropped == 0)
+    for start in range(0, whole.size, _BAND_BLOCK):
+        idx = whole[start:start + _BAND_BLOCK]
+        rows = values[idx]
+        mean[idx] = rows.mean(axis=1)
+        quantiles[:, idx] = np.percentile(rows, [5.0, 50.0, 95.0], axis=1)
+    for j in np.flatnonzero(dropped):
+        row = values[j, finite[j]]
+        if row.size:
+            mean[j] = row.mean()
+            quantiles[:, j] = np.percentile(row, [5.0, 50.0, 95.0])
     return {
         "mean": mean,
         "q05": quantiles[0],
@@ -587,12 +619,13 @@ def posterior_predict(posterior: Posterior, inputs, rng=None, strict=True):
 
 
 def posterior_to_json(posterior: Posterior) -> str:
+    texts = {tree: format_tree(tree) for tree in {d.expr.tree for d in posterior.draws}}
     doc = {
         "config": asdict(posterior.config),
         "seed": posterior.seed,
         "draws": [
             {
-                "expr": format_tree(d.expr.tree),
+                "expr": texts[d.expr.tree],
                 "theta_c": list(d.expr.theta_c),
                 "theta_d": [str(v) for v in d.expr.theta_d],
                 "ties": list(d.expr.ties),
@@ -608,10 +641,16 @@ def posterior_to_json(posterior: Posterior) -> str:
 
 def posterior_from_json(text: str) -> Posterior:
     doc = json.loads(text)
+    unknown = set(doc["config"]) - set(McmcConfig.__dataclass_fields__)
+    if unknown:
+        raise InputError(f"unknown config keys in posterior: {sorted(unknown)}")
     config = McmcConfig(**doc["config"])
+    trees: dict = {}  # each distinct expression text is parsed once
     draws = []
     for entry in doc["draws"]:
-        tree = parse_tree(entry["expr"])
+        tree = trees.get(entry["expr"])
+        if tree is None:
+            tree = trees[entry["expr"]] = parse_tree(entry["expr"])
         expr = SymbolicExpression(
             tree,
             tuple(entry["theta_c"]),

@@ -44,6 +44,7 @@ from .trees import (
     SymbolicExpression,
     Tree,
     const_positions,
+    disc_positions,
     is_const_marker,
     is_disc_marker,
 )
@@ -705,8 +706,9 @@ def sample_tree(prior: PriorSpec, rng: np.random.Generator) -> Tree:
             if isinstance(node, PSymbol):
                 if depth > prior.max_depth:
                     raise _DepthOverflow()
-                kids = tuple(draw(c, depth + 1) for c in node.children)
-                return Tree(node.symbol, kids)
+                if not node.children:
+                    return prior.alphabet.leaf(node.symbol.name)
+                return Tree(node.symbol, tuple(draw(c, depth + 1) for c in node.children))
             if isinstance(node, PChoice):
                 node = _pick_branch(node, rng)
             elif isinstance(node, PVar):
@@ -741,33 +743,21 @@ def compute_ties(tree: Tree, prior: PriorSpec) -> tuple:
     continuous-marker position (pre-order) maps to its parameter group.
     Shared tags group by the nearest ancestor matching their anchor symbol;
     everything else gets its own group."""
-    keys = []
-    ancestors: list[tuple] = []
-
-    def walk(node: Tree, addr: tuple):
-        sym = node.symbol
-        if is_const_marker(sym):
-            anchor = prior.shared.get(sym.name)
-            if anchor is None:
-                keys.append(("solo", addr))
-            else:
-                site = next(
-                    (a for a, s in reversed(ancestors) if (s.name, s.rank) == tuple(anchor)),
-                    ("root",),
-                )
-                keys.append((sym.name, site))
-        ancestors.append((addr, sym))
-        for i, child in enumerate(node.children, start=1):
-            walk(child, addr + (i,))
-        ancestors.pop()
-
-    walk(tree, ())
     group_of: dict = {}
     ties = []
-    for key in keys:
-        if key not in group_of:
-            group_of[key] = len(group_of)
-        ties.append(group_of[key])
+    for pos in const_positions(tree):
+        tag = tree.node_at(pos).symbol.name
+        anchor = prior.shared.get(tag)
+        if anchor is None:
+            key = ("solo", pos)
+        else:
+            site, node = ("root",), tree
+            for depth, i in enumerate(pos):
+                if (node.symbol.name, node.symbol.rank) == tuple(anchor):
+                    site = pos[:depth]
+                node = node.children[i - 1]
+            key = (tag, site)
+        ties.append(group_of.setdefault(key, len(group_of)))
     return tuple(ties)
 
 
@@ -789,7 +779,7 @@ def sample_expression(prior: PriorSpec, rng: np.random.Generator) -> SymbolicExp
     theta_c = tuple(
         prior.markers[tag].sample(rng) for tag in group_tags(tree, ties)
     )
-    n_disc = sum(1 for _, node in tree.walk() if is_disc_marker(node.symbol))
+    n_disc = len(disc_positions(tree))
     support = prior.theta_d_support
     theta_d = tuple(support[int(rng.integers(len(support)))] for _ in range(n_disc))
     return SymbolicExpression(tree, theta_c, theta_d, ties)

@@ -50,7 +50,6 @@ class Pta:
         self.transitions = dict(transitions)
         self.finals = frozenset(finals)
         self._rows_by_symbol = None
-        self._final_vectors = None
         if check:
             self._validate()
 
@@ -105,21 +104,6 @@ class Pta:
                 table.setdefault(symkey, []).append((state, rows))
             self._rows_by_symbol = table
         return self._rows_by_symbol
-
-    def final_vector(self, name):
-        """Indicator over states accepting the given leaf symbol."""
-        if self._final_vectors is None:
-            vecs = {}
-            for state, sym_name in self.finals:
-                vecs.setdefault(sym_name, np.zeros(self.n_states))[state] = 1.0
-            self._final_vectors = vecs
-        zero = np.zeros(self.n_states)
-        return self._final_vectors.get(name, zero)
-
-    def state_index(self, state):
-        if isinstance(state, str):
-            return self.states.index(state)
-        return int(state)
 
     def to_json(self) -> str:
         """Debug dump; the layout is not a stability-guaranteed format."""
@@ -206,11 +190,6 @@ class FactorGraph:
     initial: np.ndarray
     nodes: tuple  # FactorNode, pre-order
     hole: tuple | None = None
-
-    def variables(self):
-        return [("state", n.address) for n in self.nodes] + [
-            ("symbol", n.address) for n in self.nodes
-        ]
 
 
 def build_factor_graph(pta: Pta, tree: Tree, allow_hole: bool = False) -> FactorGraph:
@@ -333,13 +312,13 @@ def sample_from_state(pta: Pta, state, rng, max_depth: int = 50):
     Missing row mass aborts the attempt; attempts deeper than max_depth are
     redrawn, as in the expression sampler.
     """
-    start = pta.state_index(state)
+    start = int(state)
     emit = _emission_table(pta)
 
     def grow(q, depth):
         kind, payload = emit[q]
         if kind == "leaf":
-            return Tree(pta.alphabet.get(payload, 0))
+            return pta.alphabet.leaf(payload)
         if depth > max_depth:
             raise _Overflow()
         symkey, rows = payload

@@ -10,8 +10,12 @@ pre-order.  Everything here is immutable and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+import math
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,6 +97,7 @@ class RankedAlphabet:
         if not table:
             raise InputError("alphabet must be non-empty")
         self._table = table
+        self._leaves = {name: Tree(sym) for (name, rank), sym in table.items() if rank == 0}
 
     def __iter__(self):
         return iter(self._table.values())
@@ -112,31 +117,83 @@ class RankedAlphabet:
         except KeyError:
             raise UnknownSymbol(f"no symbol '{name}' of rank {rank} in alphabet") from None
 
+    def leaf(self, name: str) -> "Tree":
+        """The one-node tree of a rank-0 symbol, shared by every tree that
+        the samplers grow over this alphabet."""
+        return self._leaves[name]
+
     def by_name(self, name: str):
         return [s for s in self._table.values() if s.name == name]
-
-    @property
-    def const_markers(self):
-        return tuple(s for s in self._table.values() if is_const_marker(s))
-
-    @property
-    def disc_markers(self):
-        return tuple(s for s in self._table.values() if is_disc_marker(s))
 
     def symbol_keys(self):
         return frozenset(self._table)
 
 
-@dataclass(frozen=True)
+class TreeShape(NamedTuple):
+    """Node count and pre-order addresses of the parameter markers."""
+
+    size: int
+    const: tuple
+    disc: tuple
+
+
+@dataclass(frozen=True, slots=True)
 class Tree:
-    """An immutable labeled tree; child count always equals the symbol rank."""
+    """An immutable labeled tree; child count always equals the symbol rank.
+
+    The hash, the shape record and the compiled evaluation program are
+    computed once per tree, on first use, and kept on the tree.  Hashing and
+    equality are iterative, so very deep trees stay within the interpreter's
+    recursion limit.
+    """
 
     symbol: RankedSymbol
     children: tuple = ()
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    _shape: TreeShape | None = field(default=None, init=False, repr=False, compare=False)
+    _program: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.children) != self.symbol.rank:
             raise ArityMismatch((), self.symbol.name, self.symbol.rank, len(self.children))
+
+    def __hash__(self):
+        if self._hash is None:
+            # hash the not-yet-hashed nodes bottom-up; the same value as the
+            # dataclass default hash((symbol, children)), without its recursion
+            pending, order = [self], []
+            while pending:
+                order.append(pending.pop())
+                pending.extend(c for c in order[-1].children if c._hash is None)
+            for node in reversed(order):
+                object.__setattr__(node, "_hash", hash((node.symbol, node.children)))
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pending = [(self, other)]
+        while pending:
+            a, b = pending.pop()
+            if a is b:
+                continue
+            if a.symbol is not b.symbol and a.symbol != b.symbol:
+                return False
+            pending.extend(zip(a.children, b.children))
+        return True
+
+    @property
+    def shape(self) -> TreeShape:
+        if self._shape is None:
+            size, const, disc = 0, [], []
+            for addr, node in self.walk():
+                size += 1
+                if is_const_marker(node.symbol):
+                    const.append(addr)
+                elif is_disc_marker(node.symbol):
+                    disc.append(addr)
+            object.__setattr__(self, "_shape", TreeShape(size, tuple(const), tuple(disc)))
+        return self._shape
 
     # -- address arithmetic ----------------------------------------------
 
@@ -169,11 +226,7 @@ class Tree:
 
     @property
     def size(self) -> int:
-        return sum(1 for _ in self.walk())
-
-    @property
-    def depth(self) -> int:
-        return max(len(addr) for addr, _ in self.walk())
+        return self.shape.size
 
     def __str__(self):
         return format_tree(self)
@@ -257,12 +310,12 @@ def positions_of(tree: Tree, symbol: RankedSymbol):
     return [addr for addr, node in tree.walk() if node.symbol == symbol]
 
 
-def const_positions(tree: Tree):
-    return [addr for addr, node in tree.walk() if is_const_marker(node.symbol)]
+def const_positions(tree: Tree) -> tuple:
+    return tree.shape.const
 
 
-def disc_positions(tree: Tree):
-    return [addr for addr, node in tree.walk() if is_disc_marker(node.symbol)]
+def disc_positions(tree: Tree) -> tuple:
+    return tree.shape.disc
 
 
 @dataclass(frozen=True)
@@ -281,7 +334,8 @@ class SymbolicExpression:
     ties: tuple = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        n_pos = len(const_positions(self.tree))
+        shape = self.tree.shape
+        n_pos = len(shape.const)
         ties = self.ties
         if ties is None:
             ties = tuple(range(n_pos))
@@ -302,9 +356,9 @@ class SymbolicExpression:
             raise LengthMismatch(
                 f"{groups} marker groups but {len(self.theta_c)} continuous parameters"
             )
-        if any(not np.isfinite(v) for v in self.theta_c):
+        if not all(map(math.isfinite, self.theta_c)):
             raise InputError("continuous parameters must be finite")
-        n_disc = len(disc_positions(self.tree))
+        n_disc = len(shape.disc)
         object.__setattr__(
             self, "theta_d", tuple(Fraction(v) for v in self.theta_d)
         )
@@ -312,10 +366,6 @@ class SymbolicExpression:
             raise LengthMismatch(
                 f"{n_disc} discrete markers but {len(self.theta_d)} discrete parameters"
             )
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.theta_c)
 
 
 def eval_expression(expr: SymbolicExpression, inputs) -> np.ndarray:
@@ -325,54 +375,102 @@ def eval_expression(expr: SymbolicExpression, inputs) -> np.ndarray:
     (rank 2); rank-0 symbols are numeric literals, parameter markers, or
     input variables.  Domain violations (division by ~0, fractional power of
     a negative base, overflow) leave non-finite entries in the result rather
-    than raising; callers map those to log-likelihood -inf.
+    than raising; callers map those to log-likelihood -inf.  Each distinct
+    tree is compiled once (see ``_compile``).
     """
-    columns = {name: np.asarray(col, dtype=float) for name, col in inputs.items()}
+    columns = {name: np.ascontiguousarray(col, dtype=float) for name, col in inputs.items()}
     lengths = {col.shape[0] for col in columns.values()}
     if len(lengths) > 1:
         raise LengthMismatch(f"input columns differ in length: {sorted(lengths)}")
     n = lengths.pop() if lengths else 1
 
-    marker_values = [expr.theta_c[g] for g in expr.ties]
-    disc_values = [float(v) for v in expr.theta_d]
-    counters = {"c": 0, "d": 0}
+    program = expr.tree._program
+    if program is None:
+        program = _compile(expr.tree)
+        object.__setattr__(expr.tree, "_program", program)
+    params = [expr.theta_c[g] for g in expr.ties] + [float(v) for v in expr.theta_d]
+    stack = []
+    with np.errstate(all="ignore"):
+        for op, arg in program:
+            if op is _PARAM:
+                stack.append(params[arg])
+            elif op is _LITERAL:
+                stack.append(arg)
+            elif op is _VARIABLE:
+                if arg not in columns:
+                    raise UnknownSymbol(f"variable '{arg}' missing from inputs")
+                stack.append(columns[arg])
+            elif op is _POW:
+                exponent = stack.pop()
+                stack[-1] = np.power(_full(stack[-1], n), _full(exponent, n))
+            elif op is _FAIL:
+                raise UnknownSymbol(arg)
+            else:
+                right = stack.pop()
+                stack[-1] = op(stack[-1], right)
+    out = _full(stack[0], n)
+    return out.copy() if len(program) == 1 else out  # never hand out an input column
 
-    def ev(node: Tree) -> np.ndarray:
-        sym = node.symbol
+
+# Compiled programs: (opcode, argument) pairs in post-order.  A leaf pushes
+# its value; an operator pops its right operand and combines it with the top
+# of the stack.  Leaves stay Python floats until an array operand broadcasts
+# them; each +, -, * and / rounds the same either way.  pow always gets two
+# full contiguous arrays (input columns are made contiguous), because numpy
+# may pick another power routine for a scalar or a strided operand.
+_LITERAL, _PARAM, _VARIABLE, _POW, _FAIL = "literal", "param", "variable", "pow", "fail"
+
+
+def _full(value, n: int) -> np.ndarray:
+    if isinstance(value, np.ndarray):
+        return value
+    out = np.empty(n)
+    out.fill(value)
+    return out
+
+
+def _divide(num, den):
+    if isinstance(den, float):
+        return num / (math.nan if abs(den) < DIV_EPS else den)
+    return num / np.where(np.abs(den) < DIV_EPS, np.nan, den)
+
+
+_BINARY = {("-", 2): operator.sub, ("*", 2): operator.mul, ("/", 2): _divide, ("pow", 2): _POW}
+
+
+def _compile(tree: Tree) -> tuple:
+    """Post-order program of the tree.  Parameter slots index the continuous
+    markers in pre-order, then the discrete ones; literals are parsed here,
+    once; a symbol without an evaluation rule becomes a failing instruction,
+    so errors surface in evaluation order."""
+    program = []
+    const_slot, disc_slot = itertools.count(), itertools.count(len(tree.shape.const))
+    stack = [tree]
+    while stack:
+        item = stack.pop()
+        if not isinstance(item, Tree):
+            program.append(item)
+            continue
+        sym = item.symbol
         if sym.rank == 0:
             if is_const_marker(sym):
-                v = marker_values[counters["c"]]
-                counters["c"] += 1
-                return np.full(n, v)
-            if is_disc_marker(sym):
-                v = disc_values[counters["d"]]
-                counters["d"] += 1
-                return np.full(n, v)
-            if is_numeric_literal(sym):
-                return np.full(n, float(Fraction(sym.name)))
-            if sym.name in columns:
-                return columns[sym.name].copy()
-            raise UnknownSymbol(f"variable '{sym.name}' missing from inputs")
-        args = [ev(c) for c in node.children]
-        with np.errstate(all="ignore"):
-            if sym.name == "+":
-                out = args[0] + args[1]
-                for extra in args[2:]:
-                    out = out + extra
-                return out
-            if sym.name == "-" and sym.rank == 2:
-                return args[0] - args[1]
-            if sym.name == "*" and sym.rank == 2:
-                return args[0] * args[1]
-            if sym.name == "/" and sym.rank == 2:
-                den = args[1]
-                out = args[0] / np.where(np.abs(den) < DIV_EPS, np.nan, den)
-                return out
-            if sym.name == "pow" and sym.rank == 2:
-                return np.power(args[0], args[1])
-        raise UnknownSymbol(f"no evaluation rule for '{sym.name}/{sym.rank}'")
-
-    return ev(expr.tree)
+                program.append((_PARAM, next(const_slot)))
+            elif is_disc_marker(sym):
+                program.append((_PARAM, next(disc_slot)))
+            elif is_numeric_literal(sym):
+                program.append((_LITERAL, float(Fraction(sym.name))))
+            else:
+                program.append((_VARIABLE, sym.name))
+            continue
+        first, *rest = item.children
+        if sym.name == "+" and rest:  # folds from the left: ((c1 + c2) + c3) + ...
+            steps = [first] + [step for c in rest for step in (c, (operator.add, None))]
+        elif (sym.name, sym.rank) in _BINARY:
+            steps = [first, *rest, (_BINARY[sym.name, sym.rank], None)]
+        else:
+            steps = [first, *rest, (_FAIL, f"no evaluation rule for '{sym.name}/{sym.rank}'")]
+        stack.extend(reversed(steps))
+    return tuple(program)
 
 
 # -- prefix text format -------------------------------------------------------
@@ -401,42 +499,40 @@ def format_tree(tree: Tree) -> str:
 def parse_tree(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
     """Parse the prefix form.  With an alphabet, symbols must resolve against
     it ((name, child-count) lookup); without one, symbols are inferred from
-    the shape of the text."""
+    the shape of the text.  Iterative, so very deep trees parse."""
+
+    def lookup(name, k):
+        if alphabet is None:
+            return RankedSymbol(name, k)
+        return _resolve_name(name, k, alphabet)
+
     tokens = _tokenize_sexpr(text)
     pos = 0
-
-    def parse() -> Tree:
-        nonlocal pos
+    open_nodes = []  # (name, children so far) of each '(' not yet closed
+    while True:
         if pos >= len(tokens):
-            raise InputError("unexpected end of tree text")
+            raise InputError("missing ')'" if open_nodes else "unexpected end of tree text")
         tok = tokens[pos]
         pos += 1
         if tok == "(":
             if pos >= len(tokens) or tokens[pos] in "()":
                 raise InputError("expected symbol after '('")
-            name = tokens[pos]
+            open_nodes.append((tokens[pos], []))
             pos += 1
-            kids = []
-            while pos < len(tokens) and tokens[pos] != ")":
-                kids.append(parse())
-            if pos >= len(tokens):
-                raise InputError("missing ')'")
-            pos += 1
-            sym = _lookup(name, len(kids))
-            return Tree(sym, tuple(kids))
+            continue
         if tok == ")":
-            raise InputError("unexpected ')'")
-        return Tree(_lookup(tok, 0))
-
-    def _lookup(name, k):
-        if alphabet is None:
-            return RankedSymbol(name, k)
-        return _resolve_name(name, k, alphabet)
-
-    out = parse()
+            if not open_nodes:
+                raise InputError("unexpected ')'")
+            name, kids = open_nodes.pop()
+            node = Tree(lookup(name, len(kids)), tuple(kids))
+        else:
+            node = Tree(lookup(tok, 0))
+        if not open_nodes:
+            break
+        open_nodes[-1][1].append(node)
     if pos != len(tokens):
         raise InputError("trailing input after tree text")
-    return out
+    return node
 
 
 def _tokenize_sexpr(text: str):
@@ -456,8 +552,3 @@ def _tokenize_sexpr(text: str):
             tokens.append(text[i:j])
             i = j
     return tokens
-
-
-def infer_alphabet(tree: Tree) -> RankedAlphabet:
-    """Alphabet consisting of exactly the symbols used in the tree."""
-    return RankedAlphabet({node.symbol for _, node in tree.walk()})

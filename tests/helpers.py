@@ -57,3 +57,64 @@ def _compositions(total, parts):
     for first in range(1, total - parts + 2):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def reference_eval(expr, inputs):
+    """Tree-walking evaluation with a full array at every node: an independent
+    oracle for the compiled evaluator, which must match it byte for byte."""
+    from fractions import Fraction
+
+    import numpy as np
+
+    columns = {name: np.asarray(col, dtype=float) for name, col in inputs.items()}
+    n = len(next(iter(columns.values()))) if columns else 1
+    markers = iter([expr.theta_c[g] for g in expr.ties])
+    discs = iter([float(v) for v in expr.theta_d])
+
+    def ev(node):
+        name, kids = node.symbol.name, [ev(c) for c in node.children]
+        if not kids:
+            if name == "d#":
+                return np.full(n, next(discs))
+            if name.endswith("#"):
+                return np.full(n, next(markers))
+            if name in columns:
+                return columns[name].copy()
+            return np.full(n, float(Fraction(name)))
+        with np.errstate(all="ignore"):
+            if name == "+":
+                out = kids[0]
+                for k in kids[1:]:
+                    out = out + k
+                return out
+            if name == "-":
+                return kids[0] - kids[1]
+            if name == "*":
+                return kids[0] * kids[1]
+            if name == "/":
+                return kids[0] / np.where(np.abs(kids[1]) < 1e-300, np.nan, kids[1])
+            return np.power(kids[0], kids[1])
+
+    return ev(expr.tree)
+
+
+def reference_ties(tree, prior):
+    """Tie table by one recursive walk that keeps the ancestor path: an
+    independent oracle for compute_ties."""
+    keys = []
+
+    def walk(node, addr, ancestors):
+        name = node.symbol.name
+        if node.symbol.rank == 0 and name.endswith("#") and name != "d#":
+            anchor = prior.shared.get(name)
+            if anchor is None:
+                keys.append(("solo", addr))
+            else:
+                sites = [a for a, s in ancestors if (s.name, s.rank) == tuple(anchor)]
+                keys.append((name, sites[-1] if sites else ("root",)))
+        for i, child in enumerate(node.children, start=1):
+            walk(child, addr + (i,), ancestors + [(addr, node.symbol)])
+
+    walk(tree, (), [])
+    first = {}
+    return tuple(first.setdefault(key, len(first)) for key in keys)

@@ -67,6 +67,13 @@ def test_sample_zero_lines(capsys):
     assert out == ""
 
 
+def test_sample_negative_count_exits_2(capsys):
+    code, out, err = run_cli(capsys, "sample", "--prior", "E_1", "--n", "-1", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.strip())["error"] == "InputError"
+
+
 def test_sample_deterministic(capsys):
     args = ("sample", "--prior", "E_iso", "--n", "5", "--seed", "9")
     _, out1, _ = run_cli(capsys, *args)
@@ -303,3 +310,77 @@ def test_report_flags_dead_points(capsys, tmp_path):
     flagged = {float(r[1]): r[-1] for r in rows}
     assert flagged[0.0] == "1"
     assert flagged[2.0] == "0"
+
+
+def _hand_posterior(tmp_path, config=None):
+    draws = tuple(
+        Draw(SymbolicExpression(parse_tree("(* c# c)"), theta_c=(v,)), 0.1, -1.0)
+        for v in (1.0, 2.0, 1.0, 1.0)
+    )
+    post_path = tmp_path / "p.json"
+    post_path.write_text(posterior_to_json(Posterior(draws, {}, McmcConfig(), 0)))
+    if config is not None:
+        doc = json.loads(post_path.read_text())
+        doc["config"].update(config)
+        post_path.write_text(json.dumps(doc))
+    return post_path
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("c,s\n1.0,2.0\n3.0\n", "line 3 has 1 cells"),
+        ("c,s\n1.0,2.0\n3.0,4.0,5.0\n", "line 3 has 3 cells"),
+        ("c,s\n1.0,abc\n", "line 2 holds a non-numeric cell"),
+    ],
+)
+def test_malformed_csv_exits_2(capsys, tmp_path, body, message):
+    data_path = tmp_path / "d.csv"
+    data_path.write_text(body)
+    code, _, err = run_cli(
+        capsys, "report", "--posterior", str(_hand_posterior(tmp_path)),
+        "--data", str(data_path), "--out-dir", str(tmp_path / "rep"),
+    )
+    assert code == 2
+    doc = json.loads(err.strip())
+    assert doc["error"] == "InputError"
+    assert message in doc["message"]
+
+
+def test_posterior_with_unknown_config_key_exits_2(capsys, tmp_path):
+    data_path = tmp_path / "d.csv"
+    data_path.write_text("c,s\n1.0,2.0\n")
+    post_path = _hand_posterior(tmp_path, config={"walkers": 5})
+    code, _, err = run_cli(
+        capsys, "report", "--posterior", str(post_path),
+        "--data", str(data_path), "--out-dir", str(tmp_path / "rep"),
+    )
+    assert code == 2
+    doc = json.loads(err.strip())
+    assert doc["error"] == "InputError"
+    assert "walkers" in doc["message"]
+
+
+def test_report_evaluates_each_distinct_draw_once(capsys, tmp_path, monkeypatch):
+    import treegress.cli
+    import treegress.inference
+
+    calls = []
+    for module in (treegress.cli, treegress.inference):
+        real = module.eval_expression
+        monkeypatch.setattr(
+            module, "eval_expression",
+            lambda expr, inputs, real=real: calls.append(expr.theta_c) or real(expr, inputs),
+        )
+    data_path = tmp_path / "d.csv"
+    data_path.write_text("c,s\n1.0,2.0\n2.0,4.0\n")
+    code, _, _ = run_cli(
+        capsys, "report", "--posterior", str(_hand_posterior(tmp_path)),
+        "--data", str(data_path), "--out-dir", str(tmp_path / "rep"),
+    )
+    assert code == 0
+    # two distinct draws among four, once for the RMSE and once for the bands
+    assert sorted(calls) == [(1.0,), (1.0,), (2.0,), (2.0,)]
+    row = (tmp_path / "rep" / "metrics.csv").read_text().splitlines()[1].split(",")
+    # per-draw rmse: sqrt(2.5) for each of the three c# = 1 draws, 0 for c# = 2
+    assert float(row[1]) == pytest.approx(0.75 * math.sqrt(2.5))

@@ -329,6 +329,21 @@ def test_cache_coherence(e_iso):
         assert fresh.log_posterior == pytest.approx(d.log_post, abs=1e-9)
 
 
+def test_intern_shares_one_object_per_distinct_tree(e_hyp):
+    from treegress.inference import _ChainContext
+    from treegress.prte import compute_ties, sample_tree
+    from treegress.pta import compile_prior
+
+    ctx = _ChainContext(e_hyp, compile_prior(e_hyp), None, McmcConfig(prior_only=True))
+    tree = sample_tree(e_hyp, np.random.default_rng(8))
+    again = parse_tree(str(tree), e_hyp.alphabet)
+    assert again is not tree
+    first, ties = ctx.intern(tree)
+    assert first is tree and ties == compute_ties(tree, e_hyp)
+    assert ctx.intern(again) == (tree, ties)
+    assert ctx.intern(again)[0] is tree
+
+
 def test_variable_mismatch_rejected(e_iso):
     data = ({"z": np.ones(3)}, np.ones(3))
     with pytest.raises(InputError):
@@ -391,6 +406,36 @@ def test_nonfinite_draws_dropped_pointwise():
     assert out["mean"][0] == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("noise", [False, True])
+def test_bands_match_a_per_point_loop(noise):
+    # repeated draws, and draws that are non-finite at the negative inputs
+    # only, so both the all-finite points and the dropping points are covered
+    from helpers import reference_eval
+    from treegress.inference import Draw
+
+    rng = np.random.default_rng(5)
+    exponents = [0.5, 2.0, 1.5, 3.0, 0.5, 2.0] + list(rng.uniform(0.0, 3.0, 30))
+    draws = [Draw(expr_of("(pow x a#)", theta_c=(a,)), 0.1 + a, -1.0) for a in exponents]
+    post = make_posterior(draws)
+    x = {"x": np.linspace(-2.0, 5.0, 41)}
+    out = posterior_predict(post, x, rng=np.random.default_rng(9) if noise else None,
+                            strict=False)
+
+    noise_rng = np.random.default_rng(9)
+    values = []
+    for d in draws:
+        pred = reference_eval(d.expr, x)
+        values.append(pred + d.sigma * noise_rng.standard_normal(41) if noise else pred)
+    values = np.array(values)
+    for j in range(41):
+        col = values[np.isfinite(values[:, j]), j]
+        assert out["dropped"][j] == len(draws) - col.size
+        assert out["mean"][j].tobytes() == col.mean().tobytes()
+        got = [out[q][j] for q in ("q05", "q50", "q95")]
+        assert np.array(got).tobytes() == np.percentile(col, [5.0, 50.0, 95.0]).tobytes()
+    assert 0 < out["dropped"].sum() < 41 * len(draws)
+
+
 # -- serialization ------------------------------------------------------------------------
 
 def test_posterior_json_round_trip(e_sum):
@@ -401,6 +446,10 @@ def test_posterior_json_round_trip(e_sum):
     assert back.draws == post.draws
     assert back.config == post.config
     assert posterior_to_json(back) == text
+    # each distinct expression text is parsed once, so equal trees are shared
+    by_text = {}
+    for d in back.draws:
+        assert by_text.setdefault(str(d.expr.tree), d.expr.tree) is d.expr.tree
 
 
 # -- dimension jumps against a quadrature oracle ------------------------------------

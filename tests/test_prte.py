@@ -28,6 +28,7 @@ from treegress.prte import (
     PConcat,
     PIter,
     build_prior,
+    compute_ties,
     format_prte,
     parse_prte,
     prte_density,
@@ -254,6 +255,16 @@ def test_shared_alpha_ties(e_hyp):
         # per summand: one mu group and one alpha group covering 4 positions
         assert len(e.theta_c) == 2 * summands
         assert len(e.ties) == 5 * summands
+
+
+def test_ties_match_a_recursive_walk(all_shipped):
+    from helpers import reference_ties
+
+    rng = np.random.default_rng(12)
+    for prior in all_shipped.values():
+        for _ in range(100):
+            tree = sample_tree(prior, rng)
+            assert compute_ties(tree, prior) == reference_ties(tree, prior), str(tree)
 
 
 def test_minimal_isotherm_sample_shape(e_iso):

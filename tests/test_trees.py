@@ -5,17 +5,32 @@ Covers:
       error kind and address
     - positions_of returns pre-order addresses
     - eval_expression arithmetic, parameter binding, and domain-error flags
-    - text round-trip of the prefix form
+    - compiled evaluation matches a tree-walking reference byte for byte
+    - text round-trip of the prefix form, also for very deep trees
 """
+
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from treegress.errors import ArityMismatch, LengthMismatch, NotPrefixClosed, UnknownSymbol
+from helpers import reference_eval
+from treegress.errors import (
+    ArityMismatch,
+    InputError,
+    LengthMismatch,
+    NotPrefixClosed,
+    UnknownSymbol,
+)
+from treegress.prte import sample_expression
 from treegress.trees import (
     RankedAlphabet,
     RankedSymbol,
     SymbolicExpression,
+    Tree,
+    const_positions,
+    disc_positions,
     eval_expression,
     format_tree,
     parse_tree,
@@ -171,6 +186,59 @@ def test_eval_deterministic():
     assert a.tobytes() == b.tobytes()
 
 
+def test_sum_folds_from_the_left():
+    # (1e16 + -1e16) + 1 = 1, whereas 1e16 + (-1e16 + 1) rounds to 0
+    t = parse_tree("(+ 1e16 -1e16 1)")
+    assert eval_expression(SymbolicExpression(t), {}).tolist() == [1.0]
+
+
+def test_single_variable_result_is_a_copy():
+    col = np.array([1.0, 2.0])
+    out = eval_expression(SymbolicExpression(parse_tree("x")), {"x": col})
+    out[0] = 9.0
+    assert col.tolist() == [1.0, 2.0]
+
+
+def test_missing_variable_and_missing_rule_raise_in_evaluation_order():
+    with pytest.raises(UnknownSymbol, match="variable 'zzz' missing from inputs"):
+        eval_expression(SymbolicExpression(parse_tree("(max zzz 1)")), {"x": np.zeros(1)})
+    with pytest.raises(UnknownSymbol, match=re.escape("no evaluation rule for 'max/2'")):
+        eval_expression(SymbolicExpression(parse_tree("(max x 1)")), {"x": np.zeros(1)})
+    # an operator is reached only after both of its operands
+    with pytest.raises(UnknownSymbol, match="variable 'y' missing"):
+        eval_expression(SymbolicExpression(parse_tree("(max x y)")), {"x": np.zeros(1)})
+    with pytest.raises(UnknownSymbol, match=re.escape("no evaluation rule for 'max/2'")):
+        eval_expression(SymbolicExpression(parse_tree("(- (max x 1) y)")), {"x": np.zeros(1)})
+
+
+HAND_TREES = [
+    ("(pow x a#)", (0.5,), (), None),
+    ("(pow 2 a#)", (-1.5,), (), None),
+    ("(/ a# (- x x))", (3.0,), (), None),
+    ("(/ (* a# b#) (+ 1 a# b#))", (1e300, -1e300), (), (0, 1, 0, 1)),
+    ("(- (* d# x) (/ 1/3 d#))", (), (Fraction(2, 3), Fraction(-5)), None),
+    ("(+ (* a# x) (* a# (pow x 2)) 0.1)", (-0.0, 0.0), (), None),
+]
+
+
+@pytest.mark.parametrize("text, theta_c, theta_d, ties", HAND_TREES)
+def test_compiled_matches_tree_walk_on_hand_trees(text, theta_c, theta_d, ties):
+    e = SymbolicExpression(parse_tree(text), theta_c, theta_d, ties)
+    xs = {"x": np.array([-2.0, -0.5, 0.0, 1e-310, 0.75, 3.0, 1e200])}
+    assert eval_expression(e, xs).tobytes() == reference_eval(e, xs).tobytes()
+
+
+@pytest.mark.parametrize("stem, n_points", [("e_iso", 1), ("e_iso", 25), ("e_hyp", 25),
+                                             ("e_grm", 25), ("e_mrs", 25), ("e_hook", 25)])
+def test_compiled_matches_tree_walk_on_prior_draws(all_shipped, stem, n_points):
+    prior = all_shipped[stem]
+    rng = np.random.default_rng(11)
+    xs = {v: rng.uniform(-1.0, 60.0, n_points) for v in prior.variables}
+    for _ in range(150):
+        e = sample_expression(prior, rng)
+        assert eval_expression(e, xs).tobytes() == reference_eval(e, xs).tobytes(), str(e.tree)
+
+
 def test_unequal_input_lengths_rejected():
     t = parse_tree("(+ x y)")
     with pytest.raises(LengthMismatch):
@@ -192,6 +260,49 @@ def test_round_trip(text):
     t = parse_tree(text)
     assert format_tree(t) == text
     assert parse_tree(format_tree(t)) == t
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "unexpected end of tree text"),
+        (")", "unexpected ')'"),
+        ("(+ a b", "missing ')'"),
+        ("(", "expected symbol after '('"),
+        ("(()", "expected symbol after '('"),
+        ("(+ a b) c", "trailing input after tree text"),
+    ],
+)
+def test_parse_errors(text, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        parse_tree(text)
+
+
+def test_deep_tree_round_trip():
+    plus, leaf = RankedSymbol("+", 2), Tree(A)
+    t = leaf
+    for _ in range(5000):
+        t = Tree(plus, (leaf, t))
+    again = parse_tree(format_tree(t))
+    assert again == t
+    assert hash(again) == hash(t)
+    assert again.size == 10001
+    assert eval_expression(SymbolicExpression(again), {"a": np.ones(2)}).tolist() == [5001.0] * 2
+
+
+def test_hash_is_the_field_tuple_hash():
+    t = parse_tree("(+ a (+ b c#))")
+    assert hash(t) == hash((t.symbol, t.children))
+    assert t == parse_tree("(+ a (+ b c#))")
+    assert t != parse_tree("(+ a (+ c# b))")
+
+
+def test_shape_record():
+    t = parse_tree("(+ c# (* d# (+ x c#)))")
+    assert t.size == 7
+    assert const_positions(t) == ((1,), (2, 2, 2))
+    assert disc_positions(t) == ((2, 1),)
+    assert t.shape is t.shape
 
 
 def test_parse_against_alphabet_rejects_unknown():
