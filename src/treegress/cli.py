@@ -192,6 +192,8 @@ def cmd_fit(args) -> int:
             posterior = run_chains(prior, train, config, args.chains, on_draw=partial.append)
         else:
             posterior = run_chain(prior, train, config, on_draw=partial.append)
+    except InputError:
+        raise
     except TreegressError as exc:
         trace = Posterior(tuple(partial), {}, config, config.seed)
         Path(out_ref).write_text(posterior_to_json(trace), encoding="utf-8")

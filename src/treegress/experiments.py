@@ -11,6 +11,7 @@ seed is split per parameter draw and per dataset.
 from __future__ import annotations
 
 import importlib.resources
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,8 +169,8 @@ class Dataset:
 
 def read_dataset(path) -> Dataset:
     """Read a csv written by ``Dataset.to_csv``.  A row whose cell count
-    differs from the header's, or a cell that is not a number, is an input
-    error naming its line."""
+    differs from the header's, or a cell that is not a finite number, is an
+    input error naming its line."""
     with open(path, "r", encoding="utf-8") as fh:
         header = tuple(fh.readline().strip().split(","))
         lines = [(no, line.strip()) for no, line in enumerate(fh, start=2) if line.strip()]
@@ -183,9 +184,12 @@ def read_dataset(path) -> Dataset:
                 f"{path}: line {no} has {len(cells)} cells, the header has {len(header)}"
             )
         try:
-            rows.append([float(cell) for cell in cells])
+            row = [float(cell) for cell in cells]
         except ValueError:
             raise InputError(f"{path}: line {no} holds a non-numeric cell") from None
+        if not all(map(math.isfinite, row)):
+            raise InputError(f"{path}: line {no} holds a non-finite cell")
+        rows.append(row)
     cols = tuple(np.array([r[i] for r in rows]) for i in range(len(header)))
     return Dataset(header, cols)
 

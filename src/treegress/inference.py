@@ -24,7 +24,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+import numbers
+from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -37,9 +38,10 @@ from .errors import (
     SizeMismatch,
 )
 from .prte import PriorSpec, compute_ties, group_tags, sample_expression, sample_tree
-from .pta import Pta, compile_prior, context_marginal, pta_eval, sample_from_state
+# pta_eval and context_marginal stay bound: bench/spans.py wraps them here
+from .pta import Pta, compile_prior, context_marginal, inside, pta_eval  # noqa: F401
+from .pta import sample_from_state, state_marginal
 from .trees import (
-    HOLE,
     SymbolicExpression,
     Tree,
     disc_positions,
@@ -52,6 +54,11 @@ LOG_2PI = math.log(2.0 * math.pi)
 _CACHE_CAP = 200_000
 
 MOVES = ("global", "local", "params", "sigma")
+
+
+# the Python types accepted for each field annotation of McmcConfig
+_FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool,
+                "float | None": (numbers.Real, type(None))}
 
 
 @dataclass(frozen=True)
@@ -74,6 +81,10 @@ class McmcConfig:
     prior_only: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, _FIELD_KINDS[f.type]):
+                raise InputError(f"config field {f.name} must be {f.type}, got {value!r}")
         if self.burn_in < 0 or self.samples <= 0 or self.thin <= 0:
             raise InputError("burn_in >= 0, samples > 0, thin > 0 required")
         if self.samples % self.thin:
@@ -156,6 +167,11 @@ def log_likelihood(expr: SymbolicExpression, sigma: float, data) -> float:
         raise InputError("sigma must be positive")
     sse = _sum_squared_error(expr, inputs, y)
     return _log_lik_from_sse(sse, sigma, y.size)
+
+
+def _log(p) -> float:
+    """log p, or -inf for a zero probability."""
+    return math.log(p) if p > 0 else -math.inf
 
 
 def _log_lik_from_sse(sse: float, sigma: float, n: int) -> float:
@@ -261,7 +277,7 @@ class _ChainContext:
             self.inputs, self.y = _coerce_data(data)
         else:
             self.inputs, self.y = {}, np.zeros(0)
-        self.log_prior_cache: dict = {}
+        self.inside_memo: dict = {}  # subtree -> inside vector
         self.marginal_cache: dict = {}
         self.trees: dict = {}  # tree -> (first equal tree seen, its ties), see intern
 
@@ -275,22 +291,24 @@ class _ChainContext:
             known = _bounded_put(self.trees, tree, (tree, compute_ties(tree, self.prior)))
         return known
 
+    def inside(self, tree: Tree) -> np.ndarray:
+        """Inside vector of the tree through the chain's memo (emptied past
+        _CACHE_CAP).  A proposal from ``replace_at`` shares every off-path
+        subtree with its origin, so only the nodes on the new path are scored."""
+        if len(self.inside_memo) > _CACHE_CAP:
+            self.inside_memo.clear()
+        return inside(self.pta, tree, self.inside_memo)
+
     def log_prior_tree(self, tree: Tree) -> float:
-        cached = self.log_prior_cache.get(tree)
-        if cached is None:
-            val = pta_eval(self.pta, tree)
-            cached = math.log(val) if val > 0 else -math.inf
-            _bounded_put(self.log_prior_cache, tree, cached)
-        return cached
+        return _log(self.pta.initial @ self.inside(tree))
 
     def boltzmann_marginal(self, tree: Tree, addr):
-        """Tempered context-state distribution at the hole; zero-probability
-        states stay excluded for any temperature."""
+        """Tempered distribution of the state at ``addr`` given the rest of
+        the tree; zero-probability states stay excluded for any temperature."""
         key = (tree, addr)
         cached = self.marginal_cache.get(key)
         if cached is None:
-            context = tree.replace_at(addr, Tree(HOLE))
-            marginal = context_marginal(self.pta, context)
+            marginal = state_marginal(self.pta, tree, addr, self.inside_memo)
             support = marginal > 0
             logits = np.full(marginal.shape, -math.inf)
             logits[support] = np.log(marginal[support]) / self.config.tau
@@ -378,13 +396,13 @@ def propose_local(state: ChainState, ctx: _ChainContext, rng):
         return None
     start = int(rng.choice(len(boltzmann), p=boltzmann))
     try:
-        new_sub, _ = sample_from_state(ctx.pta, start, rng, ctx.config.max_depth)
+        new_sub = sample_from_state(ctx.pta, start, rng, ctx.config.max_depth)
     except DepthBudgetExhausted:
         return None
     new_tree, ties = ctx.intern(tree.replace_at(addr, new_sub))
 
-    fwd_regrow = pta_eval(ctx.pta, new_sub, initial=boltzmann)
-    rev_regrow = pta_eval(ctx.pta, old_sub, initial=boltzmann)
+    log_fwd_regrow = _log(boltzmann @ ctx.inside(new_tree.node_at(addr)))
+    log_rev_regrow = _log(boltzmann @ ctx.inside(old_sub))
 
     n_new = (max(ties) + 1) if ties else 0
     theta_new, _, logdet, log_pu, log_pu_rev = _draw_theta_jump(
@@ -397,19 +415,8 @@ def propose_local(state: ChainState, ctx: _ChainContext, rng):
     expr = SymbolicExpression(new_tree, tuple(theta_new), theta_d_new, ties)
     proposal = ctx.make_state(expr, state.sigma)
 
-    log_fwd = (
-        -math.log(n_nodes)
-        + (math.log(fwd_regrow) if fwd_regrow > 0 else -math.inf)
-        + log_pu
-        + disc_fwd
-        - logdet
-    )
-    log_rev = (
-        -math.log(new_tree.size)
-        + (math.log(rev_regrow) if rev_regrow > 0 else -math.inf)
-        + log_pu_rev
-        + disc_rev
-    )
+    log_fwd = -math.log(n_nodes) + log_fwd_regrow + log_pu + disc_fwd - logdet
+    log_rev = -math.log(new_tree.size) + log_rev_regrow + log_pu_rev + disc_rev
     return proposal, log_fwd, log_rev
 
 
@@ -462,6 +469,8 @@ def run_chain(prior: PriorSpec, data, config: McmcConfig, on_draw=None) -> Poste
     pta = compile_prior(prior, config.state_budget)
     ctx = _ChainContext(prior, pta, data, config)
     if data is not None and not config.prior_only:
+        if ctx.y.size == 0:
+            raise InputError("the training data has no rows")
         missing = set(prior.variables) - set(ctx.inputs)
         extra = set(ctx.inputs) - set(prior.variables)
         if missing or extra:
@@ -641,6 +650,11 @@ def posterior_to_json(posterior: Posterior) -> str:
 
 def posterior_from_json(text: str) -> Posterior:
     doc = json.loads(text)
+    if not isinstance(doc, dict) or not isinstance(doc.get("config"), dict):
+        raise InputError("a posterior is a JSON object with a 'config' object")
+    missing = [key for key in ("config", "seed", "draws", "accept_stats") if key not in doc]
+    if missing:
+        raise InputError(f"posterior lacks the keys {missing}")
     unknown = set(doc["config"]) - set(McmcConfig.__dataclass_fields__)
     if unknown:
         raise InputError(f"unknown config keys in posterior: {sorted(unknown)}")

@@ -689,8 +689,8 @@ class PriorSpec:
 # -- sampling --------------------------------------------------------------------
 
 
-class _DepthOverflow(Exception):
-    pass
+class DepthOverflow(Exception):
+    """A sampling attempt went past its depth budget; the sampler redraws."""
 
 
 def sample_tree(prior: PriorSpec, rng: np.random.Generator) -> Tree:
@@ -699,33 +699,36 @@ def sample_tree(prior: PriorSpec, rng: np.random.Generator) -> Tree:
     discarded and redrawn; persistent overflow raises DepthBudgetExhausted.
     The truncation slightly biases the sampled law against very deep trees;
     the density below deliberately does not truncate."""
-    graph = prior.graph
-
-    def draw(node: Prte, depth: int) -> Tree:
-        while True:
-            if isinstance(node, PSymbol):
-                if depth > prior.max_depth:
-                    raise _DepthOverflow()
-                if not node.children:
-                    return prior.alphabet.leaf(node.symbol.name)
-                return Tree(node.symbol, tuple(draw(c, depth + 1) for c in node.children))
-            if isinstance(node, PChoice):
-                node = _pick_branch(node, rng)
-            elif isinstance(node, PVar):
-                node = graph.var_target[id(node)]
-            elif isinstance(node, PConcat):
-                node = node.left
-            else:  # PIter
-                node = node.body
-
     for _ in range(RESAMPLE_RETRIES):
         try:
-            return draw(prior.root, 0)
-        except _DepthOverflow:
+            return _draw(prior, rng, prior.root, 0)
+        except DepthOverflow:
             continue
     raise DepthBudgetExhausted(
         f"no sample within depth {prior.max_depth} after {RESAMPLE_RETRIES} tries"
     )
+
+
+def _draw(prior: PriorSpec, rng: np.random.Generator, node: Prte, depth: int) -> Tree:
+    """One attempt of ``sample_tree`` from ``node`` at ``depth``.  A module
+    function, not a closure: a recursive closure is a reference cycle that
+    would keep the prior alive until the next full garbage collection."""
+    while True:
+        if isinstance(node, PSymbol):
+            if depth > prior.max_depth:
+                raise DepthOverflow()
+            if not node.children:
+                return prior.alphabet.leaf(node.symbol.name)
+            kids = tuple(_draw(prior, rng, c, depth + 1) for c in node.children)
+            return Tree(node.symbol, kids)
+        if isinstance(node, PChoice):
+            node = _pick_branch(node, rng)
+        elif isinstance(node, PVar):
+            node = prior.graph.var_target[id(node)]
+        elif isinstance(node, PConcat):
+            node = node.left
+        else:  # PIter
+            node = node.body
 
 
 def _pick_branch(choice: PChoice, rng: np.random.Generator) -> Prte:

@@ -4,9 +4,16 @@ A prior expression compiles into an automaton whose states are the emitting
 sites of the expression: the initial vector is the root-symbol distribution,
 and each transition row routes a state's children into the sites they can
 expand to, with tuple probabilities given by the product of the child routing
-distributions.  Trees are scored by building a factor graph that mirrors the
-tree (one latent state variable per node, one factor per node tying parent
-state, observed symbol, and child states) and eliminating it leaf-to-root.
+distributions.
+
+Trees are scored by the inside-outside algorithm over per-symbol transition
+arrays (``Pta.tables``).  The inside pass runs bottom-up: a node's inside
+vector holds, per state, the probability of the runs on its subtree that
+start there.  The outside pass runs down one path: the outside vector at an
+address holds, per state, the probability of the runs on the rest of the
+tree that reach that address in that state.  A tree's score is the initial
+vector against the root's inside vector; a context marginal is the
+normalised outside vector at the hole.
 
 Transition rows may sum to less than one; missing mass means derivations that
 die and simply contributes nothing to any score.
@@ -16,8 +23,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +33,8 @@ from .errors import (
     InputError,
     StateBudgetExceeded,
 )
-from .prte import PriorSpec, RESAMPLE_RETRIES
-from .trees import HOLE_NAME, RankedSymbol, Tree
+from .prte import RESAMPLE_RETRIES, DepthOverflow, PriorSpec
+from .trees import HOLE_NAME, Tree
 
 PROB_TOL = 1e-12
 DEFAULT_STATE_BUDGET = 10_000
@@ -49,7 +54,7 @@ class Pta:
         self.initial = np.asarray(initial, dtype=float)
         self.transitions = dict(transitions)
         self.finals = frozenset(finals)
-        self._rows_by_symbol = None
+        self._rows_by_symbol = self._tables = self._emission = None
         if check:
             self._validate()
 
@@ -104,6 +109,28 @@ class Pta:
                 table.setdefault(symkey, []).append((state, rows))
             self._rows_by_symbol = table
         return self._rows_by_symbol
+
+    def tables(self):
+        """(name, rank) -> what the inside and outside passes read: a leaf
+        symbol's accepting-state indicator, or an inner symbol's transitions
+        as (states, probabilities, child-state arrays) in ``rows_by_symbol``
+        order."""
+        if self._tables is None:
+            tables = {}
+            for sym in self.alphabet:
+                key = (sym.name, sym.rank)
+                if sym.rank == 0:  # one read-only vector, shared by every leaf
+                    tables[key] = np.zeros(self.n_states)
+                    tables[key][[s for s, name in self.finals if name == sym.name]] = 1.0
+                    tables[key].flags.writeable = False
+                    continue
+                rows = self.rows_by_symbol().get(key, ())
+                flat = [(s, p, *tup) for s, row in rows for tup, p in row]
+                cols = np.array(flat, dtype=float).reshape(-1, 2 + sym.rank).T
+                kids = tuple(cols[2:].astype(np.intp))
+                tables[key] = (cols[0].astype(np.intp), np.ascontiguousarray(cols[1]), kids)
+            self._tables = tables
+        return self._tables
 
     def to_json(self) -> str:
         """Debug dump; the layout is not a stability-guaranteed format."""
@@ -167,211 +194,146 @@ def compile_prior(prior: PriorSpec, state_budget: int = DEFAULT_STATE_BUDGET) ->
     return Pta(prior.alphabet, states, initial, transitions, finals)
 
 
-# -- factor graph -------------------------------------------------------------------
+# -- inside / outside ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FactorNode:
-    """The factor tying one tree node's state to its observed symbol and its
-    children's states.  For leaves the table is the accepted-state indicator;
-    for inner nodes it is the sparse transition rows of the observed symbol."""
-
-    address: tuple
-    symbol: RankedSymbol
-    table: tuple  # inner: ((state, child-tuple, p), ...); leaf: (state, ...)
-
-
-@dataclass(frozen=True)
-class FactorGraph:
-    """Tree-shaped graph: one latent state variable and one factor per node,
-    plus the initial-distribution factor on the root state."""
-
-    states: tuple
-    initial: np.ndarray
-    nodes: tuple  # FactorNode, pre-order
-    hole: tuple | None = None
-
-
-def build_factor_graph(pta: Pta, tree: Tree, allow_hole: bool = False) -> FactorGraph:
-    rows_by_symbol = pta.rows_by_symbol()
-    nodes = []
-    hole = None
-    for addr, node in tree.walk():
-        sym = node.symbol
-        if sym.name == HOLE_NAME:
-            if not allow_hole:
-                raise AlphabetMismatch("'?' only allowed in context queries")
-            if hole is not None:
-                raise InputError("context must contain exactly one '?'")
-            hole = addr
-            nodes.append(FactorNode(addr, sym, ()))
+def inside(pta: Pta, tree: Tree, memo=None) -> np.ndarray:
+    """Inside vector of the tree: entry q is the total probability of the
+    successful runs on the tree that start in state q.  ``memo`` maps
+    subtrees to their inside vectors; it is filled in as the pass goes, and
+    a caller scoring trees that share subtrees passes the same dict."""
+    memo = {} if memo is None else memo
+    tables = pta.tables()
+    order, pending = [], [tree]
+    while pending:  # pre-order over the nodes not yet in the memo
+        node = pending.pop()
+        if node not in memo:
+            order.append((node, _table(tables, node.symbol)))
+            pending.extend(node.children)
+    q = pta.n_states
+    for node, entry in reversed(order):
+        if node.symbol.rank == 0:
+            memo[node] = entry
             continue
-        if not pta.alphabet.has(sym.name, sym.rank):
-            raise AlphabetMismatch(f"symbol '{sym.name}/{sym.rank}' not in automaton alphabet")
-        if sym.rank == 0:
-            accepted = tuple(s for s, name in pta.finals if name == sym.name)
-            nodes.append(FactorNode(addr, sym, accepted))
-        else:
-            table = tuple(
-                (state, tup, p)
-                for state, rows in rows_by_symbol.get((sym.name, sym.rank), ())
-                for tup, p in rows
-            )
-            nodes.append(FactorNode(addr, sym, table))
-    if allow_hole and hole is None:
-        raise InputError("context must contain exactly one '?'")
-    return FactorGraph(pta.states, pta.initial, tuple(nodes), hole)
+        states, weights, kids = entry
+        for child, idx in zip(node.children, kids):
+            weights = weights * memo[child][idx]
+        memo[node] = np.bincount(states, weights=weights, minlength=q)
+    return memo[tree]
 
 
-def _eliminate(graph: FactorGraph, initial: np.ndarray, order=None):
-    """Leaf-to-root elimination.  Returns a scalar, or a vector over the hole
-    state when the graph has a hole (messages on the hole-to-root path carry a
-    second axis for it)."""
-    q = len(graph.states)
-    by_addr = {n.address: n for n in graph.nodes}
-    if order is None:
-        order = [n.address for n in reversed(graph.nodes)]
-    else:
-        order = [tuple(a) for a in order]
-        if sorted(order) != sorted(by_addr):
-            raise InputError("elimination order must list every node exactly once")
-        seen = set()
-        for addr in order:
-            node = by_addr[addr]
-            for i in range(1, node.symbol.rank + 1):
-                if addr + (i,) not in seen:
-                    raise InputError("elimination order must be leaf-to-root")
-            seen.add(addr)
-
-    msgs = {}
-    for addr in order:
-        node = by_addr[addr]
-        if graph.hole is not None and addr == graph.hole:
-            msgs[addr] = np.eye(q)
-        elif node.symbol.rank == 0:
-            vec = np.zeros(q)
-            for s in node.table:
-                vec[s] = 1.0
-            msgs[addr] = vec
-        else:
-            kids = [msgs[addr + (i,)] for i in range(1, node.symbol.rank + 1)]
-            mat_axis = [i for i, m in enumerate(kids) if m.ndim == 2]
-            if mat_axis:
-                out = np.zeros((q, q))
-                j = mat_axis[0]
-                for state, tup, p in node.table:
-                    scalar = p
-                    for i, m in enumerate(kids):
-                        if i != j:
-                            scalar *= m[tup[i]]
-                    if scalar:
-                        out[state] += scalar * kids[j][tup[j]]
-            else:
-                out = np.zeros(q)
-                for state, tup, p in node.table:
-                    scalar = p
-                    for i, m in enumerate(kids):
-                        scalar *= m[tup[i]]
-                    out[state] += scalar
-            msgs[addr] = out
-    return initial @ msgs[()]
+def outside(pta: Pta, tree: Tree, addr, memo=None) -> np.ndarray:
+    """Outside vector at ``addr``: entry q is the total probability of the
+    runs on the rest of the tree that put state q at ``addr``.  The node at
+    ``addr`` itself is never read, so it may be the hole '?'.  ``memo`` is
+    as for ``inside``, which scores the siblings along the path."""
+    tables = pta.tables()
+    q = pta.n_states
+    vec = pta.initial
+    node = tree
+    for j in addr:
+        states, probs, kids = _table(tables, node.symbol)
+        weights = probs * vec[states]
+        for i, (child, idx) in enumerate(zip(node.children, kids), 1):
+            if i != j:
+                weights = weights * inside(pta, child, memo)[idx]
+        vec = np.bincount(kids[j - 1], weights=weights, minlength=q)
+        node = node.children[j - 1]
+    return vec
 
 
-def pta_eval(pta: Pta, tree: Tree, initial=None, order=None) -> float:
-    """Total probability of successful runs on the tree: all state
-    assignments marginalized by elimination.  ``initial`` optionally replaces
-    the automaton's start distribution (e.g. a one-hot state)."""
-    graph = build_factor_graph(pta, tree)
+def _table(tables, symbol):
+    entry = tables.get((symbol.name, symbol.rank))
+    if entry is None:
+        raise AlphabetMismatch(f"symbol '{symbol.name}/{symbol.rank}' not in automaton alphabet")
+    return entry
+
+
+def pta_eval(pta: Pta, tree: Tree, initial=None) -> float:
+    """Total probability of successful runs on the tree: the start
+    distribution against the root's inside vector.  ``initial`` optionally
+    replaces the automaton's start distribution (e.g. a one-hot state)."""
     start = pta.initial if initial is None else np.asarray(initial, dtype=float)
-    return float(_eliminate(graph, start, order))
+    return float(start @ inside(pta, tree))
 
 
-def context_marginal(pta: Pta, context: Tree) -> np.ndarray:
-    """Distribution over the state at the single '?' leaf of the context,
-    conditioned on the context's symbols: eliminate everything else, keep the
-    hole's state variable, normalize."""
-    graph = build_factor_graph(pta, context, allow_hole=True)
-    vec = _eliminate(graph, pta.initial)
+def state_marginal(pta: Pta, tree: Tree, addr, memo=None) -> np.ndarray:
+    """Distribution over the state at ``addr`` given every symbol of the
+    tree outside the subtree there: the normalised outside vector."""
+    vec = outside(pta, tree, addr, memo)
     total = float(vec.sum())
     if total <= 0.0:
         raise ImpossibleContext("no state can produce this context")
     return vec / total
 
 
+def context_marginal(pta: Pta, context: Tree) -> np.ndarray:
+    """Distribution over the state at the single '?' leaf of the context,
+    conditioned on the context's symbols."""
+    holes = [addr for addr, node in context.walk() if node.symbol.name == HOLE_NAME]
+    if len(holes) != 1:
+        raise InputError("context must contain exactly one '?'")
+    return state_marginal(pta, context, holes[0])
+
+
 # -- generation ---------------------------------------------------------------------
 
 
-def sample_from_state(pta: Pta, state, rng, max_depth: int = 50):
+def sample_from_state(pta: Pta, state, rng, max_depth: int = 50) -> Tree:
     """Grow a tree from the automaton's generative process seeded at the given
-    state instead of the initial distribution.  Returns (tree, log_prob) where
-    log_prob is the total generation probability of the returned tree from
-    that state (all derivations, matching observed frequencies).
+    state instead of the initial distribution.  The tree's probability from
+    that state is ``pta_eval`` with a one-hot start.
 
     Requires generative states: each state must either emit exactly one
     symbol through transition rows or accept exactly one leaf symbol.
     Missing row mass aborts the attempt; attempts deeper than max_depth are
     redrawn, as in the expression sampler.
     """
-    start = int(state)
     emit = _emission_table(pta)
-
-    def grow(q, depth):
-        kind, payload = emit[q]
-        if kind == "leaf":
-            return pta.alphabet.leaf(payload)
-        if depth > max_depth:
-            raise _Overflow()
-        symkey, rows = payload
-        r = rng.random()
-        acc = 0.0
-        chosen = None
-        for tup, p in rows:
-            acc += p
-            if r < acc:
-                chosen = tup
-                break
-        if chosen is None:  # dead mass
-            raise _Overflow()
-        kids = tuple(grow(s, depth + 1) for s in chosen)
-        return Tree(pta.alphabet.get(symkey[0], symkey[1]), kids)
-
     for _ in range(RESAMPLE_RETRIES):
         try:
-            tree = grow(start, 0)
-            break
-        except _Overflow:
+            return _grow(pta.alphabet, emit, rng, int(state), 0, max_depth)
+        except DepthOverflow:
             continue
-    else:
-        raise DepthBudgetExhausted(
-            f"no tree from state {pta.states[start]} within depth {max_depth}"
-        )
-    onehot = np.zeros(pta.n_states)
-    onehot[start] = 1.0
-    prob = pta_eval(pta, tree, initial=onehot)
-    return tree, math.log(prob) if prob > 0 else -math.inf
+    raise DepthBudgetExhausted(
+        f"no tree from state {pta.states[int(state)]} within depth {max_depth}"
+    )
 
 
-class _Overflow(Exception):
-    pass
+def _grow(alphabet, emit, rng, q: int, depth: int, max_depth: int) -> Tree:
+    """One attempt of ``sample_from_state`` from state ``q`` at ``depth``; a
+    module function, so that no closure cycle keeps the automaton alive."""
+    symbol, rows = emit[q]
+    if symbol.rank == 0:
+        return alphabet.leaf(symbol.name)
+    if depth > max_depth:
+        raise DepthOverflow()
+    r = rng.random()
+    acc = 0.0
+    for tup, p in rows:
+        acc += p
+        if r < acc:
+            kids = tuple(_grow(alphabet, emit, rng, s, depth + 1, max_depth) for s in tup)
+            return Tree(symbol, kids)
+    raise DepthOverflow()  # dead mass
 
 
 def _emission_table(pta: Pta):
-    if getattr(pta, "_emission", None) is None:
-        table = {}
-        for (symkey, state), rows in pta.transitions.items():
-            table.setdefault(state, []).append(("inner", (symkey, rows)))
+    """State -> (symbol, transition rows) of the one symbol the state emits;
+    a leaf symbol has no rows."""
+    if pta._emission is None:
+        options: dict = {}
+        for ((name, rank), state), rows in pta.transitions.items():
+            options.setdefault(state, []).append((pta.alphabet.get(name, rank), rows))
         for state, name in pta.finals:
-            table.setdefault(state, []).append(("leaf", name))
-        emit = {}
+            options.setdefault(state, []).append((pta.alphabet.get(name, 0), ()))
         for q in range(pta.n_states):
-            options = table.get(q, [])
-            if len(options) != 1:
+            if len(options.get(q, ())) != 1:
                 raise InputError(
                     f"state {pta.states[q]} does not emit exactly one symbol; "
                     "generative sampling is defined for single-symbol states"
                 )
-            emit[q] = options[0]
-        pta._emission = emit
+        pta._emission = {q: only for q, (only,) in options.items()}
     return pta._emission
 
 

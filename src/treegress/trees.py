@@ -142,9 +142,9 @@ class Tree:
     """An immutable labeled tree; child count always equals the symbol rank.
 
     The hash, the shape record and the compiled evaluation program are
-    computed once per tree, on first use, and kept on the tree.  Hashing and
-    equality are iterative, so very deep trees stay within the interpreter's
-    recursion limit.
+    computed once per tree, on first use, and kept on the tree.  Hashing,
+    equality, ``replace_at`` and ``repr`` are iterative, so very deep trees
+    stay within the interpreter's recursion limit.
     """
 
     symbol: RankedSymbol
@@ -204,12 +204,15 @@ class Tree:
         return node
 
     def replace_at(self, address, subtree: "Tree") -> "Tree":
-        if not address:
-            return subtree
-        i = address[0]
-        kids = list(self.children)
-        kids[i - 1] = kids[i - 1].replace_at(address[1:], subtree)
-        return Tree(self.symbol, tuple(kids))
+        """The tree with ``subtree`` at ``address``: one new node per level
+        of the path, every subtree off the path shared with this tree."""
+        path = [self]
+        for i in address[:-1]:
+            path.append(path[-1].children[i - 1])
+        for node, i in zip(reversed(path), reversed(address)):
+            kids = node.children
+            subtree = Tree(node.symbol, kids[:i - 1] + (subtree,) + kids[i:])
+        return subtree
 
     def walk(self, prefix=()):
         """Yield (address, node) pairs in pre-order.  Iterative so that very
@@ -230,6 +233,9 @@ class Tree:
 
     def __str__(self):
         return format_tree(self)
+
+    def __repr__(self):
+        return f"Tree({format_tree(self)!r})"
 
 
 def validate_tree(candidate, alphabet: RankedAlphabet) -> Tree:
@@ -267,7 +273,11 @@ def validate_tree(candidate, alphabet: RankedAlphabet) -> Tree:
                     f"missing child {j} of node {format_address(addr)}"
                 )
 
-    def build(addr) -> Tree:
+    # resolve in pre-order, so the first bad node reports first; then build in
+    # reverse pre-order, where a node's children are the last trees built
+    symbols, pending = [], [()]
+    while pending:
+        addr = pending.pop()
         raw = entries[addr]
         k = child_count.get(addr, 0)
         if isinstance(raw, RankedSymbol):
@@ -278,9 +288,12 @@ def validate_tree(candidate, alphabet: RankedAlphabet) -> Tree:
             sym = _resolve_name(str(raw), k, alphabet, addr)
         if sym.rank != k:
             raise ArityMismatch(addr, sym.name, sym.rank, k)
-        return Tree(sym, tuple(build(addr + (j,)) for j in range(1, k + 1)))
-
-    return build(())
+        symbols.append(sym)
+        pending.extend(addr + (j,) for j in range(k, 0, -1))
+    built = []
+    for sym in reversed(symbols):
+        built.append(Tree(sym, tuple(built.pop() for _ in range(sym.rank))))
+    return built[0]
 
 
 def _coerce_address(raw):

@@ -222,6 +222,29 @@ def test_fit_rejects_unknown_config_keys(capsys, tmp_path):
     assert "walkers" in json.loads(err.strip())["message"]
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("c,s\n", "has no rows"),
+        ("c,s\n1.0,2.0\n2.0,nan\n", "line 3 holds a non-finite cell"),
+        ("z,s\n1.0,2.0\n", "do not match prior variables"),
+    ],
+)
+def test_fit_rejects_unusable_train_csv(capsys, tmp_path, body, message):
+    train = tmp_path / "train.csv"
+    train.write_text(body)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"burn_in": 1, "samples": 10, "thin": 1}))
+    code, _, err = run_cli(
+        capsys, "fit", "--prior", "E_iso", "--train", str(train),
+        "--config", str(config), "--out", str(tmp_path / "p.json"),
+    )
+    assert code == 2
+    doc = json.loads(err.strip())
+    assert doc["error"] == "InputError"
+    assert message in doc["message"]
+
+
 # -- report ----------------------------------------------------------------------
 
 def test_report_from_fit(capsys, fitted):
@@ -359,6 +382,31 @@ def test_posterior_with_unknown_config_key_exits_2(capsys, tmp_path):
     doc = json.loads(err.strip())
     assert doc["error"] == "InputError"
     assert "walkers" in doc["message"]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc["config"].update(burn_in="x"), "burn_in"),
+        (lambda doc: doc.pop("draws"), "draws"),
+        (lambda doc: doc.pop("config"), "config"),
+    ],
+)
+def test_malformed_posterior_exits_2(capsys, tmp_path, edit, message):
+    data_path = tmp_path / "d.csv"
+    data_path.write_text("c,s\n1.0,2.0\n")
+    post_path = _hand_posterior(tmp_path)
+    doc = json.loads(post_path.read_text())
+    edit(doc)
+    post_path.write_text(json.dumps(doc))
+    code, _, err = run_cli(
+        capsys, "report", "--posterior", str(post_path),
+        "--data", str(data_path), "--out-dir", str(tmp_path / "rep"),
+    )
+    assert code == 2
+    doc = json.loads(err.strip())
+    assert doc["error"] == "InputError"
+    assert message in doc["message"]
 
 
 def test_report_evaluates_each_distinct_draw_once(capsys, tmp_path, monkeypatch):

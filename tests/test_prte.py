@@ -10,7 +10,10 @@ Covers:
       frequencies, monotonicity in choice weights, depth-independence
 """
 
+import dataclasses
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -156,6 +159,18 @@ def test_depth_budget_exhausted():
     )
     with pytest.raises(DepthBudgetExhausted):
         sample_tree(prior, np.random.default_rng(0))
+
+
+def test_sampling_leaves_no_reference_cycle(e_iso):
+    prior = dataclasses.replace(e_iso)
+    gone = weakref.ref(prior)
+    gc.disable()
+    try:
+        sample_tree(prior, np.random.default_rng(0))
+        del prior
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 def test_independent_expansion_per_occurrence(e1):

@@ -1,4 +1,4 @@
-"""Tests for automaton compilation, factor-graph evaluation, context
+"""Tests for automaton compilation, inside/outside scoring, context
 marginals, state-seeded generation, and the product construction.
 
 The key oracles here are independent of the code under test:
@@ -21,9 +21,10 @@ from treegress.errors import (
 from treegress.prte import build_prior, prte_density, sample_tree
 from treegress.pta import (
     Pta,
-    build_factor_graph,
     compile_prior,
     context_marginal,
+    inside,
+    outside,
     pta_eval,
     product,
     sample_from_state,
@@ -115,16 +116,46 @@ def test_single_state_always_accepting():
         assert pta_eval(pta, tree) == pytest.approx(0.7**n_f * 0.4**n_g)
 
 
-def test_elimination_order_independence():
-    pta = hand_built_pta()
-    tree = parse_tree("(f (g a) (f a a))", FGA)
-    graph = build_factor_graph(pta, tree)
-    addrs = [n.address for n in graph.nodes]
-    rng = np.random.default_rng(3)
-    baseline = pta_eval(pta, tree)
-    for _ in range(20):
-        order = sorted(addrs, key=lambda a: (len(a), rng.random()), reverse=True)
-        assert abs(pta_eval(pta, tree, order=order) - baseline) < 1e-12
+# -- inside / outside -----------------------------------------------------------------
+
+
+def test_outside_times_inside_is_the_tree_score_at_every_address(all_shipped):
+    for prior in all_shipped.values():
+        pta = compile_prior(prior)
+        rng = np.random.default_rng(4)
+        for _ in range(30):
+            t = sample_tree(prior, rng)
+            memo = {}
+            total = float(pta.initial @ inside(pta, t, memo))
+            assert total > 0
+            for addr in t.addresses():
+                split = float(outside(pta, t, addr, memo) @ inside(pta, t.node_at(addr), memo))
+                assert split == pytest.approx(total, rel=1e-12, abs=0.0)
+
+
+def test_shared_memo_scores_equal_fresh_ones_bit_for_bit(all_shipped):
+    for prior in all_shipped.values():
+        pta = compile_prior(prior)
+        rng = np.random.default_rng(9)
+        memo = {}
+        for _ in range(200):
+            t = sample_tree(prior, rng)
+            assert float(pta.initial @ inside(pta, t, memo)) == pta_eval(pta, t)
+
+
+def test_boltzmann_marginal_is_the_context_marginal(all_shipped):
+    from treegress.inference import McmcConfig, _ChainContext
+
+    for prior in all_shipped.values():
+        pta = compile_prior(prior)
+        ctx = _ChainContext(prior, pta, None, McmcConfig(tau=1.0))
+        rng = np.random.default_rng(6)
+        for _ in range(10):
+            t = sample_tree(prior, rng)
+            for addr in t.addresses():
+                want = context_marginal(pta, t.replace_at(addr, Tree(HOLE)))
+                got = ctx.boltzmann_marginal(t, addr)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
 # -- context marginals ----------------------------------------------------------------
@@ -193,7 +224,9 @@ def test_chain_rule_consistency(e1):
 def test_leaf_state_generates_its_leaf(e_sum):
     pta = compile_prior(e_sum)
     leaf_state = next(s for s, name in pta.finals if name == "f")
-    tree, logp = sample_from_state(pta, leaf_state, np.random.default_rng(0))
+    tree = sample_from_state(pta, leaf_state, np.random.default_rng(0))
+    onehot = np.eye(pta.n_states)[leaf_state]
+    logp = math.log(pta_eval(pta, tree, initial=onehot))
     assert str(tree) == "f"
     assert logp == pytest.approx(0.0)
 
@@ -209,7 +242,7 @@ def test_generation_lengths_from_sum_state(e_sum):
     n = 5000
     counts = {}
     for _ in range(n):
-        t, _ = sample_from_state(pta, plus_state, rng)
+        t = sample_from_state(pta, plus_state, rng)
         l = sum(1 for _, node in t.walk() if node.symbol.name == "f")
         counts[l] = counts.get(l, 0) + 1
     assert counts.get(1, 0) == 0
@@ -224,14 +257,15 @@ def test_generation_probability_matches_frequency(e1):
     # the right-hand block's g-emitting state
     g_states = [q for (symkey, q) in pta.transitions if symkey == ("g", 1)]
     start = g_states[-1]
+    onehot = np.eye(pta.n_states)[start]
     rng = np.random.default_rng(12)
     n = 10_000
     seen = {}
     logp = {}
     for _ in range(n):
-        t, lp = sample_from_state(pta, start, rng)
+        t = sample_from_state(pta, start, rng)
         seen[t] = seen.get(t, 0) + 1
-        logp[t] = lp
+        logp[t] = math.log(pta_eval(pta, t, initial=onehot))
     for t, c in sorted(seen.items(), key=lambda kv: -kv[1])[:5]:
         p = math.exp(logp[t])
         se = math.sqrt(p * (1 - p) / n)

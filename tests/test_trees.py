@@ -290,6 +290,28 @@ def test_deep_tree_round_trip():
     assert eval_expression(SymbolicExpression(again), {"a": np.ones(2)}).tolist() == [5001.0] * 2
 
 
+def test_deep_chain_replace_validate_and_repr():
+    g, a, b = RankedSymbol("g", 1), RankedSymbol("a", 0), RankedSymbol("b", 0)
+    t = Tree(a)
+    for _ in range(3000):
+        t = Tree(g, (t,))
+    bottom = (1,) * 3000
+    swapped = t.replace_at(bottom, Tree(b))
+    assert swapped.node_at(bottom).symbol is b and swapped.size == t.size
+    entries = {"1" * k: "g" for k in range(3000)} | {"1" * 3000: "a"}
+    assert validate_tree(entries, RankedAlphabet([g, a])) == t
+    assert repr(t) == f"Tree({format_tree(t)!r})"
+
+
+def test_replace_at_shares_subtrees_off_the_path():
+    t = parse_tree("(+ (+ a b) (+ c (+ a b)))")
+    new = t.replace_at((2, 1), Tree(A))
+    assert format_tree(new) == "(+ (+ a b) (+ a (+ a b)))"
+    assert new.children[0] is t.children[0]
+    assert new.children[1].children[1] is t.children[1].children[1]
+    assert t.replace_at((), new) is new
+
+
 def test_hash_is_the_field_tuple_hash():
     t = parse_tree("(+ a (+ b c#))")
     assert hash(t) == hash((t.symbol, t.children))
