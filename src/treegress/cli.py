@@ -177,6 +177,8 @@ def _load_run_config(path, seed_override) -> tuple:
 
 
 def cmd_fit(args) -> int:
+    if args.chains < 1:
+        raise InputError(f"--chains must be at least 1, got {args.chains}")
     config, refs = _load_run_config(args.config, args.seed)
     prior_ref = args.prior or refs.get("prior")
     train_ref = args.train or refs.get("train")

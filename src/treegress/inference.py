@@ -17,6 +17,10 @@ proposal log-density plus the auxiliary log-density minus the log-determinant
 of the forward map, ``log_rev`` the reverse proposal plus reverse-auxiliary
 log-density; the acceptance log-ratio is then (posterior delta) + log_rev -
 log_fwd.  Normalization constants of the tree series cancel throughout.
+
+A global or local proposal that rebuilds the current expression is the
+current state: it is returned as is, with the proposal terms the full path
+would give, and is neither evaluated nor scored again.
 """
 
 from __future__ import annotations
@@ -59,6 +63,9 @@ MOVES = ("global", "local", "params", "sigma")
 # the Python types accepted for each field annotation of McmcConfig
 _FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool,
                 "float | None": (numbers.Real, type(None))}
+# a posterior draw's keys and the JSON types of their values (a number is an int or a float)
+_DRAW_KEYS = ("expr", "theta_c", "theta_d", "ties", "sigma", "log_post")
+_DRAW_TYPES = {(str, list, list, list, s, p) for s in (int, float) for p in (int, float)}
 
 
 @dataclass(frozen=True)
@@ -83,7 +90,8 @@ class McmcConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not isinstance(value, _FIELD_KINDS[f.type]):
+            kind = _FIELD_KINDS[f.type]  # a JSON true is a bool, not 1
+            if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
                 raise InputError(f"config field {f.name} must be {f.type}, got {value!r}")
         if self.burn_in < 0 or self.samples <= 0 or self.thin <= 0:
             raise InputError("burn_in >= 0, samples > 0, thin > 0 required")
@@ -279,16 +287,17 @@ class _ChainContext:
             self.inputs, self.y = {}, np.zeros(0)
         self.inside_memo: dict = {}  # subtree -> inside vector
         self.marginal_cache: dict = {}
-        self.trees: dict = {}  # tree -> (first equal tree seen, its ties), see intern
+        self.trees: dict = {}  # tree -> (first equal tree seen, its ties, its group tags)
 
     def intern(self, tree: Tree) -> tuple:
         """(the first tree object equal to ``tree`` that this chain has seen,
-        its tie table).  A proposal that rebuilds a known tree then shares
-        its cached hash, shape and compiled program, and cache lookups on it
-        hit by identity instead of comparing node by node."""
+        its tie table, its group tags).  A proposal that rebuilds a known tree
+        then shares its cached hash, shape and compiled program, and cache
+        lookups on it hit by identity instead of comparing node by node."""
         known = self.trees.get(tree)
         if known is None:
-            known = _bounded_put(self.trees, tree, (tree, compute_ties(tree, self.prior)))
+            ties = compute_ties(tree, self.prior)
+            known = _bounded_put(self.trees, tree, (tree, ties, group_tags(tree, ties)))
         return known
 
     def inside(self, tree: Tree) -> np.ndarray:
@@ -318,8 +327,8 @@ class _ChainContext:
         return cached
 
     def log_prior_params(self, expr: SymbolicExpression) -> float:
-        total = 0.0
-        for tag, value in zip(group_tags(expr.tree, expr.ties), expr.theta_c):
+        total = 0.0  # the interned tags fit expr.ties, as every state's ties come from intern
+        for tag, value in zip(self.intern(expr.tree)[2], expr.theta_c):
             total += self.prior.markers[tag].logpdf(value)
         if expr.theta_d:
             total -= len(expr.theta_d) * math.log(len(self.prior.theta_d_support))
@@ -330,7 +339,7 @@ class _ChainContext:
         lam = self.config.lambda_sigma
         return math.log(lam) - lam * sigma + math.log(sigma)
 
-    def make_state(self, expr: SymbolicExpression, sigma: float) -> ChainState:
+    def make_state(self, expr: SymbolicExpression, sigma: float, log_tree=None) -> ChainState:
         if self.config.prior_only or self.y.size == 0:
             sse, ll = 0.0, 0.0
         else:
@@ -340,7 +349,7 @@ class _ChainContext:
             expr=expr,
             sigma=sigma,
             log_lik=ll,
-            log_prior_tree=self.log_prior_tree(expr.tree),
+            log_prior_tree=self.log_prior_tree(expr.tree) if log_tree is None else log_tree,
             log_prior_params=self.log_prior_params(expr),
             log_prior_sigma=self.log_prior_sigma(sigma),
             sse=sse,
@@ -362,10 +371,9 @@ class _ChainContext:
 # -- proposals ------------------------------------------------------------------------
 
 
-def propose_global(state: ChainState, ctx: _ChainContext, rng):
-    """Independence proposal from the prior; parameters are dimension-matched
-    through the expansion/shrinkage maps with standard-normal auxiliaries."""
-    tree, ties = ctx.intern(sample_tree(ctx.prior, rng))
+def _jump_to(state, ctx, tree, ties, rng, log_fwd, log_rev, log_tree=None):
+    """The proposal on ``tree`` with the state's parameters dimension-matched
+    to it, and the move's ``log_fwd``/``log_rev`` plus the jump terms."""
     n_new = (max(ties) + 1) if ties else 0
     theta_new, _, logdet, log_pu, log_pu_rev = _draw_theta_jump(
         state.expr.theta_c, n_new, rng
@@ -375,10 +383,18 @@ def propose_global(state: ChainState, ctx: _ChainContext, rng):
         state.expr.theta_d, n_disc, ctx.prior.theta_d_support, rng
     )
     expr = SymbolicExpression(tree, tuple(theta_new), theta_d_new, ties)
-    proposal = ctx.make_state(expr, state.sigma)
-    log_fwd = proposal.log_prior_tree + log_pu + disc_fwd - logdet
-    log_rev = state.log_prior_tree + log_pu_rev + disc_rev
-    return proposal, log_fwd, log_rev
+    proposal = ctx.make_state(expr, state.sigma, log_tree)
+    return proposal, log_fwd + log_pu + disc_fwd - logdet, log_rev + log_pu_rev + disc_rev
+
+
+def propose_global(state: ChainState, ctx: _ChainContext, rng):
+    """Independence proposal from the prior; parameters are dimension-matched
+    through the expansion/shrinkage maps with standard-normal auxiliaries."""
+    tree, ties, _ = ctx.intern(sample_tree(ctx.prior, rng))
+    if tree is state.expr.tree:  # the current expression: the jumps draw nothing, add 0.0
+        return state, state.log_prior_tree, state.log_prior_tree
+    log_tree = ctx.log_prior_tree(tree)
+    return _jump_to(state, ctx, tree, ties, rng, log_tree, state.log_prior_tree, log_tree)
 
 
 def propose_local(state: ChainState, ctx: _ChainContext, rng):
@@ -399,25 +415,14 @@ def propose_local(state: ChainState, ctx: _ChainContext, rng):
         new_sub = sample_from_state(ctx.pta, start, rng, ctx.config.max_depth)
     except DepthBudgetExhausted:
         return None
-    new_tree, ties = ctx.intern(tree.replace_at(addr, new_sub))
-
-    log_fwd_regrow = _log(boltzmann @ ctx.inside(new_tree.node_at(addr)))
     log_rev_regrow = _log(boltzmann @ ctx.inside(old_sub))
-
-    n_new = (max(ties) + 1) if ties else 0
-    theta_new, _, logdet, log_pu, log_pu_rev = _draw_theta_jump(
-        state.expr.theta_c, n_new, rng
-    )
-    n_disc = len(disc_positions(new_tree))
-    theta_d_new, disc_fwd, disc_rev = _disc_jump(
-        state.expr.theta_d, n_disc, ctx.prior.theta_d_support, rng
-    )
-    expr = SymbolicExpression(new_tree, tuple(theta_new), theta_d_new, ties)
-    proposal = ctx.make_state(expr, state.sigma)
-
-    log_fwd = -math.log(n_nodes) + log_fwd_regrow + log_pu + disc_fwd - logdet
-    log_rev = -math.log(new_tree.size) + log_rev_regrow + log_pu_rev + disc_rev
-    return proposal, log_fwd, log_rev
+    if new_sub == old_sub:  # the current expression: the jumps draw nothing, add 0.0
+        log_regrow = -math.log(n_nodes) + log_rev_regrow
+        return state, log_regrow, log_regrow
+    new_tree, ties, _ = ctx.intern(tree.replace_at(addr, new_sub))
+    log_fwd = -math.log(n_nodes) + _log(boltzmann @ ctx.inside(new_tree.node_at(addr)))
+    log_rev = -math.log(new_tree.size) + log_rev_regrow
+    return _jump_to(state, ctx, new_tree, ties, rng, log_fwd, log_rev)
 
 
 _STEP_MULTIPLIERS = (0.1, 1.0, 10.0)
@@ -436,7 +441,7 @@ def propose_params(state: ChainState, ctx: _ChainContext, rng):
     expr = SymbolicExpression(
         state.expr.tree, tuple(theta_new), state.expr.theta_d, state.expr.ties
     )
-    proposal = ctx.make_state(expr, state.sigma)
+    proposal = ctx.make_state(expr, state.sigma, state.log_prior_tree)
     return proposal, 0.0, 0.0
 
 
@@ -528,7 +533,7 @@ def _initial_state(ctx: _ChainContext, rng) -> ChainState:
     )
     for _ in range(1000):
         expr = sample_expression(ctx.prior, rng)
-        state = ctx.make_state(expr, sigma)
+        state = ctx.make_state(replace(expr, tree=ctx.intern(expr.tree)[0]), sigma)
         if math.isfinite(state.log_lik):
             return state
     raise DepthBudgetExhausted("no prior draw evaluates finitely on the data")
@@ -659,17 +664,30 @@ def posterior_from_json(text: str) -> Posterior:
     if unknown:
         raise InputError(f"unknown config keys in posterior: {sorted(unknown)}")
     config = McmcConfig(**doc["config"])
+    if type(doc["draws"]) is not list or type(doc["seed"]) is not int:
+        raise InputError("a posterior's 'draws' is a list and its 'seed' an integer")
     trees: dict = {}  # each distinct expression text is parsed once
-    draws = []
-    for entry in doc["draws"]:
-        tree = trees.get(entry["expr"])
-        if tree is None:
-            tree = trees[entry["expr"]] = parse_tree(entry["expr"])
-        expr = SymbolicExpression(
-            tree,
-            tuple(entry["theta_c"]),
-            tuple(Fraction(v) for v in entry["theta_d"]),
-            tuple(entry["ties"]),
-        )
-        draws.append(Draw(expr, float(entry["sigma"]), float(entry["log_post"])))
-    return Posterior(tuple(draws), doc["accept_stats"], config, int(doc["seed"]))
+    draws, prev = [], None
+    for i, entry in enumerate(doc["draws"]):
+        if (type(entry) is not dict
+                or tuple(map(type, map(entry.get, _DRAW_KEYS))) not in _DRAW_TYPES
+                or not set(map(type, entry["theta_c"])) <= {int, float}
+                or not set(map(type, entry["theta_d"])) <= {str}
+                or not set(map(type, entry["ties"])) <= {int}):
+            raise InputError(f"draw {i} is not an object whose {', '.join(_DRAW_KEYS)} are a "
+                             "string, lists of numbers, strings and integers, and two numbers")
+        # a repeat of the previous draw is that draw, unless a zero could differ in sign
+        if entry == prev and 0 not in (entry["sigma"], entry["log_post"], *entry["theta_c"]):
+            draws.append(draws[-1])
+            continue
+        prev = entry
+        try:
+            tree = trees.get(entry["expr"])
+            if tree is None:
+                tree = trees[entry["expr"]] = parse_tree(entry["expr"])
+            theta_d = tuple(Fraction(v) for v in entry["theta_d"])
+            expr = SymbolicExpression(tree, tuple(entry["theta_c"]), theta_d, tuple(entry["ties"]))
+            draws.append(Draw(expr, float(entry["sigma"]), float(entry["log_post"])))
+        except (InputError, ValueError, ArithmeticError) as exc:
+            raise InputError(f"draw {i}: {exc}") from exc
+    return Posterior(tuple(draws), doc["accept_stats"], config, doc["seed"])

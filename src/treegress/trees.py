@@ -361,7 +361,7 @@ class SymbolicExpression:
         for g in ties:
             if g == seen:
                 seen += 1
-            elif g > seen:
+            elif not 0 <= g < seen:
                 raise InputError("tie groups must be numbered by first occurrence")
         groups = seen
         object.__setattr__(self, "theta_c", tuple(float(v) for v in self.theta_c))

@@ -74,6 +74,25 @@ def test_sample_negative_count_exits_2(capsys):
     assert json.loads(err.strip())["error"] == "InputError"
 
 
+@pytest.mark.parametrize("chains", ["0", "-2"])
+def test_fit_nonpositive_chains_exits_2(capsys, tmp_path, chains):
+    train = tmp_path / "train.csv"
+    train.write_text("c,s\n1.0,2.0\n")
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"burn_in": 1, "samples": 10, "thin": 1}))
+    out_path = tmp_path / "p.json"
+    code, out, err = run_cli(
+        capsys, "fit", "--prior", "E_iso", "--train", str(train), "--config", str(config),
+        "--out", str(out_path), "--chains", chains,
+    )
+    assert code == 2
+    assert out == ""
+    doc = json.loads(err.strip())
+    assert doc["error"] == "InputError"
+    assert "--chains" in doc["message"]
+    assert not out_path.exists()
+
+
 def test_sample_deterministic(capsys):
     args = ("sample", "--prior", "E_iso", "--n", "5", "--seed", "9")
     _, out1, _ = run_cli(capsys, *args)
@@ -390,6 +409,20 @@ def test_posterior_with_unknown_config_key_exits_2(capsys, tmp_path):
         (lambda doc: doc["config"].update(burn_in="x"), "burn_in"),
         (lambda doc: doc.pop("draws"), "draws"),
         (lambda doc: doc.pop("config"), "config"),
+        (lambda doc: doc.update(draws={}), "'draws' is a list"),
+        (lambda doc: doc.update(seed="x"), "'seed' an integer"),
+        (lambda doc: doc["draws"][1].pop("sigma"), "draw 1 is not an object whose"),
+        (lambda doc: doc["draws"].__setitem__(2, 5), "draw 2 is not an object whose"),
+        (lambda doc: doc["draws"][3].update(theta_c="1.0"), "draw 3 is not an object whose"),
+        (lambda doc: doc["draws"][0].update(log_post=None), "draw 0 is not an object whose"),
+        (lambda doc: doc["draws"][1].update(sigma=True), "draw 1 is not an object whose"),
+        (lambda doc: doc["draws"][2].update(ties=[0.0]), "draw 2 is not an object whose"),
+        (lambda doc: doc["draws"][3].update(ties=[-1], theta_c=[]), "draw 3: tie groups"),
+        (lambda doc: doc["draws"][0].update(theta_c=[True]), "draw 0 is not an object whose"),
+        (lambda doc: doc["draws"][1].update(theta_d=[1]), "draw 1 is not an object whose"),
+        (lambda doc: doc["draws"][1].update(theta_d=["x"]), "draw 1: "),
+        (lambda doc: doc["draws"][2].update(expr="(* c#"), "draw 2: "),
+        (lambda doc: doc["draws"][3].update(theta_c=[]), "draw 3: "),
     ],
 )
 def test_malformed_posterior_exits_2(capsys, tmp_path, edit, message):

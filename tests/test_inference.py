@@ -14,6 +14,7 @@ import pytest
 
 from treegress.errors import AllDrawsNonFinite, InputError, SizeMismatch
 from treegress.inference import (
+    Draw,
     McmcConfig,
     Posterior,
     _apply_theta_jump,
@@ -176,6 +177,11 @@ def test_config_validation():
         McmcConfig(samples=1001, thin=10)
     with pytest.raises(InputError):
         McmcConfig(tau=0.0)
+    # a JSON true is a bool, not 1: only a bool field takes it
+    for field in ("burn_in", "tau", "sigma0"):
+        with pytest.raises(InputError, match=field):
+            McmcConfig(**{field: True})
+    McmcConfig(prior_only=True)
     McmcConfig()  # defaults valid
 
 
@@ -331,16 +337,17 @@ def test_cache_coherence(e_iso):
 
 def test_intern_shares_one_object_per_distinct_tree(e_hyp):
     from treegress.inference import _ChainContext
-    from treegress.prte import compute_ties, sample_tree
+    from treegress.prte import compute_ties, group_tags, sample_tree
     from treegress.pta import compile_prior
 
     ctx = _ChainContext(e_hyp, compile_prior(e_hyp), None, McmcConfig(prior_only=True))
     tree = sample_tree(e_hyp, np.random.default_rng(8))
     again = parse_tree(str(tree), e_hyp.alphabet)
     assert again is not tree
-    first, ties = ctx.intern(tree)
+    first, ties, tags = ctx.intern(tree)
     assert first is tree and ties == compute_ties(tree, e_hyp)
-    assert ctx.intern(again) == (tree, ties)
+    assert tags == group_tags(tree, ties)
+    assert ctx.intern(again) == (tree, ties, tags)
     assert ctx.intern(again)[0] is tree
 
 
@@ -452,6 +459,18 @@ def test_posterior_json_round_trip(e_sum):
         assert by_text.setdefault(str(d.expr.tree), d.expr.tree) is d.expr.tree
 
 
+def test_posterior_json_keeps_signed_zeros_of_repeated_draws():
+    # consecutive draws that compare equal but differ in the sign of a zero
+    one, zero, minus = (expr_of("(* c# c)", theta_c=(v,)) for v in (1.0, 0.0, -0.0))
+    draws = [Draw(one, 0.5, -1.0), Draw(one, 0.5, -1.0), Draw(one, 0.5, 0.0),
+             Draw(one, 0.5, -0.0), Draw(one, 0.0, -1.0), Draw(one, -0.0, -1.0),
+             Draw(zero, 0.5, -1.0), Draw(minus, 0.5, -1.0)]
+    text = posterior_to_json(Posterior(tuple(draws), {}, McmcConfig(), 0))
+    back = posterior_from_json(text)
+    assert back.draws == tuple(draws)
+    assert posterior_to_json(back) == text
+
+
 # -- dimension jumps against a quadrature oracle ------------------------------------
 
 def test_dimension_jump_posterior_matches_quadrature():
@@ -504,6 +523,91 @@ def test_zero_step_scale_proposal_identical(e_iso):
     proposal, log_fwd, log_rev = propose_params(state, ctx, rng)
     assert proposal.expr == state.expr
     assert log_fwd == log_rev == 0.0
+
+
+def _full_path(move, state, ctx, rng):
+    """The global or local move built out in full, as it was before a
+    proposal of the current expression was returned as the state itself."""
+    import treegress.inference as inf
+    from treegress.prte import sample_tree
+    from treegress.pta import sample_from_state
+    from treegress.trees import disc_positions
+
+    if move == "global":
+        tree, ties, _ = ctx.intern(sample_tree(ctx.prior, rng))
+    else:
+        old = state.expr.tree
+        addr = list(old.walk())[int(rng.integers(old.size))][0]
+        boltzmann = ctx.boltzmann_marginal(old, addr)
+        start = int(rng.choice(len(boltzmann), p=boltzmann))
+        new_sub = sample_from_state(ctx.pta, start, rng, ctx.config.max_depth)
+        tree, ties, _ = ctx.intern(old.replace_at(addr, new_sub))
+        fwd_regrow = inf._log(boltzmann @ ctx.inside(tree.node_at(addr)))
+        rev_regrow = inf._log(boltzmann @ ctx.inside(old.node_at(addr)))
+    n_new = (max(ties) + 1) if ties else 0
+    theta, _, logdet, log_pu, log_pu_rev = inf._draw_theta_jump(state.expr.theta_c, n_new, rng)
+    theta_d, disc_fwd, disc_rev = inf._disc_jump(
+        state.expr.theta_d, len(disc_positions(tree)), ctx.prior.theta_d_support, rng
+    )
+    proposal = ctx.make_state(SymbolicExpression(tree, tuple(theta), theta_d, ties), state.sigma)
+    if move == "global":
+        log_fwd = proposal.log_prior_tree + log_pu + disc_fwd - logdet
+        log_rev = state.log_prior_tree + log_pu_rev + disc_rev
+    else:
+        log_fwd = -math.log(old.size) + fwd_regrow + log_pu + disc_fwd - logdet
+        log_rev = -math.log(tree.size) + rev_regrow + log_pu_rev + disc_rev
+    return proposal, log_fwd, log_rev
+
+
+def test_identity_proposals_match_the_full_path(e_iso, e_hyp, monkeypatch):
+    import copy
+    import struct
+
+    import treegress.inference as inf
+    from treegress.errors import DepthBudgetExhausted
+    from treegress.experiments import HyperelasticSpec, gen_hyperelastic, gen_isotherm, isotherm_spec
+    from treegress.pta import compile_prior
+
+    calls = []
+    real_eval = inf.eval_expression
+    monkeypatch.setattr(
+        inf, "eval_expression", lambda expr, inputs: calls.append(expr) or real_eval(expr, inputs)
+    )
+    bits = lambda x: struct.pack("<d", x)  # noqa: E731
+    fits = [
+        (e_iso, gen_isotherm(isotherm_spec("langmuir"), seed=7)["train"]),
+        (e_hyp, gen_hyperelastic(HyperelasticSpec(), seed=7)["train"]),
+    ]
+    for prior, data in fits:
+        checked = {"global": 0, "local": 0}
+        config = McmcConfig(burn_in=500, samples=500, thin=10, seed=0)
+        pta = compile_prior(prior)
+        ctx = inf._ChainContext(prior, pta, data, config)
+        rng = np.random.default_rng(0)
+        state = inf._initial_state(ctx, rng)
+        for _ in range(config.burn_in + config.samples):
+            move = inf._pick_move(config.move_mix(), rng)
+            before, n_calls = copy.deepcopy(rng), len(calls)
+            try:
+                out = inf._PROPOSERS[move](state, ctx, rng)
+            except DepthBudgetExhausted:
+                out = None
+            if out is None:
+                continue
+            proposal, log_fwd, log_rev = out
+            if proposal is state:
+                assert len(calls) == n_calls  # no evaluation on the data
+                fresh = inf._ChainContext(prior, pta, data, config)
+                full, full_fwd, full_rev = _full_path(move, state, fresh, before)
+                assert full.expr == state.expr
+                assert bits(full.log_posterior) == bits(state.log_posterior)
+                assert (bits(full_fwd), bits(full_rev)) == (bits(log_fwd), bits(log_rev))
+                assert before.bit_generator.state == rng.bit_generator.state
+                checked[move] += 1
+            log_alpha = proposal.log_posterior - state.log_posterior + log_rev - log_fwd
+            if log_alpha >= 0 or math.log(max(rng.random(), 1e-300)) < log_alpha:
+                state = proposal
+        assert checked["global"] > 0 and checked["local"] > 0
 
 
 # -- tempered context distribution ---------------------------------------------------
