@@ -552,7 +552,9 @@ def _pick_move(mix, rng) -> str:
 def run_chains(prior: PriorSpec, data, config: McmcConfig, chains: int, on_draw=None) -> Posterior:
     """Independent chains with per-chain seeds derived from the master seed,
     merged in chain order."""
-    if chains <= 1:
+    if chains < 1:
+        raise InputError(f"chains must be at least 1, got {chains}")
+    if chains == 1:
         return run_chain(prior, data, config, on_draw=on_draw)
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(config.seed).spawn(chains)]
     draws = []

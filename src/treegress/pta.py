@@ -6,14 +6,15 @@ and each transition row routes a state's children into the sites they can
 expand to, with tuple probabilities given by the product of the child routing
 distributions.
 
-Trees are scored by the inside-outside algorithm over per-symbol transition
-arrays (``Pta.tables``).  The inside pass runs bottom-up: a node's inside
-vector holds, per state, the probability of the runs on its subtree that
-start there.  The outside pass runs down one path: the outside vector at an
-address holds, per state, the probability of the runs on the rest of the
-tree that reach that address in that state.  A tree's score is the initial
-vector against the root's inside vector; a context marginal is the
-normalised outside vector at the hole.
+The transitions are stored once, as per-symbol arrays (``Pta.tables``) that
+scoring, generation, the product and the JSON dump all read.  Trees are
+scored by the inside-outside algorithm over them.  The inside pass runs
+bottom-up: a node's inside vector holds, per state, the probability of the
+runs on its subtree that start there.  The outside pass runs down one path:
+the outside vector at an address holds, per state, the probability of the
+runs on the rest of the tree that reach that address in that state.  A
+tree's score is the initial vector against the root's inside vector; a
+context marginal is the normalised outside vector at the hole.
 
 Transition rows may sum to less than one; missing mass means derivations that
 die and simply contributes nothing to any score.
@@ -21,8 +22,8 @@ die and simply contributes nothing to any score.
 
 from __future__ import annotations
 
-import itertools
 import json
+from bisect import bisect_right
 
 import numpy as np
 
@@ -43,94 +44,51 @@ DEFAULT_STATE_BUDGET = 10_000
 class Pta:
     """(states, initial, transitions, finals) over a ranked alphabet.
 
-    ``transitions`` maps ((symbol name, rank), state) to a sparse list of
-    (child-state tuple, probability); rank-0 symbols are accepted through
-    ``finals`` pairs instead of transition rows.
+    ``transitions`` is a sparse row dict from ((symbol name, rank), state) to
+    a list of (child-state tuple, probability); rank-0 symbols are accepted
+    through ``finals`` pairs instead.  The dict is not kept: ``tables`` maps
+    each symbol to the one stored form that every reader uses, for an inner
+    symbol (states, probabilities, child-state arrays) in the dict's entry
+    order, and for a leaf symbol a read-only accepting-state vector.
     """
 
-    def __init__(self, alphabet, states, initial, transitions, finals, check=True):
+    def __init__(self, alphabet, states, initial, transitions, finals):
         self.alphabet = alphabet
         self.states = tuple(states)
         self.initial = np.asarray(initial, dtype=float)
-        self.transitions = dict(transitions)
         self.finals = frozenset(finals)
-        self._rows_by_symbol = self._tables = self._emission = None
-        if check:
-            self._validate()
+        self.tables = _tables(alphabet, len(self.states), transitions, self.finals)
+        self._emission = None
+        self._validate()
 
     def _validate(self):
-        q = len(self.states)
+        q = self.n_states
         if self.initial.shape != (q,):
             raise InputError("initial vector length differs from state count")
-        if abs(float(self.initial.sum()) - 1.0) > PROB_TOL:
-            raise InputError(f"initial distribution sums to {self.initial.sum()!r}")
-        for (symkey, state), rows in self.transitions.items():
-            name, rank = symkey
-            if not self.alphabet.has(name, rank):
-                raise AlphabetMismatch(f"transition on unknown symbol {name}/{rank}")
-            total = 0.0
-            for tup, p in rows:
-                if len(tup) != rank:
-                    raise InputError(f"tuple arity mismatch for {name}/{rank}")
-                if p <= 0:
-                    raise InputError("transition probabilities must be positive")
-                total += p
-            if total > 1.0 + PROB_TOL:
-                raise InputError(f"row for {name}/{rank} at state {state} sums to {total}")
+        if not (self.initial >= 0).all() or abs(float(self.initial.sum()) - 1.0) > PROB_TOL:
+            raise InputError(f"initial vector {self.initial.tolist()} is not a distribution")
         for state, name in self.finals:
             if not self.alphabet.has(name, 0):
                 raise AlphabetMismatch(f"final pair on unknown leaf symbol {name}")
-        unreachable = set(range(q)) - self._reachable()
-        if unreachable:
-            raise InputError(f"states unreachable from the initial support: {sorted(unreachable)}")
-
-    def _reachable(self):
-        seen = set(np.flatnonzero(self.initial > 0).tolist())
-        frontier = list(seen)
-        succ = {}
-        for (_, state), rows in self.transitions.items():
-            succ.setdefault(state, set()).update(s for tup, _ in rows for s in tup)
-        while frontier:
-            s = frontier.pop()
-            for t in succ.get(s, ()):
-                if t not in seen:
-                    seen.add(t)
-                    frontier.append(t)
-        return seen
+            if not 0 <= state < q:
+                raise InputError(f"final pair on state index {state} of {q} states")
+        inner = [(key, entry) for key, entry in self.tables.items() if key[1]]
+        for (name, rank), (states, probs, kids) in inner:
+            if any(((idx < 0) | (idx >= q)).any() for idx in (states, *kids)):
+                raise InputError(f"a {name}/{rank} transition has a state index outside [0, {q})")
+            if not (probs > 0).all():
+                raise InputError("transition probabilities must be positive")
+            totals = np.bincount(states, weights=probs, minlength=q)
+            if totals.max() > 1.0 + PROB_TOL:
+                worst = int(np.argmax(totals))
+                raise InputError(f"row for {name}/{rank} at state {worst} sums to {totals[worst]}")
+        unreachable = np.flatnonzero(~_reachable(self.initial, [entry for _, entry in inner]))
+        if len(unreachable):
+            raise InputError(f"states unreachable from the initial support: {unreachable.tolist()}")
 
     @property
     def n_states(self):
         return len(self.states)
-
-    def rows_by_symbol(self):
-        if self._rows_by_symbol is None:
-            table = {}
-            for (symkey, state), rows in self.transitions.items():
-                table.setdefault(symkey, []).append((state, rows))
-            self._rows_by_symbol = table
-        return self._rows_by_symbol
-
-    def tables(self):
-        """(name, rank) -> what the inside and outside passes read: a leaf
-        symbol's accepting-state indicator, or an inner symbol's transitions
-        as (states, probabilities, child-state arrays) in ``rows_by_symbol``
-        order."""
-        if self._tables is None:
-            tables = {}
-            for sym in self.alphabet:
-                key = (sym.name, sym.rank)
-                if sym.rank == 0:  # one read-only vector, shared by every leaf
-                    tables[key] = np.zeros(self.n_states)
-                    tables[key][[s for s, name in self.finals if name == sym.name]] = 1.0
-                    tables[key].flags.writeable = False
-                    continue
-                rows = self.rows_by_symbol().get(key, ())
-                flat = [(s, p, *tup) for s, row in rows for tup, p in row]
-                cols = np.array(flat, dtype=float).reshape(-1, 2 + sym.rank).T
-                kids = tuple(cols[2:].astype(np.intp))
-                tables[key] = (cols[0].astype(np.intp), np.ascontiguousarray(cols[1]), kids)
-            self._tables = tables
-        return self._tables
 
     def to_json(self) -> str:
         """Debug dump; the layout is not a stability-guaranteed format."""
@@ -138,21 +96,61 @@ class Pta:
             "states": list(self.states),
             "initial": [float(x) for x in self.initial],
             "transitions": [
-                {
-                    "symbol": symkey[0],
-                    "rank": symkey[1],
-                    "from": self.states[state],
-                    "to": [self.states[s] for s in tup],
-                    "p": p,
-                }
-                for (symkey, state), rows in sorted(
-                    self.transitions.items(), key=lambda kv: (kv[0][0], kv[0][1])
-                )
-                for tup, p in rows
+                {"symbol": name, "rank": rank, "from": self.states[state],
+                 "to": [self.states[s] for s in tup], "p": p}
+                for (name, rank), entry in sorted(self.tables.items(), key=lambda kv: kv[0])
+                if rank
+                for state, p, tup in _entries(entry)
             ],
             "finals": sorted([self.states[s], name] for s, name in self.finals),
         }
         return json.dumps(doc, indent=2)
+
+
+def _tables(alphabet, q, transitions, finals) -> dict:
+    """``Pta.tables`` from the row dict and the final pairs; a final pair on
+    a state outside [0, q) is skipped here and reported by ``Pta._validate``."""
+    flat = {}
+    for ((name, rank), state), rows in transitions.items():
+        if rank == 0 or not alphabet.has(name, rank):
+            raise AlphabetMismatch(f"transition rows on {name}/{rank}, not an inner symbol")
+        for tup, p in rows:
+            if len(tup) != rank:
+                raise InputError(f"tuple arity mismatch for {name}/{rank}")
+            flat.setdefault((name, rank), []).append((state, p, *tup))
+    tables = {}
+    for sym in alphabet:
+        key = (sym.name, sym.rank)
+        if sym.rank == 0:  # one read-only vector, shared by every leaf
+            tables[key] = vec = np.zeros(q)
+            vec[[s for s, name in finals if name == sym.name and 0 <= s < q]] = 1.0
+            vec.flags.writeable = False
+            continue
+        cols = np.array(flat.get(key, []), dtype=float).reshape(-1, 2 + sym.rank).T
+        kids = tuple(cols[2:].astype(np.intp))
+        tables[key] = (cols[0].astype(np.intp), np.ascontiguousarray(cols[1]), kids)
+    return tables
+
+
+def _entries(entry):
+    """(state, probability, child-state tuple) of each transition of an inner
+    symbol, in entry order."""
+    states, probs, kids = entry
+    return zip(states.tolist(), probs.tolist(), zip(*(k.tolist() for k in kids)))
+
+
+def _reachable(initial, inner) -> np.ndarray:
+    """Mask of the states reachable from the initial support through the
+    given inner-symbol entries."""
+    src = np.concatenate([np.empty(0, np.intp)] + [s for s, _, kids in inner for _ in kids])
+    dst = np.concatenate([np.empty(0, np.intp)] + [k for _, _, kids in inner for k in kids])
+    seen = initial > 0
+    while True:
+        grown = seen.copy()
+        grown[dst[seen[src]]] = True
+        if (grown == seen).all():
+            return seen
+        seen = grown
 
 
 # -- compilation --------------------------------------------------------------------
@@ -203,7 +201,7 @@ def inside(pta: Pta, tree: Tree, memo=None) -> np.ndarray:
     subtrees to their inside vectors; it is filled in as the pass goes, and
     a caller scoring trees that share subtrees passes the same dict."""
     memo = {} if memo is None else memo
-    tables = pta.tables()
+    tables = pta.tables
     order, pending = [], [tree]
     while pending:  # pre-order over the nodes not yet in the memo
         node = pending.pop()
@@ -227,7 +225,7 @@ def outside(pta: Pta, tree: Tree, addr, memo=None) -> np.ndarray:
     runs on the rest of the tree that put state q at ``addr``.  The node at
     ``addr`` itself is never read, so it may be the hole '?'.  ``memo`` is
     as for ``inside``, which scores the siblings along the path."""
-    tables = pta.tables()
+    tables = pta.tables
     q = pta.n_states
     vec = pta.initial
     node = tree
@@ -303,30 +301,33 @@ def sample_from_state(pta: Pta, state, rng, max_depth: int = 50) -> Tree:
 def _grow(alphabet, emit, rng, q: int, depth: int, max_depth: int) -> Tree:
     """One attempt of ``sample_from_state`` from state ``q`` at ``depth``; a
     module function, so that no closure cycle keeps the automaton alive."""
-    symbol, rows = emit[q]
+    symbol, cdf, kids = emit[q]
     if symbol.rank == 0:
         return alphabet.leaf(symbol.name)
     if depth > max_depth:
         raise DepthOverflow()
-    r = rng.random()
-    acc = 0.0
-    for tup, p in rows:
-        acc += p
-        if r < acc:
-            kids = tuple(_grow(alphabet, emit, rng, s, depth + 1, max_depth) for s in tup)
-            return Tree(symbol, kids)
-    raise DepthOverflow()  # dead mass
+    i = bisect_right(cdf, rng.random())
+    if i == len(cdf):
+        raise DepthOverflow()  # dead mass
+    return Tree(symbol, tuple(_grow(alphabet, emit, rng, s, depth + 1, max_depth) for s in kids[i]))
 
 
 def _emission_table(pta: Pta):
-    """State -> (symbol, transition rows) of the one symbol the state emits;
-    a leaf symbol has no rows."""
+    """State -> (symbol, running sums of its entries' probabilities, their
+    child-state tuples) for the one symbol the state emits; a leaf symbol has
+    neither.  ``_grow`` picks the first entry whose running sum exceeds a draw."""
     if pta._emission is None:
         options: dict = {}
-        for ((name, rank), state), rows in pta.transitions.items():
-            options.setdefault(state, []).append((pta.alphabet.get(name, rank), rows))
+        for (name, rank), entry in pta.tables.items():
+            rows: dict = {}
+            for state, p, tup in _entries(entry) if rank else ():  # leaves: from finals
+                cdf, kids = rows.setdefault(state, ([], []))
+                cdf.append((cdf[-1] if cdf else 0.0) + p)
+                kids.append(tup)
+            for state, (cdf, kids) in rows.items():
+                options.setdefault(state, []).append((pta.alphabet.get(name, rank), cdf, kids))
         for state, name in pta.finals:
-            options.setdefault(state, []).append((pta.alphabet.get(name, 0), ()))
+            options.setdefault(state, []).append((pta.alphabet.get(name, 0), (), ()))
         for q in range(pta.n_states):
             if len(options.get(q, ())) != 1:
                 raise InputError(
@@ -343,63 +344,47 @@ def _emission_table(pta: Pta):
 def product(a: Pta, b: Pta, state_budget: int = DEFAULT_STATE_BUDGET) -> Pta:
     """Pairwise product automaton: scores every tree with the product of the
     two factors' scores (unnormalized; renormalization is the caller's
-    business where it matters)."""
+    business where it matters).  Pair (p, q) is state p * |b| + q until the
+    states no initial mass reaches are pruned."""
     if a.alphabet.symbol_keys() != b.alphabet.symbol_keys():
         raise AlphabetMismatch("product requires identical alphabets")
-    if a.n_states * b.n_states > state_budget:
-        raise StateBudgetExceeded(
-            f"{a.n_states * b.n_states} product states exceed budget {state_budget}"
-        )
-
-    pairs = list(itertools.product(range(a.n_states), range(b.n_states)))
-    index = {pair: i for i, pair in enumerate(pairs)}
-    initial = np.array([a.initial[p] * b.initial[q] for p, q in pairs])
-
-    rows_a = a.rows_by_symbol()
-    rows_b = b.rows_by_symbol()
-    transitions = {}
-    for symkey, a_rows in rows_a.items():
-        b_entries = rows_b.get(symkey)
-        if not b_entries:
+    n = a.n_states * b.n_states
+    if n > state_budget:
+        raise StateBudgetExceeded(f"{n} product states exceed budget {state_budget}")
+    nb = b.n_states
+    tables = {}
+    for key, entry in a.tables.items():
+        if key[1] == 0:
             continue
-        for qa, rowsa in a_rows:
-            for qb, rowsb in b_entries:
-                combined = [
-                    (tuple(index[(sa, sb)] for sa, sb in zip(ta, tb)), pa * pb)
-                    for ta, pa in rowsa
-                    for tb, pb in rowsb
-                ]
-                if combined:
-                    transitions[(symkey, index[(qa, qb)])] = combined
-
-    finals = set()
-    finals_b = {}
-    for qb, name in b.finals:
-        finals_b.setdefault(name, set()).add(qb)
-    for qa, name in a.finals:
-        for qb in finals_b.get(name, ()):
-            finals.add((index[(qa, qb)], name))
-
-    states = tuple(f"{a.states[p]}*{b.states[q]}" for p, q in pairs)
-    return _prune(Pta(a.alphabet, states, initial, transitions, finals, check=False))
+        (sa, pa, ka), (sb, pb, kb) = entry, b.tables[key]
+        i, j = np.divmod(np.arange(len(sa) * len(sb)), max(len(sb), 1))
+        # one row per (a row, b row) pair in the factors' row order; stable, so
+        # a row's entries stay a-major
+        order = np.lexsort((_runs(sb)[j], _runs(sa)[i]))
+        i, j = i[order], j[order]
+        kids = tuple(x[i] * nb + y[j] for x, y in zip(ka, kb))
+        tables[key] = (sa[i] * nb + sb[j], pa[i] * pb[j], kids)
+    finals = {(p * nb + q, name) for p, name in a.finals for q, other in b.finals if other == name}
+    states = [f"{x}*{y}" for x in a.states for y in b.states]
+    return _prune(a.alphabet, states, np.outer(a.initial, b.initial).ravel(), tables, finals)
 
 
-def _prune(pta: Pta) -> Pta:
-    """Drop states unreachable from the initial support and re-index."""
-    keep = sorted(pta._reachable())
-    remap = {old: new for new, old in enumerate(keep)}
-    states = tuple(pta.states[i] for i in keep)
-    initial = pta.initial[keep]
+def _runs(states):
+    """Row number of each entry: a row is a run of entries from one state."""
+    return np.cumsum(np.diff(states, prepend=states[:1]) != 0)
+
+
+def _prune(alphabet, states, initial, tables, finals) -> Pta:
+    """The automaton on the states reachable from the initial support,
+    re-indexed in order; ``tables`` holds inner symbols only."""
+    keep = _reachable(initial, tables.values())
+    new = np.cumsum(keep) - 1
     transitions = {}
-    for (symkey, state), rows in pta.transitions.items():
-        if state not in remap:
-            continue
-        kept_rows = [
-            (tuple(remap[s] for s in tup), p)
-            for tup, p in rows
-            if all(s in remap for s in tup)
-        ]
-        if kept_rows:
-            transitions[(symkey, remap[state])] = kept_rows
-    finals = {(remap[s], name) for s, name in pta.finals if s in remap}
-    return Pta(pta.alphabet, states, initial, transitions, finals)
+    for key, (src, probs, kids) in tables.items():
+        live = np.logical_and.reduce([keep[src], *(keep[k] for k in kids)])
+        entry = (new[src[live]], probs[live], tuple(new[k[live]] for k in kids))
+        for state, p, tup in _entries(entry):
+            transitions.setdefault((key, state), []).append((tup, p))
+    states = [s for s, k in zip(states, keep) if k]
+    finals = {(int(new[s]), name) for s, name in finals if keep[s]}
+    return Pta(alphabet, states, initial[keep], transitions, finals)

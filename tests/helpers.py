@@ -10,6 +10,12 @@ def brute_force_eval(pta, tree, hole_state=None):
     """Sum over every state assignment: initial mass at the root, transition
     factor per inner node, final-pair membership per leaf.  A '?' leaf is
     clamped to hole_state instead of checking finals."""
+    weight = {}  # (symbol key, state, child-state tuple) -> first matching entry's p
+    for key, entry in pta.tables.items():
+        if key[1]:
+            states, probs, kids = entry
+            for s, pr, *tup in zip(states.tolist(), probs.tolist(), *(k.tolist() for k in kids)):
+                weight.setdefault((key, s, tuple(tup)), pr)
     nodes = list(tree.walk())
     addrs = [addr for addr, _ in nodes]
     total = 0.0
@@ -28,9 +34,9 @@ def brute_force_eval(pta, tree, hole_state=None):
                 if (q, node.symbol.name) not in pta.finals:
                     p = 0.0
                 continue
-            rows = pta.transitions.get(((node.symbol.name, node.symbol.rank), q), ())
+            key = (node.symbol.name, node.symbol.rank)
             tup = tuple(state_of[addr + (i,)] for i in range(1, node.symbol.rank + 1))
-            p *= next((pr for t, pr in rows if t == tup), 0.0)
+            p *= weight.get((key, q, tup), 0.0)
         total += p
     return total
 

@@ -365,6 +365,13 @@ def test_multi_chain_merge(e_sum):
     assert posterior_to_json(merged) == posterior_to_json(again)
 
 
+@pytest.mark.parametrize("chains", [0, -3])
+def test_run_chains_rejects_fewer_than_one_chain(e1, chains):
+    config = McmcConfig(burn_in=1, samples=10, thin=1, prior_only=True)
+    with pytest.raises(InputError, match="at least 1"):
+        run_chains(e1, None, config, chains)
+
+
 # -- prediction ------------------------------------------------------------------------
 
 def make_posterior(draw_specs):

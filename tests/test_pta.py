@@ -16,6 +16,7 @@ import pytest
 from treegress.errors import (
     AlphabetMismatch,
     ImpossibleContext,
+    InputError,
     StateBudgetExceeded,
 )
 from treegress.prte import build_prior, prte_density, sample_tree
@@ -93,6 +94,37 @@ def test_eval_rejects_foreign_symbols(e1):
     pta = compile_prior(e1)
     with pytest.raises(AlphabetMismatch):
         pta_eval(pta, parse_tree("(h a)"))
+
+
+# Two states over {f/2, g/1, a/0}: s0 reads g into s1, s1 loops on g or reads a.
+TWO_STATE = {
+    "initial": [1.0, 0.0],
+    "transitions": {(("g", 1), 0): [((1,), 0.5)], (("g", 1), 1): [((1,), 0.5)]},
+    "finals": {(1, "a")},
+}
+
+
+def test_two_state_automaton_is_valid():
+    pta = Pta(FGA, ("s0", "s1"), **TWO_STATE)
+    assert pta_eval(pta, parse_tree("(g (g a))", FGA)) == 0.25
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"transitions": {(("g", 1), 0): [((1,), 0.25), ((2,), 0.25)],
+                         (("g", 1), 1): [((1,), 0.5)]}},
+        {"transitions": {(("g", 1), 0): [((1,), 0.5)], (("g", 1), 2): [((1,), 0.5)]}},
+        {"finals": {(1, "a"), (2, "a")}},
+        {"transitions": {(("g", 1), 0): [((1,), 0.5)], (("g", 1), 1): [((-1,), 0.5)]}},
+        {"initial": [1.5, -0.5]},
+    ],
+    ids=["child-past-end", "source-past-end", "final-past-end", "child-minus-one",
+         "negative-initial"],
+)
+def test_constructor_rejects_bad_state_indices_and_negative_initial_mass(change):
+    with pytest.raises(InputError):
+        Pta(FGA, ("s0", "s1"), **{**TWO_STATE, **change})
 
 
 # -- brute-force equivalence ---------------------------------------------------------
@@ -235,9 +267,7 @@ def test_generation_lengths_from_sum_state(e_sum):
     # starting at the '+'-emitting state forces length >= 2 and then the
     # usual geometric continuation
     pta = compile_prior(e_sum)
-    plus_state = next(
-        q for (symkey, q) in pta.transitions if symkey == ("+", 2)
-    )
+    plus_state = int(pta.tables[("+", 2)][0][0])
     rng = np.random.default_rng(5)
     n = 5000
     counts = {}
@@ -255,7 +285,7 @@ def test_generation_lengths_from_sum_state(e_sum):
 def test_generation_probability_matches_frequency(e1):
     pta = compile_prior(e1)
     # the right-hand block's g-emitting state
-    g_states = [q for (symkey, q) in pta.transitions if symkey == ("g", 1)]
+    g_states = list(dict.fromkeys(pta.tables[("g", 1)][0].tolist()))
     start = g_states[-1]
     onehot = np.eye(pta.n_states)[start]
     rng = np.random.default_rng(12)
