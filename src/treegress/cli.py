@@ -38,7 +38,7 @@ from .inference import (
     posterior_from_json,
     posterior_predict,
     posterior_to_json,
-    run_chain,
+    run_chain,  # not called here; bench/run.py and bench/spans.py look it up on this module
     run_chains,
 )
 from .prte import PriorSpec, format_prte, load_prior, prte_density, sample_expression
@@ -125,13 +125,9 @@ def cmd_density(args) -> int:
 
 
 def _fmt_density(value) -> str:
-    from fractions import Fraction
-
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator} ≈ {_fmt(value)}"
-    return _fmt(value)
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{value.numerator}/{value.denominator} ≈ {_fmt(value)}"
 
 
 def cmd_gen_data(args) -> int:
@@ -164,6 +160,8 @@ def _load_run_config(path, seed_override) -> tuple:
     references.  Unknown keys are rejected; referenced paths must exist."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise InputError("a run config file holds one JSON object")
     unknown = set(doc) - _MCMC_FIELDS - _RUN_CONFIG_EXTRA
     if unknown:
         raise InputError(f"unknown config keys: {sorted(unknown)}")
@@ -190,10 +188,7 @@ def cmd_fit(args) -> int:
 
     partial: list[Draw] = []
     try:
-        if args.chains > 1:
-            posterior = run_chains(prior, train, config, args.chains, on_draw=partial.append)
-        else:
-            posterior = run_chain(prior, train, config, on_draw=partial.append)
+        posterior = run_chains(prior, train, config, args.chains, on_draw=partial.append)
     except InputError:
         raise
     except TreegressError as exc:

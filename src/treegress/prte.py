@@ -13,8 +13,7 @@ An expression is built from five constructors:
 Variables are lexically scoped; an inner binder shadows an outer one of the
 same name.  Sampling is the operational reading of the above.  The density of
 a tree is the total probability over all ways the expression can generate it,
-computed exactly in rational arithmetic whenever all choice weights are
-rational.
+computed exactly in rational arithmetic: every choice weight is a Fraction.
 """
 
 from __future__ import annotations
@@ -88,11 +87,12 @@ class PVar(Prte):
 
 @dataclass(frozen=True)
 class PChoice(Prte):
-    branches: tuple  # of (weight, Prte); weights Fraction or float
+    branches: tuple  # of (weight, Prte); each weight is stored as a Fraction
 
     def __post_init__(self):
         if not self.branches:
             raise InputError("choice needs at least one branch")
+        object.__setattr__(self, "branches", tuple((Fraction(w), b) for w, b in self.branches))
         for w, _ in self.branches:
             if not (0 < float(w) <= 1):
                 raise WeightSumError(f"choice weight {w} outside (0, 1]")
@@ -117,10 +117,8 @@ class PIter(Prte):
 # -- canonical text ------------------------------------------------------------
 
 
-def _format_weight(w) -> str:
-    if isinstance(w, Fraction):
-        return str(w.numerator) if w.denominator == 1 else f"{w.numerator}/{w.denominator}"
-    return repr(w)
+def _format_weight(w: Fraction) -> str:
+    return str(w.numerator) if w.denominator == 1 else f"{w.numerator}/{w.denominator}"
 
 
 def format_prte(e: Prte) -> str:
@@ -365,12 +363,6 @@ class _Resolution:
         self._resolve(root, {})
         self._check_productive()
         self.symbol_nodes = [n for n in self.nodes if isinstance(n, PSymbol)]
-        self.is_rational = all(
-            isinstance(w, Fraction)
-            for n in self.nodes
-            if isinstance(n, PChoice)
-            for w, _ in n.branches
-        )
         self.reach = self._compute_reach()
 
     # resolution ----------------------------------------------------------
@@ -473,7 +465,6 @@ class _Resolution:
         one that produces the node's root symbol.  Expansion may loop through
         variables without emitting, so strongly connected groups of the
         expansion graph are solved as exact linear systems."""
-        one = Fraction(1) if self.is_rational else 1.0
         reach: dict[int, dict[int, object]] = {}
         for comp in _sccs(self.nodes, self.expansion):
             internal = {id(n) for n in comp}
@@ -482,11 +473,10 @@ class _Resolution:
             ):
                 n = comp[0]
                 if isinstance(n, PSymbol):
-                    reach[id(n)] = {id(n): one}
+                    reach[id(n)] = {id(n): Fraction(1)}
                 else:
                     acc: dict[int, object] = {}
                     for w, t in self.expansion(n):
-                        w = w if self.is_rational else float(w)
                         for s, p in reach[id(t)].items():
                             acc[s] = acc.get(s, 0) + w * p
                     reach[id(n)] = acc
@@ -494,19 +484,17 @@ class _Resolution:
             # cyclic group: solve (I - A) X = B
             order = {id(n): i for i, n in enumerate(comp)}
             k = len(comp)
-            zero = Fraction(0) if self.is_rational else 0.0
-            matrix = [[zero] * k for _ in range(k)]
+            matrix = [[Fraction(0)] * k for _ in range(k)]
             rhs: list[dict[int, object]] = [dict() for _ in range(k)]
             for n in comp:
                 i = order[id(n)]
-                matrix[i][i] += one
+                matrix[i][i] += 1
                 for w, t in self.expansion(n):
-                    w = w if self.is_rational else float(w)
                     if id(t) in internal:
                         matrix[i][order[id(t)]] -= w
                     else:
                         for s, p in reach[id(t)].items():
-                            rhs[i][s] = rhs[i].get(s, zero) + w * p
+                            rhs[i][s] = rhs[i].get(s, Fraction(0)) + w * p
             solved = _solve_linear(matrix, rhs)
             if solved is None:
                 raise NonTerminatingIter(
@@ -681,10 +669,6 @@ class PriorSpec:
     def graph(self) -> _Resolution:
         return self._graph
 
-    @property
-    def is_rational(self) -> bool:
-        return self._graph.is_rational
-
 
 # -- sampling --------------------------------------------------------------------
 
@@ -793,12 +777,10 @@ def sample_expression(prior: PriorSpec, rng: np.random.Generator) -> SymbolicExp
 
 def prte_density(prior: PriorSpec, tree: Tree):
     """Total probability that the prior generates exactly this tree, summed
-    over every derivation.  Exact Fraction when all weights are rational,
-    float otherwise; 0 for trees outside the language.  Unlike the sampler
-    this is not depth-limited."""
+    over every derivation, as an exact Fraction; 0 for trees outside the
+    language.  Unlike the sampler this is not depth-limited."""
     graph = prior.graph
-    one = Fraction(1) if graph.is_rational else 1.0
-    zero = one * 0
+    zero = Fraction(0)
     by_symbol: dict = {}
     for s in graph.symbol_nodes:
         by_symbol.setdefault((s.symbol.name, s.symbol.rank), []).append(s)
@@ -810,7 +792,7 @@ def prte_density(prior: PriorSpec, tree: Tree):
     for addr, node in order:
         key = (node.symbol.name, node.symbol.rank)
         for site in by_symbol.get(key, ()):
-            p = one
+            p = Fraction(1)
             for i in range(1, node.symbol.rank + 1):
                 reach_i = graph.reach[id(site.children[i - 1])]
                 child_addr = addr + (i,)
@@ -862,59 +844,81 @@ def build_prior(
     shared_anchors = {}
     for tag, anchor in (shared or {}).items():
         if isinstance(anchor, dict):
-            shared_anchors[tag] = (anchor["anchor"], int(anchor["rank"]))
-        else:
-            shared_anchors[tag] = (anchor[0], int(anchor[1]))
+            anchor = (anchor.get("anchor"), anchor.get("rank"))
+        if not (isinstance(anchor, (list, tuple)) and len(anchor) == 2
+                and type(anchor[0]) is str and type(anchor[1]) is int):
+            raise InputError(f"shared tag '{tag}': {anchor!r} is not an anchor name and rank")
+        shared_anchors[tag] = tuple(anchor)
+    try:
+        support = tuple(Fraction(str(v)) for v in theta_d_support)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"theta_d_support: {exc}") from exc
     return PriorSpec(
         name=name,
         alphabet=alphabet,
         root=expr,
         max_depth=max_depth,
         markers=marker_priors,
-        theta_d_support=tuple(Fraction(str(v)) for v in theta_d_support),
+        theta_d_support=support,
         shared=shared_anchors,
         variables=tuple(variables),
     )
 
 
+_MARKER_PARAMS = {"exp": ("rate",), "normal": ("mean", "stddev")}
+
+
 def _marker_from_dict(tag: str, spec: dict) -> MarkerPrior:
     kind = spec.get("dist")
-    if kind == "exp":
-        return MarkerPrior("exp", rate=float(spec["rate"]))
-    if kind == "normal":
-        return MarkerPrior("normal", mean=float(spec["mean"]), stddev=float(spec["stddev"]))
-    raise InputError(f"marker '{tag}': unknown distribution {kind!r}")
+    params = _MARKER_PARAMS.get(kind) if type(kind) is str else None
+    if params is None:
+        raise InputError(f"marker '{tag}': unknown distribution {kind!r}")
+    values = [spec.get(param) for param in params]
+    if not all(type(v) in (int, float) for v in values):
+        raise InputError(f"marker '{tag}': the {kind} prior needs numbers for {', '.join(params)}")
+    return MarkerPrior(kind, **{param: float(v) for param, v in zip(params, values)})
 
 
-_PRIOR_FILE_KEYS = {
-    "name",
-    "expression",
-    "variables",
-    "markers",
-    "theta_d_support",
-    "max_depth",
-    "shared",
+# per prior file key: the JSON type of its value and of the items of a list
+# or the values of an object
+_PRIOR_FILE_TYPES = {
+    "name": (str, ()),
+    "expression": (str, ()),
+    "variables": (list, (str,)),
+    "markers": (dict, (dict,)),
+    "theta_d_support": (list, (int, float, str)),
+    "max_depth": (int, ()),
+    "shared": (dict, ()),
 }
 
 
 def load_prior(source) -> PriorSpec:
-    """Load a prior from a JSON file path or an already-parsed dict."""
+    """Load a prior from a JSON file path or an already-parsed dict.  A
+    document that is not an object, or a key of the wrong JSON type, raises
+    InputError; ``build_prior`` checks the markers, anchors and support."""
+    doc = source
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    else:
-        doc = dict(source)
-    unknown = set(doc) - _PRIOR_FILE_KEYS
+    if not isinstance(doc, dict):
+        raise InputError("a prior file holds one JSON object")
+    unknown = set(doc) - set(_PRIOR_FILE_TYPES)
     if unknown:
         raise InputError(f"unknown prior file keys: {sorted(unknown)}")
     if "name" not in doc or "expression" not in doc:
         raise InputError("prior file needs 'name' and 'expression'")
+    for key, (kind, items) in _PRIOR_FILE_TYPES.items():
+        value = doc.get(key, kind())
+        inner = value.values() if type(value) is dict else value
+        if type(value) is not kind or (items and not all(type(v) in items for v in inner)):
+            of = f" of {' or '.join(t.__name__ for t in items)}" if items else ""
+            raise InputError(f"prior file key '{key}' must be of type {kind.__name__}{of}")
     return build_prior(
         name=doc["name"],
         expression=doc["expression"],
         variables=doc.get("variables", ()),
         markers=doc.get("markers", {}),
         theta_d_support=doc.get("theta_d_support", ()),
-        max_depth=int(doc.get("max_depth", DEFAULT_MAX_DEPTH)),
+        max_depth=doc.get("max_depth", DEFAULT_MAX_DEPTH),
         shared=doc.get("shared", {}),
     )

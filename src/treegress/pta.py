@@ -6,15 +6,16 @@ and each transition row routes a state's children into the sites they can
 expand to, with tuple probabilities given by the product of the child routing
 distributions.
 
-The transitions are stored once, as per-symbol arrays (``Pta.tables``) that
-scoring, generation, the product and the JSON dump all read.  Trees are
-scored by the inside-outside algorithm over them.  The inside pass runs
-bottom-up: a node's inside vector holds, per state, the probability of the
-runs on its subtree that start there.  The outside pass runs down one path:
-the outside vector at an address holds, per state, the probability of the
-runs on the rest of the tree that reach that address in that state.  A
-tree's score is the initial vector against the root's inside vector; a
-context marginal is the normalised outside vector at the hole.
+An automaton is built in the one form it is stored in, per-symbol arrays
+(``Pta.tables``) that compilation and the product write and that scoring,
+generation and the JSON dump read.  Trees are scored by the inside-outside
+algorithm over them.  The inside pass runs bottom-up: a node's inside vector
+holds, per state, the probability of the runs on its subtree that start
+there.  The outside pass runs down one path: the outside vector at an
+address holds, per state, the probability of the runs on the rest of the
+tree that reach that address in that state.  A tree's score is the initial
+vector against the root's inside vector; a context marginal is the
+normalised outside vector at the hole.
 
 Transition rows may sum to less than one; missing mass means derivations that
 die and simply contributes nothing to any score.
@@ -42,22 +43,23 @@ DEFAULT_STATE_BUDGET = 10_000
 
 
 class Pta:
-    """(states, initial, transitions, finals) over a ranked alphabet.
+    """(alphabet, states, initial, tables), given in the form it is stored.
 
-    ``transitions`` is a sparse row dict from ((symbol name, rank), state) to
-    a list of (child-state tuple, probability); rank-0 symbols are accepted
-    through ``finals`` pairs instead.  The dict is not kept: ``tables`` maps
-    each symbol to the one stored form that every reader uses, for an inner
-    symbol (states, probabilities, child-state arrays) in the dict's entry
-    order, and for a leaf symbol a read-only accepting-state vector.
+    ``tables`` maps (symbol name, rank) to the one form every reader uses: for
+    an inner symbol (states, probabilities, child-state arrays), whose entry
+    i moves ``states[i]`` into the child states ``kids[0][i], kids[1][i],
+    ...``, in entry order; for a leaf symbol a 0/1 vector marking the states
+    that accept it.  A symbol of the alphabet with no key gets an empty entry.
     """
 
-    def __init__(self, alphabet, states, initial, transitions, finals):
+    def __init__(self, alphabet, states, initial, tables):
         self.alphabet = alphabet
         self.states = tuple(states)
         self.initial = np.asarray(initial, dtype=float)
-        self.finals = frozenset(finals)
-        self.tables = _tables(alphabet, len(self.states), transitions, self.finals)
+        unknown = set(tables) - alphabet.symbol_keys()
+        if unknown:
+            raise AlphabetMismatch(f"tables on symbols outside the alphabet: {sorted(unknown)}")
+        self.tables = {(s.name, s.rank): _stored(s, self.n_states, tables) for s in alphabet}
         self._emission = None
         self._validate()
 
@@ -67,11 +69,6 @@ class Pta:
             raise InputError("initial vector length differs from state count")
         if not (self.initial >= 0).all() or abs(float(self.initial.sum()) - 1.0) > PROB_TOL:
             raise InputError(f"initial vector {self.initial.tolist()} is not a distribution")
-        for state, name in self.finals:
-            if not self.alphabet.has(name, 0):
-                raise AlphabetMismatch(f"final pair on unknown leaf symbol {name}")
-            if not 0 <= state < q:
-                raise InputError(f"final pair on state index {state} of {q} states")
         inner = [(key, entry) for key, entry in self.tables.items() if key[1]]
         for (name, rank), (states, probs, kids) in inner:
             if any(((idx < 0) | (idx >= q)).any() for idx in (states, *kids)):
@@ -102,34 +99,29 @@ class Pta:
                 if rank
                 for state, p, tup in _entries(entry)
             ],
-            "finals": sorted([self.states[s], name] for s, name in self.finals),
+            "finals": sorted([self.states[s], name] for (name, rank), vec in self.tables.items()
+                             if not rank for s in np.flatnonzero(vec)),
         }
         return json.dumps(doc, indent=2)
 
 
-def _tables(alphabet, q, transitions, finals) -> dict:
-    """``Pta.tables`` from the row dict and the final pairs; a final pair on
-    a state outside [0, q) is skipped here and reported by ``Pta._validate``."""
-    flat = {}
-    for ((name, rank), state), rows in transitions.items():
-        if rank == 0 or not alphabet.has(name, rank):
-            raise AlphabetMismatch(f"transition rows on {name}/{rank}, not an inner symbol")
-        for tup, p in rows:
-            if len(tup) != rank:
-                raise InputError(f"tuple arity mismatch for {name}/{rank}")
-            flat.setdefault((name, rank), []).append((state, p, *tup))
-    tables = {}
-    for sym in alphabet:
-        key = (sym.name, sym.rank)
-        if sym.rank == 0:  # one read-only vector, shared by every leaf
-            tables[key] = vec = np.zeros(q)
-            vec[[s for s, name in finals if name == sym.name and 0 <= s < q]] = 1.0
-            vec.flags.writeable = False
-            continue
-        cols = np.array(flat.get(key, []), dtype=float).reshape(-1, 2 + sym.rank).T
-        kids = tuple(cols[2:].astype(np.intp))
-        tables[key] = (cols[0].astype(np.intp), np.ascontiguousarray(cols[1]), kids)
-    return tables
+def _stored(sym, q: int, tables):
+    """The symbol's entry of ``tables`` as arrays, checked for shape."""
+    name, rank = sym.name, sym.rank
+    if rank == 0:  # one read-only vector, shared by every leaf
+        vec = np.array(tables.get((name, 0), np.zeros(q)), dtype=float)
+        if vec.shape != (q,) or not np.isin(vec, (0.0, 1.0)).all():
+            raise InputError(f"leaf vector of {name} is not 0/1 over {q} states")
+        vec.flags.writeable = False
+        return vec
+    states, probs, kids = tables.get((name, rank), ((), (), ((),) * rank))
+    probs, *idx = (np.asarray(a) for a in (probs, states, *kids))
+    if len(kids) != rank or probs.ndim != 1 or any(a.shape != probs.shape for a in idx):
+        raise InputError(f"{name}/{rank} needs {2 + rank} arrays of one length")
+    if any(a.size and a.dtype.kind not in "iu" for a in idx):
+        raise InputError(f"a {name}/{rank} state array is not of integers")
+    states, *kids = (a.astype(np.intp) for a in idx)
+    return states, probs.astype(float), tuple(kids)
 
 
 def _entries(entry):
@@ -170,13 +162,12 @@ def compile_prior(prior: PriorSpec, state_budget: int = DEFAULT_STATE_BUDGET) ->
     for sid, w in graph.reach[id(prior.root)].items():
         initial[index[sid]] = float(w)
 
-    transitions = {}
-    finals = set()
+    tables, flat = {}, {}
     for site in sites:
         q = index[id(site)]
         sym = site.symbol
         if sym.rank == 0:
-            finals.add((q, sym.name))
+            tables.setdefault((sym.name, 0), np.zeros(len(sites)))[q] = 1.0
             continue
         rows = [((), 1.0)]
         for child in site.children:
@@ -186,10 +177,13 @@ def compile_prior(prior: PriorSpec, state_budget: int = DEFAULT_STATE_BUDGET) ->
                 for tup, p in rows
                 for sid, w in support
             ]
-        transitions[((sym.name, sym.rank), q)] = rows
+        flat.setdefault((sym.name, sym.rank), []).extend((q, p, *tup) for tup, p in rows)
+    for key, entries in flat.items():  # per symbol, the sites' entries in site order
+        states, probs, *kids = zip(*entries)
+        tables[key] = (states, probs, kids)
 
     states = tuple(f"q{i}" for i in range(len(sites)))
-    return Pta(prior.alphabet, states, initial, transitions, finals)
+    return Pta(prior.alphabet, states, initial, tables)
 
 
 # -- inside / outside ---------------------------------------------------------------
@@ -319,15 +313,14 @@ def _emission_table(pta: Pta):
     if pta._emission is None:
         options: dict = {}
         for (name, rank), entry in pta.tables.items():
-            rows: dict = {}
-            for state, p, tup in _entries(entry) if rank else ():  # leaves: from finals
+            # a leaf symbol: its accepting states, with neither running sums nor tuples
+            rows = {} if rank else {s: ((), ()) for s in np.flatnonzero(entry).tolist()}
+            for state, p, tup in _entries(entry) if rank else ():
                 cdf, kids = rows.setdefault(state, ([], []))
                 cdf.append((cdf[-1] if cdf else 0.0) + p)
                 kids.append(tup)
             for state, (cdf, kids) in rows.items():
                 options.setdefault(state, []).append((pta.alphabet.get(name, rank), cdf, kids))
-        for state, name in pta.finals:
-            options.setdefault(state, []).append((pta.alphabet.get(name, 0), (), ()))
         for q in range(pta.n_states):
             if len(options.get(q, ())) != 1:
                 raise InputError(
@@ -355,6 +348,7 @@ def product(a: Pta, b: Pta, state_budget: int = DEFAULT_STATE_BUDGET) -> Pta:
     tables = {}
     for key, entry in a.tables.items():
         if key[1] == 0:
+            tables[key] = np.kron(entry, b.tables[key])
             continue
         (sa, pa, ka), (sb, pb, kb) = entry, b.tables[key]
         i, j = np.divmod(np.arange(len(sa) * len(sb)), max(len(sb), 1))
@@ -364,9 +358,8 @@ def product(a: Pta, b: Pta, state_budget: int = DEFAULT_STATE_BUDGET) -> Pta:
         i, j = i[order], j[order]
         kids = tuple(x[i] * nb + y[j] for x, y in zip(ka, kb))
         tables[key] = (sa[i] * nb + sb[j], pa[i] * pb[j], kids)
-    finals = {(p * nb + q, name) for p, name in a.finals for q, other in b.finals if other == name}
     states = [f"{x}*{y}" for x in a.states for y in b.states]
-    return _prune(a.alphabet, states, np.outer(a.initial, b.initial).ravel(), tables, finals)
+    return _prune(a.alphabet, states, np.outer(a.initial, b.initial).ravel(), tables)
 
 
 def _runs(states):
@@ -374,17 +367,17 @@ def _runs(states):
     return np.cumsum(np.diff(states, prepend=states[:1]) != 0)
 
 
-def _prune(alphabet, states, initial, tables, finals) -> Pta:
+def _prune(alphabet, states, initial, tables) -> Pta:
     """The automaton on the states reachable from the initial support,
-    re-indexed in order; ``tables`` holds inner symbols only."""
-    keep = _reachable(initial, tables.values())
+    re-indexed in order."""
+    keep = _reachable(initial, [entry for key, entry in tables.items() if key[1]])
     new = np.cumsum(keep) - 1
-    transitions = {}
-    for key, (src, probs, kids) in tables.items():
+    for key, entry in tables.items():
+        if key[1] == 0:
+            tables[key] = entry[keep]
+            continue
+        src, probs, kids = entry
         live = np.logical_and.reduce([keep[src], *(keep[k] for k in kids)])
-        entry = (new[src[live]], probs[live], tuple(new[k[live]] for k in kids))
-        for state, p, tup in _entries(entry):
-            transitions.setdefault((key, state), []).append((tup, p))
+        tables[key] = (new[src[live]], probs[live], tuple(new[k[live]] for k in kids))
     states = [s for s, k in zip(states, keep) if k]
-    finals = {(int(new[s]), name) for s, name in finals if keep[s]}
-    return Pta(alphabet, states, initial[keep], transitions, finals)
+    return Pta(alphabet, states, initial[keep], tables)

@@ -8,8 +8,8 @@ from treegress.trees import Tree
 
 def brute_force_eval(pta, tree, hole_state=None):
     """Sum over every state assignment: initial mass at the root, transition
-    factor per inner node, final-pair membership per leaf.  A '?' leaf is
-    clamped to hole_state instead of checking finals."""
+    factor per inner node, the accepting-state vector's 0/1 per leaf.  A '?'
+    leaf is clamped to hole_state instead of checking that vector."""
     weight = {}  # (symbol key, state, child-state tuple) -> first matching entry's p
     for key, entry in pta.tables.items():
         if key[1]:
@@ -31,8 +31,7 @@ def brute_force_eval(pta, tree, hole_state=None):
                     p = 0.0
                 continue
             if node.symbol.rank == 0:
-                if (q, node.symbol.name) not in pta.finals:
-                    p = 0.0
+                p *= pta.tables[(node.symbol.name, 0)][q]
                 continue
             key = (node.symbol.name, node.symbol.rank)
             tup = tuple(state_of[addr + (i,)] for i in range(1, node.symbol.rank + 1))

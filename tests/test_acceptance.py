@@ -117,13 +117,10 @@ def test_criterion_02_oracle_equivalence(library):
         ("s0", "s1", "s2"),
         [0.5, 0.25, 0.25],
         {
-            (("f", 2), 0): [((1, 1), 0.3), ((0, 2), 0.4)],
-            (("f", 2), 1): [((2, 2), 0.5)],
-            (("g", 1), 0): [((1,), 0.6)],
-            (("g", 1), 1): [((1,), 0.2), ((2,), 0.7)],
-            (("g", 1), 2): [((2,), 0.5)],
+            ("f", 2): ([0, 0, 1], [0.3, 0.4, 0.5], ([1, 0, 2], [1, 2, 2])),
+            ("g", 1): ([0, 1, 1, 2], [0.6, 0.2, 0.7, 0.5], ([1, 1, 2, 2],)),
+            ("a", 0): [0, 1, 1],
         },
-        {(1, "a"), (2, "a")},
     )
     trees = all_trees(alpha, 4)
     exact = all(

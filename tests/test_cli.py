@@ -49,6 +49,46 @@ def test_parse_bad_weights_exits_2(capsys, tmp_path):
     assert json.loads(err.strip())["error"] == "WeightSumError"
 
 
+MARKED = {"name": "t", "expression": "choice{ 1/2: k#, 1/2: b }",
+          "markers": {"k#": {"dist": "exp", "rate": 1.0}}}
+
+
+@pytest.mark.parametrize(
+    "kind, doc, message",
+    [
+        ("prior", 5, "one JSON object"),
+        ("prior", {**MARKED, "expression": 5}, "'expression'"),
+        ("prior", {**MARKED, "max_depth": "deep"}, "'max_depth'"),
+        ("prior", {**MARKED, "markers": [1]}, "'markers'"),
+        ("prior", {**MARKED, "markers": {"k#": {"dist": "exp"}}}, "numbers for rate"),
+        ("prior", {**MARKED, "theta_d_support": ["a"]}, "theta_d_support"),
+        ("prior", {**MARKED, "shared": {"a#": 5}}, "anchor name and rank"),
+        ("prior", {**MARKED, "shared": {"k#": {"anchor": "+"}}}, "anchor name and rank"),
+        ("prior", {**MARKED, "variables": "ab"}, "'variables'"),
+        ("prior", {**MARKED, "name": 5}, "'name'"),
+        ("prior", {**MARKED, "max_depth": True}, "'max_depth'"),
+        ("prior", {**MARKED, "max_depth": 2.7}, "'max_depth'"),
+        ("config", [], "one JSON object"),
+    ],
+    ids=["prior-not-object", "expression-5", "max-depth-deep", "markers-list", "exp-no-rate",
+         "support-a", "shared-5", "anchor-no-rank", "variables-ab", "name-5", "max-depth-true",
+         "max-depth-2.7", "config-list"],
+)
+def test_malformed_prior_or_run_config_exits_2(capsys, tmp_path, kind, doc, message):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    if kind == "prior":
+        argv = ["parse", "--prior", str(path)]
+    else:
+        argv = ["fit", "--prior", "E_1", "--train", "x.csv", "--config", str(path),
+                "--out", str(tmp_path / "p.json")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    doc = json.loads(err.strip())
+    assert doc["error"] == "InputError"
+    assert message in doc["message"]
+
+
 def test_parse_dump_pta(capsys, tmp_path):
     dump = tmp_path / "pta.json"
     code, out, _ = run_cli(

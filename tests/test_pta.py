@@ -46,15 +46,12 @@ from helpers import all_trees, brute_force_eval
 def hand_built_pta():
     """Sub-stochastic 3-state automaton over {f/2, g/1, a/0} with branching
     rows, built directly rather than compiled."""
-    transitions = {
-        (("f", 2), 0): [((1, 1), 0.3), ((0, 2), 0.4)],
-        (("f", 2), 1): [((2, 2), 0.5)],
-        (("g", 1), 0): [((1,), 0.6)],
-        (("g", 1), 1): [((1,), 0.2), ((2,), 0.7)],
-        (("g", 1), 2): [((2,), 0.5)],
+    tables = {
+        ("f", 2): ([0, 0, 1], [0.3, 0.4, 0.5], ([1, 0, 2], [1, 2, 2])),
+        ("g", 1): ([0, 1, 1, 2], [0.6, 0.2, 0.7, 0.5], ([1, 1, 2, 2],)),
+        ("a", 0): [0, 1, 1],
     }
-    finals = {(1, "a"), (2, "a")}
-    return Pta(FGA, ("s0", "s1", "s2"), [0.5, 0.25, 0.25], transitions, finals)
+    return Pta(FGA, ("s0", "s1", "s2"), [0.5, 0.25, 0.25], tables)
 
 
 # -- compile + eval ---------------------------------------------------------------
@@ -72,7 +69,7 @@ def test_trivial_prior_compiles_to_one_state():
     pta = compile_prior(prior)
     assert pta.n_states == 1
     assert pta.initial.tolist() == [1.0]
-    assert pta.finals == frozenset({(0, "a")})
+    assert pta.tables[("a", 0)].tolist() == [1.0]
 
 
 def test_compiled_matches_oracle_on_samples(all_shipped):
@@ -97,11 +94,8 @@ def test_eval_rejects_foreign_symbols(e1):
 
 
 # Two states over {f/2, g/1, a/0}: s0 reads g into s1, s1 loops on g or reads a.
-TWO_STATE = {
-    "initial": [1.0, 0.0],
-    "transitions": {(("g", 1), 0): [((1,), 0.5)], (("g", 1), 1): [((1,), 0.5)]},
-    "finals": {(1, "a")},
-}
+G_LOOP = ([0, 1], [0.5, 0.5], ([1, 1],))
+TWO_STATE = {"initial": [1.0, 0.0], "tables": {("g", 1): G_LOOP, ("a", 0): [0, 1]}}
 
 
 def test_two_state_automaton_is_valid():
@@ -112,15 +106,24 @@ def test_two_state_automaton_is_valid():
 @pytest.mark.parametrize(
     "change",
     [
-        {"transitions": {(("g", 1), 0): [((1,), 0.25), ((2,), 0.25)],
-                         (("g", 1), 1): [((1,), 0.5)]}},
-        {"transitions": {(("g", 1), 0): [((1,), 0.5)], (("g", 1), 2): [((1,), 0.5)]}},
-        {"finals": {(1, "a"), (2, "a")}},
-        {"transitions": {(("g", 1), 0): [((1,), 0.5)], (("g", 1), 1): [((-1,), 0.5)]}},
+        {"tables": {("g", 1): ([0, 0, 1], [0.25, 0.25, 0.5], ([1, 2, 1],)), ("a", 0): [0, 1]}},
+        {"tables": {("g", 1): ([0, 2], [0.5, 0.5], ([1, 1],)), ("a", 0): [0, 1]}},
+        {"tables": {("g", 1): G_LOOP, ("a", 0): [0, 1, 1]}},
+        {"tables": {("g", 1): ([0, 1], [0.5, 0.5], ([1, -1],)), ("a", 0): [0, 1]}},
         {"initial": [1.5, -0.5]},
+        {"tables": {("g", 1): ([0, 1], [0.5, 0.5], ([1.5, 1],)), ("a", 0): [0, 1]}},
+        {"tables": {("g", 1): ([0.9, 1], [0.5, 0.5], ([1, 1],)), ("a", 0): [0, 1]}},
+        {"tables": {("g", 1): G_LOOP, ("a", 0): [1]}},
+        {"tables": {("g", 1): G_LOOP, ("a", 0): [0, 0.5]}},
+        {"tables": {("g", 1): ([0, 1], [0.5], ([1, 1],)), ("a", 0): [0, 1]}},
+        {"tables": {("g", 1): ([0, 1], [0.5, 0.5], ([1],)), ("a", 0): [0, 1]}},
+        {"tables": {("g", 1): ([0, 1], [0.5, 0.5], ([1, 1], [1, 1])), ("a", 0): [0, 1]}},
+        {"tables": {("g", 1): G_LOOP, ("a", 0): [0, 1], ("h", 1): ([], [], ([],))}},
     ],
     ids=["child-past-end", "source-past-end", "final-past-end", "child-minus-one",
-         "negative-initial"],
+         "negative-initial", "child-1.5", "source-0.9", "leaf-vector-length",
+         "leaf-vector-half", "probs-shorter", "kids-shorter", "two-child-arrays-for-g",
+         "key-outside-alphabet"],
 )
 def test_constructor_rejects_bad_state_indices_and_negative_initial_mass(change):
     with pytest.raises(InputError):
@@ -137,11 +140,8 @@ def test_matches_run_enumeration_exactly():
 
 
 def test_single_state_always_accepting():
-    transitions = {
-        (("f", 2), 0): [((0, 0), 0.7)],
-        (("g", 1), 0): [((0,), 0.4)],
-    }
-    pta = Pta(FGA, ("q",), [1.0], transitions, {(0, "a")})
+    tables = {("f", 2): ([0], [0.7], ([0], [0])), ("g", 1): ([0], [0.4], ([0],)), ("a", 0): [1]}
+    pta = Pta(FGA, ("q",), [1.0], tables)
     for tree in all_trees(FGA, 4):
         n_f = sum(1 for _, n in tree.walk() if n.symbol.name == "f")
         n_g = sum(1 for _, n in tree.walk() if n.symbol.name == "g")
@@ -220,13 +220,7 @@ def test_context_marginal_excludes_zero_states(e1):
 
 def test_impossible_context():
     # g can only be read once: the start state has the sole g-row
-    pta = Pta(
-        FGA,
-        ("s0", "s1"),
-        [1.0, 0.0],
-        {(("g", 1), 0): [((1,), 1.0)]},
-        {(1, "a")},
-    )
+    pta = Pta(FGA, ("s0", "s1"), [1.0, 0.0], {("g", 1): ([0], [1.0], ([1],)), ("a", 0): [0, 1]})
     with pytest.raises(ImpossibleContext):
         context_marginal(pta, parse_tree("(g (g ?))"))
 
@@ -255,7 +249,7 @@ def test_chain_rule_consistency(e1):
 
 def test_leaf_state_generates_its_leaf(e_sum):
     pta = compile_prior(e_sum)
-    leaf_state = next(s for s, name in pta.finals if name == "f")
+    leaf_state = int(np.flatnonzero(pta.tables[("f", 0)])[0])
     tree = sample_from_state(pta, leaf_state, np.random.default_rng(0))
     onehot = np.eye(pta.n_states)[leaf_state]
     logp = math.log(pta_eval(pta, tree, initial=onehot))
@@ -307,11 +301,8 @@ def test_generation_probability_matches_frequency(e1):
 
 def test_product_with_always_accepting_scales_by_constant():
     pta = hand_built_pta()
-    transitions = {
-        (("f", 2), 0): [((0, 0), 1.0)],
-        (("g", 1), 0): [((0,), 1.0)],
-    }
-    ones = Pta(FGA, ("u",), [1.0], transitions, {(0, "a")})
+    tables = {("f", 2): ([0], [1.0], ([0], [0])), ("g", 1): ([0], [1.0], ([0],)), ("a", 0): [1]}
+    ones = Pta(FGA, ("u",), [1.0], tables)
     prod = product(pta, ones)
     for tree in all_trees(FGA, 4):
         assert pta_eval(prod, tree) == pytest.approx(pta_eval(pta, tree), abs=1e-12)
@@ -327,7 +318,7 @@ def test_product_squares_density(e1):
 
 def test_product_zero_if_either_zero():
     pta = hand_built_pta()
-    only_a = Pta(FGA, ("v",), [1.0], {}, {(0, "a")})  # accepts the single leaf 'a'
+    only_a = Pta(FGA, ("v",), [1.0], {("a", 0): [1]})  # accepts the single leaf 'a'
     prod = product(pta, only_a)
     assert pta_eval(prod, parse_tree("(g a)", FGA)) == 0.0
     assert pta_eval(prod, parse_tree("a", FGA)) == pytest.approx(

@@ -1,5 +1,5 @@
 """Property tests for the automaton's stored form: random hand-built
-automata, converted from their row dicts into per-symbol arrays, keep every
+automata, drawn as sparse rows and written into per-symbol arrays, keep every
 row entry in order, score every small tree as the exhaustive run enumeration
 does, and split each score exactly into outside times inside at every
 address."""
@@ -39,8 +39,16 @@ def automata(draw):
             mass = draw(st.lists(st.integers(1, 9), min_size=len(chosen), max_size=len(chosen)))
             total = sum(mass) + draw(st.integers(0, 9))
             transitions[((name, rank), state)] = [(t, m / total) for t, m in zip(chosen, mass)]
-    finals = {(s, "a") for s in draw(st.sets(st.integers(0, q - 1)))}
-    return transitions, Pta(FGA, tuple(f"s{i}" for i in range(q)), initial, transitions, finals)
+    accepting = draw(st.sets(st.integers(0, q - 1)))
+    tables = {("a", 0): [float(s in accepting) for s in range(q)]}
+    for ((name, rank), state), rows in transitions.items():  # rows become columns, in order
+        states, probs, kids = tables.setdefault((name, rank), ([], [], tuple([] for _ in range(rank))))
+        for tup, p in rows:
+            states.append(state)
+            probs.append(p)
+            for col, s in zip(kids, tup):
+                col.append(s)
+    return transitions, Pta(FGA, tuple(f"s{i}" for i in range(q)), initial, tables)
 
 
 @PROPERTY
