@@ -25,7 +25,6 @@ would give, and is neither evaluated nor scored again.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import numbers
@@ -52,6 +51,7 @@ from .trees import (
     eval_expression,
     format_tree,
     parse_tree,
+    run_program,
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -93,6 +93,8 @@ class McmcConfig:
             kind = _FIELD_KINDS[f.type]  # a JSON true is a bool, not 1
             if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
                 raise InputError(f"config field {f.name} must be {f.type}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):  # JSON admits NaN
+                raise InputError(f"config field {f.name} must be finite, got {value!r}")
         if self.burn_in < 0 or self.samples <= 0 or self.thin <= 0:
             raise InputError("burn_in >= 0, samples > 0, thin > 0 required")
         if self.samples % self.thin:
@@ -158,10 +160,10 @@ def _coerce_data(data):
 
 
 def _sum_squared_error(expr: SymbolicExpression, inputs, y) -> float:
-    pred = eval_expression(expr, inputs)
-    if not np.isfinite(pred).all():
-        return math.inf
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
+        pred = run_program(expr, inputs)
+        if not np.isfinite(pred).all():
+            return math.inf
         return float(np.sum((y - pred) ** 2))
 
 
@@ -286,7 +288,7 @@ class _ChainContext:
         else:
             self.inputs, self.y = {}, np.zeros(0)
         self.inside_memo: dict = {}  # subtree -> inside vector
-        self.marginal_cache: dict = {}
+        self.marginal_cache: dict = {}  # (tree, address) -> (Boltzmann vector, its cdf)
         self.trees: dict = {}  # tree -> (first equal tree seen, its ties, its group tags)
 
     def intern(self, tree: Tree) -> tuple:
@@ -313,7 +315,9 @@ class _ChainContext:
 
     def boltzmann_marginal(self, tree: Tree, addr):
         """Tempered distribution of the state at ``addr`` given the rest of
-        the tree; zero-probability states stay excluded for any temperature."""
+        the tree; zero-probability states stay excluded for any temperature.
+        Its cumulative sum, normalised as ``Generator.choice`` normalises it,
+        is cached beside it for ``pick_state``."""
         key = (tree, addr)
         cached = self.marginal_cache.get(key)
         if cached is None:
@@ -323,8 +327,16 @@ class _ChainContext:
             logits[support] = np.log(marginal[support]) / self.config.tau
             logits -= logits[support].max()
             weights = np.exp(logits)
-            cached = _bounded_put(self.marginal_cache, key, weights / weights.sum())
-        return cached
+            weights /= weights.sum()
+            cdf = weights.cumsum()
+            cdf /= cdf[-1]
+            cached = _bounded_put(self.marginal_cache, key, (weights, cdf))
+        return cached[0]
+
+    def pick_state(self, tree: Tree, addr, rng) -> int:
+        """The state ``rng.choice`` would pick from ``boltzmann_marginal(tree,
+        addr)``, drawn the same way from the cdf that call cached."""
+        return int(self.marginal_cache[tree, addr][1].searchsorted(rng.random(), side="right"))
 
     def log_prior_params(self, expr: SymbolicExpression) -> float:
         total = 0.0  # the interned tags fit expr.ties, as every state's ties come from intern
@@ -403,14 +415,12 @@ def propose_local(state: ChainState, ctx: _ChainContext, rng):
     when the move aborts (impossible context or exhausted regrow depth)."""
     tree = state.expr.tree
     n_nodes = tree.size
-    nth = int(rng.integers(n_nodes))
-    addr = next(itertools.islice(tree.walk(), nth, None))[0]
-    old_sub = tree.node_at(addr)
+    addr, old_sub = tree.nth(int(rng.integers(n_nodes)))
     try:
         boltzmann = ctx.boltzmann_marginal(tree, addr)
     except ImpossibleContext:
         return None
-    start = int(rng.choice(len(boltzmann), p=boltzmann))
+    start = ctx.pick_state(tree, addr, rng)
     try:
         new_sub = sample_from_state(ctx.pta, start, rng, ctx.config.max_depth)
     except DepthBudgetExhausted:
@@ -438,9 +448,7 @@ def propose_params(state: ChainState, ctx: _ChainContext, rng):
     mult = _STEP_MULTIPLIERS[int(rng.integers(len(_STEP_MULTIPLIERS)))]
     step = ctx.config.step_theta * mult
     theta_new = theta + step * rng.standard_normal(theta.size)
-    expr = SymbolicExpression(
-        state.expr.tree, tuple(theta_new), state.expr.theta_d, state.expr.ties
-    )
+    expr = state.expr.with_theta_c(theta_new.tolist())
     proposal = ctx.make_state(expr, state.sigma, state.log_prior_tree)
     return proposal, 0.0, 0.0
 

@@ -21,8 +21,10 @@ from __future__ import annotations
 import json
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +90,8 @@ class PVar(Prte):
 @dataclass(frozen=True)
 class PChoice(Prte):
     branches: tuple  # of (weight, Prte); each weight is stored as a Fraction
+    # running float sums of the weights, added in branch order, for the sampler
+    cumulative: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.branches:
@@ -96,7 +100,8 @@ class PChoice(Prte):
         for w, _ in self.branches:
             if not (0 < float(w) <= 1):
                 raise WeightSumError(f"choice weight {w} outside (0, 1]")
-        total = sum(float(w) for w, _ in self.branches)
+        object.__setattr__(self, "cumulative", tuple(accumulate(float(w) for w, _ in self.branches)))
+        total = self.cumulative[-1]
         if abs(total - 1.0) > WEIGHT_TOL:
             raise WeightSumError(f"choice weights sum to {total!r}, expected 1")
 
@@ -608,6 +613,8 @@ class MarkerPrior:
     def __post_init__(self):
         if self.kind not in ("exp", "normal"):
             raise InputError(f"unknown marker prior '{self.kind}'")
+        if not all(map(math.isfinite, (self.rate, self.mean, self.stddev))):
+            raise InputError("marker prior rate, mean and stddev must be finite")
         if self.kind == "exp" and self.rate <= 0:
             raise InputError("exponential rate must be positive")
         if self.kind == "normal" and self.stddev <= 0:
@@ -716,13 +723,8 @@ def _draw(prior: PriorSpec, rng: np.random.Generator, node: Prte, depth: int) ->
 
 
 def _pick_branch(choice: PChoice, rng: np.random.Generator) -> Prte:
-    r = rng.random()
-    acc = 0.0
-    for w, branch in choice.branches:
-        acc += float(w)
-        if r < acc:
-            return branch
-    return choice.branches[-1][1]
+    i = bisect_right(choice.cumulative, rng.random())
+    return choice.branches[min(i, len(choice.branches) - 1)][1]
 
 
 def compute_ties(tree: Tree, prior: PriorSpec) -> tuple:

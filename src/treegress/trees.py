@@ -130,9 +130,8 @@ class RankedAlphabet:
 
 
 class TreeShape(NamedTuple):
-    """Node count and pre-order addresses of the parameter markers."""
+    """Pre-order addresses of the parameter markers."""
 
-    size: int
     const: tuple
     disc: tuple
 
@@ -141,14 +140,16 @@ class TreeShape(NamedTuple):
 class Tree:
     """An immutable labeled tree; child count always equals the symbol rank.
 
-    The hash, the shape record and the compiled evaluation program are
-    computed once per tree, on first use, and kept on the tree.  Hashing,
-    equality, ``replace_at`` and ``repr`` are iterative, so very deep trees
-    stay within the interpreter's recursion limit.
+    The node count is set at construction.  The hash, the shape record and
+    the compiled evaluation program are computed once per tree, on first
+    use, and kept on the tree.  Hashing, equality, ``replace_at`` and
+    ``repr`` are iterative, so very deep trees stay within the interpreter's
+    recursion limit.
     """
 
     symbol: RankedSymbol
     children: tuple = ()
+    size: int = field(init=False, repr=False, compare=False)
     _hash: int | None = field(default=None, init=False, repr=False, compare=False)
     _shape: TreeShape | None = field(default=None, init=False, repr=False, compare=False)
     _program: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -156,6 +157,10 @@ class Tree:
     def __post_init__(self):
         if len(self.children) != self.symbol.rank:
             raise ArityMismatch((), self.symbol.name, self.symbol.rank, len(self.children))
+        size = 1
+        for child in self.children:
+            size += child.size
+        object.__setattr__(self, "size", size)
 
     def __hash__(self):
         if self._hash is None:
@@ -185,14 +190,13 @@ class Tree:
     @property
     def shape(self) -> TreeShape:
         if self._shape is None:
-            size, const, disc = 0, [], []
+            const, disc = [], []
             for addr, node in self.walk():
-                size += 1
                 if is_const_marker(node.symbol):
                     const.append(addr)
                 elif is_disc_marker(node.symbol):
                     disc.append(addr)
-            object.__setattr__(self, "_shape", TreeShape(size, tuple(const), tuple(disc)))
+            object.__setattr__(self, "_shape", TreeShape(tuple(const), tuple(disc)))
         return self._shape
 
     # -- address arithmetic ----------------------------------------------
@@ -227,9 +231,20 @@ class Tree:
     def addresses(self):
         return [addr for addr, _ in self.walk()]
 
-    @property
-    def size(self) -> int:
-        return self.shape.size
+    def nth(self, n: int) -> tuple:
+        """The n-th (address, node) pair of ``walk()``, by descent through child sizes."""
+        if not 0 <= n < self.size:
+            raise IndexError(f"node {n} of a tree of {self.size} nodes")
+        addr, node = [], self
+        while n:
+            n -= 1
+            for i, child in enumerate(node.children, 1):
+                if n < child.size:
+                    break
+                n -= child.size
+            addr.append(i)
+            node = child
+        return tuple(addr), node
 
     def __str__(self):
         return format_tree(self)
@@ -380,6 +395,15 @@ class SymbolicExpression:
                 f"{n_disc} discrete markers but {len(self.theta_d)} discrete parameters"
             )
 
+    def with_theta_c(self, theta_c: list) -> "SymbolicExpression":
+        """This expression with new continuous parameters, a list of floats.
+        Only they are checked: the rest was validated with this expression."""
+        if len(theta_c) != len(self.theta_c) or not all(map(math.isfinite, theta_c)):
+            raise InputError(f"expected {len(self.theta_c)} finite continuous parameters")
+        new = object.__new__(SymbolicExpression)
+        new.__dict__.update(self.__dict__, theta_c=tuple(theta_c))
+        return new
+
 
 def eval_expression(expr: SymbolicExpression, inputs) -> np.ndarray:
     """Evaluate the expression pointwise on equal-length input columns.
@@ -391,6 +415,14 @@ def eval_expression(expr: SymbolicExpression, inputs) -> np.ndarray:
     than raising; callers map those to log-likelihood -inf.  Each distinct
     tree is compiled once (see ``_compile``).
     """
+    with np.errstate(all="ignore"):
+        return run_program(expr, inputs)
+
+
+def run_program(expr: SymbolicExpression, inputs) -> np.ndarray:
+    """``eval_expression`` under the caller's floating-point error state.  A
+    caller that enters ``np.errstate(all="ignore")`` for more work than the
+    evaluation calls this, and enters the state once."""
     columns = {name: np.ascontiguousarray(col, dtype=float) for name, col in inputs.items()}
     lengths = {col.shape[0] for col in columns.values()}
     if len(lengths) > 1:
@@ -403,24 +435,23 @@ def eval_expression(expr: SymbolicExpression, inputs) -> np.ndarray:
         object.__setattr__(expr.tree, "_program", program)
     params = [expr.theta_c[g] for g in expr.ties] + [float(v) for v in expr.theta_d]
     stack = []
-    with np.errstate(all="ignore"):
-        for op, arg in program:
-            if op is _PARAM:
-                stack.append(params[arg])
-            elif op is _LITERAL:
-                stack.append(arg)
-            elif op is _VARIABLE:
-                if arg not in columns:
-                    raise UnknownSymbol(f"variable '{arg}' missing from inputs")
-                stack.append(columns[arg])
-            elif op is _POW:
-                exponent = stack.pop()
-                stack[-1] = np.power(_full(stack[-1], n), _full(exponent, n))
-            elif op is _FAIL:
-                raise UnknownSymbol(arg)
-            else:
-                right = stack.pop()
-                stack[-1] = op(stack[-1], right)
+    for op, arg in program:
+        if op is _PARAM:
+            stack.append(params[arg])
+        elif op is _LITERAL:
+            stack.append(arg)
+        elif op is _VARIABLE:
+            if arg not in columns:
+                raise UnknownSymbol(f"variable '{arg}' missing from inputs")
+            stack.append(columns[arg])
+        elif op is _POW:
+            exponent = stack.pop()
+            stack[-1] = np.power(_full(stack[-1], n), _full(exponent, n))
+        elif op is _FAIL:
+            raise UnknownSymbol(arg)
+        else:
+            right = stack.pop()
+            stack[-1] = op(stack[-1], right)
     out = _full(stack[0], n)
     return out.copy() if len(program) == 1 else out  # never hand out an input column
 

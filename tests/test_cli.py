@@ -68,11 +68,19 @@ MARKED = {"name": "t", "expression": "choice{ 1/2: k#, 1/2: b }",
         ("prior", {**MARKED, "name": 5}, "'name'"),
         ("prior", {**MARKED, "max_depth": True}, "'max_depth'"),
         ("prior", {**MARKED, "max_depth": 2.7}, "'max_depth'"),
+        ("prior", {**MARKED, "markers": {"k#": {"dist": "exp", "rate": math.inf}}}, "finite"),
+        ("prior", {**MARKED, "markers": {"k#": {"dist": "exp", "rate": math.nan}}}, "finite"),
+        ("prior", {**MARKED, "markers": {"k#": {"dist": "normal", "mean": 0, "stddev": math.nan}}},
+         "finite"),
+        ("prior", {**MARKED, "markers": {"k#": {"dist": "normal", "mean": math.inf, "stddev": 1}}},
+         "finite"),
         ("config", [], "one JSON object"),
+        ("config", {"tau": math.nan}, "tau must be finite"),
     ],
     ids=["prior-not-object", "expression-5", "max-depth-deep", "markers-list", "exp-no-rate",
          "support-a", "shared-5", "anchor-no-rank", "variables-ab", "name-5", "max-depth-true",
-         "max-depth-2.7", "config-list"],
+         "max-depth-2.7", "rate-inf", "rate-nan", "stddev-nan", "mean-inf", "config-list",
+         "tau-nan"],
 )
 def test_malformed_prior_or_run_config_exits_2(capsys, tmp_path, kind, doc, message):
     path = tmp_path / f"{kind}.json"

@@ -181,6 +181,13 @@ def test_config_validation():
     for field in ("burn_in", "tau", "sigma0"):
         with pytest.raises(InputError, match=field):
             McmcConfig(**{field: True})
+    # a JSON NaN or Infinity is a float; no float field takes it
+    for field, value in [("tau", math.nan), ("tau", math.inf), ("p_global", math.nan),
+                         ("step_sigma", math.nan), ("step_theta", math.inf),
+                         ("lambda_sigma", math.nan), ("sigma0", math.nan), ("sigma0", math.inf),
+                         ("sigma0", -math.inf)]:
+        with pytest.raises(InputError, match=f"{field} must be finite"):
+            McmcConfig(**{field: value})
     McmcConfig(prior_only=True)
     McmcConfig()  # defaults valid
 
@@ -575,10 +582,10 @@ def test_identity_proposals_match_the_full_path(e_iso, e_hyp, monkeypatch):
     from treegress.experiments import HyperelasticSpec, gen_hyperelastic, gen_isotherm, isotherm_spec
     from treegress.pta import compile_prior
 
-    calls = []
-    real_eval = inf.eval_expression
+    calls = []  # the chain evaluates on the data through run_program
+    real_eval = inf.run_program
     monkeypatch.setattr(
-        inf, "eval_expression", lambda expr, inputs: calls.append(expr) or real_eval(expr, inputs)
+        inf, "run_program", lambda expr, inputs: calls.append(expr) or real_eval(expr, inputs)
     )
     bits = lambda x: struct.pack("<d", x)  # noqa: E731
     fits = [
@@ -615,9 +622,63 @@ def test_identity_proposals_match_the_full_path(e_iso, e_hyp, monkeypatch):
             if log_alpha >= 0 or math.log(max(rng.random(), 1e-300)) < log_alpha:
                 state = proposal
         assert checked["global"] > 0 and checked["local"] > 0
+    assert calls  # the counter sees the evaluations of the proposals that are not the state
 
 
 # -- tempered context distribution ---------------------------------------------------
+
+def test_pick_state_is_rng_choice(e1, e_iso, monkeypatch):
+    """``pick_state`` replaces ``rng.choice(n, p=boltzmann)`` with a search of
+    the cached cdf; it must pick the same states from the same generator
+    state, because it relies on how numpy implements ``choice``."""
+    import treegress.inference as inf
+    from treegress.prte import sample_tree
+    from treegress.pta import compile_prior
+
+    class Fixed(np.random.Generator):
+        """A generator whose random() returns one given value; choice() draws through it."""
+
+        def __init__(self, r):
+            super().__init__(np.random.PCG64(0))
+            self.r = r
+
+        def random(self, size=None, dtype=np.float64, out=None):
+            return self.r if size is None else np.full(size, self.r)
+
+    def check(ctx, tree, addr, draws, seed):
+        p = ctx.boltzmann_marginal(tree, addr)
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = [ctx.pick_state(tree, addr, ours) for _ in range(draws)]
+        assert got == [int(ref.choice(len(p), p=p)) for _ in range(draws)]
+        assert ours.bit_generator.state == ref.bit_generator.state
+        # draws that hit a cdf entry exactly, or fall just below one, pick alike too
+        cdf = p.cumsum()
+        cdf /= cdf[-1]  # as choice() builds it
+        for r in [0.0, *cdf[cdf < 1], *np.nextafter(cdf, 0.0)]:
+            assert ctx.pick_state(tree, addr, Fixed(r)) == Fixed(r).choice(len(p), p=p), r
+        return draws
+
+    total = 0
+    cfg = McmcConfig()
+    tree = parse_tree("(g (g a))", e1.alphabet)
+    pta = compile_prior(e1)
+    gen = np.random.default_rng(12)
+    made = [[0.0, 0.5, 0.0, 0.5], [0.3, 0.7, 0.0], [0.0, 1.0], [1.0], np.eye(7)[0],
+            np.eye(7)[3], np.eye(7)[6], gen.dirichlet(np.ones(40)),
+            gen.dirichlet(np.ones(40)) * (gen.random(40) < 0.5)]
+    for i, vector in enumerate(made):  # each fed to boltzmann_marginal as the state marginal
+        monkeypatch.setattr(inf, "state_marginal", lambda *_, v=np.asarray(vector): v)
+        total += check(inf._ChainContext(e1, pta, None, cfg), tree, (1,), 6000, i)
+    monkeypatch.undo()
+    for prior in (e1, e_iso):  # real marginals, at two temperatures
+        pta = compile_prior(prior)
+        for tau in (1.0, 0.5):
+            ctx = inf._ChainContext(prior, pta, None, McmcConfig(tau=tau))
+            for t in [sample_tree(prior, gen) for _ in range(4)]:
+                for addr in t.addresses()[:6]:
+                    total += check(ctx, t, addr, 1000, total)
+    assert total >= 100_000
+
 
 def test_boltzmann_temperature_limits(e1):
     from treegress.inference import _ChainContext

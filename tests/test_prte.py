@@ -302,3 +302,62 @@ def test_isotherm_root_is_saturation_product(e_iso):
         t = sample_tree(e_iso, rng)
         assert t.symbol.name == "*"
         assert t.children[0].symbol.name == "sT#"
+
+
+def _float_accumulating_pick(choice, rng):
+    """The branch pick as it was before PChoice stored its running sums: the
+    reference that the bisect over ``PChoice.cumulative`` must reproduce."""
+    r = rng.random()
+    acc = 0.0
+    for w, branch in choice.branches:
+        acc += float(w)
+        if r < acc:
+            return branch
+    return choice.branches[-1][1]
+
+
+def _choices(e):
+    """Every PChoice node of a prior expression."""
+    pending, found = [e], []
+    while pending:
+        node = pending.pop()
+        if isinstance(node, PChoice):
+            found.append(node)
+            pending.extend(b for _, b in node.branches)
+        elif isinstance(node, PConcat):
+            pending += [node.left, node.right]
+        elif isinstance(node, PIter):
+            pending.append(node.body)
+        else:
+            pending.extend(getattr(node, "children", ()))
+    return found
+
+
+class _Fixed:
+    """A stand-in generator whose random() returns one given value."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def random(self):
+        return self.r
+
+
+def test_branch_pick_matches_the_float_accumulating_pick(all_shipped, monkeypatch):
+    import treegress.prte as prte
+
+    for name, prior in all_shipped.items():
+        fast = np.random.default_rng(5)
+        got = [sample_tree(prior, fast) for _ in range(300)]
+        with monkeypatch.context() as m:
+            m.setattr(prte, "_pick_branch", _float_accumulating_pick)
+            ref = np.random.default_rng(5)
+            want = [sample_tree(prior, ref) for _ in range(300)]
+        assert got == want, name
+        assert fast.bit_generator.state == ref.bit_generator.state, name
+        # draws at and just below every running sum, and the largest draw below 1
+        for choice in _choices(prior.root):
+            edges = [r for acc in choice.cumulative for r in (acc, math.nextafter(acc, 0.0))]
+            for r in edges + [0.0, math.nextafter(1.0, 0.0)]:
+                pick = prte._pick_branch(choice, _Fixed(r))
+                assert pick is _float_accumulating_pick(choice, _Fixed(r)), (name, r)

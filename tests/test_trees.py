@@ -23,7 +23,7 @@ from treegress.errors import (
     NotPrefixClosed,
     UnknownSymbol,
 )
-from treegress.prte import sample_expression
+from treegress.prte import sample_expression, sample_tree
 from treegress.trees import (
     RankedAlphabet,
     RankedSymbol,
@@ -301,6 +301,23 @@ def test_deep_chain_replace_validate_and_repr():
     entries = {"1" * k: "g" for k in range(3000)} | {"1" * 3000: "a"}
     assert validate_tree(entries, RankedAlphabet([g, a])) == t
     assert repr(t) == f"Tree({format_tree(t)!r})"
+
+
+def test_node_sizes_and_nth_address(all_shipped):
+    rng = np.random.default_rng(4)
+    trees = [sample_tree(prior, rng) for prior in all_shipped.values() for _ in range(40)]
+    chain = Tree(RankedSymbol("a", 0))
+    for _ in range(3000):  # built bottom-up, with no recursion
+        chain = Tree(RankedSymbol("g", 1), (chain,))
+    for t in trees + [chain]:
+        addresses = t.addresses()
+        assert t.size == len(addresses)
+        for n, addr in enumerate(addresses):
+            got, node = t.nth(n)
+            assert got == addr and node is t.node_at(addr)
+        for n in (-1, t.size):
+            with pytest.raises(IndexError):
+                t.nth(n)
 
 
 def test_replace_at_shares_subtrees_off_the_path():
