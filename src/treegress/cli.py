@@ -34,7 +34,6 @@ from .inference import (
     Draw,
     McmcConfig,
     Posterior,
-    eval_key,
     posterior_from_json,
     posterior_predict,
     posterior_to_json,
@@ -47,6 +46,7 @@ from .trees import eval_expression, format_tree, parse_tree
 
 _MCMC_FIELDS = set(McmcConfig.__dataclass_fields__)
 _RUN_CONFIG_EXTRA = {"prior", "train", "out"}
+_BANDS = ("mean", "q05", "q50", "q95")  # the posterior_predict columns that bands.csv holds
 
 
 def _default_seed() -> int:
@@ -90,7 +90,7 @@ def cmd_parse(args) -> int:
 
 def cmd_sample(args) -> int:
     prior = _resolve_prior(args.prior)
-    if args.max_depth:
+    if args.max_depth is not None:
         prior = dataclasses.replace(prior, max_depth=args.max_depth)
     if args.n < 0:
         raise InputError(f"--n must be non-negative, got {args.n}")
@@ -166,6 +166,9 @@ def _load_run_config(path, seed_override) -> tuple:
     if unknown:
         raise InputError(f"unknown config keys: {sorted(unknown)}")
     refs = {k: doc.pop(k) for k in list(doc) if k in _RUN_CONFIG_EXTRA}
+    bad = sorted(k for k, v in refs.items() if not isinstance(v, str))
+    if bad:
+        raise InputError(f"config keys {bad} must be strings (a path or a library prior name)")
     if "train" in refs and not Path(refs["train"]).exists():
         raise InputError(f"train file {refs['train']} does not exist")
     if seed_override is not None:
@@ -224,61 +227,35 @@ def cmd_report(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed) if args.with_noise else None
 
-    metrics_rows = []
-    bands_rows = []
-    bands_header = None
+    metrics_lines, bands_lines = [], []
+    exprs, index = posterior.distinct
     for data_path in args.data:
         ds = read_dataset(data_path)
         name = Path(data_path).stem
         inputs = ds.inputs()
-        per_draw = []
-        rmse_of: dict = {}  # each distinct draw is evaluated once; None: non-finite
-        for d in posterior.draws:
-            key = eval_key(d.expr)
-            if key not in rmse_of:
-                pred = eval_expression(d.expr, inputs)
-                rmse_of[key] = rmse(pred, ds.target) if np.isfinite(pred).all() else None
-            if rmse_of[key] is not None:
-                per_draw.append(rmse_of[key])
-        if per_draw:
-            mean = float(np.mean(per_draw))
-            std = float(np.std(per_draw))
-        else:
-            mean = std = math.nan
-        metrics_rows.append((name, mean, std, len(posterior.draws) - len(per_draw)))
+        # one RMSE per distinct expression, NaN where it is non-finite on the data
+        preds = [eval_expression(e, inputs) for e in exprs]
+        errors = np.array([rmse(p, ds.target) if np.isfinite(p).all() else math.nan
+                           for p in preds])[index]
+        per_draw = errors[~np.isnan(errors)]
+        mean, std = (np.mean(per_draw), np.std(per_draw)) if per_draw.size else (math.nan,) * 2
+        metrics_lines.append(f"{name},{_fmt(mean)},{_fmt(std)},{errors.size - per_draw.size}\n")
 
         bands = posterior_predict(posterior, inputs, rng=rng, strict=False)
         x_names = list(ds.header[:-1])
-        if bands_header is None:
-            bands_header = ["dataset", *x_names, "mean", "q05", "q50", "q95", "flagged"]
-        order = np.argsort(inputs[x_names[0]], kind="stable")
-        for j in order:
+        if not bands_lines:
+            bands_lines.append(",".join(["dataset", *x_names, *_BANDS, "flagged"]) + "\n")
+        columns = [inputs[v] for v in x_names] + [bands[q] for q in _BANDS]
+        for j in np.argsort(inputs[x_names[0]], kind="stable"):
+            cells = ",".join(_fmt(c[j]) for c in columns)
             flagged = int(bands["dropped"][j] == len(posterior.draws))
-            bands_rows.append(
-                (
-                    name,
-                    *[inputs[v][j] for v in x_names],
-                    bands["mean"][j],
-                    bands["q05"][j],
-                    bands["q50"][j],
-                    bands["q95"][j],
-                    flagged,
-                )
-            )
+            bands_lines.append(f"{name},{cells},{flagged}\n")
 
     metrics_path = out_dir / "metrics.csv"
-    with open(metrics_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("dataset,rmse_mean,rmse_std,dropped_draws\n")
-        for name, mean, std, dropped in metrics_rows:
-            fh.write(f"{name},{_fmt(mean)},{_fmt(std)},{dropped}\n")
+    metrics_path.write_text("dataset,rmse_mean,rmse_std,dropped_draws\n" + "".join(metrics_lines),
+                            encoding="utf-8", newline="\n")
     bands_path = out_dir / "bands.csv"
-    with open(bands_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(bands_header) + "\n")
-        for row in bands_rows:
-            cells = [row[0]] + [
-                _fmt(v) if isinstance(v, float) else str(v) for v in row[1:]
-            ]
-            fh.write(",".join(cells) + "\n")
+    bands_path.write_text("".join(bands_lines), encoding="utf-8", newline="\n")
     print(str(metrics_path))
     print(str(bands_path))
     return 0

@@ -176,6 +176,9 @@ def read_dataset(path) -> Dataset:
         lines = [(no, line.strip()) for no, line in enumerate(fh, start=2) if line.strip()]
     if not header or not all(header):
         raise InputError(f"{path}: missing header")
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise InputError(f"{path}: the header repeats the column '{name}'")
     rows = []
     for no, line in lines:
         cells = line.split(",")

@@ -30,6 +30,7 @@ import math
 import numbers
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -139,12 +140,27 @@ class Draw:
     log_post: float
 
 
+def eval_key(expr: SymbolicExpression) -> tuple:
+    """Draws with equal keys evaluate to the same bytes.  Parameters are keyed
+    by their hex form, which keeps -0.0 apart from 0.0."""
+    return expr.tree, expr.ties, expr.theta_d, tuple(v.hex() for v in expr.theta_c)
+
+
 @dataclass(frozen=True)
 class Posterior:
     draws: tuple
     accept_stats: dict
     config: McmcConfig
     seed: int
+
+    @cached_property
+    def distinct(self) -> tuple:
+        """(the draws' distinct expressions by ``eval_key``, in order of first
+        appearance; each draw's index into them).  A summary evaluates each
+        distinct expression once and gathers per-draw results by index."""
+        first: dict = {}  # eval_key -> (index, expression)
+        index = [first.setdefault(eval_key(d.expr), (len(first), d.expr))[0] for d in self.draws]
+        return tuple(expr for _, expr in first.values()), np.array(index, dtype=np.intp)
 
 
 # -- likelihood -------------------------------------------------------------------
@@ -394,7 +410,7 @@ def _jump_to(state, ctx, tree, ties, rng, log_fwd, log_rev, log_tree=None):
     theta_d_new, disc_fwd, disc_rev = _disc_jump(
         state.expr.theta_d, n_disc, ctx.prior.theta_d_support, rng
     )
-    expr = SymbolicExpression(tree, tuple(theta_new), theta_d_new, ties)
+    expr = SymbolicExpression(tree, tuple(theta_new.tolist()), theta_d_new, ties)
     proposal = ctx.make_state(expr, state.sigma, log_tree)
     return proposal, log_fwd + log_pu + disc_fwd - logdet, log_rev + log_pu_rev + disc_rev
 
@@ -442,13 +458,15 @@ def propose_params(state: ChainState, ctx: _ChainContext, rng):
     """Joint Gaussian random walk on the continuous parameters.  The step
     scale is multiplied by a symmetric random factor so that parameters of
     very different magnitudes all mix; the proposal stays symmetric."""
-    theta = np.asarray(state.expr.theta_c, dtype=float)
-    if theta.size == 0:
+    theta = state.expr.theta_c  # Python floats, whose overflow gives inf without a warning
+    if not theta:
         return state, 0.0, 0.0
     mult = _STEP_MULTIPLIERS[int(rng.integers(len(_STEP_MULTIPLIERS)))]
     step = ctx.config.step_theta * mult
-    theta_new = theta + step * rng.standard_normal(theta.size)
-    expr = state.expr.with_theta_c(theta_new.tolist())
+    theta_new = [t + step * z for t, z in zip(theta, rng.standard_normal(len(theta)).tolist())]
+    if not all(map(math.isfinite, theta_new)):  # an overflowing step aborts the move
+        return None
+    expr = state.expr.with_theta_c(theta_new)
     proposal = ctx.make_state(expr, state.sigma, state.log_prior_tree)
     return proposal, 0.0, 0.0
 
@@ -475,8 +493,9 @@ _PROPOSERS = {
 def run_chain(prior: PriorSpec, data, config: McmcConfig, on_draw=None) -> Posterior:
     """Burn in, then record every thin-th state of the next `samples` steps.
     Fully deterministic given the seed.  Aborted moves (impossible regrow,
-    depth overflow) count as rejections so the kernel is total.  ``on_draw``
-    is called with each Draw as it is recorded (partial-trace collection)."""
+    depth overflow, a non-finite parameter step) count as rejections so the
+    kernel is total.  ``on_draw`` is called with each Draw as it is recorded
+    (partial-trace collection)."""
     if prior.max_depth != config.max_depth:
         prior = replace(prior, max_depth=config.max_depth)
     pta = compile_prior(prior, config.state_budget)
@@ -562,30 +581,18 @@ def run_chains(prior: PriorSpec, data, config: McmcConfig, chains: int, on_draw=
     merged in chain order."""
     if chains < 1:
         raise InputError(f"chains must be at least 1, got {chains}")
-    if chains == 1:
-        return run_chain(prior, data, config, on_draw=on_draw)
-    seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(config.seed).spawn(chains)]
-    draws = []
-    stats = {move: {"proposed": 0, "accepted": 0, "aborted": 0} for move in MOVES}
-    for chain_seed in seeds:
-        post = run_chain(prior, data, replace(config, seed=chain_seed), on_draw=on_draw)
-        draws.extend(post.draws)
-        for move in MOVES:
-            for key in stats[move]:
-                stats[move][key] += post.accept_stats[move][key]
-    return Posterior(tuple(draws), stats, config, config.seed)
+    seeds = [config.seed] if chains == 1 else [
+        int(s.generate_state(1)[0]) for s in np.random.SeedSequence(config.seed).spawn(chains)]
+    posts = [run_chain(prior, data, replace(config, seed=seed), on_draw=on_draw) for seed in seeds]
+    stats = {move: {key: sum(p.accept_stats[move][key] for p in posts) for key in counts}
+             for move, counts in posts[0].accept_stats.items()}
+    return Posterior(tuple(d for p in posts for d in p.draws), stats, config, config.seed)
 
 
 # -- posterior summaries ------------------------------------------------------------------
 
 
 _BAND_BLOCK = 256  # points per vectorised block in posterior_predict
-
-
-def eval_key(expr: SymbolicExpression) -> tuple:
-    """Draws with equal keys evaluate to the same bytes.  Parameters are keyed
-    by their hex form, which keeps -0.0 apart from 0.0."""
-    return expr.tree, expr.ties, expr.theta_d, tuple(v.hex() for v in expr.theta_c)
 
 
 def posterior_predict(posterior: Posterior, inputs, rng=None, strict=True):
@@ -599,17 +606,13 @@ def posterior_predict(posterior: Posterior, inputs, rng=None, strict=True):
     if not posterior.draws:
         raise InputError("posterior holds no draws")
     inputs = {k: np.asarray(v, dtype=float) for k, v in inputs.items()}
-    n = len(next(iter(inputs.values()))) if inputs else 1
-    values = np.empty((n, len(posterior.draws)))  # one row per point
-    preds: dict = {}
-    for i, draw in enumerate(posterior.draws):
-        key = eval_key(draw.expr)
-        pred = preds.get(key)
-        if pred is None:
-            pred = preds[key] = eval_expression(draw.expr, inputs)
-        if rng is not None:
-            pred = pred + draw.sigma * rng.standard_normal(n)
-        values[:, i] = pred
+    exprs, index = posterior.distinct
+    # one row per point, one column per draw; C order, as the row reductions below assume
+    values = np.take(np.column_stack([eval_expression(e, inputs) for e in exprs]), index, axis=1)
+    n = values.shape[0]
+    if rng is not None:  # one noise vector per draw, drawn in draw order
+        sigmas = np.array([d.sigma for d in posterior.draws])
+        values += sigmas * rng.standard_normal((sigmas.size, n)).T
     finite = np.isfinite(values)
     dropped = (~finite).sum(axis=1)
     if strict and (dropped == len(posterior.draws)).any():

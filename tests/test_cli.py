@@ -76,11 +76,14 @@ MARKED = {"name": "t", "expression": "choice{ 1/2: k#, 1/2: b }",
          "finite"),
         ("config", [], "one JSON object"),
         ("config", {"tau": math.nan}, "tau must be finite"),
+        ("config", {"train": 5}, "['train'] must be strings"),
+        ("config", {"prior": ["E_iso"]}, "['prior'] must be strings"),
+        ("config", {"out": None, "train": "x.csv"}, "['out'] must be strings"),
     ],
     ids=["prior-not-object", "expression-5", "max-depth-deep", "markers-list", "exp-no-rate",
          "support-a", "shared-5", "anchor-no-rank", "variables-ab", "name-5", "max-depth-true",
          "max-depth-2.7", "rate-inf", "rate-nan", "stddev-nan", "mean-inf", "config-list",
-         "tau-nan"],
+         "tau-nan", "train-5", "prior-list", "out-null"],
 )
 def test_malformed_prior_or_run_config_exits_2(capsys, tmp_path, kind, doc, message):
     path = tmp_path / f"{kind}.json"
@@ -139,6 +142,16 @@ def test_fit_nonpositive_chains_exits_2(capsys, tmp_path, chains):
     assert doc["error"] == "InputError"
     assert "--chains" in doc["message"]
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_sample_nonpositive_max_depth_exits_2(capsys, depth):
+    code, out, err = run_cli(capsys, "sample", "--prior", "E_1", "--n", "1", "--max-depth", depth)
+    assert code == 2
+    assert out == ""
+    doc = json.loads(err.strip())
+    assert doc["error"] == "InputError"
+    assert "max_depth" in doc["message"]
 
 
 def test_sample_deterministic(capsys):
@@ -312,6 +325,21 @@ def test_fit_rejects_unusable_train_csv(capsys, tmp_path, body, message):
     assert message in doc["message"]
 
 
+def test_fit_overflowing_parameter_step_aborts_the_move(capsys, tmp_path):
+    train = tmp_path / "train.csv"
+    train.write_text("c,s\n1.0,2.0\n2.0,3.0\n")
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"burn_in": 50, "samples": 10, "thin": 1, "step_theta": 1e308}))
+    out_path = tmp_path / "p.json"
+    code, _, err = run_cli(
+        capsys, "fit", "--prior", "E_iso", "--train", str(train), "--config", str(config),
+        "--out", str(out_path),
+    )
+    assert code == 0, err
+    assert err == ""
+    assert json.loads(out_path.read_text())["accept_stats"]["params"]["aborted"] > 0
+
+
 # -- report ----------------------------------------------------------------------
 
 def test_report_from_fit(capsys, fitted):
@@ -422,6 +450,7 @@ def _hand_posterior(tmp_path, config=None):
         ("c,s\n1.0,2.0\n3.0\n", "line 3 has 1 cells"),
         ("c,s\n1.0,2.0\n3.0,4.0,5.0\n", "line 3 has 3 cells"),
         ("c,s\n1.0,abc\n", "line 2 holds a non-numeric cell"),
+        ("c,c,s\n1.0,2.0,3.0\n", "the header repeats the column 'c'"),
     ],
 )
 def test_malformed_csv_exits_2(capsys, tmp_path, body, message):
@@ -513,3 +542,23 @@ def test_report_evaluates_each_distinct_draw_once(capsys, tmp_path, monkeypatch)
     row = (tmp_path / "rep" / "metrics.csv").read_text().splitlines()[1].split(",")
     # per-draw rmse: sqrt(2.5) for each of the three c# = 1 draws, 0 for c# = 2
     assert float(row[1]) == pytest.approx(0.75 * math.sqrt(2.5))
+
+
+def test_report_keys_each_draw_once(capsys, tmp_path, monkeypatch):
+    import treegress.cli
+    import treegress.inference
+
+    assert not hasattr(treegress.cli, "eval_key")  # the posterior decides which draws agree
+    calls = []
+    real = treegress.inference.eval_key
+    monkeypatch.setattr(treegress.inference, "eval_key",
+                        lambda expr: calls.append(expr) or real(expr))
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    first.write_text("c,s\n1.0,2.0\n2.0,4.0\n")
+    second.write_text("c,s\n3.0,6.0\n")
+    code, _, err = run_cli(
+        capsys, "report", "--posterior", str(_hand_posterior(tmp_path)),
+        "--data", str(first), str(second), "--out-dir", str(tmp_path / "rep"),
+    )
+    assert code == 0, err
+    assert len(calls) == 4  # the four draws of the posterior, over both datasets

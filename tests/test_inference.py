@@ -427,6 +427,19 @@ def test_nonfinite_draws_dropped_pointwise():
     assert out["mean"][0] == pytest.approx(0.0)
 
 
+def test_posterior_distinct_table():
+    # equal expressions share an entry; -0.0 and 0.0 are told apart by eval_key
+    a, b, c = (expr_of("c#", theta_c=(v,)) for v in (1.0, -0.0, 0.0))
+    draws = [Draw(e, 0.1, -1.0) for e in (a, b, expr_of("c#", theta_c=(1.0,)), c, b)]
+    post = make_posterior(draws)
+    exprs, index = post.distinct
+    assert exprs == (a, b, c) and exprs[0] is a
+    assert index.tolist() == [0, 1, 0, 2, 1]
+    assert post.distinct is post.distinct  # built once, on first use
+    empty = make_posterior([]).distinct
+    assert empty[0] == () and empty[1].tolist() == []
+
+
 @pytest.mark.parametrize("noise", [False, True])
 def test_bands_match_a_per_point_loop(noise):
     # repeated draws, and draws that are non-finite at the negative inputs
