@@ -229,10 +229,19 @@ def cmd_report(args) -> int:
 
     metrics_lines, bands_lines = [], []
     exprs, index = posterior.distinct
+    x_names = None  # the first dataset's input columns, in its header's order
     for data_path in args.data:
         ds = read_dataset(data_path)
         name = Path(data_path).stem
         inputs = ds.inputs()
+        if x_names is None:
+            x_names = list(inputs)
+            if not x_names:
+                raise InputError(f"{data_path}: no input columns besides the target")
+            bands_lines.append(",".join(["dataset", *x_names, *_BANDS, "flagged"]) + "\n")
+        elif set(inputs) != set(x_names):
+            raise InputError(f"{data_path}: input columns {sorted(inputs)} differ from "
+                             f"the first dataset's {sorted(x_names)}")
         # one RMSE per distinct expression, NaN where it is non-finite on the data
         preds = [eval_expression(e, inputs) for e in exprs]
         errors = np.array([rmse(p, ds.target) if np.isfinite(p).all() else math.nan
@@ -242,9 +251,6 @@ def cmd_report(args) -> int:
         metrics_lines.append(f"{name},{_fmt(mean)},{_fmt(std)},{errors.size - per_draw.size}\n")
 
         bands = posterior_predict(posterior, inputs, rng=rng, strict=False)
-        x_names = list(ds.header[:-1])
-        if not bands_lines:
-            bands_lines.append(",".join(["dataset", *x_names, *_BANDS, "flagged"]) + "\n")
         columns = [inputs[v] for v in x_names] + [bands[q] for q in _BANDS]
         for j in np.argsort(inputs[x_names[0]], kind="stable"):
             cells = ",".join(_fmt(c[j]) for c in columns)

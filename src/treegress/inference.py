@@ -329,11 +329,11 @@ class _ChainContext:
     def log_prior_tree(self, tree: Tree) -> float:
         return _log(self.pta.initial @ self.inside(tree))
 
-    def boltzmann_marginal(self, tree: Tree, addr):
-        """Tempered distribution of the state at ``addr`` given the rest of
-        the tree; zero-probability states stay excluded for any temperature.
-        Its cumulative sum, normalised as ``Generator.choice`` normalises it,
-        is cached beside it for ``pick_state``."""
+    def boltzmann_marginal(self, tree: Tree, addr) -> tuple:
+        """(tempered distribution of the state at ``addr`` given the rest of
+        the tree, its cumulative sum normalised as ``Generator.choice``
+        normalises it); zero-probability states stay excluded for any
+        temperature.  Searching the cdf picks the state ``rng.choice`` would."""
         key = (tree, addr)
         cached = self.marginal_cache.get(key)
         if cached is None:
@@ -347,12 +347,7 @@ class _ChainContext:
             cdf = weights.cumsum()
             cdf /= cdf[-1]
             cached = _bounded_put(self.marginal_cache, key, (weights, cdf))
-        return cached[0]
-
-    def pick_state(self, tree: Tree, addr, rng) -> int:
-        """The state ``rng.choice`` would pick from ``boltzmann_marginal(tree,
-        addr)``, drawn the same way from the cdf that call cached."""
-        return int(self.marginal_cache[tree, addr][1].searchsorted(rng.random(), side="right"))
+        return cached
 
     def log_prior_params(self, expr: SymbolicExpression) -> float:
         total = 0.0  # the interned tags fit expr.ties, as every state's ties come from intern
@@ -433,10 +428,10 @@ def propose_local(state: ChainState, ctx: _ChainContext, rng):
     n_nodes = tree.size
     addr, old_sub = tree.nth(int(rng.integers(n_nodes)))
     try:
-        boltzmann = ctx.boltzmann_marginal(tree, addr)
+        boltzmann, cdf = ctx.boltzmann_marginal(tree, addr)
     except ImpossibleContext:
         return None
-    start = ctx.pick_state(tree, addr, rng)
+    start = int(cdf.searchsorted(rng.random(), side="right"))
     try:
         new_sub = sample_from_state(ctx.pta, start, rng, ctx.config.max_depth)
     except DepthBudgetExhausted:

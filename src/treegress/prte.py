@@ -35,7 +35,6 @@ from .errors import (
     NonTerminatingIter,
     PrteSyntaxError,
     UnboundVariable,
-    UnknownSymbol,
     WeightSumError,
 )
 from .trees import (
@@ -308,43 +307,26 @@ class _Parser:
         return PSymbol(RankedSymbol(name, 0))
 
 
-def parse_prte(text: str, alphabet: RankedAlphabet | None = None) -> Prte:
-    """Parse the textual form.  With an explicit alphabet every symbol must
-    resolve against it; otherwise symbols are taken at their observed rank.
-    The result is validated: scopes close, weights sum to one, and every
-    iteration can terminate."""
+def _parse(text: str) -> Prte:
+    """Parse the textual form, checking its syntax only."""
     parser = _Parser(text)
-    expr = parser.parse_prte()
+    try:
+        expr = parser.parse_prte()
+    except RecursionError:
+        raise InputError("the expression nests too deeply to parse") from None
     tail = parser.peek()
     if tail.kind != "eof":
         raise PrteSyntaxError(f"trailing input {tail.text!r}", tail.line, tail.col)
-    if alphabet is not None:
-        for sym in collect_symbols(expr):
-            if not alphabet.has(sym.name, sym.rank):
-                raise UnknownSymbol(f"symbol '{sym.name}/{sym.rank}' not in alphabet")
-    _Resolution(expr)  # raises on unbound variables / dead iterations
     return expr
 
 
-def collect_symbols(e: Prte) -> set:
-    out = set()
-
-    def walk(node):
-        if isinstance(node, PSymbol):
-            out.add(node.symbol)
-            for c in node.children:
-                walk(c)
-        elif isinstance(node, PChoice):
-            for _, b in node.branches:
-                walk(b)
-        elif isinstance(node, PConcat):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, PIter):
-            walk(node.body)
-
-    walk(e)
-    return out
+def parse_prte(text: str) -> Prte:
+    """Parse the textual form; symbols are taken at their observed rank.
+    The result is validated: scopes close, weights sum to one, and every
+    iteration can terminate."""
+    expr = _parse(text)
+    _Resolution(expr)  # raises on unbound variables / dead iterations
+    return expr
 
 
 # -- scope resolution and static analysis ---------------------------------------
@@ -365,10 +347,13 @@ class _Resolution:
         self.var_target: dict[int, Prte] = {}
         self.nodes: list[Prte] = []
         self._seen_scopes: dict[int, dict] = {}
-        self._resolve(root, {})
-        self._check_productive()
+        try:
+            self._resolve(root, {})
+            self._check_productive()
+            self.reach = self._compute_reach()
+        except RecursionError:
+            raise InputError("the expression nests too deeply to analyse") from None
         self.symbol_nodes = [n for n in self.nodes if isinstance(n, PSymbol)]
-        self.reach = self._compute_reach()
 
     # resolution ----------------------------------------------------------
 
@@ -636,29 +621,29 @@ class MarkerPrior:
 
 @dataclass(frozen=True)
 class PriorSpec:
-    """A validated prior: expression, alphabet, marker priors, sampler limits.
+    """A validated prior: expression, marker priors, sampler limits.
 
-    ``shared`` optionally ties all markers of a tag that sit under the same
-    nearest ancestor of a given (name, rank); tied occurrences consume a
-    single parameter entry.
+    ``alphabet`` is derived, not given: the symbols the expression uses plus
+    the declared input ``variables``, each as a leaf.  ``shared`` optionally
+    ties all markers of a tag that sit under the same nearest ancestor of a
+    given (name, rank); tied occurrences consume a single parameter entry.
     """
 
     name: str
-    alphabet: RankedAlphabet
     root: Prte
     max_depth: int = DEFAULT_MAX_DEPTH
     markers: dict = field(default_factory=dict)  # tag -> MarkerPrior
     theta_d_support: tuple = ()
     shared: dict = field(default_factory=dict)  # tag -> (name, rank)
     variables: tuple = ()
+    alphabet: RankedAlphabet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        graph = _Resolution(self.root)
+        object.__setattr__(self, "_graph", graph)
         if self.max_depth <= 0:
             raise InputError("max_depth must be positive")
-        used = collect_symbols(self.root)
-        for sym in used:
-            if not self.alphabet.has(sym.name, sym.rank):
-                raise UnknownSymbol(f"symbol '{sym.name}/{sym.rank}' not in alphabet")
+        used = {n.symbol for n in graph.symbol_nodes}
         used_tags = {s.name for s in used if is_const_marker(s)}
         declared = set(self.markers)
         if used_tags - declared:
@@ -670,7 +655,8 @@ class PriorSpec:
         object.__setattr__(
             self, "theta_d_support", tuple(Fraction(v) for v in self.theta_d_support)
         )
-        object.__setattr__(self, "_graph", _Resolution(self.root))
+        leaves = {RankedSymbol(v, 0) for v in self.variables}
+        object.__setattr__(self, "alphabet", RankedAlphabet(used | leaves))
 
     @property
     def graph(self) -> _Resolution:
@@ -830,13 +816,11 @@ def build_prior(
     max_depth: int = DEFAULT_MAX_DEPTH,
     shared=None,
 ) -> PriorSpec:
-    """Assemble and validate a prior from its textual expression.  The
-    alphabet is exactly the symbols used plus the declared input variables."""
-    expr = parse_prte(expression)
-    symbols = collect_symbols(expr)
-    for v in variables:
-        symbols.add(RankedSymbol(v, 0))
-    alphabet = RankedAlphabet(symbols)
+    """Assemble and validate a prior from its textual expression.  Only the
+    syntax is checked here; ``PriorSpec`` runs the static analysis once and
+    derives the alphabet: exactly the symbols used plus the declared input
+    variables."""
+    expr = _parse(expression)
     marker_priors = {}
     for tag, spec in (markers or {}).items():
         if isinstance(spec, MarkerPrior):
@@ -857,7 +841,6 @@ def build_prior(
         raise InputError(f"theta_d_support: {exc}") from exc
     return PriorSpec(
         name=name,
-        alphabet=alphabet,
         root=expr,
         max_depth=max_depth,
         markers=marker_priors,

@@ -562,3 +562,82 @@ def test_report_keys_each_draw_once(capsys, tmp_path, monkeypatch):
     )
     assert code == 0, err
     assert len(calls) == 4  # the four draws of the posterior, over both datasets
+
+
+def test_report_writes_every_dataset_in_the_first_header_order(capsys, tmp_path, e_hyp):
+    from treegress.experiments import HyperelasticSpec, gen_hyperelastic
+    from treegress.prte import sample_expression
+
+    rng = np.random.default_rng(3)
+    draws = tuple(Draw(sample_expression(e_hyp, rng), 0.1, -1.0) for _ in range(3))
+    post_path = tmp_path / "p.json"
+    post_path.write_text(posterior_to_json(Posterior(draws, {}, McmcConfig(), 0)))
+    first = tmp_path / "test1.csv"
+    gen_hyperelastic(HyperelasticSpec(), seed=7)["test1"].to_csv(first)
+    rows = [line.split(",") for line in first.read_text().splitlines()]
+    l1, l2 = rows[0].index("l1"), rows[0].index("l2")
+    for row in rows:
+        row[l1], row[l2] = row[l2], row[l1]
+    swapped = tmp_path / "swapped.csv"
+    swapped.write_text("".join(",".join(row) + "\n" for row in rows))
+    code, _, err = run_cli(
+        capsys, "report", "--posterior", str(post_path),
+        "--data", str(first), str(swapped), "--out-dir", str(tmp_path / "rep"),
+    )
+    assert code == 0, err
+    bands = (tmp_path / "rep" / "bands.csv").read_text().splitlines()
+    assert bands[0].startswith("dataset,l1,l2,l3,")
+    ours = [row.split(",", 1) for row in bands[1:]]
+    assert [rest for name, rest in ours if name == "test1"] == \
+        [rest for name, rest in ours if name == "swapped"]
+    assert len(ours) == 2 * (len(rows) - 1)
+
+
+@pytest.mark.parametrize(
+    "second, message",
+    [("c,s\n1.0,2.0\n", "input columns ['c'] differ"),
+     ("s\n1.0\n", "input columns [] differ")],
+)
+def test_report_other_input_columns_exit_2(capsys, tmp_path, second, message):
+    first, other = tmp_path / "a.csv", tmp_path / "b.csv"
+    first.write_text("c,d,s\n1.0,1.0,2.0\n")
+    other.write_text(second)
+    code, _, err = run_cli(
+        capsys, "report", "--posterior", str(_hand_posterior(tmp_path)),
+        "--data", str(first), str(other), "--out-dir", str(tmp_path / "rep"),
+    )
+    assert code == 2
+    doc = json.loads(err.strip())
+    assert doc["error"] == "InputError"
+    assert message in doc["message"]
+
+
+def test_report_target_only_csv_exits_2(capsys, tmp_path):
+    post = Posterior((Draw(SymbolicExpression(parse_tree("(* 2 3)")), 0.1, -1.0),), {},
+                     McmcConfig(), 0)
+    post_path = tmp_path / "p.json"
+    post_path.write_text(posterior_to_json(post))
+    data_path = tmp_path / "d.csv"
+    data_path.write_text("s\n6.0\n6.0\n")
+    code, _, err = run_cli(
+        capsys, "report", "--posterior", str(post_path),
+        "--data", str(data_path), "--out-dir", str(tmp_path / "rep"),
+    )
+    assert code == 2
+    doc = json.loads(err.strip())
+    assert doc["error"] == "InputError"
+    assert "no input columns" in doc["message"]
+
+
+@pytest.mark.parametrize("depth, code", [(300, 0), (600, 2)])
+def test_parse_deeply_nested_prior(capsys, tmp_path, depth, code):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"name": "deep", "expression": "f(" * depth + "a" + ")" * depth}))
+    got, out, err = run_cli(capsys, "parse", "--prior", str(path))
+    assert got == code, err
+    if code:
+        doc = json.loads(err.strip())
+        assert doc["error"] == "InputError"
+        assert "nests too deeply" in doc["message"]
+    else:
+        assert out.splitlines()[0] == "f(" * depth + "a" + ")" * depth

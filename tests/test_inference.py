@@ -565,7 +565,7 @@ def _full_path(move, state, ctx, rng):
     else:
         old = state.expr.tree
         addr = list(old.walk())[int(rng.integers(old.size))][0]
-        boltzmann = ctx.boltzmann_marginal(old, addr)
+        boltzmann, _ = ctx.boltzmann_marginal(old, addr)
         start = int(rng.choice(len(boltzmann), p=boltzmann))
         new_sub = sample_from_state(ctx.pta, start, rng, ctx.config.max_depth)
         tree, ties, _ = ctx.intern(old.replace_at(addr, new_sub))
@@ -641,9 +641,10 @@ def test_identity_proposals_match_the_full_path(e_iso, e_hyp, monkeypatch):
 # -- tempered context distribution ---------------------------------------------------
 
 def test_pick_state_is_rng_choice(e1, e_iso, monkeypatch):
-    """``pick_state`` replaces ``rng.choice(n, p=boltzmann)`` with a search of
-    the cached cdf; it must pick the same states from the same generator
-    state, because it relies on how numpy implements ``choice``."""
+    """``propose_local`` replaces ``rng.choice(n, p=boltzmann)`` with a search
+    of the cdf ``boltzmann_marginal`` returns beside it; it must pick the same
+    states from the same generator state, because it relies on how numpy
+    implements ``choice``."""
     import treegress.inference as inf
     from treegress.prte import sample_tree
     from treegress.pta import compile_prior
@@ -659,16 +660,20 @@ def test_pick_state_is_rng_choice(e1, e_iso, monkeypatch):
             return self.r if size is None else np.full(size, self.r)
 
     def check(ctx, tree, addr, draws, seed):
-        p = ctx.boltzmann_marginal(tree, addr)
+        p, cdf = ctx.boltzmann_marginal(tree, addr)
+
+        def pick(rng):  # the search propose_local makes
+            return int(cdf.searchsorted(rng.random(), side="right"))
+
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = [ctx.pick_state(tree, addr, ours) for _ in range(draws)]
+        got = [pick(ours) for _ in range(draws)]
         assert got == [int(ref.choice(len(p), p=p)) for _ in range(draws)]
         assert ours.bit_generator.state == ref.bit_generator.state
         # draws that hit a cdf entry exactly, or fall just below one, pick alike too
-        cdf = p.cumsum()
-        cdf /= cdf[-1]  # as choice() builds it
-        for r in [0.0, *cdf[cdf < 1], *np.nextafter(cdf, 0.0)]:
-            assert ctx.pick_state(tree, addr, Fixed(r)) == Fixed(r).choice(len(p), p=p), r
+        edges = p.cumsum()
+        edges /= edges[-1]  # as choice() builds it
+        for r in [0.0, *edges[edges < 1], *np.nextafter(edges, 0.0)]:
+            assert pick(Fixed(r)) == Fixed(r).choice(len(p), p=p), r
         return draws
 
     total = 0
@@ -705,7 +710,7 @@ def test_boltzmann_temperature_limits(e1):
 
     def boltzmann(tau):
         cfg = McmcConfig(burn_in=1, samples=10, thin=1, tau=tau)
-        return _ChainContext(e1, pta, None, cfg).boltzmann_marginal(tree, addr)
+        return _ChainContext(e1, pta, None, cfg).boltzmann_marginal(tree, addr)[0]
 
     # unit temperature reproduces the marginal itself
     assert np.allclose(boltzmann(1.0), raw)

@@ -21,6 +21,7 @@ import pytest
 
 from treegress.errors import (
     DepthBudgetExhausted,
+    InputError,
     NonTerminatingIter,
     PrteSyntaxError,
     UnboundVariable,
@@ -30,15 +31,18 @@ from treegress.prte import (
     PChoice,
     PConcat,
     PIter,
+    PriorSpec,
+    PSymbol,
     build_prior,
     compute_ties,
     format_prte,
+    load_prior,
     parse_prte,
     prte_density,
     sample_expression,
     sample_tree,
 )
-from treegress.trees import parse_tree
+from treegress.trees import RankedSymbol, parse_tree
 
 
 # -- parsing ---------------------------------------------------------------------
@@ -88,6 +92,76 @@ def test_noop_iteration_allowed():
     # iterating a variable that never occurs in the body is a no-op
     e = parse_prte("iter $z { a }")
     assert isinstance(e, PIter)
+
+
+def test_load_prior_analyses_the_expression_once(monkeypatch):
+    import importlib.resources
+
+    import treegress.prte as prte
+
+    made = []
+
+    class Counted(prte._Resolution):
+        def __init__(self, root):
+            made.append(root)
+            super().__init__(root)
+
+    monkeypatch.setattr(prte, "_Resolution", Counted)
+    for path in (importlib.resources.files("treegress") / "priors").iterdir():
+        made.clear()
+        load_prior(str(path))
+        assert len(made) == 1, path.name
+
+
+def _walk_symbols(e) -> set:
+    """Every symbol of the expression, by a walk of its constructors."""
+    if isinstance(e, PSymbol):
+        return {e.symbol}.union(*map(_walk_symbols, e.children))
+    if isinstance(e, PChoice):
+        return set().union(*(_walk_symbols(b) for _, b in e.branches))
+    if isinstance(e, PConcat):
+        return _walk_symbols(e.left) | _walk_symbols(e.right)
+    if isinstance(e, PIter):
+        return _walk_symbols(e.body)
+    return set()
+
+
+def test_alphabet_is_the_symbols_used_plus_the_variables(all_shipped):
+    for name, prior in all_shipped.items():
+        want = _walk_symbols(prior.root) | {RankedSymbol(v, 0) for v in prior.variables}
+        assert prior.alphabet.symbol_keys() == {(s.name, s.rank) for s in want}, name
+    # a variable the expression also names is one symbol; so is a repeated variable
+    prior = build_prior("t", "choice{ 1/2: +(x, y), 1/2: x }", variables=["x", "z", "z"])
+    assert prior.alphabet.symbol_keys() == {("+", 2), ("x", 0), ("y", 0), ("z", 0)}
+
+
+@pytest.mark.parametrize(
+    "expression, markers, error",
+    [
+        ("choice{ 1/2: a, 1/2 b }", {}, PrteSyntaxError),
+        ("choice{ 1/2: a, 1/3: b }", {}, WeightSumError),
+        ("f($x)", {}, UnboundVariable),
+        ("iter $x { f($x) }", {}, NonTerminatingIter),
+        ("+(k#, a)", {}, InputError),
+    ],
+    ids=["syntax", "weight-sum", "unbound", "non-terminating", "undeclared-marker"],
+)
+def test_single_fault_priors_raise_their_error(expression, markers, error):
+    with pytest.raises(InputError) as exc:
+        build_prior("bad", expression, markers=markers)
+    assert type(exc.value) is error
+
+
+def test_too_deep_an_expression_is_an_input_error():
+    deep = PSymbol(RankedSymbol("a", 0))
+    for _ in range(3000):
+        deep = PSymbol(RankedSymbol("f", 1), (deep,))
+    with pytest.raises(InputError, match="nests too deeply to analyse"):
+        PriorSpec("deep", deep)
+    with pytest.raises(InputError, match="nests too deeply to parse"):
+        parse_prte("f(" * 600 + "a" + ")" * 600)
+    text = "f(" * 300 + "a" + ")" * 300
+    assert format_prte(parse_prte(text)) == text
 
 
 # -- canonical printing -------------------------------------------------------------

@@ -186,8 +186,9 @@ def test_boltzmann_marginal_is_the_context_marginal(all_shipped):
             t = sample_tree(prior, rng)
             for addr in t.addresses():
                 want = context_marginal(pta, t.replace_at(addr, Tree(HOLE)))
-                got = ctx.boltzmann_marginal(t, addr)
+                got, cdf = ctx.boltzmann_marginal(t, addr)
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+                np.testing.assert_array_equal(cdf, got.cumsum() / got.cumsum()[-1])
 
 
 # -- context marginals ----------------------------------------------------------------
