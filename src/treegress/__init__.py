@@ -23,7 +23,6 @@ from .inference import (
     McmcConfig,
     Posterior,
     expand_params,
-    log_likelihood,
     posterior_predict,
     run_chain,
     run_chains,
@@ -49,8 +48,6 @@ from .trees import (
     eval_expression,
     format_tree,
     parse_tree,
-    positions_of,
-    validate_tree,
 )
 
 __version__ = "0.1.0"

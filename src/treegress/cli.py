@@ -26,7 +26,7 @@ from .experiments import (
     gen_hyperelastic,
     gen_isotherm,
     isotherm_spec,
-    prior_library,
+    prior_documents,
     read_dataset,
     rmse,
 )
@@ -57,9 +57,9 @@ def _default_seed() -> int:
 def _resolve_prior(ref: str) -> PriorSpec:
     if Path(ref).exists():
         return load_prior(ref)
-    library = prior_library()
+    library = prior_documents()
     if ref in library:
-        return library[ref]
+        return load_prior(library[ref])
     raise InputError(
         f"'{ref}' is neither a prior file nor a library prior "
         f"(known: {', '.join(sorted(library))})"

@@ -21,19 +21,9 @@ class RuntimeFailure(TreegressError):
 
 # -- tree construction --------------------------------------------------------
 
-class NotPrefixClosed(InputError):
-    def __init__(self, address):
-        self.address = address
-        super().__init__(f"address {format_address(address)} has no parent in the map")
-
-
 class ArityMismatch(InputError):
-    def __init__(self, address, symbol, expected, got):
-        self.address = address
-        super().__init__(
-            f"symbol '{symbol}' at address {format_address(address)} "
-            f"has rank {expected} but {got} children"
-        )
+    def __init__(self, symbol, expected, got):
+        super().__init__(f"symbol '{symbol}' has rank {expected} but {got} children")
 
 
 class UnknownSymbol(InputError):
@@ -91,11 +81,3 @@ class LengthMismatch(InputError):
 
 class AllDrawsNonFinite(RuntimeFailure):
     pass
-
-
-def format_address(address) -> str:
-    """Render a child-index path the way it is printed everywhere: 1-based,
-    digits concatenated, epsilon for the root."""
-    if not address:
-        return "ε"
-    return "".join(str(i) for i in address)

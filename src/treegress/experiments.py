@@ -11,6 +11,7 @@ seed is split per parameter draw and per dataset.
 from __future__ import annotations
 
 import importlib.resources
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -316,15 +317,22 @@ def gen_hyperelastic(spec: HyperelasticSpec, seed: int, noise: bool = True) -> d
 # -- shipped priors -----------------------------------------------------------------
 
 
-def prior_library() -> dict:
-    """All priors shipped with the package, keyed by their declared name."""
+def prior_documents() -> dict:
+    """The JSON document of every prior shipped with the package, keyed by
+    its declared name, which its file name does not give (``E_1`` is in
+    ``e1.json``).  Reading them analyses no prior; ``load_prior`` builds one."""
     root = importlib.resources.files("treegress") / "priors"
-    out = {}
+    docs = {}
     for entry in sorted(root.iterdir(), key=lambda e: e.name):
         if entry.name.endswith(".json"):
-            prior = load_prior(str(entry))
-            out[prior.name] = prior
-    return out
+            doc = json.loads(entry.read_text(encoding="utf-8"))
+            docs[doc["name"]] = doc
+    return docs
+
+
+def prior_library() -> dict:
+    """All priors shipped with the package, keyed by their declared name."""
+    return {name: load_prior(doc) for name, doc in prior_documents().items()}
 
 
 # -- metrics --------------------------------------------------------------------------

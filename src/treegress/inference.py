@@ -183,18 +183,6 @@ def _sum_squared_error(expr: SymbolicExpression, inputs, y) -> float:
         return float(np.sum((y - pred) ** 2))
 
 
-def log_likelihood(expr: SymbolicExpression, sigma: float, data) -> float:
-    """Gaussian log-likelihood of the targets around the expression's
-    evaluations; -inf whenever any evaluation is non-finite."""
-    inputs, y = _coerce_data(data)
-    if y.size == 0:
-        raise InputError("empty dataset")
-    if sigma <= 0:
-        raise InputError("sigma must be positive")
-    sse = _sum_squared_error(expr, inputs, y)
-    return _log_lik_from_sse(sse, sigma, y.size)
-
-
 def _log(p) -> float:
     """log p, or -inf for a zero probability."""
     return math.log(p) if p > 0 else -math.inf

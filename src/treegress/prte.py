@@ -337,9 +337,10 @@ class _Resolution:
 
     Resolves every variable occurrence to the sub-expression it expands to
     (the right side of its concatenation, or the enclosing iteration itself),
-    checks that every iteration admits a finite derivation, and precomputes
-    the root-symbol distribution ``reach`` of every node: the probability
-    that expanding the node emits its first symbol at each emitting site.
+    checks that every iteration admits a finite derivation, finds the least
+    derivation ``height`` of the root, and precomputes the root-symbol
+    distribution ``reach`` of every node: the probability that expanding the
+    node emits its first symbol at each emitting site.
     """
 
     def __init__(self, root: Prte):
@@ -349,7 +350,7 @@ class _Resolution:
         self._seen_scopes: dict[int, dict] = {}
         try:
             self._resolve(root, {})
-            self._check_productive()
+            self.height = self._least_height()
             self.reach = self._compute_reach()
         except RecursionError:
             raise InputError("the expression nests too deeply to analyse") from None
@@ -416,37 +417,34 @@ class _Resolution:
 
     # termination -----------------------------------------------------------
 
-    def _check_productive(self):
-        """Least fixpoint of 'can derive a finite tree'.  An iteration whose
-        body can never shed its variable keeps growing forever and is
-        rejected."""
-        productive: dict[int, bool] = {id(n): False for n in self.nodes}
+    def _least_height(self):
+        """Least derivation height of every node, by lowering each from
+        infinity until nothing changes (Knuth 1977): a leaf symbol has height
+        0 and an inner symbol 1 plus its children's maximum; a choice has its
+        branches' minimum, and a variable, concatenation or iteration the
+        height of what it expands to.  An infinite height derives no finite
+        tree: an iteration whose body never sheds its variable keeps growing
+        forever and is rejected.  Returns the root's height."""
+        height = {id(n): math.inf for n in self.nodes}
         changed = True
         while changed:
             changed = False
-            for n in self.nodes:
-                if productive[id(n)]:
-                    continue
+            for n in reversed(self.nodes):  # children mostly before parents
                 if isinstance(n, PSymbol):
-                    ok = all(productive[id(c)] for c in n.children)
-                elif isinstance(n, PVar):
-                    ok = productive[id(self.var_target[id(n)])]
-                elif isinstance(n, PChoice):
-                    ok = any(productive[id(b)] for _, b in n.branches)
-                elif isinstance(n, PConcat):
-                    ok = productive[id(n.left)]
-                else:  # PIter
-                    ok = productive[id(n.body)]
-                if ok:
-                    productive[id(n)] = True
+                    h = max((height[id(c)] + 1 for c in n.children), default=0)
+                else:
+                    h = min(height[id(t)] for _, t in self.expansion(n))
+                if h < height[id(n)]:
+                    height[id(n)] = h
                     changed = True
         for n in self.nodes:
-            if isinstance(n, PIter) and not productive[id(n)]:
+            if isinstance(n, PIter) and height[id(n)] == math.inf:
                 raise NonTerminatingIter(
                     f"iteration over ${n.var} has no variable-free derivation"
                 )
-        if not productive[id(self.root)]:
+        if height[id(self.root)] == math.inf:
             raise NonTerminatingIter("expression cannot derive any finite tree")
+        return height[id(self.root)]
 
     # root-symbol distributions ----------------------------------------------
 
@@ -643,6 +641,10 @@ class PriorSpec:
         object.__setattr__(self, "_graph", graph)
         if self.max_depth <= 0:
             raise InputError("max_depth must be positive")
+        if graph.height > self.max_depth:  # the sampler would overflow on every draw
+            raise InputError(
+                f"the prior's shallowest tree is {graph.height} deep, beyond max_depth {self.max_depth}"
+            )
         used = {n.symbol for n in graph.symbol_nodes}
         used_tags = {s.name for s in used if is_const_marker(s)}
         declared = set(self.markers)

@@ -241,12 +241,10 @@ def _table(tables, symbol):
     return entry
 
 
-def pta_eval(pta: Pta, tree: Tree, initial=None) -> float:
+def pta_eval(pta: Pta, tree: Tree) -> float:
     """Total probability of successful runs on the tree: the start
-    distribution against the root's inside vector.  ``initial`` optionally
-    replaces the automaton's start distribution (e.g. a one-hot state)."""
-    start = pta.initial if initial is None else np.asarray(initial, dtype=float)
-    return float(start @ inside(pta, tree))
+    distribution against the root's inside vector."""
+    return float(pta.initial @ inside(pta, tree))
 
 
 def state_marginal(pta: Pta, tree: Tree, addr, memo=None) -> np.ndarray:
@@ -274,7 +272,7 @@ def context_marginal(pta: Pta, context: Tree) -> np.ndarray:
 def sample_from_state(pta: Pta, state, rng, max_depth: int = 50) -> Tree:
     """Grow a tree from the automaton's generative process seeded at the given
     state instead of the initial distribution.  The tree's probability from
-    that state is ``pta_eval`` with a one-hot start.
+    that state is its inside vector's entry there, ``inside(pta, tree)[state]``.
 
     Requires generative states: each state must either emit exactly one
     symbol through transition rows or accept exactly one leaf symbol.

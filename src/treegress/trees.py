@@ -19,14 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ArityMismatch,
-    InputError,
-    LengthMismatch,
-    NotPrefixClosed,
-    UnknownSymbol,
-    format_address,
-)
+from .errors import ArityMismatch, InputError, LengthMismatch, UnknownSymbol
 
 DISC_MARKER_NAME = "d#"
 HOLE_NAME = "?"
@@ -105,12 +98,6 @@ class RankedAlphabet:
     def __len__(self):
         return len(self._table)
 
-    def __contains__(self, symbol: RankedSymbol):
-        return self._table.get((symbol.name, symbol.rank)) == symbol
-
-    def has(self, name: str, rank: int) -> bool:
-        return (name, rank) in self._table
-
     def get(self, name: str, rank: int) -> RankedSymbol:
         try:
             return self._table[(name, rank)]
@@ -121,9 +108,6 @@ class RankedAlphabet:
         """The one-node tree of a rank-0 symbol, shared by every tree that
         the samplers grow over this alphabet."""
         return self._leaves[name]
-
-    def by_name(self, name: str):
-        return [s for s in self._table.values() if s.name == name]
 
     def symbol_keys(self):
         return frozenset(self._table)
@@ -156,7 +140,7 @@ class Tree:
 
     def __post_init__(self):
         if len(self.children) != self.symbol.rank:
-            raise ArityMismatch((), self.symbol.name, self.symbol.rank, len(self.children))
+            raise ArityMismatch(self.symbol.name, self.symbol.rank, len(self.children))
         size = 1
         for child in self.children:
             size += child.size
@@ -228,9 +212,6 @@ class Tree:
             for i in range(node.symbol.rank, 0, -1):
                 stack.append((addr + (i,), node.children[i - 1]))
 
-    def addresses(self):
-        return [addr for addr, _ in self.walk()]
-
     def nth(self, n: int) -> tuple:
         """The n-th (address, node) pair of ``walk()``, by descent through child sizes."""
         if not 0 <= n < self.size:
@@ -253,89 +234,16 @@ class Tree:
         return f"Tree({format_tree(self)!r})"
 
 
-def validate_tree(candidate, alphabet: RankedAlphabet) -> Tree:
-    """Check an address -> symbol map against the tree axioms and build the
-    verified tree.
-
-    Addresses are tuples of 1-based child indices (strings of digits are also
-    accepted, '' for the root).  Values may be RankedSymbol instances or
-    symbol names; names are resolved against the alphabet using the child
-    count observed in the map.
-    """
-    entries = {}
-    for raw_addr, raw_sym in candidate.items():
-        addr = _coerce_address(raw_addr)
-        entries[addr] = raw_sym
-    if not entries:
-        raise InputError("tree map is empty")
-    if () not in entries:
-        raise NotPrefixClosed(min(entries, key=len))
-    for addr in entries:
-        if addr and addr[:-1] not in entries:
-            raise NotPrefixClosed(addr)
-
-    child_count = {}
-    for addr in entries:
-        if addr:
-            parent = addr[:-1]
-            child_count[parent] = max(child_count.get(parent, 0), addr[-1])
-    # every node must have children indexed exactly 1..k with no gaps
-    for addr in sorted(entries, key=len):
-        k = child_count.get(addr, 0)
-        for j in range(1, k + 1):
-            if addr + (j,) not in entries:
-                raise InputError(
-                    f"missing child {j} of node {format_address(addr)}"
-                )
-
-    # resolve in pre-order, so the first bad node reports first; then build in
-    # reverse pre-order, where a node's children are the last trees built
-    symbols, pending = [], [()]
-    while pending:
-        addr = pending.pop()
-        raw = entries[addr]
-        k = child_count.get(addr, 0)
-        if isinstance(raw, RankedSymbol):
-            sym = raw
-            if sym not in alphabet:
-                raise UnknownSymbol(f"symbol '{sym.name}/{sym.rank}' not in alphabet")
-        else:
-            sym = _resolve_name(str(raw), k, alphabet, addr)
-        if sym.rank != k:
-            raise ArityMismatch(addr, sym.name, sym.rank, k)
-        symbols.append(sym)
-        pending.extend(addr + (j,) for j in range(k, 0, -1))
-    built = []
-    for sym in reversed(symbols):
-        built.append(Tree(sym, tuple(built.pop() for _ in range(sym.rank))))
-    return built[0]
-
-
-def _coerce_address(raw):
-    if isinstance(raw, tuple):
-        return tuple(int(i) for i in raw)
-    if isinstance(raw, str):
-        return tuple(int(ch) for ch in raw)
-    if isinstance(raw, int):
-        return (raw,) if raw else ()
-    raise InputError(f"bad address {raw!r}")
-
-
-def _resolve_name(
-    name: str, observed_children: int, alphabet: RankedAlphabet, addr=()
-) -> RankedSymbol:
-    if alphabet.has(name, observed_children):
+def _resolve_name(name: str, observed_children: int, alphabet: RankedAlphabet) -> RankedSymbol:
+    """The alphabet's symbol of this name and child count.  A name the
+    alphabet holds only at other ranks is an arity clash."""
+    try:
         return alphabet.get(name, observed_children)
-    candidates = alphabet.by_name(name)
-    if not candidates:
-        raise UnknownSymbol(f"symbol '{name}' not in alphabet")
-    # the name exists at other ranks only: report the arity clash
-    raise ArityMismatch(addr, name, candidates[0].rank, observed_children)
-
-
-def positions_of(tree: Tree, symbol: RankedSymbol):
-    """Pre-order list of addresses labeled with the given symbol."""
-    return [addr for addr, node in tree.walk() if node.symbol == symbol]
+    except UnknownSymbol:
+        ranks = [s.rank for s in alphabet if s.name == name]
+        if not ranks:
+            raise UnknownSymbol(f"symbol '{name}' not in alphabet") from None
+        raise ArityMismatch(name, min(ranks), observed_children) from None
 
 
 def const_positions(tree: Tree) -> tuple:

@@ -1,5 +1,5 @@
 """Shared independent oracles for the test suite: exhaustive run enumeration
-and exhaustive small-tree generation."""
+and exhaustive small-tree generation, plus a tree's addresses."""
 
 import itertools
 
@@ -38,6 +38,11 @@ def brute_force_eval(pta, tree, hole_state=None):
             p *= weight.get((key, q, tup), 0.0)
         total += p
     return total
+
+
+def addresses(tree):
+    """Every address of the tree, in pre-order."""
+    return [addr for addr, _ in tree.walk()]
 
 
 def all_trees(alphabet, max_nodes):

@@ -10,6 +10,7 @@ import pytest
 
 from treegress.cli import main
 from treegress.inference import Draw, McmcConfig, Posterior, posterior_to_json
+from treegress.prte import build_prior
 from treegress.trees import SymbolicExpression, parse_tree
 
 PRIORS = importlib.resources.files("treegress") / "priors"
@@ -177,6 +178,23 @@ def test_unknown_prior_exits_2(capsys):
     code, _, err = run_cli(capsys, "sample", "--prior", "nope", "--n", "1", "--seed", "0")
     assert code == 2
     assert "nope" in json.loads(err.strip())["message"]
+    assert "known: E_1, E_GRM, E_MRS, E_hook, E_hyp, E_iso, E_sum" in json.loads(err.strip())["message"]
+
+
+@pytest.mark.parametrize("command", [("sample", "--n", "1"), ("density", "--tree", "a")])
+def test_a_library_prior_is_the_only_prior_built(capsys, monkeypatch, command):
+    import treegress.prte as prte
+
+    built = []
+
+    def counted(name, *args, **kwargs):
+        built.append(name)
+        return build_prior(name, *args, **kwargs)
+
+    monkeypatch.setattr(prte, "build_prior", counted)
+    code, _, err = run_cli(capsys, command[0], "--prior", "E_1", *command[1:])
+    assert code == 0, err
+    assert built == ["E_1"]
 
 
 # -- density ---------------------------------------------------------------------
@@ -632,7 +650,8 @@ def test_report_target_only_csv_exits_2(capsys, tmp_path):
 @pytest.mark.parametrize("depth, code", [(300, 0), (600, 2)])
 def test_parse_deeply_nested_prior(capsys, tmp_path, depth, code):
     path = tmp_path / "deep.json"
-    path.write_text(json.dumps({"name": "deep", "expression": "f(" * depth + "a" + ")" * depth}))
+    expression = "f(" * depth + "a" + ")" * depth
+    path.write_text(json.dumps({"name": "deep", "expression": expression, "max_depth": depth}))
     got, out, err = run_cli(capsys, "parse", "--prior", str(path))
     assert got == code, err
     if code:
@@ -641,3 +660,58 @@ def test_parse_deeply_nested_prior(capsys, tmp_path, depth, code):
         assert "nests too deeply" in doc["message"]
     else:
         assert out.splitlines()[0] == "f(" * depth + "a" + ")" * depth
+
+
+def _chain_prior(tmp_path, height, **doc):
+    """A prior file whose one tree, 1 + (1 + ... (1 + c)), is ``height`` deep."""
+    path = tmp_path / f"chain{height}.json"
+    expression = "+(1, " * height + "c" + ")" * height
+    path.write_text(json.dumps({"name": "chain", "expression": expression, "variables": ["c"], **doc}))
+    return path
+
+
+def _assert_too_deep(code, out, err, max_depth):
+    assert (code, out) == (2, ""), err
+    doc = json.loads(err.strip())
+    assert doc["error"] == "InputError"
+    assert f"beyond max_depth {max_depth}" in doc["message"]
+
+
+@pytest.mark.parametrize("height, max_depth", [(50, None), (51, None), (60, 60), (61, 60), (3, 3), (4, 3)])
+def test_parse_rejects_a_prior_deeper_than_max_depth(capsys, tmp_path, height, max_depth):
+    doc = {} if max_depth is None else {"max_depth": max_depth}
+    code, out, err = run_cli(capsys, "parse", "--prior", str(_chain_prior(tmp_path, height, **doc)))
+    if height <= (max_depth or 50):
+        assert code == 0, err
+    else:
+        _assert_too_deep(code, out, err, max_depth or 50)
+
+
+@pytest.mark.parametrize("max_depth", [3, 4, 2])
+def test_sample_max_depth_below_the_prior_height_exits_2(capsys, tmp_path, max_depth):
+    prior = str(_chain_prior(tmp_path, 3))
+    code, out, err = run_cli(capsys, "sample", "--prior", prior, "--n", "2", "--max-depth", str(max_depth))
+    if max_depth >= 3:
+        assert code == 0, err
+        assert [json.loads(line)["expr"] for line in out.splitlines()] == ["(+ 1 (+ 1 (+ 1 c)))"] * 2
+    else:
+        _assert_too_deep(code, out, err, max_depth)
+
+
+@pytest.mark.parametrize("max_depth", [3, 2])
+def test_fit_max_depth_below_the_prior_height_exits_2(capsys, tmp_path, max_depth):
+    train = tmp_path / "train.csv"
+    train.write_text("c,s\n1.0,4.0\n2.0,5.0\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"burn_in": 5, "samples": 5, "thin": 1, "max_depth": max_depth}))
+    out_path = tmp_path / "posterior.json"
+    code, out, err = run_cli(
+        capsys, "fit", "--prior", str(_chain_prior(tmp_path, 3)), "--train", str(train),
+        "--config", str(config), "--out", str(out_path),
+    )
+    if max_depth >= 3:
+        assert code == 0, err
+        assert {d["expr"] for d in json.loads(out_path.read_text())["draws"]} == {"(+ 1 (+ 1 (+ 1 c)))"}
+    else:
+        _assert_too_deep(code, out, err, max_depth)
+        assert not out_path.exists()

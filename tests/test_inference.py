@@ -18,8 +18,8 @@ from treegress.inference import (
     McmcConfig,
     Posterior,
     _apply_theta_jump,
+    _ChainContext,
     expand_params,
-    log_likelihood,
     posterior_from_json,
     posterior_predict,
     posterior_to_json,
@@ -27,7 +27,9 @@ from treegress.inference import (
     run_chains,
     shrink_params,
 )
+from helpers import addresses
 from treegress.prte import build_prior, prte_density
+from treegress.pta import compile_prior
 from treegress.trees import SymbolicExpression, parse_tree
 
 LOG_2PI = math.log(2 * math.pi)
@@ -38,6 +40,20 @@ def expr_of(text, **kw):
 
 
 # -- likelihood ------------------------------------------------------------------
+
+LIK_PRIOR = build_prior(
+    "lik",
+    "choice{ 1/3: x, 1/3: /(1, x), 1/3: c# }",
+    variables=["x"],
+    markers={"c#": {"dist": "normal", "mean": 0.0, "stddev": 1.0}},
+)
+
+
+def log_likelihood(expr, sigma, data):
+    """The log-likelihood the chain scores a state with: ``ChainState.log_lik``."""
+    ctx = _ChainContext(LIK_PRIOR, compile_prior(LIK_PRIOR), data, McmcConfig())
+    return ctx.make_state(expr, sigma).log_lik
+
 
 def test_perfect_fit_loglik():
     e = expr_of("x")
@@ -693,7 +709,7 @@ def test_pick_state_is_rng_choice(e1, e_iso, monkeypatch):
         for tau in (1.0, 0.5):
             ctx = inf._ChainContext(prior, pta, None, McmcConfig(tau=tau))
             for t in [sample_tree(prior, gen) for _ in range(4)]:
-                for addr in t.addresses()[:6]:
+                for addr in addresses(t)[:6]:
                     total += check(ctx, t, addr, 1000, total)
     assert total >= 100_000
 

@@ -164,6 +164,35 @@ def test_too_deep_an_expression_is_an_input_error():
     assert format_prte(parse_prte(text)) == text
 
 
+@pytest.mark.parametrize(
+    "expression, height",
+    [
+        ("a", 0),
+        ("f(a, g(b))", 2),
+        ("choice{ 1/2: g(g(a)), 1/2: g(a) }", 1),
+        ("g($y).subst($y, g(g(a)))", 3),
+        ("iter $x { choice{ 1/2: f($x, $x), 1/2: g(a) } }", 1),
+        ("iter $x { choice{ 9/10: g($x), 1/10: g(g(a)) } }", 2),
+        ("iter $x { choice{ 1/2: $x, 1/2: g(a) } }", 1),
+    ],
+)
+def test_least_derivation_height_bounds_max_depth(expression, height):
+    # the shallowest tree's depth, with the root at depth 0: a prior builds
+    # down to max_depth == height, and every draw there stays within it
+    assert build_prior("h", expression).graph.height == height
+    prior = build_prior("h", expression, max_depth=max(height, 1))
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        t = sample_tree(prior, rng)
+        assert max(len(addr) for addr, _ in t.walk()) <= prior.max_depth
+    if height > 1:
+        with pytest.raises(InputError, match=f"is {height} deep, beyond max_depth {height - 1}"):
+            build_prior("h", expression, max_depth=height - 1)
+        with pytest.raises(InputError, match="beyond max_depth"):
+            dataclasses.replace(prior, max_depth=height - 1)
+
+
+
 # -- canonical printing -------------------------------------------------------------
 
 @pytest.mark.parametrize(

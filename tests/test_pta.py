@@ -40,7 +40,7 @@ FGA = RankedAlphabet([F, G, A])
 
 # -- independent oracles --------------------------------------------------------
 
-from helpers import all_trees, brute_force_eval
+from helpers import addresses, all_trees, brute_force_eval
 
 
 def hand_built_pta():
@@ -160,7 +160,7 @@ def test_outside_times_inside_is_the_tree_score_at_every_address(all_shipped):
             memo = {}
             total = float(pta.initial @ inside(pta, t, memo))
             assert total > 0
-            for addr in t.addresses():
+            for addr in addresses(t):
                 split = float(outside(pta, t, addr, memo) @ inside(pta, t.node_at(addr), memo))
                 assert split == pytest.approx(total, rel=1e-12, abs=0.0)
 
@@ -184,7 +184,7 @@ def test_boltzmann_marginal_is_the_context_marginal(all_shipped):
         rng = np.random.default_rng(6)
         for _ in range(10):
             t = sample_tree(prior, rng)
-            for addr in t.addresses():
+            for addr in addresses(t):
                 want = context_marginal(pta, t.replace_at(addr, Tree(HOLE)))
                 got, cdf = ctx.boltzmann_marginal(t, addr)
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
@@ -235,8 +235,7 @@ def test_chain_rule_consistency(e1):
     ratios = []
     for text in ["a", "b", "(g a)", "(f a b)"]:
         sub = parse_tree(text, e1.alphabet)
-        onehots = np.eye(pta.n_states)
-        insides = np.array([pta_eval(pta, sub, initial=onehots[q]) for q in range(pta.n_states)])
+        insides = inside(pta, sub)
         lhs = float(marg @ insides)
         full = pta_eval(pta, context.replace_at((1,), sub))
         if lhs > 0:
@@ -252,8 +251,7 @@ def test_leaf_state_generates_its_leaf(e_sum):
     pta = compile_prior(e_sum)
     leaf_state = int(np.flatnonzero(pta.tables[("f", 0)])[0])
     tree = sample_from_state(pta, leaf_state, np.random.default_rng(0))
-    onehot = np.eye(pta.n_states)[leaf_state]
-    logp = math.log(pta_eval(pta, tree, initial=onehot))
+    logp = math.log(inside(pta, tree)[leaf_state])
     assert str(tree) == "f"
     assert logp == pytest.approx(0.0)
 
@@ -282,7 +280,6 @@ def test_generation_probability_matches_frequency(e1):
     # the right-hand block's g-emitting state
     g_states = list(dict.fromkeys(pta.tables[("g", 1)][0].tolist()))
     start = g_states[-1]
-    onehot = np.eye(pta.n_states)[start]
     rng = np.random.default_rng(12)
     n = 10_000
     seen = {}
@@ -290,7 +287,7 @@ def test_generation_probability_matches_frequency(e1):
     for _ in range(n):
         t = sample_from_state(pta, start, rng)
         seen[t] = seen.get(t, 0) + 1
-        logp[t] = math.log(pta_eval(pta, t, initial=onehot))
+        logp[t] = math.log(inside(pta, t)[start])
     for t, c in sorted(seen.items(), key=lambda kv: -kv[1])[:5]:
         p = math.exp(logp[t])
         se = math.sqrt(p * (1 - p) / n)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_trees, brute_force_eval
+from helpers import addresses, all_trees, brute_force_eval
 from treegress.pta import Pta, inside, outside, pta_eval
 from treegress.trees import RankedAlphabet, RankedSymbol
 
@@ -78,6 +78,6 @@ def test_outside_times_inside_is_the_score_at_every_address(case):
     for tree in TREES:
         memo = {}
         total = float(pta.initial @ inside(pta, tree, memo))
-        for addr in tree.addresses():
+        for addr in addresses(tree):
             split = float(outside(pta, tree, addr, memo) @ inside(pta, tree.node_at(addr), memo))
             assert split == pytest.approx(total, rel=1e-12, abs=0.0)

@@ -1,9 +1,9 @@
 """Tests for ranked alphabets, tree validation, and expression evaluation.
 
 Covers:
-    - validate_tree accepts/rejects per the tree axioms, reporting the right
-      error kind and address
-    - positions_of returns pre-order addresses
+    - parse_tree against an alphabet accepts/rejects trees, reporting the
+      right error kind
+    - marker positions are pre-order addresses
     - eval_expression arithmetic, parameter binding, and domain-error flags
     - compiled evaluation matches a tree-walking reference byte for byte
     - text round-trip of the prefix form, also for very deep trees
@@ -15,12 +15,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import reference_eval
+from helpers import addresses, reference_eval
 from treegress.errors import (
     ArityMismatch,
     InputError,
     LengthMismatch,
-    NotPrefixClosed,
     UnknownSymbol,
 )
 from treegress.prte import sample_expression, sample_tree
@@ -34,8 +33,6 @@ from treegress.trees import (
     eval_expression,
     format_tree,
     parse_tree,
-    positions_of,
-    validate_tree,
 )
 
 PLUS = RankedSymbol("+", 2)
@@ -47,62 +44,56 @@ CM = RankedSymbol("c#", 0)
 ALPHA = RankedAlphabet([PLUS, A, B, X, CM])
 
 
-# -- validate_tree -------------------------------------------------------------
+# -- parse_tree against an alphabet -----------------------------------------------
 
 def test_single_node_valid():
-    t = validate_tree({(): "a"}, ALPHA)
+    t = parse_tree("a", ALPHA)
     assert t.size == 1
     assert t.symbol == A
 
 
 def test_arity_violation_single_child():
     with pytest.raises(ArityMismatch):
-        validate_tree({(): "+", (1,): "a"}, ALPHA)
+        parse_tree("(+ a)", ALPHA)
+    # a name held at several ranks reports the smallest
+    two_sums = RankedAlphabet([PLUS, RankedSymbol("+", 3), A])
+    with pytest.raises(ArityMismatch, match=r"symbol '\+' has rank 2 but 1 children"):
+        parse_tree("(+ a)", two_sums)
 
 
 def test_prefix_present_but_rank_zero_with_child():
-    # 21 has its prefix 2 in the map, so prefix closure holds; the failure is
-    # that 'b' (rank 0) at address 2 has a child.
-    candidate = {(): "+", (1,): "a", (2,): "b", (2, 1): "x"}
-    with pytest.raises(ArityMismatch) as exc:
-        validate_tree(candidate, ALPHA)
-    assert exc.value.address == (2,)
-
-
-def test_missing_prefix_rejected():
-    with pytest.raises(NotPrefixClosed):
-        validate_tree({(): "+", (1,): "a", (2, 1): "x"}, ALPHA)
+    # 'b' is in the alphabet only at rank 0, so 'b' with a child is an arity
+    # clash, not an unknown symbol
+    with pytest.raises(ArityMismatch, match="symbol 'b' has rank 0 but 1 children"):
+        parse_tree("(+ a (b x))", ALPHA)
 
 
 def test_unknown_symbol():
     with pytest.raises(UnknownSymbol):
-        validate_tree({(): "zzz"}, ALPHA)
+        parse_tree("zzz", ALPHA)
+    with pytest.raises(UnknownSymbol):
+        parse_tree("(zzz a)", ALPHA)
 
 
-def test_string_addresses_accepted():
-    t = validate_tree({"": "+", "1": "a", "2": "b"}, ALPHA)
-    assert format_tree(t) == "(+ a b)"
-
-
-# -- positions_of ---------------------------------------------------------------
+# -- marker positions ---------------------------------------------------------------
 
 def test_positions_two_markers():
     # tree shaped like (x - c)^2 + (y + z)^2 + c with two continuous markers
     text = "(+ (+ (pow (- x c#) 2) (pow (+ y z) 2)) c#)"
     t = parse_tree(text)
-    marks = positions_of(t, CM)
-    assert len(marks) == 2
-    assert marks == sorted(marks, key=lambda a: (a != (), a))
+    marks = const_positions(t)
+    assert marks == ((1, 1, 1, 2), (2,))
+    assert list(marks) == [addr for addr in addresses(t) if t.node_at(addr).symbol == CM]
 
 
 def test_positions_absent_symbol():
     t = parse_tree("(+ a b)", ALPHA)
-    assert positions_of(t, X) == []
+    assert const_positions(t) == () and disc_positions(t) == ()
 
 
 def test_positions_preorder():
     t = parse_tree("(+ c# c#)")
-    assert positions_of(t, CM) == [(1,), (2,)]
+    assert const_positions(t) == ((1,), (2,))
 
 
 # -- SymbolicExpression invariants ------------------------------------------------
@@ -298,8 +289,9 @@ def test_deep_chain_replace_validate_and_repr():
     bottom = (1,) * 3000
     swapped = t.replace_at(bottom, Tree(b))
     assert swapped.node_at(bottom).symbol is b and swapped.size == t.size
-    entries = {"1" * k: "g" for k in range(3000)} | {"1" * 3000: "a"}
-    assert validate_tree(entries, RankedAlphabet([g, a])) == t
+    got, node = t.nth(3000)
+    assert got == bottom and node is t.node_at(bottom) and node.symbol is a
+    assert parse_tree(format_tree(t), RankedAlphabet([g, a])) == t
     assert repr(t) == f"Tree({format_tree(t)!r})"
 
 
@@ -310,9 +302,9 @@ def test_node_sizes_and_nth_address(all_shipped):
     for _ in range(3000):  # built bottom-up, with no recursion
         chain = Tree(RankedSymbol("g", 1), (chain,))
     for t in trees + [chain]:
-        addresses = t.addresses()
-        assert t.size == len(addresses)
-        for n, addr in enumerate(addresses):
+        pre_order = addresses(t)
+        assert t.size == len(pre_order)
+        for n, addr in enumerate(pre_order):
             got, node = t.nth(n)
             assert got == addr and node is t.node_at(addr)
         for n in (-1, t.size):
@@ -351,5 +343,5 @@ def test_parse_against_alphabet_rejects_unknown():
 
 def test_addresses_one_based():
     t = parse_tree("(+ a (+ b b))")
-    assert t.addresses() == [(), (1,), (2,), (2, 1), (2, 2)]
+    assert addresses(t) == [(), (1,), (2,), (2, 1), (2, 2)]
     assert t.node_at((2, 1)).symbol.name == "b"
