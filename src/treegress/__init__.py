@@ -10,11 +10,8 @@ command-line equivalents.
 from .errors import TreegressError
 from .experiments import (
     Dataset,
-    HyperelasticSpec,
-    IsothermSpec,
     gen_hyperelastic,
     gen_isotherm,
-    isotherm_spec,
     prior_library,
     rmse,
 )

@@ -2,9 +2,10 @@
 
 Subcommands: parse, sample, density, gen-data, fit, report.  Exit codes are
 0 (ok), 2 (input problem), 3 (runtime failure).  Errors go to stderr as one
-JSON object per failure.  Every command takes --seed; the TREEGRESS_SEED
-environment variable supplies the default.  Output bytes are stable for a
-fixed seed: floats print as their shortest round-trip decimal.
+JSON object per failure.  Every command that draws random numbers takes
+--seed, a non-negative integer; the TREEGRESS_SEED environment variable
+supplies the default.  Output bytes are stable for a fixed seed: floats
+print as their shortest round-trip decimal.
 """
 
 from __future__ import annotations
@@ -21,15 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, RuntimeFailure, TreegressError
-from .experiments import (
-    HyperelasticSpec,
-    gen_hyperelastic,
-    gen_isotherm,
-    isotherm_spec,
-    prior_documents,
-    read_dataset,
-    rmse,
-)
+from .experiments import gen_hyperelastic, gen_isotherm, prior_documents, read_dataset, rmse
 from .inference import (
     Draw,
     McmcConfig,
@@ -49,9 +42,19 @@ _RUN_CONFIG_EXTRA = {"prior", "train", "out"}
 _BANDS = ("mean", "q05", "q50", "q95")  # the posterior_predict columns that bands.csv holds
 
 
-def _default_seed() -> int:
-    env = os.environ.get("TREEGRESS_SEED")
-    return int(env) if env else 0
+def _resolve_seed(args):
+    """--seed, else TREEGRESS_SEED, else 0; a fit without --seed keeps its
+    config's seed.  A seed is a non-negative integer."""
+    seed = args.seed
+    if seed is None and args.command != "fit":
+        env = os.environ.get("TREEGRESS_SEED") or "0"
+        try:
+            seed = int(env)
+        except ValueError:
+            raise InputError(f"TREEGRESS_SEED must be an integer, got {env!r}") from None
+    if seed is not None and seed < 0:
+        raise InputError(f"a seed must be non-negative, got {seed}")
+    return seed
 
 
 def _resolve_prior(ref: str) -> PriorSpec:
@@ -135,10 +138,9 @@ def cmd_gen_data(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     task = args.task
     if task.startswith("isotherm:"):
-        spec = isotherm_spec(task.split(":", 1)[1])
-        datasets = gen_isotherm(spec, args.seed)
+        datasets = gen_isotherm(task.split(":", 1)[1], args.seed)
     elif task == "hyperelastic":
-        datasets = gen_hyperelastic(HyperelasticSpec(), args.seed)
+        datasets = gen_hyperelastic(args.seed)
     else:
         raise InputError(f"unknown task '{task}' (isotherm:<name> or hyperelastic)")
     for split in ("train", "test1", "test2", "test3"):
@@ -250,7 +252,7 @@ def cmd_report(args) -> int:
         mean, std = (np.mean(per_draw), np.std(per_draw)) if per_draw.size else (math.nan,) * 2
         metrics_lines.append(f"{name},{_fmt(mean)},{_fmt(std)},{errors.size - per_draw.size}\n")
 
-        bands = posterior_predict(posterior, inputs, rng=rng, strict=False)
+        bands = posterior_predict(posterior, inputs, rng=rng)
         columns = [inputs[v] for v in x_names] + [bands[q] for q in _BANDS]
         for j in np.argsort(inputs[x_names[0]], kind="stable"):
             cells = ",".join(_fmt(c[j]) for c in columns)
@@ -322,18 +324,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if hasattr(args, "seed") and args.seed is None and args.command != "fit":
-        args.seed = _default_seed()
+    args = build_parser().parse_args(argv)
     try:
+        if hasattr(args, "seed"):
+            args.seed = _resolve_seed(args)
         return args.fn(args)
     except (InputError, FileNotFoundError, json.JSONDecodeError) as exc:
         _report_error(exc)
         return 2
-    except TreegressError as exc:
-        _report_error(exc)
-        return 3
     except Exception as exc:  # anything unforeseen is a runtime failure
         _report_error(exc)
         return 3

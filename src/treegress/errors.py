@@ -77,7 +77,3 @@ class SizeMismatch(InputError):
 
 class LengthMismatch(InputError):
     pass
-
-
-class AllDrawsNonFinite(RuntimeFailure):
-    pass

@@ -22,6 +22,11 @@ from .prte import load_prior
 
 POLE_EPS = 1e-6
 POLE_RETRIES = 10_000
+N_ROWS = 20  # rows of every split of every task
+ISO_NOISE = 0.1  # standard deviation of the isotherm targets' white noise
+HYP_NOISE = 0.01  # and of the hyper-elastic targets'
+OGDEN_ALPHAS = (1.75, 2.5)  # the ground truth's exponents and moduli, term by term
+OGDEN_MUS = (1.5, 0.1)
 
 
 # -- isotherm catalogue ----------------------------------------------------------
@@ -198,73 +203,38 @@ def read_dataset(path) -> Dataset:
     return Dataset(header, cols)
 
 
-@dataclass(frozen=True)
-class IsothermSpec:
-    name: str
-    param_priors: dict  # parameter -> exponential rate
-    ranges: dict = field(default_factory=lambda: dict(_ISO_RANGES))
-    n_train: int = 20
-    n_test: int = 20
-    noise_sigma: float = 0.1
-
-    def __post_init__(self):
-        if self.name not in _ISOTHERMS:
-            raise InputError(
-                f"unknown isotherm '{self.name}'; expected one of {ISOTHERM_NAMES}"
-            )
-        if self.n_train <= 0:
-            raise InputError("n_train must be positive")
-
-
-def isotherm_spec(name: str) -> IsothermSpec:
+def isotherm_rates(name: str) -> dict:
+    """The exponential rate of each parameter of the named isotherm, in draw order."""
     if name not in _ISOTHERMS:
         raise InputError(f"unknown isotherm '{name}'; expected one of {ISOTHERM_NAMES}")
     _, order, overrides, _ = _ISOTHERMS[name]
-    rates = {param: overrides.get(param, _GENERAL_RATES[param]) for param in order}
-    return IsothermSpec(name=name, param_priors=rates)
+    return {param: overrides.get(param, _GENERAL_RATES[param]) for param in order}
 
 
-@dataclass(frozen=True)
-class HyperelasticSpec:
-    """Two-term Ogden ground truth on principal stretches."""
-
-    alphas: tuple = (1.75, 2.5)
-    mus: tuple = (1.5, 0.1)
-    ranges: dict = field(default_factory=lambda: dict(_HYP_RANGES))
-    n_train: int = 20
-    n_test: int = 20
-    noise_sigma: float = 0.01
-
-    def __post_init__(self):
-        if any(a == 0 for a in self.alphas):
-            raise InputError("Ogden exponents must be nonzero")
-
-
-def ogden_energy(spec: HyperelasticSpec, l1, l2, l3) -> np.ndarray:
+def ogden_energy(l1, l2, l3) -> np.ndarray:
+    """Two-term Ogden strain energy density on principal stretches."""
     w = np.zeros_like(np.asarray(l1, dtype=float))
-    for mu, alpha in zip(spec.mus, spec.alphas):
+    for mu, alpha in zip(OGDEN_MUS, OGDEN_ALPHAS):
         w = w + (mu / alpha) * (l1**alpha + l2**alpha + l3**alpha - 3.0)
     return w
 
 
-def gen_isotherm(spec: IsothermSpec, seed: int, noise: bool = True) -> dict:
-    """Four datasets (train, test1, test2, test3) with parameters drawn once
-    from the spec's priors.  Input points that land within POLE_EPS of a pole
-    denominator are redrawn; the count is recorded in dataset meta."""
-    formula, order, _, pole = _ISOTHERMS[spec.name]
+def gen_isotherm(name: str, seed: int, noise: bool = True) -> dict:
+    """Four datasets (train, test1, test2, test3) of the named isotherm with
+    parameters drawn once from its priors.  Input points that land within
+    POLE_EPS of a pole denominator are redrawn; the count is recorded in
+    dataset meta."""
+    rates = isotherm_rates(name)
+    formula, _, _, pole = _ISOTHERMS[name]
     children = np.random.SeedSequence(seed).spawn(5)
     param_rng = np.random.default_rng(children[0])
-    params = {
-        name: float(param_rng.exponential(1.0 / spec.param_priors[name]))
-        for name in order
-    }
+    params = {param: float(param_rng.exponential(1.0 / rate)) for param, rate in rates.items()}
 
     out = {}
     for i, split in enumerate(("train", "test1", "test2", "test3")):
         rng = np.random.default_rng(children[i + 1])
-        n = spec.n_train if split == "train" else spec.n_test
-        lo, hi = spec.ranges[split]
-        c = rng.uniform(lo, hi, n)
+        lo, hi = _ISO_RANGES[split]
+        c = rng.uniform(lo, hi, N_ROWS)
         resampled = 0
         if pole is not None:
             for _ in range(POLE_RETRIES):
@@ -274,41 +244,40 @@ def gen_isotherm(spec: IsothermSpec, seed: int, noise: bool = True) -> dict:
                 resampled += int(bad.sum())
                 c[bad] = rng.uniform(lo, hi, int(bad.sum()))
             else:
-                raise RuntimeFailure(f"{spec.name}/{split}: cannot avoid pole")
+                raise RuntimeFailure(f"{name}/{split}: cannot avoid pole")
         s = formula(params, c)
         if noise:
-            s = s + rng.normal(0.0, spec.noise_sigma, n)
+            s = s + rng.normal(0.0, ISO_NOISE, N_ROWS)
         meta = {
-            "task": f"isotherm:{spec.name}",
+            "task": f"isotherm:{name}",
             "split": split,
             "units": {"c": "mg/L", "s": "mg/Kg"},
             "params": dict(params),
             "resampled": resampled,
-            "noise_sigma": spec.noise_sigma if noise else 0.0,
+            "noise_sigma": ISO_NOISE if noise else 0.0,
         }
         out[split] = Dataset(("c", "s"), (c, s), meta)
     return out
 
 
-def gen_hyperelastic(spec: HyperelasticSpec, seed: int, noise: bool = True) -> dict:
+def gen_hyperelastic(seed: int, noise: bool = True) -> dict:
     """Four datasets of principal stretches and noisy strain energy density."""
     children = np.random.SeedSequence(seed).spawn(4)
     out = {}
     for i, split in enumerate(("train", "test1", "test2", "test3")):
         rng = np.random.default_rng(children[i])
-        n = spec.n_train if split == "train" else spec.n_test
-        lo, hi = spec.ranges[split]
-        l1, l2, l3 = (rng.uniform(lo, hi, n) for _ in range(3))
-        w = ogden_energy(spec, l1, l2, l3)
+        lo, hi = _HYP_RANGES[split]
+        l1, l2, l3 = (rng.uniform(lo, hi, N_ROWS) for _ in range(3))
+        w = ogden_energy(l1, l2, l3)
         if noise:
-            w = w + rng.normal(0.0, spec.noise_sigma, n)
+            w = w + rng.normal(0.0, HYP_NOISE, N_ROWS)
         meta = {
             "task": "hyperelastic",
             "split": split,
             "units": {"l1": "-", "l2": "-", "l3": "-", "w": "J"},
-            "alphas": list(spec.alphas),
-            "mus": list(spec.mus),
-            "noise_sigma": spec.noise_sigma if noise else 0.0,
+            "alphas": list(OGDEN_ALPHAS),
+            "mus": list(OGDEN_MUS),
+            "noise_sigma": HYP_NOISE if noise else 0.0,
         }
         out[split] = Dataset(("l1", "l2", "l3", "w"), (l1, l2, l3, w), meta)
     return out

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
@@ -35,13 +36,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    AllDrawsNonFinite,
     DepthBudgetExhausted,
     ImpossibleContext,
     InputError,
+    RuntimeFailure,
     SizeMismatch,
 )
-from .prte import PriorSpec, compute_ties, group_tags, sample_expression, sample_tree
+from .prte import DEFAULT_MAX_DEPTH, PriorSpec, compute_ties, group_tags
+from .prte import sample_expression, sample_tree
 # pta_eval and context_marginal stay bound: bench/spans.py wraps them here
 from .pta import Pta, compile_prior, context_marginal, inside, pta_eval  # noqa: F401
 from .pta import sample_from_state, state_marginal
@@ -56,6 +58,8 @@ from .trees import (
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
+# a log sigma beyond this in size takes the likelihood's sigma**2 out of float range
+_MAX_LOG_SIGMA = 0.5 * math.log(sys.float_info.max)
 _CACHE_CAP = 200_000
 
 MOVES = ("global", "local", "params", "sigma")
@@ -83,7 +87,7 @@ class McmcConfig:
     p_local: float = 0.4
     p_param: float = 0.3
     p_sigma: float = 0.1
-    max_depth: int = 50
+    max_depth: int = DEFAULT_MAX_DEPTH
     state_budget: int = 10_000
     sigma0: float | None = None
     prior_only: bool = False
@@ -96,6 +100,8 @@ class McmcConfig:
                 raise InputError(f"config field {f.name} must be {f.type}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):  # JSON admits NaN
                 raise InputError(f"config field {f.name} must be finite, got {value!r}")
+        if self.seed < 0:
+            raise InputError(f"seed must be non-negative, got {self.seed}")
         if self.burn_in < 0 or self.samples <= 0 or self.thin <= 0:
             raise InputError("burn_in >= 0, samples > 0, thin > 0 required")
         if self.samples % self.thin:
@@ -410,8 +416,10 @@ def propose_global(state: ChainState, ctx: _ChainContext, rng):
 
 def propose_local(state: ChainState, ctx: _ChainContext, rng):
     """Cut a uniformly chosen subtree, draw the automaton state at the cut
-    from the tempered context marginal, regrow from that state.  Returns None
-    when the move aborts (impossible context or exhausted regrow depth)."""
+    from the tempered context marginal, regrow from that state within the
+    depth left at the cut.  Returns None when the context is impossible; a
+    regrow past that depth raises DepthBudgetExhausted, which the chain
+    counts as an aborted move."""
     tree = state.expr.tree
     n_nodes = tree.size
     addr, old_sub = tree.nth(int(rng.integers(n_nodes)))
@@ -420,10 +428,7 @@ def propose_local(state: ChainState, ctx: _ChainContext, rng):
     except ImpossibleContext:
         return None
     start = int(cdf.searchsorted(rng.random(), side="right"))
-    try:
-        new_sub = sample_from_state(ctx.pta, start, rng, ctx.config.max_depth)
-    except DepthBudgetExhausted:
-        return None
+    new_sub = sample_from_state(ctx.pta, start, rng, ctx.config.max_depth - len(addr))
     log_rev_regrow = _log(boltzmann @ ctx.inside(old_sub))
     if new_sub == old_sub:  # the current expression: the jumps draw nothing, add 0.0
         log_regrow = -math.log(n_nodes) + log_rev_regrow
@@ -458,8 +463,9 @@ def propose_sigma(state: ChainState, ctx: _ChainContext, rng):
     """Gaussian random walk on log(sigma); the exponential prior is evaluated
     on the log scale so the walk is symmetric and sigma stays positive."""
     s_new = math.log(state.sigma) + ctx.config.step_sigma * float(rng.standard_normal())
-    proposal = ctx.restate_sigma(state, math.exp(s_new))
-    return proposal, 0.0, 0.0
+    if abs(s_new) > _MAX_LOG_SIGMA:  # a step out of float range aborts the move
+        return None
+    return ctx.restate_sigma(state, math.exp(s_new)), 0.0, 0.0
 
 
 _PROPOSERS = {
@@ -476,9 +482,11 @@ _PROPOSERS = {
 def run_chain(prior: PriorSpec, data, config: McmcConfig, on_draw=None) -> Posterior:
     """Burn in, then record every thin-th state of the next `samples` steps.
     Fully deterministic given the seed.  Aborted moves (impossible regrow,
-    depth overflow, a non-finite parameter step) count as rejections so the
-    kernel is total.  ``on_draw`` is called with each Draw as it is recorded
-    (partial-trace collection)."""
+    depth overflow, a parameter or sigma step out of float range) count as
+    rejections so the kernel is total.  A proposal deeper than max_depth lies
+    outside the target's support, so rejecting it keeps the chain exact for
+    the posterior restricted to trees within max_depth.  ``on_draw`` is
+    called with each Draw as it is recorded (partial-trace collection)."""
     if prior.max_depth != config.max_depth:
         prior = replace(prior, max_depth=config.max_depth)
     pta = compile_prior(prior, config.state_budget)
@@ -546,7 +554,7 @@ def _initial_state(ctx: _ChainContext, rng) -> ChainState:
         state = ctx.make_state(replace(expr, tree=ctx.intern(expr.tree)[0]), sigma)
         if math.isfinite(state.log_lik):
             return state
-    raise DepthBudgetExhausted("no prior draw evaluates finitely on the data")
+    raise RuntimeFailure("no prior draw evaluates finitely on the data")
 
 
 def _pick_move(mix, rng) -> str:
@@ -578,14 +586,14 @@ def run_chains(prior: PriorSpec, data, config: McmcConfig, chains: int, on_draw=
 _BAND_BLOCK = 256  # points per vectorised block in posterior_predict
 
 
-def posterior_predict(posterior: Posterior, inputs, rng=None, strict=True):
+def posterior_predict(posterior: Posterior, inputs, rng=None):
     """Pointwise predictive mean and 5/50/95% quantiles over the draws.
     Passing an rng adds observation noise (one sigma-scaled draw per
     posterior sample), giving aleatoric-plus-epistemic bands; without it the
     bands are epistemic only.  Draws that evaluate non-finite at a point are
-    dropped there and counted; a point with no finite draw raises under
-    strict=True and yields a NaN row otherwise.  Each distinct draw is
-    evaluated once."""
+    dropped there and counted; a point with no finite draw yields a NaN row
+    whose count is the number of draws.  Each distinct draw is evaluated
+    once."""
     if not posterior.draws:
         raise InputError("posterior holds no draws")
     inputs = {k: np.asarray(v, dtype=float) for k, v in inputs.items()}
@@ -598,9 +606,6 @@ def posterior_predict(posterior: Posterior, inputs, rng=None, strict=True):
         values += sigmas * rng.standard_normal((sigmas.size, n)).T
     finite = np.isfinite(values)
     dropped = (~finite).sum(axis=1)
-    if strict and (dropped == len(posterior.draws)).any():
-        bad = int(np.argmax(dropped == len(posterior.draws)))
-        raise AllDrawsNonFinite(f"every draw is non-finite at point index {bad}")
     mean = np.full(n, np.nan)
     quantiles = np.full((3, n), np.nan)
     # Points where every draw is finite go through numpy a block of rows at a

@@ -669,7 +669,8 @@ class PriorSpec:
 
 
 class DepthOverflow(Exception):
-    """A sampling attempt went past its depth budget; the sampler redraws."""
+    """A sampling attempt went past its depth budget (or, growing from an
+    automaton state, into dead mass)."""
 
 
 def sample_tree(prior: PriorSpec, rng: np.random.Generator) -> Tree:
@@ -730,7 +731,7 @@ def compute_ties(tree: Tree, prior: PriorSpec) -> tuple:
         else:
             site, node = ("root",), tree
             for depth, i in enumerate(pos):
-                if (node.symbol.name, node.symbol.rank) == tuple(anchor):
+                if (node.symbol.name, node.symbol.rank) == anchor:
                     site = pos[:depth]
                 node = node.children[i - 1]
             key = (tag, site)
@@ -818,25 +819,20 @@ def build_prior(
     max_depth: int = DEFAULT_MAX_DEPTH,
     shared=None,
 ) -> PriorSpec:
-    """Assemble and validate a prior from its textual expression.  Only the
-    syntax is checked here; ``PriorSpec`` runs the static analysis once and
-    derives the alphabet: exactly the symbols used plus the declared input
-    variables."""
+    """Assemble and validate a prior from its textual expression and the
+    other keys of a prior file: ``markers`` maps each tag to a marker object
+    such as ``{"dist": "exp", "rate": 1.0}``, ``shared`` a tag to
+    ``{"anchor": name, "rank": rank}``.  Only the syntax is checked here;
+    ``PriorSpec`` runs the static analysis once and derives the alphabet:
+    exactly the symbols used plus the declared input variables."""
     expr = _parse(expression)
-    marker_priors = {}
-    for tag, spec in (markers or {}).items():
-        if isinstance(spec, MarkerPrior):
-            marker_priors[tag] = spec
-        else:
-            marker_priors[tag] = _marker_from_dict(tag, spec)
+    marker_priors = {tag: _marker_from_dict(tag, spec) for tag, spec in (markers or {}).items()}
     shared_anchors = {}
     for tag, anchor in (shared or {}).items():
-        if isinstance(anchor, dict):
-            anchor = (anchor.get("anchor"), anchor.get("rank"))
-        if not (isinstance(anchor, (list, tuple)) and len(anchor) == 2
-                and type(anchor[0]) is str and type(anchor[1]) is int):
+        pair = (anchor.get("anchor"), anchor.get("rank")) if type(anchor) is dict else None
+        if pair is None or type(pair[0]) is not str or type(pair[1]) is not int:
             raise InputError(f"shared tag '{tag}': {anchor!r} is not an anchor name and rank")
-        shared_anchors[tag] = tuple(anchor)
+        shared_anchors[tag] = pair
     try:
         support = tuple(Fraction(str(v)) for v in theta_d_support)
     except (ValueError, ZeroDivisionError) as exc:

@@ -35,7 +35,7 @@ from .errors import (
     InputError,
     StateBudgetExceeded,
 )
-from .prte import RESAMPLE_RETRIES, DepthOverflow, PriorSpec
+from .prte import DEFAULT_MAX_DEPTH, DepthOverflow, PriorSpec
 from .trees import HOLE_NAME, Tree
 
 PROB_TOL = 1e-12
@@ -269,35 +269,35 @@ def context_marginal(pta: Pta, context: Tree) -> np.ndarray:
 # -- generation ---------------------------------------------------------------------
 
 
-def sample_from_state(pta: Pta, state, rng, max_depth: int = 50) -> Tree:
+def sample_from_state(pta: Pta, state, rng, max_depth: int = DEFAULT_MAX_DEPTH) -> Tree:
     """Grow a tree from the automaton's generative process seeded at the given
-    state instead of the initial distribution.  The tree's probability from
-    that state is its inside vector's entry there, ``inside(pta, tree)[state]``.
+    state instead of the initial distribution, its root at depth 0.  The
+    tree's probability from that state is its inside vector's entry there,
+    ``inside(pta, tree)[state]``.
 
     Requires generative states: each state must either emit exactly one
     symbol through transition rows or accept exactly one leaf symbol.
-    Missing row mass aborts the attempt; attempts deeper than max_depth are
-    redrawn, as in the expression sampler.
+    There is one attempt, which missing row mass or a node deeper than
+    ``max_depth`` ends with DepthBudgetExhausted.  Unlike the expression
+    sampler, this does not redraw: a caller that rejects on the error
+    proposes each tree with exactly its inside probability.
     """
-    emit = _emission_table(pta)
-    for _ in range(RESAMPLE_RETRIES):
-        try:
-            return _grow(pta.alphabet, emit, rng, int(state), 0, max_depth)
-        except DepthOverflow:
-            continue
-    raise DepthBudgetExhausted(
-        f"no tree from state {pta.states[int(state)]} within depth {max_depth}"
-    )
+    try:
+        return _grow(pta.alphabet, _emission_table(pta), rng, int(state), 0, max_depth)
+    except DepthOverflow:
+        raise DepthBudgetExhausted(
+            f"the tree grown from state {pta.states[int(state)]} died or passed depth {max_depth}"
+        ) from None
 
 
 def _grow(alphabet, emit, rng, q: int, depth: int, max_depth: int) -> Tree:
     """One attempt of ``sample_from_state`` from state ``q`` at ``depth``; a
     module function, so that no closure cycle keeps the automaton alive."""
+    if depth > max_depth:
+        raise DepthOverflow()
     symbol, cdf, kids = emit[q]
     if symbol.rank == 0:
         return alphabet.leaf(symbol.name)
-    if depth > max_depth:
-        raise DepthOverflow()
     i = bisect_right(cdf, rng.random())
     if i == len(cdf):
         raise DepthOverflow()  # dead mass

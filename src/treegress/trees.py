@@ -202,10 +202,10 @@ class Tree:
             subtree = Tree(node.symbol, kids[:i - 1] + (subtree,) + kids[i:])
         return subtree
 
-    def walk(self, prefix=()):
+    def walk(self):
         """Yield (address, node) pairs in pre-order.  Iterative so that very
         deep trees stay within the interpreter's recursion limit."""
-        stack = [(prefix, self)]
+        stack = [((), self)]
         while stack:
             addr, node = stack.pop()
             yield addr, node

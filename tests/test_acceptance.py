@@ -28,14 +28,7 @@ import pytest
 
 from helpers import all_trees, brute_force_eval
 
-from treegress.experiments import (
-    HyperelasticSpec,
-    gen_hyperelastic,
-    gen_isotherm,
-    isotherm_spec,
-    prior_library,
-    rmse,
-)
+from treegress.experiments import gen_hyperelastic, gen_isotherm, prior_library, rmse
 from treegress.inference import (
     McmcConfig,
     expand_params,
@@ -274,12 +267,12 @@ def test_criterion_07_langmuir_end_to_end(library):
     e_iso = library["E_iso"]
     results = {"test1": [], "test3": []}
     for seed in range(5):
-        data = gen_isotherm(isotherm_spec("langmuir"), seed=1000 + seed)
+        data = gen_isotherm("langmuir", seed=1000 + seed)
         config = McmcConfig(burn_in=2000, samples=1000, thin=10, seed=seed)
         post = run_chain(e_iso, data["train"], config)
         for split in results:
             ds = data[split]
-            bands = posterior_predict(post, ds.inputs(), strict=False)
+            bands = posterior_predict(post, ds.inputs())
             finite = np.isfinite(bands["mean"])
             results[split].append(rmse(bands["mean"][finite], ds.target[finite]))
     med1 = float(np.median(results["test1"]))
@@ -295,11 +288,11 @@ def test_criterion_08_hyperelastic_sanity(library):
     e_hyp = library["E_hyp"]
     scores = []
     for seed in range(3):
-        data = gen_hyperelastic(HyperelasticSpec(), seed=2000 + seed)
+        data = gen_hyperelastic(seed=2000 + seed)
         config = McmcConfig(burn_in=2000, samples=1000, thin=10, seed=seed)
         post = run_chain(e_hyp, data["train"], config)
         ds = data["test3"]
-        bands = posterior_predict(post, ds.inputs(), strict=False)
+        bands = posterior_predict(post, ds.inputs())
         finite = np.isfinite(bands["mean"])
         scores.append(rmse(bands["mean"][finite], ds.target[finite]))
     med = float(np.median(scores))

@@ -80,11 +80,12 @@ MARKED = {"name": "t", "expression": "choice{ 1/2: k#, 1/2: b }",
         ("config", {"train": 5}, "['train'] must be strings"),
         ("config", {"prior": ["E_iso"]}, "['prior'] must be strings"),
         ("config", {"out": None, "train": "x.csv"}, "['out'] must be strings"),
+        ("config", {"seed": -1}, "seed must be non-negative"),
     ],
     ids=["prior-not-object", "expression-5", "max-depth-deep", "markers-list", "exp-no-rate",
          "support-a", "shared-5", "anchor-no-rank", "variables-ab", "name-5", "max-depth-true",
          "max-depth-2.7", "rate-inf", "rate-nan", "stddev-nan", "mean-inf", "config-list",
-         "tau-nan", "train-5", "prior-list", "out-null"],
+         "tau-nan", "train-5", "prior-list", "out-null", "seed-negative"],
 )
 def test_malformed_prior_or_run_config_exits_2(capsys, tmp_path, kind, doc, message):
     path = tmp_path / f"{kind}.json"
@@ -172,6 +173,35 @@ def test_sample_env_seed(capsys, monkeypatch):
     _, out1, _ = run_cli(capsys, "sample", "--prior", "E_sum", "--n", "3")
     _, out2, _ = run_cli(capsys, "sample", "--prior", "E_sum", "--n", "3", "--seed", "77")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("command", ["sample", "gen-data", "fit", "report"])
+def test_negative_seed_exits_2(capsys, tmp_path, command):
+    (tmp_path / "train.csv").write_text("c,s\n1.0,2.0\n")
+    (tmp_path / "c.json").write_text(json.dumps({"burn_in": 1, "samples": 10, "thin": 1}))
+    argv = {
+        "sample": ["--prior", "E_1", "--n", "1"],
+        "gen-data": ["--task", "hyperelastic", "--out-dir", str(tmp_path / "data")],
+        "fit": ["--prior", "E_iso", "--train", str(tmp_path / "train.csv"),
+                "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "p.json")],
+        "report": ["--posterior", str(_hand_posterior(tmp_path)), "--data",
+                   str(tmp_path / "train.csv"), "--out-dir", str(tmp_path / "rep"), "--with-noise"],
+    }[command]
+    code, out, err = run_cli(capsys, command, *argv, "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "InputError",
+                               "message": "a seed must be non-negative, got -1"}
+
+
+@pytest.mark.parametrize("value, message", [
+    ("abc", "TREEGRESS_SEED must be an integer, got 'abc'"),
+    ("-3", "a seed must be non-negative, got -3"),
+])
+def test_bad_env_seed_exits_2(capsys, monkeypatch, value, message):
+    monkeypatch.setenv("TREEGRESS_SEED", value)
+    code, out, err = run_cli(capsys, "sample", "--prior", "E_sum", "--n", "3")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "InputError", "message": message}
 
 
 def test_unknown_prior_exits_2(capsys):
@@ -356,6 +386,27 @@ def test_fit_overflowing_parameter_step_aborts_the_move(capsys, tmp_path):
     assert code == 0, err
     assert err == ""
     assert json.loads(out_path.read_text())["accept_stats"]["params"]["aborted"] > 0
+
+
+def test_fit_with_no_finite_start_exits_3_and_writes_an_empty_trace(capsys, tmp_path):
+    prior = tmp_path / "prior.json"
+    prior.write_text(json.dumps({"name": "ratio", "expression": "/(a#, c)", "variables": ["c"],
+                                 "markers": {"a#": {"dist": "exp", "rate": 1.0}}}))
+    train = tmp_path / "train.csv"
+    train.write_text("c,s\n0.0,1.0\n0.0,2.0\n")
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"burn_in": 1, "samples": 10, "thin": 1}))
+    out_path = tmp_path / "p.json"
+    code, out, err = run_cli(
+        capsys, "fit", "--prior", str(prior), "--train", str(train), "--config", str(config),
+        "--out", str(out_path),
+    )
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {
+        "error": "RuntimeFailure",
+        "message": "inference stopped after 0 draws: no prior draw evaluates finitely on the data",
+    }
+    assert json.loads(out_path.read_text())["draws"] == []
 
 
 # -- report ----------------------------------------------------------------------
@@ -583,7 +634,7 @@ def test_report_keys_each_draw_once(capsys, tmp_path, monkeypatch):
 
 
 def test_report_writes_every_dataset_in_the_first_header_order(capsys, tmp_path, e_hyp):
-    from treegress.experiments import HyperelasticSpec, gen_hyperelastic
+    from treegress.experiments import gen_hyperelastic
     from treegress.prte import sample_expression
 
     rng = np.random.default_rng(3)
@@ -591,7 +642,7 @@ def test_report_writes_every_dataset_in_the_first_header_order(capsys, tmp_path,
     post_path = tmp_path / "p.json"
     post_path.write_text(posterior_to_json(Posterior(draws, {}, McmcConfig(), 0)))
     first = tmp_path / "test1.csv"
-    gen_hyperelastic(HyperelasticSpec(), seed=7)["test1"].to_csv(first)
+    gen_hyperelastic(seed=7)["test1"].to_csv(first)
     rows = [line.split(",") for line in first.read_text().splitlines()]
     l1, l2 = rows[0].index("l1"), rows[0].index("l2")
     for row in rows:

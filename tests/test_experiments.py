@@ -7,11 +7,10 @@ import pytest
 
 from treegress.errors import InputError, LengthMismatch
 from treegress.experiments import (
-    HyperelasticSpec,
     ISOTHERM_NAMES,
     gen_hyperelastic,
     gen_isotherm,
-    isotherm_spec,
+    isotherm_rates,
     ogden_energy,
     prior_library,
     read_dataset,
@@ -23,11 +22,10 @@ from treegress.prte import prte_density, sample_tree
 # -- isotherms -------------------------------------------------------------------
 
 def test_langmuir_closed_form():
-    spec = isotherm_spec("langmuir")
     formula = lambda s_T, k, c: s_T * k * c / (1 + k * c)
     assert formula(100.0, 1.0, 1.0) == pytest.approx(50.0)
     # generator agrees with the closed form when noise is off
-    data = gen_isotherm(spec, seed=7, noise=False)
+    data = gen_isotherm("langmuir", seed=7, noise=False)
     train = data["train"]
     p = train.meta["params"]
     expect = formula(p["s_T"], p["k"], train.columns[0])
@@ -35,7 +33,7 @@ def test_langmuir_closed_form():
 
 
 def test_train_set_shape_and_range():
-    data = gen_isotherm(isotherm_spec("langmuir"), seed=7)
+    data = gen_isotherm("langmuir", seed=7)
     train = data["train"]
     assert train.n == 20
     assert train.header == ("c", "s")
@@ -57,7 +55,6 @@ def test_zero_concentration_gives_zero_sorption():
         "redlich_peterson",
     ]
     for name in vanishing:
-        spec = isotherm_spec(name)
         from treegress.experiments import _ISOTHERMS
 
         formula, order, _, _ = _ISOTHERMS[name]
@@ -68,7 +65,7 @@ def test_zero_concentration_gives_zero_sorption():
 def test_generated_targets_finite_everywhere():
     for name in ISOTHERM_NAMES:
         for seed in (1, 2, 3):
-            data = gen_isotherm(isotherm_spec(name), seed=seed, noise=False)
+            data = gen_isotherm(name, seed=seed, noise=False)
             for split, ds in data.items():
                 assert np.isfinite(ds.target).all(), (name, seed, split)
 
@@ -79,51 +76,49 @@ def test_nonnegative_outside_pole_families():
         if name in pole_families:
             continue
         for seed in (1, 2, 3):
-            data = gen_isotherm(isotherm_spec(name), seed=seed, noise=False)
+            data = gen_isotherm(name, seed=seed, noise=False)
             for ds in data.values():
                 assert (ds.target >= 0).all(), (name, seed)
 
 
 def test_seed_determinism():
-    a = gen_isotherm(isotherm_spec("toth"), seed=11)
-    b = gen_isotherm(isotherm_spec("toth"), seed=11)
+    a = gen_isotherm("toth", seed=11)
+    b = gen_isotherm("toth", seed=11)
     for split in a:
         for ca, cb in zip(a[split].columns, b[split].columns):
             assert ca.tobytes() == cb.tobytes()
 
 
 def test_unknown_isotherm_rejected():
-    with pytest.raises(InputError):
-        isotherm_spec("linear")
+    with pytest.raises(InputError, match="unknown isotherm 'linear'"):
+        gen_isotherm("linear", seed=0)
 
 
 def test_rate_overrides():
-    assert isotherm_spec("toth").param_priors["alpha"] == 0.75
-    assert isotherm_spec("redlich_peterson").param_priors["alpha"] == 0.75
-    bet = isotherm_spec("brunauer_emmett_teller").param_priors
+    assert isotherm_rates("toth")["alpha"] == 0.75
+    assert isotherm_rates("redlich_peterson")["alpha"] == 0.75
+    bet = isotherm_rates("brunauer_emmett_teller")
     assert (bet["k_1"], bet["k_2"], bet["k_3"]) == (0.25, 4.0, 100.0)
-    two = isotherm_spec("two_site_langmuir").param_priors
+    two = isotherm_rates("two_site_langmuir")
     assert (two["k_1"], two["k_2"]) == (8.0, 8.0)
-    assert isotherm_spec("langmuir").param_priors["s_T"] == 0.015
+    assert isotherm_rates("langmuir") == {"s_T": 0.015, "k": 4.0}
 
 
 # -- hyper-elastic ------------------------------------------------------------------
 
 def test_undeformed_state_zero_energy():
-    spec = HyperelasticSpec()
     ones = np.ones(4)
-    assert np.allclose(ogden_energy(spec, ones, ones, ones), 0.0)
+    assert np.allclose(ogden_energy(ones, ones, ones), 0.0)
 
 
 def test_ogden_energy_single_stretch():
-    spec = HyperelasticSpec()
-    w = ogden_energy(spec, np.array([2.0]), np.array([1.0]), np.array([1.0]))
+    w = ogden_energy(np.array([2.0]), np.array([1.0]), np.array([1.0]))
     expect = (1.5 / 1.75) * (2**1.75 - 1) + (0.1 / 2.5) * (2**2.5 - 1)
     assert w[0] == pytest.approx(expect)
 
 
 def test_hyperelastic_ranges_and_header():
-    data = gen_hyperelastic(HyperelasticSpec(), seed=3)
+    data = gen_hyperelastic(seed=3)
     assert data["train"].header == ("l1", "l2", "l3", "w")
     t3 = data["test3"]
     for col in t3.columns[:3]:
@@ -131,8 +126,8 @@ def test_hyperelastic_ranges_and_header():
 
 
 def test_hyperelastic_noise_scale():
-    clean = gen_hyperelastic(HyperelasticSpec(), seed=9, noise=False)
-    noisy = gen_hyperelastic(HyperelasticSpec(), seed=9, noise=True)
+    clean = gen_hyperelastic(seed=9, noise=False)
+    noisy = gen_hyperelastic(seed=9, noise=True)
     diff = noisy["train"].target - clean["train"].target
     assert 0 < np.abs(diff).max() < 0.1
 
@@ -164,7 +159,7 @@ def test_mrs_prior_is_deterministic():
 # -- csv round trip ---------------------------------------------------------------------
 
 def test_csv_round_trip(tmp_path):
-    data = gen_isotherm(isotherm_spec("freundlich"), seed=5)
+    data = gen_isotherm("freundlich", seed=5)
     path = tmp_path / "train.csv"
     data["train"].to_csv(path)
     text = path.read_text()

@@ -5,14 +5,16 @@ Independent oracles:
     - central-difference Jacobian determinants of the dimension maps
     - exhaustive posterior enumeration on a finite six-tree prior
     - the exponential prior law of the noise scale under a constant likelihood
+    - every E_1 tree within a depth of 3, scored exactly
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from treegress.errors import AllDrawsNonFinite, InputError, SizeMismatch
+from treegress.errors import InputError, SizeMismatch
 from treegress.inference import (
     Draw,
     McmcConfig,
@@ -29,8 +31,8 @@ from treegress.inference import (
 )
 from helpers import addresses
 from treegress.prte import build_prior, prte_density
-from treegress.pta import compile_prior
-from treegress.trees import SymbolicExpression, parse_tree
+from treegress.pta import compile_prior, pta_eval
+from treegress.trees import SymbolicExpression, Tree, parse_tree
 
 LOG_2PI = math.log(2 * math.pi)
 
@@ -312,6 +314,46 @@ def test_structure_marginal_matches_prior_density(e_sum):
         assert abs(counts[tree] / n - p) < 6 * se + 0.01
 
 
+def test_chain_targets_the_prior_truncated_at_max_depth(e1):
+    # every E_1 tree of depth <= 3 (5,552), scored exactly: the law of tree size
+    # under the prior restricted to them, which global and local moves must keep
+    leaves = [Tree(s) for s in e1.alphabet if s.rank == 0]
+    trees = leaves
+    for _ in range(3):
+        trees = leaves + [Tree(s, kids) for s in e1.alphabet if s.rank
+                          for kids in itertools.product(trees, repeat=s.rank)]
+    assert len(trees) == 5552
+    pta = compile_prior(e1)
+    exact = {}
+    for t in trees:
+        exact[t.size] = exact.get(t.size, 0.0) + pta_eval(pta, t)
+    total = sum(exact.values())
+    config = McmcConfig(burn_in=1000, samples=20_000, thin=4, seed=0, max_depth=3,
+                        prior_only=True, p_global=0.3, p_local=0.7, p_param=0.0, p_sigma=0.0)
+    post = run_chain(e1, None, config)
+    assert max(len(a) for d in post.draws for a in addresses(d.expr.tree)) <= 3
+    counts = {}
+    for d in post.draws:
+        counts[d.expr.tree.size] = counts.get(d.expr.tree.size, 0) + 1
+    n = len(post.draws)
+    tv = 0.5 * sum(abs(counts.get(k, 0) / n - p / total) for k, p in exact.items())
+    assert tv < 0.05
+
+
+def test_sigma_step_out_of_float_range_aborts_the_move(e_sum, e_iso):
+    # log-steps of 1000 overflow exp() or underflow it to 0.0; with data, a
+    # sigma whose square underflows would divide the likelihood by zero
+    from treegress.experiments import gen_isotherm
+
+    for prior, data in ((e_sum, None), (e_iso, gen_isotherm("langmuir", seed=7)["train"])):
+        config = McmcConfig(burn_in=0, samples=50, thin=1, step_sigma=1000.0,
+                            prior_only=data is None)
+        post = run_chain(prior, data, config)
+        assert len(post.draws) == 50
+        assert post.accept_stats["sigma"]["aborted"] > 0
+        assert all(0.0 < d.sigma < math.inf for d in post.draws)
+
+
 # -- chain mechanics ---------------------------------------------------------------------
 
 def test_chain_deterministic(e_sum):
@@ -428,8 +470,10 @@ def test_all_draws_non_finite():
 
     e = expr_of("(/ 1 x)")
     post = make_posterior([Draw(e, 0.1, -1.0)] * 3)
-    with pytest.raises(AllDrawsNonFinite):
-        posterior_predict(post, {"x": np.array([0.0])})
+    out = posterior_predict(post, {"x": np.array([0.0, 2.0])})
+    assert out["dropped"].tolist() == [3, 0]
+    assert all(np.isnan(out[q][0]) for q in ("mean", "q05", "q50", "q95"))
+    assert out["mean"][1] == 0.5
 
 
 def test_nonfinite_draws_dropped_pointwise():
@@ -468,8 +512,7 @@ def test_bands_match_a_per_point_loop(noise):
     draws = [Draw(expr_of("(pow x a#)", theta_c=(a,)), 0.1 + a, -1.0) for a in exponents]
     post = make_posterior(draws)
     x = {"x": np.linspace(-2.0, 5.0, 41)}
-    out = posterior_predict(post, x, rng=np.random.default_rng(9) if noise else None,
-                            strict=False)
+    out = posterior_predict(post, x, rng=np.random.default_rng(9) if noise else None)
 
     noise_rng = np.random.default_rng(9)
     values = []
@@ -583,7 +626,7 @@ def _full_path(move, state, ctx, rng):
         addr = list(old.walk())[int(rng.integers(old.size))][0]
         boltzmann, _ = ctx.boltzmann_marginal(old, addr)
         start = int(rng.choice(len(boltzmann), p=boltzmann))
-        new_sub = sample_from_state(ctx.pta, start, rng, ctx.config.max_depth)
+        new_sub = sample_from_state(ctx.pta, start, rng, ctx.config.max_depth - len(addr))
         tree, ties, _ = ctx.intern(old.replace_at(addr, new_sub))
         fwd_regrow = inf._log(boltzmann @ ctx.inside(tree.node_at(addr)))
         rev_regrow = inf._log(boltzmann @ ctx.inside(old.node_at(addr)))
@@ -608,7 +651,7 @@ def test_identity_proposals_match_the_full_path(e_iso, e_hyp, monkeypatch):
 
     import treegress.inference as inf
     from treegress.errors import DepthBudgetExhausted
-    from treegress.experiments import HyperelasticSpec, gen_hyperelastic, gen_isotherm, isotherm_spec
+    from treegress.experiments import gen_hyperelastic, gen_isotherm
     from treegress.pta import compile_prior
 
     calls = []  # the chain evaluates on the data through run_program
@@ -618,8 +661,8 @@ def test_identity_proposals_match_the_full_path(e_iso, e_hyp, monkeypatch):
     )
     bits = lambda x: struct.pack("<d", x)  # noqa: E731
     fits = [
-        (e_iso, gen_isotherm(isotherm_spec("langmuir"), seed=7)["train"]),
-        (e_hyp, gen_hyperelastic(HyperelasticSpec(), seed=7)["train"]),
+        (e_iso, gen_isotherm("langmuir", seed=7)["train"]),
+        (e_hyp, gen_hyperelastic(seed=7)["train"]),
     ]
     for prior, data in fits:
         checked = {"global": 0, "local": 0}
