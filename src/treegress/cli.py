@@ -272,8 +272,15 @@ def cmd_report(args) -> int:
 # -- wiring -----------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Its usage errors raise InputError, which ``main`` prints as one JSON object."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="treegress",
         description="Bayesian symbolic regression with tree-expression priors",
     )
@@ -324,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if hasattr(args, "seed"):
             args.seed = _resolve_seed(args)
         return args.fn(args)

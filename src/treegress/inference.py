@@ -29,9 +29,11 @@ import json
 import math
 import numbers
 import sys
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -44,9 +46,9 @@ from .errors import (
 )
 from .prte import DEFAULT_MAX_DEPTH, PriorSpec, compute_ties, group_tags
 from .prte import sample_expression, sample_tree
-# pta_eval and context_marginal stay bound: bench/spans.py wraps them here
+# pta_eval stays bound: bench/spans.py wraps it here
 from .pta import Pta, compile_prior, context_marginal, inside, pta_eval  # noqa: F401
-from .pta import sample_from_state, state_marginal
+from .pta import sample_from_state
 from .trees import (
     SymbolicExpression,
     Tree,
@@ -117,8 +119,9 @@ class McmcConfig:
             raise InputError("move probabilities must be non-negative")
         if abs(sum(mix) - 1.0) > 1e-12:
             raise InputError(f"move mix sums to {sum(mix)!r}, expected 1")
-        if self.sigma0 is not None and self.sigma0 <= 0:
-            raise InputError("sigma0 must be positive")
+        if self.sigma0 is not None and not (
+                self.sigma0 > 0 and abs(math.log(self.sigma0)) <= _MAX_LOG_SIGMA):
+            raise InputError(f"sigma0 must be positive with |log sigma0| <= {_MAX_LOG_SIGMA:.1f}")
 
     def move_mix(self):
         return dict(zip(MOVES, (self.p_global, self.p_local, self.p_param, self.p_sigma)))
@@ -331,7 +334,7 @@ class _ChainContext:
         key = (tree, addr)
         cached = self.marginal_cache.get(key)
         if cached is None:
-            marginal = state_marginal(self.pta, tree, addr, self.inside_memo)
+            marginal = context_marginal(self.pta, tree, addr, self.inside_memo)
             support = marginal > 0
             logits = np.full(marginal.shape, -math.inf)
             logits[support] = np.log(marginal[support]) / self.config.tau
@@ -505,14 +508,14 @@ def run_chain(prior: PriorSpec, data, config: McmcConfig, on_draw=None) -> Poste
     rng = np.random.default_rng(config.seed)
     state = _initial_state(ctx, rng)
 
-    mix = config.move_mix()
+    cumulative = tuple(accumulate(config.move_mix().values()))  # added in MOVES order
     stats = {
         move: {"proposed": 0, "accepted": 0, "aborted": 0} for move in MOVES
     }
     draws = []
     total_steps = config.burn_in + config.samples
     for step in range(total_steps):
-        move = _pick_move(mix, rng)
+        move = MOVES[min(bisect_right(cumulative, rng.random()), len(MOVES) - 1)]
         stats[move]["proposed"] += 1
         try:
             out = _PROPOSERS[move](state, ctx, rng)
@@ -555,16 +558,6 @@ def _initial_state(ctx: _ChainContext, rng) -> ChainState:
         if math.isfinite(state.log_lik):
             return state
     raise RuntimeFailure("no prior draw evaluates finitely on the data")
-
-
-def _pick_move(mix, rng) -> str:
-    r = rng.random()
-    acc = 0.0
-    for move in MOVES:
-        acc += mix[move]
-        if r < acc:
-            return move
-    return MOVES[-1]
 
 
 def run_chains(prior: PriorSpec, data, config: McmcConfig, chains: int, on_draw=None) -> Posterior:

@@ -38,7 +38,6 @@ from .errors import (
     WeightSumError,
 )
 from .trees import (
-    HOLE_NAME,
     RankedAlphabet,
     RankedSymbol,
     SymbolicExpression,
@@ -294,8 +293,6 @@ class _Parser:
         name = tok.text
         if name in _KEYWORDS:
             raise PrteSyntaxError(f"{name!r} is a reserved word", tok.line, tok.col)
-        if name == HOLE_NAME:
-            raise PrteSyntaxError("'?' is reserved for context holes", tok.line, tok.col)
         if self.peek().kind == "(":
             self.next()
             kids = [self.parse_prte()]
@@ -347,7 +344,7 @@ class _Resolution:
         self.root = root
         self.var_target: dict[int, Prte] = {}
         self.nodes: list[Prte] = []
-        self._seen_scopes: dict[int, dict] = {}
+        self._seen: set[int] = set()
         try:
             self._resolve(root, {})
             self.height = self._least_height()
@@ -360,14 +357,9 @@ class _Resolution:
 
     def _resolve(self, node: Prte, scope: dict):
         key = id(node)
-        if key in self._seen_scopes:
-            if self._seen_scopes[key] is not scope and self._scope_differs(node, scope):
-                raise InputError(
-                    "sub-expression object is shared across conflicting variable "
-                    "scopes; build structurally distinct nodes instead"
-                )
-            return
-        self._seen_scopes[key] = scope
+        if key in self._seen:  # the analysis keys nodes by identity, one object per place
+            raise InputError("a sub-expression object occurs twice; build one node per place")
+        self._seen.add(key)
         self.nodes.append(node)
         if isinstance(node, PSymbol):
             for c in node.children:
@@ -390,15 +382,6 @@ class _Resolution:
             self._resolve(node.body, inner)
         else:
             raise TypeError(f"not a Prte: {node!r}")
-
-    def _scope_differs(self, node: Prte, scope: dict) -> bool:
-        # A re-visited subtree is only a problem if some variable inside it
-        # would now resolve to a different binder.
-        for v in _free_vars(node):
-            old = self._seen_scopes[id(node)].get(v)
-            if scope.get(v) is not old:
-                return True
-        return False
 
     # expansion edges -------------------------------------------------------
 
@@ -491,26 +474,6 @@ class _Resolution:
             for n in comp:
                 reach[id(n)] = solved[order[id(n)]]
         return reach
-
-
-def _free_vars(node: Prte, bound=frozenset()):
-    if isinstance(node, PVar):
-        return set() if node.name in bound else {node.name}
-    if isinstance(node, PSymbol):
-        out = set()
-        for c in node.children:
-            out |= _free_vars(c, bound)
-        return out
-    if isinstance(node, PChoice):
-        out = set()
-        for _, b in node.branches:
-            out |= _free_vars(b, bound)
-        return out
-    if isinstance(node, PConcat):
-        return _free_vars(node.left, bound | {node.var}) | _free_vars(node.right, bound)
-    if isinstance(node, PIter):
-        return _free_vars(node.body, bound | {node.var})
-    return set()
 
 
 def _sccs(nodes, successors):
@@ -668,11 +631,6 @@ class PriorSpec:
 # -- sampling --------------------------------------------------------------------
 
 
-class DepthOverflow(Exception):
-    """A sampling attempt went past its depth budget (or, growing from an
-    automaton state, into dead mass)."""
-
-
 def sample_tree(prior: PriorSpec, rng: np.random.Generator) -> Tree:
     """Draw one tree.  Each variable occurrence expands to an independent
     sample of its binding expression.  Samples deeper than max_depth are
@@ -682,7 +640,7 @@ def sample_tree(prior: PriorSpec, rng: np.random.Generator) -> Tree:
     for _ in range(RESAMPLE_RETRIES):
         try:
             return _draw(prior, rng, prior.root, 0)
-        except DepthOverflow:
+        except DepthBudgetExhausted:
             continue
     raise DepthBudgetExhausted(
         f"no sample within depth {prior.max_depth} after {RESAMPLE_RETRIES} tries"
@@ -696,7 +654,7 @@ def _draw(prior: PriorSpec, rng: np.random.Generator, node: Prte, depth: int) ->
     while True:
         if isinstance(node, PSymbol):
             if depth > prior.max_depth:
-                raise DepthOverflow()
+                raise DepthBudgetExhausted(f"the drawn tree passed depth {prior.max_depth}")
             if not node.children:
                 return prior.alphabet.leaf(node.symbol.name)
             kids = tuple(_draw(prior, rng, c, depth + 1) for c in node.children)

@@ -14,8 +14,8 @@ holds, per state, the probability of the runs on its subtree that start
 there.  The outside pass runs down one path: the outside vector at an
 address holds, per state, the probability of the runs on the rest of the
 tree that reach that address in that state.  A tree's score is the initial
-vector against the root's inside vector; a context marginal is the
-normalised outside vector at the hole.
+vector against the root's inside vector; the context marginal at an address
+is the normalised outside vector there.
 
 Transition rows may sum to less than one; missing mass means derivations that
 die and simply contributes nothing to any score.
@@ -35,8 +35,8 @@ from .errors import (
     InputError,
     StateBudgetExceeded,
 )
-from .prte import DEFAULT_MAX_DEPTH, DepthOverflow, PriorSpec
-from .trees import HOLE_NAME, Tree
+from .prte import DEFAULT_MAX_DEPTH, PriorSpec
+from .trees import Tree
 
 PROB_TOL = 1e-12
 DEFAULT_STATE_BUDGET = 10_000
@@ -217,8 +217,8 @@ def inside(pta: Pta, tree: Tree, memo=None) -> np.ndarray:
 def outside(pta: Pta, tree: Tree, addr, memo=None) -> np.ndarray:
     """Outside vector at ``addr``: entry q is the total probability of the
     runs on the rest of the tree that put state q at ``addr``.  The node at
-    ``addr`` itself is never read, so it may be the hole '?'.  ``memo`` is
-    as for ``inside``, which scores the siblings along the path."""
+    ``addr`` itself is never read.  ``memo`` is as for ``inside``, which
+    scores the siblings along the path."""
     tables = pta.tables
     q = pta.n_states
     vec = pta.initial
@@ -247,7 +247,7 @@ def pta_eval(pta: Pta, tree: Tree) -> float:
     return float(pta.initial @ inside(pta, tree))
 
 
-def state_marginal(pta: Pta, tree: Tree, addr, memo=None) -> np.ndarray:
+def context_marginal(pta: Pta, tree: Tree, addr, memo=None) -> np.ndarray:
     """Distribution over the state at ``addr`` given every symbol of the
     tree outside the subtree there: the normalised outside vector."""
     vec = outside(pta, tree, addr, memo)
@@ -255,15 +255,6 @@ def state_marginal(pta: Pta, tree: Tree, addr, memo=None) -> np.ndarray:
     if total <= 0.0:
         raise ImpossibleContext("no state can produce this context")
     return vec / total
-
-
-def context_marginal(pta: Pta, context: Tree) -> np.ndarray:
-    """Distribution over the state at the single '?' leaf of the context,
-    conditioned on the context's symbols."""
-    holes = [addr for addr, node in context.walk() if node.symbol.name == HOLE_NAME]
-    if len(holes) != 1:
-        raise InputError("context must contain exactly one '?'")
-    return state_marginal(pta, context, holes[0])
 
 
 # -- generation ---------------------------------------------------------------------
@@ -282,25 +273,20 @@ def sample_from_state(pta: Pta, state, rng, max_depth: int = DEFAULT_MAX_DEPTH) 
     sampler, this does not redraw: a caller that rejects on the error
     proposes each tree with exactly its inside probability.
     """
-    try:
-        return _grow(pta.alphabet, _emission_table(pta), rng, int(state), 0, max_depth)
-    except DepthOverflow:
-        raise DepthBudgetExhausted(
-            f"the tree grown from state {pta.states[int(state)]} died or passed depth {max_depth}"
-        ) from None
+    return _grow(pta.alphabet, _emission_table(pta), rng, int(state), 0, max_depth)
 
 
 def _grow(alphabet, emit, rng, q: int, depth: int, max_depth: int) -> Tree:
     """One attempt of ``sample_from_state`` from state ``q`` at ``depth``; a
     module function, so that no closure cycle keeps the automaton alive."""
     if depth > max_depth:
-        raise DepthOverflow()
+        raise DepthBudgetExhausted(f"the grown tree passed depth {max_depth}")
     symbol, cdf, kids = emit[q]
     if symbol.rank == 0:
         return alphabet.leaf(symbol.name)
     i = bisect_right(cdf, rng.random())
     if i == len(cdf):
-        raise DepthOverflow()  # dead mass
+        raise DepthBudgetExhausted(f"the grown tree drew missing row mass at state {q}")
     return Tree(symbol, tuple(_grow(alphabet, emit, rng, s, depth + 1, max_depth) for s in kids[i]))
 
 

@@ -22,7 +22,6 @@ import numpy as np
 from .errors import ArityMismatch, InputError, LengthMismatch, UnknownSymbol
 
 DISC_MARKER_NAME = "d#"
-HOLE_NAME = "?"
 
 # Denominators smaller than this are treated as division by zero.
 DIV_EPS = 1e-300
@@ -43,9 +42,6 @@ class RankedSymbol:
 
     def __str__(self):
         return self.name
-
-
-HOLE = RankedSymbol(HOLE_NAME, 0)
 
 
 def is_const_marker(symbol: RankedSymbol) -> bool:
@@ -73,14 +69,11 @@ class RankedAlphabet:
 
     The same surface name may appear at several ranks (e.g. a binary and a
     ternary sum); they are distinct symbols.  Marker symbols must have rank 0.
-    The hole symbol '?' is reserved for context queries and rejected here.
     """
 
     def __init__(self, symbols):
         table = {}
         for sym in symbols:
-            if sym.name == HOLE_NAME:
-                raise InputError("'?' is reserved for context holes")
             key = (sym.name, sym.rank)
             if key in table:
                 raise InputError(f"duplicate symbol {sym.name}/{sym.rank}")

@@ -204,6 +204,32 @@ def test_bad_env_seed_exits_2(capsys, monkeypatch, value, message):
     assert json.loads(err) == {"error": "InputError", "message": message}
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sample", "--prior", "E_1", "--n", "1", "--seed", "abc"], "invalid int value: 'abc'"),
+        (["sample", "--prior", "E_1", "--seed", "1"], "required: --n"),
+        ([], "required: command"),
+    ],
+    ids=["seed-abc", "no-n", "no-command"],
+)
+def test_usage_error_exits_2_with_one_json_object(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1  # one line, one object
+    doc = json.loads(err)
+    assert doc["error"] == "InputError"
+    assert message in doc["message"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["fit", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: treegress" in capsys.readouterr().out
+
+
 def test_unknown_prior_exits_2(capsys):
     code, _, err = run_cli(capsys, "sample", "--prior", "nope", "--n", "1", "--seed", "0")
     assert code == 2
@@ -371,6 +397,22 @@ def test_fit_rejects_unusable_train_csv(capsys, tmp_path, body, message):
     doc = json.loads(err.strip())
     assert doc["error"] == "InputError"
     assert message in doc["message"]
+
+
+@pytest.mark.parametrize("sigma0", [1e-200, 1e200])
+def test_fit_sigma0_out_of_float_range_exits_2(capsys, tmp_path, sigma0):
+    train = tmp_path / "train.csv"
+    train.write_text("c,s\n1.0,2.0\n2.0,3.0\n")
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"burn_in": 1, "samples": 10, "thin": 1, "sigma0": sigma0}))
+    code, out, err = run_cli(
+        capsys, "fit", "--prior", "E_iso", "--train", str(train), "--config", str(config),
+        "--out", str(tmp_path / "p.json"),
+    )
+    assert (code, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["error"] == "InputError"
+    assert "sigma0" in doc["message"]
 
 
 def test_fit_overflowing_parameter_step_aborts_the_move(capsys, tmp_path):

@@ -648,6 +648,7 @@ def _full_path(move, state, ctx, rng):
 def test_identity_proposals_match_the_full_path(e_iso, e_hyp, monkeypatch):
     import copy
     import struct
+    from bisect import bisect_right
 
     import treegress.inference as inf
     from treegress.errors import DepthBudgetExhausted
@@ -671,8 +672,9 @@ def test_identity_proposals_match_the_full_path(e_iso, e_hyp, monkeypatch):
         ctx = inf._ChainContext(prior, pta, data, config)
         rng = np.random.default_rng(0)
         state = inf._initial_state(ctx, rng)
+        cumulative = tuple(itertools.accumulate(config.move_mix().values()))  # as in run_chain
         for _ in range(config.burn_in + config.samples):
-            move = inf._pick_move(config.move_mix(), rng)
+            move = inf.MOVES[min(bisect_right(cumulative, rng.random()), len(inf.MOVES) - 1)]
             before, n_calls = copy.deepcopy(rng), len(calls)
             try:
                 out = inf._PROPOSERS[move](state, ctx, rng)
@@ -744,7 +746,7 @@ def test_pick_state_is_rng_choice(e1, e_iso, monkeypatch):
             np.eye(7)[3], np.eye(7)[6], gen.dirichlet(np.ones(40)),
             gen.dirichlet(np.ones(40)) * (gen.random(40) < 0.5)]
     for i, vector in enumerate(made):  # each fed to boltzmann_marginal as the state marginal
-        monkeypatch.setattr(inf, "state_marginal", lambda *_, v=np.asarray(vector): v)
+        monkeypatch.setattr(inf, "context_marginal", lambda *_, v=np.asarray(vector): v)
         total += check(inf._ChainContext(e1, pta, None, cfg), tree, (1,), 6000, i)
     monkeypatch.undo()
     for prior in (e1, e_iso):  # real marginals, at two temperatures
@@ -757,15 +759,32 @@ def test_pick_state_is_rng_choice(e1, e_iso, monkeypatch):
     assert total >= 100_000
 
 
+def test_boltzmann_marginal_calls_context_marginal_once_per_miss(e1, monkeypatch):
+    """The chain reaches the context marginal through ``inference.context_marginal``,
+    once per cache miss and never on a hit."""
+    import treegress.inference as inf
+    from treegress.pta import compile_prior
+
+    calls = []
+    real = inf.context_marginal
+    monkeypatch.setattr(inf, "context_marginal", lambda *a: calls.append(a[1:3]) or real(*a))
+    ctx = inf._ChainContext(e1, compile_prior(e1), None, McmcConfig())
+    tree = parse_tree("(f (g a) b)", e1.alphabet)
+    queries = [(1,), (), (1, 1), (1,), (2,), (), (1, 1), (1,)]
+    for addr in queries:
+        ctx.boltzmann_marginal(tree, addr)
+    assert calls == [(tree, addr) for addr in dict.fromkeys(queries)]
+
+
 def test_boltzmann_temperature_limits(e1):
     from treegress.inference import _ChainContext
     from treegress.pta import compile_prior, context_marginal
-    from treegress.trees import HOLE, Tree, parse_tree
+    from treegress.trees import parse_tree
 
     pta = compile_prior(e1)
     tree = parse_tree("(g (g a))", e1.alphabet)
     addr = (1,)
-    raw = context_marginal(pta, tree.replace_at(addr, Tree(HOLE)))
+    raw = context_marginal(pta, tree, addr)
 
     def boltzmann(tau):
         cfg = McmcConfig(burn_in=1, samples=10, thin=1, tau=tau)

@@ -33,6 +33,7 @@ from treegress.prte import (
     PIter,
     PriorSpec,
     PSymbol,
+    PVar,
     build_prior,
     compute_ties,
     format_prte,
@@ -80,6 +81,24 @@ def test_weight_sum_error():
 def test_unbound_variable():
     with pytest.raises(UnboundVariable):
         parse_prte("f($x)")
+
+
+def _shared_leaf():
+    a = PSymbol(RankedSymbol("a", 0))
+    return PSymbol(RankedSymbol("f", 2), (a, a))
+
+
+def _shared_variable():
+    # one $x object read where $x is a and where it is b
+    x, f = PVar("x"), RankedSymbol("f", 2)
+    inner = PConcat(x, "x", PSymbol(RankedSymbol("b", 0)))
+    return PConcat(PSymbol(f, (x, inner)), "x", PSymbol(RankedSymbol("a", 0)))
+
+
+@pytest.mark.parametrize("make", [_shared_leaf, _shared_variable], ids=["same-scope", "two-scopes"])
+def test_a_node_object_that_occurs_twice_is_rejected(make):
+    with pytest.raises(InputError, match="occurs twice"):
+        PriorSpec(name="shared", root=make())
 
 
 def test_syntax_error_carries_location():

@@ -15,6 +15,7 @@ import pytest
 
 from treegress.errors import (
     AlphabetMismatch,
+    DepthBudgetExhausted,
     ImpossibleContext,
     InputError,
     StateBudgetExceeded,
@@ -30,7 +31,7 @@ from treegress.pta import (
     product,
     sample_from_state,
 )
-from treegress.trees import HOLE, RankedAlphabet, RankedSymbol, Tree, parse_tree
+from treegress.trees import RankedAlphabet, RankedSymbol, Tree, parse_tree
 
 F = RankedSymbol("f", 2)
 G = RankedSymbol("g", 1)
@@ -185,7 +186,7 @@ def test_boltzmann_marginal_is_the_context_marginal(all_shipped):
         for _ in range(10):
             t = sample_tree(prior, rng)
             for addr in addresses(t):
-                want = context_marginal(pta, t.replace_at(addr, Tree(HOLE)))
+                want = context_marginal(pta, t, addr)
                 got, cdf = ctx.boltzmann_marginal(t, addr)
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
                 np.testing.assert_array_equal(cdf, got.cumsum() / got.cumsum()[-1])
@@ -196,14 +197,14 @@ def test_boltzmann_marginal_is_the_context_marginal(all_shipped):
 
 def test_hole_at_root_returns_initial(e1):
     pta = compile_prior(e1)
-    marg = context_marginal(pta, Tree(HOLE))
+    marg = context_marginal(pta, parse_tree("a", e1.alphabet), ())
     assert np.allclose(marg, pta.initial)
 
 
 def test_context_marginal_matches_enumeration():
     pta = hand_built_pta()
     context = parse_tree("(f (g a) ?)")
-    marg = context_marginal(pta, context)
+    marg = context_marginal(pta, context, (2,))
     raw = np.array(
         [brute_force_eval(pta, context, hole_state=i) for i in range(pta.n_states)]
     )
@@ -213,7 +214,7 @@ def test_context_marginal_matches_enumeration():
 def test_context_marginal_excludes_zero_states(e1):
     # under the example language the root symbol g only comes from one site
     pta = compile_prior(e1)
-    marg = context_marginal(pta, parse_tree("(g ?)"))
+    marg = context_marginal(pta, parse_tree("(g ?)"), (1,))
     assert (marg >= 0).all()
     assert marg.sum() == pytest.approx(1.0)
     assert (marg > 0).sum() < pta.n_states
@@ -223,7 +224,7 @@ def test_impossible_context():
     # g can only be read once: the start state has the sole g-row
     pta = Pta(FGA, ("s0", "s1"), [1.0, 0.0], {("g", 1): ([0], [1.0], ([1],)), ("a", 0): [0, 1]})
     with pytest.raises(ImpossibleContext):
-        context_marginal(pta, parse_tree("(g (g ?))"))
+        context_marginal(pta, parse_tree("(g (g ?))"), (1, 1))
 
 
 def test_chain_rule_consistency(e1):
@@ -231,7 +232,7 @@ def test_chain_rule_consistency(e1):
     # must be proportional to the full-tree score with one shared constant
     pta = compile_prior(e1)
     context = parse_tree("(g ?)")
-    marg = context_marginal(pta, context)
+    marg = context_marginal(pta, context, (1,))
     ratios = []
     for text in ["a", "b", "(g a)", "(f a b)"]:
         sub = parse_tree(text, e1.alphabet)
@@ -292,6 +293,33 @@ def test_generation_probability_matches_frequency(e1):
         p = math.exp(logp[t])
         se = math.sqrt(p * (1 - p) / n)
         assert abs(c / n - p) < 4 * se
+
+
+class _Draws:
+    """Stands in for a generator: ``random()`` returns the given values in turn."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+def test_a_regrow_past_max_depth_raises_depth_budget_exhausted(e_sum):
+    pta = compile_prior(e_sum)
+    plus_state = int(pta.tables[("+", 2)][0][0])  # its every tree is at least one level deep
+    with pytest.raises(DepthBudgetExhausted, match="passed depth 0"):
+        sample_from_state(pta, plus_state, np.random.default_rng(0), max_depth=0)
+
+
+def test_a_row_with_missing_mass_raises_depth_budget_exhausted():
+    # s0's one g-row sums to 0.5: a draw below it grows (g a), any other one dies
+    pta = Pta(RankedAlphabet([G, A]), ("s0", "s1"), [1.0, 0.0],
+              {("g", 1): ([0], [0.5], ([1],)), ("a", 0): [0, 1]})
+    assert sample_from_state(pta, 0, _Draws(0.4999)) == parse_tree("(g a)")
+    for u in (0.5, 0.9):
+        with pytest.raises(DepthBudgetExhausted, match="missing row mass"):
+            sample_from_state(pta, 0, _Draws(u))
 
 
 # -- product ------------------------------------------------------------------------------
