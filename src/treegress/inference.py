@@ -21,6 +21,9 @@ log_fwd.  Normalization constants of the tree series cancel throughout.
 A global or local proposal that rebuilds the current expression is the
 current state: it is returned as is, with the proposal terms the full path
 would give, and is neither evaluated nor scored again.
+
+A proposal whose parameter prior is zero is scored without evaluating the
+data, with log-likelihood -inf; the chain still draws its uniform and rejects it.
 """
 
 from __future__ import annotations
@@ -186,10 +189,8 @@ def _coerce_data(data):
 
 def _sum_squared_error(expr: SymbolicExpression, inputs, y) -> float:
     with np.errstate(all="ignore"):
-        pred = run_program(expr, inputs)
-        if not np.isfinite(pred).all():
-            return math.inf
-        return float(np.sum((y - pred) ** 2))
+        sse = float(np.add.reduce((y - run_program(expr, inputs)) ** 2))
+    return sse if math.isfinite(sse) else math.inf  # a non-finite prediction sums to inf or nan
 
 
 def _log(p) -> float:
@@ -198,8 +199,6 @@ def _log(p) -> float:
 
 
 def _log_lik_from_sse(sse: float, sigma: float, n: int) -> float:
-    if not math.isfinite(sse):
-        return -math.inf
     return -0.5 * n * LOG_2PI - n * math.log(sigma) - sse / (2.0 * sigma * sigma)
 
 
@@ -360,8 +359,11 @@ class _ChainContext:
         return math.log(lam) - lam * sigma + math.log(sigma)
 
     def make_state(self, expr: SymbolicExpression, sigma: float, log_tree=None) -> ChainState:
+        log_params = self.log_prior_params(expr)
         if self.config.prior_only or self.y.size == 0:
             sse, ll = 0.0, 0.0
+        elif log_params == -math.inf:  # rejected whatever the data say, so not evaluated
+            sse, ll = math.inf, -math.inf
         else:
             sse = _sum_squared_error(expr, self.inputs, self.y)
             ll = _log_lik_from_sse(sse, sigma, self.y.size)
@@ -370,7 +372,7 @@ class _ChainContext:
             sigma=sigma,
             log_lik=ll,
             log_prior_tree=self.log_prior_tree(expr.tree) if log_tree is None else log_tree,
-            log_prior_params=self.log_prior_params(expr),
+            log_prior_params=log_params,
             log_prior_sigma=self.log_prior_sigma(sigma),
             sse=sse,
         )

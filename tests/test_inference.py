@@ -21,6 +21,7 @@ from treegress.inference import (
     Posterior,
     _apply_theta_jump,
     _ChainContext,
+    _sum_squared_error,
     expand_params,
     posterior_from_json,
     posterior_predict,
@@ -76,6 +77,87 @@ def test_three_point_hand_computed():
     ll = log_likelihood(e, 2.0, ({"x": np.zeros(3)}, y))
     sse = 1.0 + 0.0 + 4.0
     assert ll == pytest.approx(-1.5 * LOG_2PI - 3 * math.log(2.0) - sse / 8.0)
+
+
+def test_sum_squared_error_of_a_non_finite_prediction_is_inf():
+    y = np.array([1.0, 2.0, 3.0])
+    for bad in (math.nan, math.inf, -math.inf):
+        assert _sum_squared_error(expr_of("x"), {"x": np.array([1.0, bad, 3.0])}, y) == math.inf
+    # finite residuals whose squares overflow
+    assert _sum_squared_error(expr_of("x"), {"x": np.array([1e200, 2.0, -1e200])}, y) == math.inf
+
+
+def test_sum_squared_error_matches_np_sum_bit_for_bit():
+    rng = np.random.default_rng(14)
+    for _ in range(1000):
+        n = int(rng.integers(1, 41))
+        y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, size=n)
+        pred = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, size=n)
+        sse = _sum_squared_error(expr_of("x"), {"x": pred}, y)
+        assert sse.hex() == float(np.sum((y - pred) ** 2)).hex()
+
+
+# -- proposals the parameter prior rejects -------------------------------------------
+
+
+def test_zero_parameter_prior_is_scored_without_the_data(e_iso, monkeypatch):
+    import treegress.inference as inf
+    from treegress.experiments import gen_isotherm
+    from treegress.prte import sample_expression
+
+    ctx = _ChainContext(e_iso, compile_prior(e_iso), gen_isotherm("langmuir", 7)["train"],
+                        McmcConfig())
+    expr = sample_expression(e_iso, np.random.default_rng(0))
+    negative = expr.with_theta_c([-0.5] + list(expr.theta_c[1:]))  # every E_iso marker is exp
+
+    def no_evaluation(*_):
+        raise AssertionError("evaluated a proposal whose parameter prior is zero")
+
+    monkeypatch.setattr(inf, "_sum_squared_error", no_evaluation)
+    state = ctx.make_state(negative, 1.5)
+    assert state.log_prior_params == -math.inf
+    assert state.log_lik == -math.inf and state.sse == math.inf
+    assert state.log_prior_tree == ctx.log_prior_tree(negative.tree)
+    assert state.log_prior_sigma == ctx.log_prior_sigma(1.5)
+    monkeypatch.undo()
+    assert math.isfinite(ctx.make_state(expr, 1.5).log_lik)
+
+
+def test_chain_evaluates_only_proposals_with_a_finite_parameter_prior(e_iso, monkeypatch):
+    import treegress.inference as inf
+    from treegress.experiments import gen_isotherm
+
+    data = gen_isotherm("langmuir", 7)["train"]
+    config = McmcConfig(burn_in=2000, samples=1000, thin=10, seed=0)
+    scorer = _ChainContext(e_iso, compile_prior(e_iso), data, config)
+    real_sse = inf._sum_squared_error
+    log_priors = []  # the parameter prior of each expression the chain evaluates
+
+    def counted(expr, inputs, y):
+        log_priors.append(scorer.log_prior_params(expr))
+        return real_sse(expr, inputs, y)
+
+    def evaluate_always(self, expr, sigma, log_tree=None):
+        """make_state scoring every proposal on the data: the reference."""
+        sse = inf._sum_squared_error(expr, self.inputs, self.y)
+        return inf.ChainState(
+            expr=expr, sigma=sigma, log_lik=inf._log_lik_from_sse(sse, sigma, self.y.size),
+            log_prior_tree=self.log_prior_tree(expr.tree) if log_tree is None else log_tree,
+            log_prior_params=self.log_prior_params(expr),
+            log_prior_sigma=self.log_prior_sigma(sigma), sse=sse)
+
+    monkeypatch.setattr(inf, "_sum_squared_error", counted)
+    post = run_chain(e_iso, data, config)
+    skipping = list(log_priors)
+    log_priors.clear()
+    monkeypatch.setattr(_ChainContext, "make_state", evaluate_always)
+    reference = run_chain(e_iso, data, config)
+
+    assert skipping and all(math.isfinite(lp) for lp in skipping)
+    zero_prior = sum(lp == -math.inf for lp in log_priors)
+    assert zero_prior > 0 and len(skipping) == len(log_priors) - zero_prior
+    assert posterior_to_json(post) == posterior_to_json(reference)
+    assert post.accept_stats == reference.accept_stats
 
 
 # -- dimension maps ----------------------------------------------------------------
