@@ -280,16 +280,19 @@ def _disc_jump(theta_d_old, n_new: int, support, rng):
 # -- state construction -----------------------------------------------------------------
 
 
-def _bounded_put(cache: dict, key, value):
-    """Store value under key; a cache that has outgrown _CACHE_CAP is emptied first."""
+def _bounded(cache: dict) -> dict:
+    """The cache, emptied first if it has outgrown _CACHE_CAP."""
     if len(cache) > _CACHE_CAP:
         cache.clear()
-    cache[key] = value
-    return value
+    return cache
 
 
 class _ChainContext:
-    """Everything a move needs: prior, automaton, data, config, caches."""
+    """Everything a move needs: prior, automaton, data, config, caches.  The
+    chain builds its trees through one node table (``hashcons``), so a redrawn
+    tree is the object it already holds and the caches hit on their first
+    identity test.  The table and the caches are emptied past _CACHE_CAP; keys
+    compare by structure when the objects differ, so that costs speed only."""
 
     def __init__(self, prior: PriorSpec, pta: Pta, data, config: McmcConfig):
         self.prior = prior
@@ -299,28 +302,24 @@ class _ChainContext:
             self.inputs, self.y = _coerce_data(data)
         else:
             self.inputs, self.y = {}, np.zeros(0)
+        self.nodes: dict = {}  # (name, rank, children) -> the chain's node of that key
         self.inside_memo: dict = {}  # subtree -> inside vector
         self.marginal_cache: dict = {}  # (tree, address) -> (Boltzmann vector, its cdf)
-        self.trees: dict = {}  # tree -> (first equal tree seen, its ties, its group tags)
+        self.tie_table: dict = {}  # tree -> (its ties, its group tags)
 
-    def intern(self, tree: Tree) -> tuple:
-        """(the first tree object equal to ``tree`` that this chain has seen,
-        its tie table, its group tags).  A proposal that rebuilds a known tree
-        then shares its cached hash, shape and compiled program, and cache
-        lookups on it hit by identity instead of comparing node by node."""
-        known = self.trees.get(tree)
+    def ties(self, tree: Tree) -> tuple:
+        """(the tree's tie table, its group tags), computed once per distinct tree."""
+        known = self.tie_table.get(tree)
         if known is None:
             ties = compute_ties(tree, self.prior)
-            known = _bounded_put(self.trees, tree, (tree, ties, group_tags(tree, ties)))
+            known = _bounded(self.tie_table)[tree] = ties, group_tags(tree, ties)
         return known
 
     def inside(self, tree: Tree) -> np.ndarray:
         """Inside vector of the tree through the chain's memo (emptied past
         _CACHE_CAP).  A proposal from ``replace_at`` shares every off-path
         subtree with its origin, so only the nodes on the new path are scored."""
-        if len(self.inside_memo) > _CACHE_CAP:
-            self.inside_memo.clear()
-        return inside(self.pta, tree, self.inside_memo)
+        return inside(self.pta, tree, _bounded(self.inside_memo))
 
     def log_prior_tree(self, tree: Tree) -> float:
         return _log(self.pta.initial @ self.inside(tree))
@@ -342,12 +341,12 @@ class _ChainContext:
             weights /= weights.sum()
             cdf = weights.cumsum()
             cdf /= cdf[-1]
-            cached = _bounded_put(self.marginal_cache, key, (weights, cdf))
+            cached = _bounded(self.marginal_cache)[key] = weights, cdf
         return cached
 
     def log_prior_params(self, expr: SymbolicExpression) -> float:
-        total = 0.0  # the interned tags fit expr.ties, as every state's ties come from intern
-        for tag, value in zip(self.intern(expr.tree)[2], expr.theta_c):
+        total = 0.0  # the cached tags fit expr.ties: every state's ties come from compute_ties
+        for tag, value in zip(self.ties(expr.tree)[1], expr.theta_c):
             total += self.prior.markers[tag].logpdf(value)
         if expr.theta_d:
             total -= len(expr.theta_d) * math.log(len(self.prior.theta_d_support))
@@ -412,9 +411,10 @@ def _jump_to(state, ctx, tree, ties, rng, log_fwd, log_rev, log_tree=None):
 def propose_global(state: ChainState, ctx: _ChainContext, rng):
     """Independence proposal from the prior; parameters are dimension-matched
     through the expansion/shrinkage maps with standard-normal auxiliaries."""
-    tree, ties, _ = ctx.intern(sample_tree(ctx.prior, rng))
+    tree = sample_tree(ctx.prior, rng, _bounded(ctx.nodes))
     if tree is state.expr.tree:  # the current expression: the jumps draw nothing, add 0.0
         return state, state.log_prior_tree, state.log_prior_tree
+    ties, _ = ctx.ties(tree)
     log_tree = ctx.log_prior_tree(tree)
     return _jump_to(state, ctx, tree, ties, rng, log_tree, state.log_prior_tree, log_tree)
 
@@ -433,12 +433,14 @@ def propose_local(state: ChainState, ctx: _ChainContext, rng):
     except ImpossibleContext:
         return None
     start = int(cdf.searchsorted(rng.random(), side="right"))
-    new_sub = sample_from_state(ctx.pta, start, rng, ctx.config.max_depth - len(addr))
+    new_sub = sample_from_state(ctx.pta, start, rng, ctx.config.max_depth - len(addr),
+                                _bounded(ctx.nodes))
     log_rev_regrow = _log(boltzmann @ ctx.inside(old_sub))
     if new_sub == old_sub:  # the current expression: the jumps draw nothing, add 0.0
         log_regrow = -math.log(n_nodes) + log_rev_regrow
         return state, log_regrow, log_regrow
-    new_tree, ties, _ = ctx.intern(tree.replace_at(addr, new_sub))
+    new_tree = tree.replace_at(addr, new_sub, ctx.nodes)
+    ties, _ = ctx.ties(new_tree)
     log_fwd = -math.log(n_nodes) + _log(boltzmann @ ctx.inside(new_tree.node_at(addr)))
     log_rev = -math.log(new_tree.size) + log_rev_regrow
     return _jump_to(state, ctx, new_tree, ties, rng, log_fwd, log_rev)
@@ -555,8 +557,7 @@ def _initial_state(ctx: _ChainContext, rng) -> ChainState:
         else float(rng.exponential(1.0 / config.lambda_sigma))
     )
     for _ in range(1000):
-        expr = sample_expression(ctx.prior, rng)
-        state = ctx.make_state(replace(expr, tree=ctx.intern(expr.tree)[0]), sigma)
+        state = ctx.make_state(sample_expression(ctx.prior, rng, _bounded(ctx.nodes)), sigma)
         if math.isfinite(state.log_lik):
             return state
     raise RuntimeFailure("no prior draw evaluates finitely on the data")

@@ -6,6 +6,8 @@ expression couples a tree with parameter vectors: rank-0 symbols whose name
 ends in ``#`` are continuous-parameter markers (``d#`` alone marks a discrete
 parameter), and each marker occurrence consumes one parameter entry in
 pre-order.  Everything here is immutable and safe to share across threads.
+The samplers and ``replace_at`` build trees through a node table that holds
+one object per distinct node (``hashcons``), so trees of one table share nodes.
 """
 
 from __future__ import annotations
@@ -83,7 +85,6 @@ class RankedAlphabet:
         if not table:
             raise InputError("alphabet must be non-empty")
         self._table = table
-        self._leaves = {name: Tree(sym) for (name, rank), sym in table.items() if rank == 0}
 
     def __iter__(self):
         return iter(self._table.values())
@@ -96,11 +97,6 @@ class RankedAlphabet:
             return self._table[(name, rank)]
         except KeyError:
             raise UnknownSymbol(f"no symbol '{name}' of rank {rank} in alphabet") from None
-
-    def leaf(self, name: str) -> "Tree":
-        """The one-node tree of a rank-0 symbol, shared by every tree that
-        the samplers grow over this alphabet."""
-        return self._leaves[name]
 
     def symbol_keys(self):
         return frozenset(self._table)
@@ -184,15 +180,16 @@ class Tree:
             node = node.children[i - 1]
         return node
 
-    def replace_at(self, address, subtree: "Tree") -> "Tree":
-        """The tree with ``subtree`` at ``address``: one new node per level
-        of the path, every subtree off the path shared with this tree."""
+    def replace_at(self, address, subtree: "Tree", nodes=None) -> "Tree":
+        """The tree with ``subtree`` at ``address``: one node of ``nodes``
+        per level of the path, every subtree off the path shared with this tree."""
+        nodes = {} if nodes is None else nodes
         path = [self]
         for i in address[:-1]:
             path.append(path[-1].children[i - 1])
         for node, i in zip(reversed(path), reversed(address)):
             kids = node.children
-            subtree = Tree(node.symbol, kids[:i - 1] + (subtree,) + kids[i:])
+            subtree = hashcons(nodes, node.symbol, kids[:i - 1] + (subtree,) + kids[i:])
         return subtree
 
     def walk(self):
@@ -225,6 +222,18 @@ class Tree:
 
     def __repr__(self):
         return f"Tree({format_tree(self)!r})"
+
+
+def hashcons(nodes: dict, symbol: RankedSymbol, children: tuple = ()) -> Tree:
+    """The node of ``nodes`` equal to ``Tree(symbol, children)``, built and
+    added only when missing.  The key is the symbol's name and rank and the
+    children, whose cached hashes it hashes; it compares them by identity
+    first, by structure only when they differ."""
+    key = (symbol.name, symbol.rank, children)
+    node = nodes.get(key)
+    if node is None:
+        node = nodes[key] = Tree(symbol, children)
+    return node
 
 
 def _resolve_name(name: str, observed_children: int, alphabet: RankedAlphabet) -> RankedSymbol:

@@ -486,16 +486,18 @@ def test_intern_shares_one_object_per_distinct_tree(e_hyp):
     from treegress.inference import _ChainContext
     from treegress.prte import compute_ties, group_tags, sample_tree
     from treegress.pta import compile_prior
+    from treegress.trees import hashcons
 
     ctx = _ChainContext(e_hyp, compile_prior(e_hyp), None, McmcConfig(prior_only=True))
-    tree = sample_tree(e_hyp, np.random.default_rng(8))
+    tree = sample_tree(e_hyp, np.random.default_rng(8), ctx.nodes)
+    assert sample_tree(e_hyp, np.random.default_rng(8), ctx.nodes) is tree
+    assert all(hashcons(ctx.nodes, n.symbol, n.children) is n for _, n in tree.walk())
     again = parse_tree(str(tree), e_hyp.alphabet)
-    assert again is not tree
-    first, ties, tags = ctx.intern(tree)
-    assert first is tree and ties == compute_ties(tree, e_hyp)
+    assert again is not tree and again == tree
+    ties, tags = ctx.ties(tree)
+    assert ties == compute_ties(tree, e_hyp)
     assert tags == group_tags(tree, ties)
-    assert ctx.intern(again) == (tree, ties, tags)
-    assert ctx.intern(again)[0] is tree
+    assert ctx.ties(again) is ctx.ties(tree)
 
 
 def test_variable_mismatch_rejected(e_iso):
@@ -702,16 +704,17 @@ def _full_path(move, state, ctx, rng):
     from treegress.trees import disc_positions
 
     if move == "global":
-        tree, ties, _ = ctx.intern(sample_tree(ctx.prior, rng))
+        tree = sample_tree(ctx.prior, rng)
     else:
         old = state.expr.tree
         addr = list(old.walk())[int(rng.integers(old.size))][0]
         boltzmann, _ = ctx.boltzmann_marginal(old, addr)
         start = int(rng.choice(len(boltzmann), p=boltzmann))
         new_sub = sample_from_state(ctx.pta, start, rng, ctx.config.max_depth - len(addr))
-        tree, ties, _ = ctx.intern(old.replace_at(addr, new_sub))
+        tree = old.replace_at(addr, new_sub)
         fwd_regrow = inf._log(boltzmann @ ctx.inside(tree.node_at(addr)))
         rev_regrow = inf._log(boltzmann @ ctx.inside(old.node_at(addr)))
+    ties, _ = ctx.ties(tree)
     n_new = (max(ties) + 1) if ties else 0
     theta, _, logdet, log_pu, log_pu_rev = inf._draw_theta_jump(state.expr.theta_c, n_new, rng)
     theta_d, disc_fwd, disc_rev = inf._disc_jump(
