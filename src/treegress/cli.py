@@ -40,6 +40,9 @@ from .trees import eval_expression, format_tree, parse_tree
 _MCMC_FIELDS = set(McmcConfig.__dataclass_fields__)
 _RUN_CONFIG_EXTRA = {"prior", "train", "out"}
 _BANDS = ("mean", "q05", "q50", "q95")  # the posterior_predict columns that bands.csv holds
+# input problems, exit 2; any other OSError, such as a full disk, exits 3
+_INPUT_FAULTS = (InputError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+                 FileExistsError, UnicodeDecodeError, json.JSONDecodeError)
 
 
 def _resolve_seed(args):
@@ -336,7 +339,7 @@ def main(argv=None) -> int:
         if hasattr(args, "seed"):
             args.seed = _resolve_seed(args)
         return args.fn(args)
-    except (InputError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except _INPUT_FAULTS as exc:
         _report_error(exc)
         return 2
     except Exception as exc:  # anything unforeseen is a runtime failure

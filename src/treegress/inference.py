@@ -289,10 +289,10 @@ def _bounded(cache: dict) -> dict:
 
 class _ChainContext:
     """Everything a move needs: prior, automaton, data, config, caches.  The
-    chain builds its trees through one node table (``hashcons``), so a redrawn
-    tree is the object it already holds and the caches hit on their first
-    identity test.  The table and the caches are emptied past _CACHE_CAP; keys
-    compare by structure when the objects differ, so that costs speed only."""
+    caches key trees by identity: equal trees are one object, so a redrawn
+    tree finds the entries of the tree the chain already holds.  A key holds
+    its tree alive, and a cache is emptied past _CACHE_CAP, which costs speed
+    only."""
 
     def __init__(self, prior: PriorSpec, pta: Pta, data, config: McmcConfig):
         self.prior = prior
@@ -302,7 +302,6 @@ class _ChainContext:
             self.inputs, self.y = _coerce_data(data)
         else:
             self.inputs, self.y = {}, np.zeros(0)
-        self.nodes: dict = {}  # (name, rank, children) -> the chain's node of that key
         self.inside_memo: dict = {}  # subtree -> inside vector
         self.marginal_cache: dict = {}  # (tree, address) -> (Boltzmann vector, its cdf)
         self.tie_table: dict = {}  # tree -> (its ties, its group tags)
@@ -411,7 +410,7 @@ def _jump_to(state, ctx, tree, ties, rng, log_fwd, log_rev, log_tree=None):
 def propose_global(state: ChainState, ctx: _ChainContext, rng):
     """Independence proposal from the prior; parameters are dimension-matched
     through the expansion/shrinkage maps with standard-normal auxiliaries."""
-    tree = sample_tree(ctx.prior, rng, _bounded(ctx.nodes))
+    tree = sample_tree(ctx.prior, rng)
     if tree is state.expr.tree:  # the current expression: the jumps draw nothing, add 0.0
         return state, state.log_prior_tree, state.log_prior_tree
     ties, _ = ctx.ties(tree)
@@ -433,13 +432,12 @@ def propose_local(state: ChainState, ctx: _ChainContext, rng):
     except ImpossibleContext:
         return None
     start = int(cdf.searchsorted(rng.random(), side="right"))
-    new_sub = sample_from_state(ctx.pta, start, rng, ctx.config.max_depth - len(addr),
-                                _bounded(ctx.nodes))
+    new_sub = sample_from_state(ctx.pta, start, rng, ctx.config.max_depth - len(addr))
     log_rev_regrow = _log(boltzmann @ ctx.inside(old_sub))
-    if new_sub == old_sub:  # the current expression: the jumps draw nothing, add 0.0
+    if new_sub is old_sub:  # the current expression: the jumps draw nothing, add 0.0
         log_regrow = -math.log(n_nodes) + log_rev_regrow
         return state, log_regrow, log_regrow
-    new_tree = tree.replace_at(addr, new_sub, ctx.nodes)
+    new_tree = tree.replace_at(addr, new_sub)
     ties, _ = ctx.ties(new_tree)
     log_fwd = -math.log(n_nodes) + _log(boltzmann @ ctx.inside(new_tree.node_at(addr)))
     log_rev = -math.log(new_tree.size) + log_rev_regrow
@@ -557,7 +555,7 @@ def _initial_state(ctx: _ChainContext, rng) -> ChainState:
         else float(rng.exponential(1.0 / config.lambda_sigma))
     )
     for _ in range(1000):
-        state = ctx.make_state(sample_expression(ctx.prior, rng, _bounded(ctx.nodes)), sigma)
+        state = ctx.make_state(sample_expression(ctx.prior, rng), sigma)
         if math.isfinite(state.log_lik):
             return state
     raise RuntimeFailure("no prior draw evaluates finitely on the data")

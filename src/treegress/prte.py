@@ -44,7 +44,6 @@ from .trees import (
     Tree,
     const_positions,
     disc_positions,
-    hashcons,
     is_const_marker,
     is_disc_marker,
 )
@@ -632,16 +631,15 @@ class PriorSpec:
 # -- sampling --------------------------------------------------------------------
 
 
-def sample_tree(prior: PriorSpec, rng: np.random.Generator, nodes=None) -> Tree:
-    """Draw one tree through the node table ``nodes`` (a fresh one by default).
-    Each variable occurrence expands to an independent sample of its binding
-    expression.  Samples deeper than max_depth are discarded and redrawn;
-    persistent overflow raises DepthBudgetExhausted.  The truncation slightly
-    biases the sampled law against very deep trees; the density does not."""
-    nodes = {} if nodes is None else nodes
+def sample_tree(prior: PriorSpec, rng: np.random.Generator) -> Tree:
+    """Draw one tree.  Each variable occurrence expands to an independent
+    sample of its binding expression.  Samples deeper than max_depth are
+    discarded and redrawn; persistent overflow raises DepthBudgetExhausted.
+    The truncation slightly biases the sampled law against very deep trees;
+    the density does not."""
     for _ in range(RESAMPLE_RETRIES):
         try:
-            return _draw(prior, rng, prior.root, 0, nodes)
+            return _draw(prior, rng, prior.root, 0)
         except DepthBudgetExhausted:
             continue
     raise DepthBudgetExhausted(
@@ -649,7 +647,7 @@ def sample_tree(prior: PriorSpec, rng: np.random.Generator, nodes=None) -> Tree:
     )
 
 
-def _draw(prior: PriorSpec, rng: np.random.Generator, node: Prte, depth: int, nodes) -> Tree:
+def _draw(prior: PriorSpec, rng: np.random.Generator, node: Prte, depth: int) -> Tree:
     """One attempt of ``sample_tree`` from ``node`` at ``depth``.  A module
     function, not a closure: a recursive closure is a reference cycle that
     would keep the prior alive until the next full garbage collection."""
@@ -658,9 +656,8 @@ def _draw(prior: PriorSpec, rng: np.random.Generator, node: Prte, depth: int, no
             if depth > prior.max_depth:
                 raise DepthBudgetExhausted(f"the drawn tree passed depth {prior.max_depth}")
             if not node.children:
-                return hashcons(nodes, node.symbol)
-            kids = tuple(_draw(prior, rng, c, depth + 1, nodes) for c in node.children)
-            return hashcons(nodes, node.symbol, kids)
+                return Tree(node.symbol)
+            return Tree(node.symbol, tuple(_draw(prior, rng, c, depth + 1) for c in node.children))
         if isinstance(node, PChoice):
             node = _pick_branch(node, rng)
         elif isinstance(node, PVar):
@@ -709,10 +706,10 @@ def group_tags(tree: Tree, ties: tuple) -> list:
     return tags
 
 
-def sample_expression(prior: PriorSpec, rng: np.random.Generator, nodes=None) -> SymbolicExpression:
+def sample_expression(prior: PriorSpec, rng: np.random.Generator) -> SymbolicExpression:
     """Sample a tree as ``sample_tree`` does, then fill its parameter slots
     from the marker priors (one draw per tie group) and the discrete support."""
-    tree = sample_tree(prior, rng, nodes)
+    tree = sample_tree(prior, rng)
     ties = compute_ties(tree, prior)
     theta_c = tuple(
         prior.markers[tag].sample(rng) for tag in group_tags(tree, ties)

@@ -36,7 +36,7 @@ from .errors import (
     StateBudgetExceeded,
 )
 from .prte import DEFAULT_MAX_DEPTH, PriorSpec
-from .trees import Tree, hashcons
+from .trees import Tree
 
 PROB_TOL = 1e-12
 DEFAULT_STATE_BUDGET = 10_000
@@ -260,11 +260,11 @@ def context_marginal(pta: Pta, tree: Tree, addr, memo=None) -> np.ndarray:
 # -- generation ---------------------------------------------------------------------
 
 
-def sample_from_state(pta: Pta, state, rng, max_depth: int = DEFAULT_MAX_DEPTH, nodes=None) -> Tree:
-    """Grow a tree through the node table ``nodes`` (a fresh one by default)
-    from the automaton's generative process seeded at the given state instead
-    of the initial distribution, its root at depth 0.  The tree's probability
-    from that state is its inside vector's entry, ``inside(pta, tree)[state]``.
+def sample_from_state(pta: Pta, state, rng, max_depth: int = DEFAULT_MAX_DEPTH) -> Tree:
+    """Grow a tree from the automaton's generative process seeded at the
+    given state instead of the initial distribution, its root at depth 0.
+    The tree's probability from that state is its inside vector's entry,
+    ``inside(pta, tree)[state]``.
 
     Requires generative states: each state must either emit exactly one
     symbol through transition rows or accept exactly one leaf symbol.
@@ -273,23 +273,21 @@ def sample_from_state(pta: Pta, state, rng, max_depth: int = DEFAULT_MAX_DEPTH, 
     sampler, this does not redraw: a caller that rejects on the error
     proposes each tree with exactly its inside probability.
     """
-    nodes = {} if nodes is None else nodes
-    return _grow(nodes, _emission_table(pta), rng, int(state), 0, max_depth)
+    return _grow(_emission_table(pta), rng, int(state), 0, max_depth)
 
 
-def _grow(nodes, emit, rng, q: int, depth: int, max_depth: int) -> Tree:
+def _grow(emit, rng, q: int, depth: int, max_depth: int) -> Tree:
     """One attempt of ``sample_from_state`` from state ``q`` at ``depth``; a
     module function, so that no closure cycle keeps the automaton alive."""
     if depth > max_depth:
         raise DepthBudgetExhausted(f"the grown tree passed depth {max_depth}")
     symbol, cdf, kids = emit[q]
     if symbol.rank == 0:
-        return hashcons(nodes, symbol)
+        return Tree(symbol)
     i = bisect_right(cdf, rng.random())
     if i == len(cdf):
         raise DepthBudgetExhausted(f"the grown tree drew missing row mass at state {q}")
-    children = tuple(_grow(nodes, emit, rng, s, depth + 1, max_depth) for s in kids[i])
-    return hashcons(nodes, symbol, children)
+    return Tree(symbol, tuple(_grow(emit, rng, s, depth + 1, max_depth) for s in kids[i]))
 
 
 def _emission_table(pta: Pta):

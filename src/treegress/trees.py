@@ -5,9 +5,9 @@ root = empty tuple) are derived on demand rather than stored.  A symbolic
 expression couples a tree with parameter vectors: rank-0 symbols whose name
 ends in ``#`` are continuous-parameter markers (``d#`` alone marks a discrete
 parameter), and each marker occurrence consumes one parameter entry in
-pre-order.  Everything here is immutable and safe to share across threads.
-The samplers and ``replace_at`` build trees through a node table that holds
-one object per distinct node (``hashcons``), so trees of one table share nodes.
+pre-order.  Everything here is immutable.  Trees are interned in one
+process-wide weak table, so equal trees are one object; the table's
+get-then-set is not atomic, and no caller builds trees from several threads.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -109,56 +110,41 @@ class TreeShape(NamedTuple):
     disc: tuple
 
 
-@dataclass(frozen=True, slots=True)
+# (symbol name, rank, children) -> the one live Tree of that key
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 class Tree:
     """An immutable labeled tree; child count always equals the symbol rank.
 
-    The node count is set at construction.  The hash, the shape record and
-    the compiled evaluation program are computed once per tree, on first
-    use, and kept on the tree.  Hashing, equality, ``replace_at`` and
-    ``repr`` are iterative, so very deep trees stay within the interpreter's
-    recursion limit.
+    ``Tree(symbol, children)`` returns the one live node of that symbol name,
+    rank and children, built only if there is none: equal trees are one
+    object, so equality and hashing are by identity.  The node count is set
+    at construction; the shape record and the compiled evaluation program
+    are computed once per node, on first use.  ``walk``, ``replace_at`` and
+    ``repr`` are iterative, so very deep trees stay within the recursion limit.
     """
 
-    symbol: RankedSymbol
-    children: tuple = ()
-    size: int = field(init=False, repr=False, compare=False)
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
-    _shape: TreeShape | None = field(default=None, init=False, repr=False, compare=False)
-    _program: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("symbol", "children", "size", "_shape", "_program", "__weakref__")
 
-    def __post_init__(self):
-        if len(self.children) != self.symbol.rank:
-            raise ArityMismatch(self.symbol.name, self.symbol.rank, len(self.children))
-        size = 1
-        for child in self.children:
-            size += child.size
-        object.__setattr__(self, "size", size)
+    def __new__(cls, symbol: RankedSymbol, children: tuple = ()):
+        key = (symbol.name, symbol.rank, children)
+        node = _NODES.get(key)
+        if node is None:
+            if len(children) != symbol.rank:
+                raise ArityMismatch(symbol.name, symbol.rank, len(children))
+            node = object.__new__(cls)
+            for name, value in (("symbol", symbol), ("children", children),
+                                ("size", 1 + sum(c.size for c in children)),
+                                ("_shape", None), ("_program", None)):
+                object.__setattr__(node, name, value)
+            _NODES[key] = node
+        return node
 
-    def __hash__(self):
-        if self._hash is None:
-            # hash the not-yet-hashed nodes bottom-up; the same value as the
-            # dataclass default hash((symbol, children)), without its recursion
-            pending, order = [self], []
-            while pending:
-                order.append(pending.pop())
-                pending.extend(c for c in order[-1].children if c._hash is None)
-            for node in reversed(order):
-                object.__setattr__(node, "_hash", hash((node.symbol, node.children)))
-        return self._hash
+    __hash__ = object.__hash__  # by identity; in the class body, so a profiler can wrap it
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        pending = [(self, other)]
-        while pending:
-            a, b = pending.pop()
-            if a is b:
-                continue
-            if a.symbol is not b.symbol and a.symbol != b.symbol:
-                return False
-            pending.extend(zip(a.children, b.children))
-        return True
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Tree is immutable: cannot assign to '{name}'")
 
     @property
     def shape(self) -> TreeShape:
@@ -180,16 +166,15 @@ class Tree:
             node = node.children[i - 1]
         return node
 
-    def replace_at(self, address, subtree: "Tree", nodes=None) -> "Tree":
-        """The tree with ``subtree`` at ``address``: one node of ``nodes``
-        per level of the path, every subtree off the path shared with this tree."""
-        nodes = {} if nodes is None else nodes
+    def replace_at(self, address, subtree: "Tree") -> "Tree":
+        """The tree with ``subtree`` at ``address``: one new node at most per
+        level of the path, every subtree off the path shared with this tree."""
         path = [self]
         for i in address[:-1]:
             path.append(path[-1].children[i - 1])
         for node, i in zip(reversed(path), reversed(address)):
             kids = node.children
-            subtree = hashcons(nodes, node.symbol, kids[:i - 1] + (subtree,) + kids[i:])
+            subtree = Tree(node.symbol, kids[:i - 1] + (subtree,) + kids[i:])
         return subtree
 
     def walk(self):
@@ -222,18 +207,6 @@ class Tree:
 
     def __repr__(self):
         return f"Tree({format_tree(self)!r})"
-
-
-def hashcons(nodes: dict, symbol: RankedSymbol, children: tuple = ()) -> Tree:
-    """The node of ``nodes`` equal to ``Tree(symbol, children)``, built and
-    added only when missing.  The key is the symbol's name and rank and the
-    children, whose cached hashes it hashes; it compares them by identity
-    first, by structure only when they differ."""
-    key = (symbol.name, symbol.rank, children)
-    node = nodes.get(key)
-    if node is None:
-        node = nodes[key] = Tree(symbol, children)
-    return node
 
 
 def _resolve_name(name: str, observed_children: int, alphabet: RankedAlphabet) -> RankedSymbol:

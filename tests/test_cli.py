@@ -630,6 +630,58 @@ def test_malformed_posterior_exits_2(capsys, tmp_path, edit, message):
     assert message in doc["message"]
 
 
+@pytest.mark.parametrize(
+    "command, option, bad, error",
+    [
+        ("parse", "--prior", "folder", "IsADirectoryError"),
+        ("fit", "--train", "folder", "IsADirectoryError"),
+        ("fit", "--out", "folder", "IsADirectoryError"),
+        ("report", "--posterior", "folder", "IsADirectoryError"),
+        ("report", "--out-dir", "file", "FileExistsError"),
+        ("gen-data", "--out-dir", "file/sub", "NotADirectoryError"),
+        ("parse", "--prior", "latin-1", "UnicodeDecodeError"),
+        ("fit", "--train", "latin-1", "UnicodeDecodeError"),
+        ("fit", "--config", "latin-1", "UnicodeDecodeError"),
+        ("report", "--posterior", "latin-1", "UnicodeDecodeError"),
+        ("report", "--data", "latin-1", "UnicodeDecodeError"),
+    ],
+)
+def test_a_directory_file_or_non_utf8_input_exits_2(capsys, tmp_path, command, option, bad, error):
+    paths = {"folder": tmp_path / "folder", "file": tmp_path / "d.csv",
+             "file/sub": tmp_path / "d.csv" / "sub", "latin-1": tmp_path / "latin-1.txt"}
+    paths["folder"].mkdir()
+    paths["file"].write_text("c,s\n1.0,2.0\n2.0,3.0\n")
+    paths["latin-1"].write_bytes("c,s\n1.0,2.0\n# é\n".encode("latin-1"))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"burn_in": 0, "samples": 2, "thin": 1}))
+    options = {
+        "parse": {"--prior": PRIORS / "e_iso.json"},
+        "fit": {"--prior": "E_iso", "--train": paths["file"], "--config": config,
+                "--out": tmp_path / "p.json"},
+        "report": {"--posterior": _hand_posterior(tmp_path), "--data": paths["file"],
+                   "--out-dir": tmp_path / "rep"},
+        "gen-data": {"--task": "isotherm:langmuir", "--out-dir": tmp_path / "data"},
+    }[command]
+    options[option] = paths[bad]
+    code, _, err = run_cli(capsys, command, *(str(x) for kv in options.items() for x in kv))
+    assert code == 2
+    assert json.loads(err.strip())["error"] == error
+
+
+def test_a_full_disk_is_a_runtime_failure(capsys, tmp_path, monkeypatch):
+    import errno
+    import pathlib
+
+    def full(self, *args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(pathlib.Path, "write_text", full)
+    code, _, err = run_cli(capsys, "parse", "--prior", str(PRIORS / "e_iso.json"),
+                           "--dump-pta", str(tmp_path / "pta.json"))
+    assert code == 3
+    assert json.loads(err.strip())["error"] == "OSError"
+
+
 def test_report_evaluates_each_distinct_draw_once(capsys, tmp_path, monkeypatch):
     import treegress.cli
     import treegress.inference

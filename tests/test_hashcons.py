@@ -1,70 +1,76 @@
-"""Trees built through a node table (``hashcons``).
+"""Equal trees are one object (hash-consing in one process-wide weak table).
 
-A sampler given a table must draw the tree it draws without one, from the
-same random numbers, and return the table's object for every node it has
-seen before.  A chain builds its trees through its own table, so a redrawn
-tree costs no new node; emptying the table or any other chain cache changes
-only the speed, never a draw.
+``Tree(symbol, children)`` returns the live node of that key, so every way of
+making a tree (parsing, both samplers, ``replace_at``, reading a posterior)
+returns the object already held for an equal tree, and a node leaves the
+table once nothing else holds it.  The chain's caches key trees by identity;
+emptying them changes only the speed, never a draw.
 """
 
+import gc
 import json
 import random
+import weakref
 
 import numpy as np
 import pytest
 
 import treegress.inference as inf
+from treegress import trees
 from treegress.errors import DepthBudgetExhausted
 from treegress.experiments import gen_hyperelastic, gen_isotherm
-from treegress.inference import McmcConfig, posterior_to_json, run_chain, run_chains
+from treegress.inference import (
+    McmcConfig,
+    posterior_from_json,
+    posterior_to_json,
+    run_chain,
+    run_chains,
+)
 from treegress.prte import sample_tree
 from treegress.pta import compile_prior, sample_from_state
-from treegress.trees import Tree, hashcons
+from treegress.trees import RankedSymbol, Tree, format_tree, parse_tree
 
 DRAWS = 20
 
 
-def _outcome(draw, seed, nodes=None):
+def _outcome(draw, seed):
     """(the tree or the error type of one draw from ``seed``, the generator state after it)."""
     rng = np.random.default_rng(seed)
     try:
-        out = draw(rng, nodes)
+        out = draw(rng)
     except DepthBudgetExhausted:
         out = DepthBudgetExhausted
     return out, rng.bit_generator.state
 
 
-def _check_sampler(draw, seeds):
-    nodes: dict = {}
+def _check_sampler(draw, seeds, alphabet):
     for seed in seeds:
-        shared, shared_state = _outcome(draw, seed, nodes)
-        fresh, fresh_state = _outcome(draw, seed)
-        assert shared == fresh and shared_state == fresh_state
-        if isinstance(shared, Tree):
-            assert _outcome(draw, seed, nodes)[0] is shared
-            assert all(hashcons(nodes, n.symbol, n.children) is n for _, n in shared.walk())
+        tree, state = _outcome(draw, seed)
+        assert _outcome(draw, seed) == (tree, state)
+        if tree is not DepthBudgetExhausted:
+            assert _outcome(draw, seed)[0] is tree
+            assert parse_tree(format_tree(tree), alphabet) is tree
+            assert all(Tree(n.symbol, n.children) is n for _, n in tree.walk())
 
 
 def test_samplers_draw_the_same_trees_through_a_node_table(all_shipped):
     for prior in all_shipped.values():
         pta = compile_prior(prior)
-        _check_sampler(lambda rng, nodes: sample_tree(prior, rng, nodes), range(DRAWS))
+        _check_sampler(lambda rng: sample_tree(prior, rng), range(DRAWS), prior.alphabet)
         for q in range(pta.n_states):
-            _check_sampler(lambda rng, nodes: sample_from_state(pta, q, rng, prior.max_depth, nodes),
-                           range(q, q + 3))
+            _check_sampler(lambda rng: sample_from_state(pta, q, rng, prior.max_depth),
+                           range(q, q + 3), prior.alphabet)
 
 
 def test_replace_at_builds_through_a_node_table(all_shipped):
     for prior in all_shipped.values():
         rng = np.random.default_rng(1)
-        nodes: dict = {}
-        tree = sample_tree(prior, rng, nodes)
-        subtree = sample_tree(prior, rng, nodes)
+        tree = sample_tree(prior, rng)
+        subtree = sample_tree(prior, rng)
         for addr, _ in tree.walk():
-            shared = tree.replace_at(addr, subtree, nodes)
-            fresh = tree.replace_at(addr, subtree)  # new nodes along the path
-            assert shared == fresh and shared.node_at(addr) is subtree
-            assert tree.replace_at(addr, subtree, nodes) is shared
+            shared = tree.replace_at(addr, subtree)
+            assert shared.node_at(addr) is subtree and tree.replace_at(addr, subtree) is shared
+            assert parse_tree(format_tree(shared)) is shared
             if addr:  # an off-path sibling stays this tree's object
                 parent = tree.node_at(addr[:-1])
                 for i, child in enumerate(parent.children, 1):
@@ -72,7 +78,34 @@ def test_replace_at_builds_through_a_node_table(all_shipped):
                         assert shared.node_at(addr[:-1] + (i,)) is child
         # putting back the subtree that is there rebuilds this tree's own nodes
         for addr, node in tree.walk():
-            assert tree.replace_at(addr, node, nodes) is tree
+            assert tree.replace_at(addr, node) is tree
+
+
+def test_a_read_posterior_holds_the_chain_trees(e1):
+    config = McmcConfig(burn_in=0, samples=200, thin=2, seed=3, prior_only=True)
+    posterior = run_chain(e1, None, config)
+    again = posterior_from_json(posterior_to_json(posterior))
+    assert len({id(d.expr.tree) for d in posterior.draws}) > 1
+    assert all(a.expr.tree is d.expr.tree for a, d in zip(again.draws, posterior.draws))
+
+
+def test_a_dropped_deep_tree_leaves_the_table():
+    gc.collect()
+    before = len(trees._NODES)
+    t = Tree(RankedSymbol("leaf", 0))
+    for _ in range(5000):
+        t = Tree(RankedSymbol("g", 1), (t,))
+    assert len(trees._NODES) == before + 5001 and t.size == 5001
+    del t  # frees 5,001 nested nodes without a RecursionError
+    assert len(trees._NODES) == before
+
+
+def test_a_tree_is_immutable():
+    t = parse_tree("(+ a b)")
+    for field, value in (("symbol", RankedSymbol("-", 2)), ("children", ()), ("size", 1)):
+        with pytest.raises(AttributeError):
+            setattr(t, field, value)
+    assert format_tree(t) == "(+ a b)" and t.size == 3
 
 
 def _fits(e_iso, e_hyp, e1):
@@ -92,8 +125,8 @@ def _fits(e_iso, e_hyp, e1):
 @pytest.mark.parametrize("workload", ["langmuir", "ogden", "e1-prior"])
 def test_emptying_the_chain_caches_changes_no_draw(workload, cap, e_iso, e_hyp, e1, monkeypatch):
     """At a cap of 0 every chain cache is emptied mid-chain, the tie table of
-    the Ogden chains too, which meet only 2 distinct trees; at 8, the node
-    table is emptied, while the other caches may keep their entries."""
+    the Ogden chains too, which meet only 2 distinct trees; at 8, the inside
+    memo is emptied, while the other caches may keep their entries."""
     prior, data, chains, config = _fits(e_iso, e_hyp, e1)[workload]
     uncapped = run_chains(prior, data, config, chains)
 
@@ -118,22 +151,29 @@ def test_emptying_the_chain_caches_changes_no_draw(workload, cap, e_iso, e_hyp, 
     assert json.dumps(capped.accept_stats) == json.dumps(uncapped.accept_stats)
     assert len(contexts) == chains
     for ctx in contexts:
-        caches = (ctx.nodes, ctx.inside_memo, ctx.marginal_cache, ctx.tie_table)
+        caches = (ctx.inside_memo, ctx.marginal_cache, ctx.tie_table)
         assert {id(cache) for cache in (caches if cap == 0 else caches[:1])} <= emptied
+
+
+class _CountingTable(weakref.WeakValueDictionary):
+    """The node table, counting its misses: one per node built."""
+
+    misses = 0
+
+    def __setitem__(self, key, node):
+        self.misses += 1
+        super().__setitem__(key, node)
 
 
 def test_a_chain_builds_each_distinct_node_once(e_iso, monkeypatch):
     """The reference Langmuir chain (data seed 7, chain seed 0, 2000 + 1000
     steps) holds one structure; drawing every proposal in full built 9,269
-    nodes, and building them through the chain's node table builds 50."""
+    nodes, and building each distinct node once builds 50."""
     data = gen_isotherm("langmuir", 7)["train"]
-    built = []
-    real_post_init = Tree.__post_init__
-
-    def post_init(self):
-        built.append(self)
-        real_post_init(self)
-
-    monkeypatch.setattr(Tree, "__post_init__", post_init)
+    original = trees._NODES
+    table = _CountingTable(original)
+    monkeypatch.setattr(trees, "_NODES", table)
     run_chain(e_iso, data, McmcConfig(burn_in=2000, samples=1000, thin=10, seed=0))
-    assert len(built) <= 100
+    assert 0 < table.misses <= 100
+    gc.collect()  # the chain's nodes are gone, so the restored table misses none
+    assert len(table) == len(original)

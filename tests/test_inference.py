@@ -486,14 +486,12 @@ def test_intern_shares_one_object_per_distinct_tree(e_hyp):
     from treegress.inference import _ChainContext
     from treegress.prte import compute_ties, group_tags, sample_tree
     from treegress.pta import compile_prior
-    from treegress.trees import hashcons
 
     ctx = _ChainContext(e_hyp, compile_prior(e_hyp), None, McmcConfig(prior_only=True))
-    tree = sample_tree(e_hyp, np.random.default_rng(8), ctx.nodes)
-    assert sample_tree(e_hyp, np.random.default_rng(8), ctx.nodes) is tree
-    assert all(hashcons(ctx.nodes, n.symbol, n.children) is n for _, n in tree.walk())
-    again = parse_tree(str(tree), e_hyp.alphabet)
-    assert again is not tree and again == tree
+    tree = sample_tree(e_hyp, np.random.default_rng(8))
+    assert sample_tree(e_hyp, np.random.default_rng(8)) is tree
+    again = parse_tree(str(tree))
+    assert again is tree and parse_tree(str(tree), e_hyp.alphabet) is tree
     ties, tags = ctx.ties(tree)
     assert ties == compute_ties(tree, e_hyp)
     assert tags == group_tags(tree, ties)

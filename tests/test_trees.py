@@ -288,9 +288,9 @@ def test_deep_chain_replace_validate_and_repr():
         t = Tree(g, (t,))
     bottom = (1,) * 3000
     swapped = t.replace_at(bottom, Tree(b))
-    assert swapped.node_at(bottom).symbol is b and swapped.size == t.size
+    assert swapped.node_at(bottom).symbol == b and swapped.size == t.size
     got, node = t.nth(3000)
-    assert got == bottom and node is t.node_at(bottom) and node.symbol is a
+    assert got == bottom and node is t.node_at(bottom) and node.symbol == a
     assert parse_tree(format_tree(t), RankedAlphabet([g, a])) == t
     assert repr(t) == f"Tree({format_tree(t)!r})"
 
@@ -321,11 +321,12 @@ def test_replace_at_shares_subtrees_off_the_path():
     assert t.replace_at((), new) is new
 
 
-def test_hash_is_the_field_tuple_hash():
+def test_equal_trees_are_one_object():
     t = parse_tree("(+ a (+ b c#))")
-    assert hash(t) == hash((t.symbol, t.children))
-    assert t == parse_tree("(+ a (+ b c#))")
-    assert t != parse_tree("(+ a (+ c# b))")
+    assert t is parse_tree("(+ a (+ b c#))") and hash(t) == object.__hash__(t)
+    other = parse_tree("(+ a (+ c# b))")
+    assert other is not t and other != t
+    assert Tree(PLUS, (Tree(A), t.children[1])) is t
 
 
 def test_shape_record():
