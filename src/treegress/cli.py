@@ -191,6 +191,9 @@ def cmd_fit(args) -> int:
     out_ref = args.out or refs.get("out")
     if not (prior_ref and train_ref and out_ref):
         raise InputError("fit needs a prior, a train csv, and an output path")
+    out = Path(out_ref)  # checked before the chain runs, not after
+    if out.is_dir() or not out.parent.is_dir():
+        raise (IsADirectoryError if out.is_dir() else FileNotFoundError)(f"cannot write {out_ref}")
     prior = _resolve_prior(prior_ref)
     train = read_dataset(train_ref)
 
@@ -201,12 +204,12 @@ def cmd_fit(args) -> int:
         raise
     except TreegressError as exc:
         trace = Posterior(tuple(partial), {}, config, config.seed)
-        Path(out_ref).write_text(posterior_to_json(trace), encoding="utf-8")
+        out.write_text(posterior_to_json(trace), encoding="utf-8")
         raise RuntimeFailure(
             f"inference stopped after {len(partial)} draws: {exc}"
         ) from exc
 
-    Path(out_ref).write_text(posterior_to_json(posterior), encoding="utf-8")
+    out.write_text(posterior_to_json(posterior), encoding="utf-8")
     _print_fit_summary(posterior)
     return 0
 

@@ -304,14 +304,15 @@ class _ChainContext:
             self.inputs, self.y = {}, np.zeros(0)
         self.inside_memo: dict = {}  # subtree -> inside vector
         self.marginal_cache: dict = {}  # (tree, address) -> (Boltzmann vector, its cdf)
-        self.tie_table: dict = {}  # tree -> (its ties, its group tags)
+        self.tie_table: dict = {}  # tree -> (its ties, its groups' marker priors)
 
     def ties(self, tree: Tree) -> tuple:
-        """(the tree's tie table, its group tags), computed once per distinct tree."""
+        """(the tree's tie table, each group's marker prior), computed once per distinct tree."""
         known = self.tie_table.get(tree)
         if known is None:
             ties = compute_ties(tree, self.prior)
-            known = _bounded(self.tie_table)[tree] = ties, group_tags(tree, ties)
+            priors = tuple(self.prior.markers[tag] for tag in group_tags(tree, ties))
+            known = _bounded(self.tie_table)[tree] = ties, priors
         return known
 
     def inside(self, tree: Tree) -> np.ndarray:
@@ -344,9 +345,9 @@ class _ChainContext:
         return cached
 
     def log_prior_params(self, expr: SymbolicExpression) -> float:
-        total = 0.0  # the cached tags fit expr.ties: every state's ties come from compute_ties
-        for tag, value in zip(self.ties(expr.tree)[1], expr.theta_c):
-            total += self.prior.markers[tag].logpdf(value)
+        total = 0.0  # the cached priors fit expr.ties: every state's ties come from compute_ties
+        for prior, value in zip(self.ties(expr.tree)[1], expr.theta_c):
+            total += prior.logpdf(value)
         if expr.theta_d:
             total -= len(expr.theta_d) * math.log(len(self.prior.theta_d_support))
         return total
@@ -402,7 +403,9 @@ def _jump_to(state, ctx, tree, ties, rng, log_fwd, log_rev, log_tree=None):
     theta_d_new, disc_fwd, disc_rev = _disc_jump(
         state.expr.theta_d, n_disc, ctx.prior.theta_d_support, rng
     )
-    expr = SymbolicExpression(tree, tuple(theta_new.tolist()), theta_d_new, ties)
+    expr = object.__new__(SymbolicExpression)  # unchecked, as in with_theta_c: ties are the chain's
+    expr.__dict__.update(tree=tree, theta_c=tuple(theta_new.tolist()), theta_d=theta_d_new,
+                         ties=ties)
     proposal = ctx.make_state(expr, state.sigma, log_tree)
     return proposal, log_fwd + log_pu + disc_fwd - logdet, log_rev + log_pu_rev + disc_rev
 

@@ -42,8 +42,6 @@ from .trees import (
     RankedSymbol,
     SymbolicExpression,
     Tree,
-    const_positions,
-    disc_positions,
     is_const_marker,
     is_disc_marker,
 )
@@ -345,6 +343,7 @@ class _Resolution:
         self.var_target: dict[int, Prte] = {}
         self.nodes: list[Prte] = []
         self._seen: set[int] = set()
+        self.fixed: dict | None = None  # see fixed_trees
         try:
             self._resolve(root, {})
             self.height = self._least_height()
@@ -428,6 +427,27 @@ class _Resolution:
         if height[id(self.root)] == math.inf:
             raise NonTerminatingIter("expression cannot derive any finite tree")
         return height[id(self.root)]
+
+    def fixed_trees(self) -> dict:
+        """id(node) -> (tree, height) of every node whose expansion reaches no
+        choice and so derives one tree; a fixpoint like ``_least_height``'s."""
+        if self.fixed is None:
+            fixed, changed = {}, True
+            while changed:
+                changed = False
+                for n in reversed(self.nodes):
+                    if id(n) in fixed or isinstance(n, PChoice):
+                        continue
+                    if isinstance(n, PSymbol):
+                        kids = [fixed.get(id(c)) for c in n.children]
+                        held = None if None in kids else (Tree(n.symbol, tuple(t for t, _ in kids)),
+                                                          max((h + 1 for _, h in kids), default=0))
+                    else:
+                        held = fixed.get(id(self.expansion(n)[0][1]))
+                    if held is not None:
+                        fixed[id(n)], changed = held, True
+            self.fixed = fixed
+        return self.fixed
 
     # root-symbol distributions ----------------------------------------------
 
@@ -636,10 +656,12 @@ def sample_tree(prior: PriorSpec, rng: np.random.Generator) -> Tree:
     sample of its binding expression.  Samples deeper than max_depth are
     discarded and redrawn; persistent overflow raises DepthBudgetExhausted.
     The truncation slightly biases the sampled law against very deep trees;
-    the density does not."""
+    the density does not.  A sub-expression without a choice gives the tree
+    ``prior.graph.fixed_trees()`` holds for it."""
+    fixed = prior.graph.fixed_trees()
     for _ in range(RESAMPLE_RETRIES):
         try:
-            return _draw(prior, rng, prior.root, 0)
+            return _draw(prior, fixed, rng, prior.root, 0)
         except DepthBudgetExhausted:
             continue
     raise DepthBudgetExhausted(
@@ -647,17 +669,20 @@ def sample_tree(prior: PriorSpec, rng: np.random.Generator) -> Tree:
     )
 
 
-def _draw(prior: PriorSpec, rng: np.random.Generator, node: Prte, depth: int) -> Tree:
-    """One attempt of ``sample_tree`` from ``node`` at ``depth``.  A module
-    function, not a closure: a recursive closure is a reference cycle that
-    would keep the prior alive until the next full garbage collection."""
+def _draw(prior: PriorSpec, fixed: dict, rng: np.random.Generator, node: Prte, depth: int) -> Tree:
+    """One attempt of ``sample_tree`` from ``node`` at ``depth``; a held tree
+    that would pass max_depth is built out, to overflow as it would unheld.
+    A module function, not a closure: a recursive closure is a reference
+    cycle that would keep the prior alive until the next full collection."""
     while True:
+        held = fixed.get(id(node))
+        if held is not None and depth + held[1] <= prior.max_depth:
+            return held[0]
         if isinstance(node, PSymbol):
             if depth > prior.max_depth:
                 raise DepthBudgetExhausted(f"the drawn tree passed depth {prior.max_depth}")
-            if not node.children:
-                return Tree(node.symbol)
-            return Tree(node.symbol, tuple(_draw(prior, rng, c, depth + 1) for c in node.children))
+            return Tree(node.symbol,
+                        tuple(_draw(prior, fixed, rng, c, depth + 1) for c in node.children))
         if isinstance(node, PChoice):
             node = _pick_branch(node, rng)
         elif isinstance(node, PVar):
@@ -680,7 +705,7 @@ def compute_ties(tree: Tree, prior: PriorSpec) -> tuple:
     everything else gets its own group."""
     group_of: dict = {}
     ties = []
-    for pos in const_positions(tree):
+    for pos in tree.shape.const:
         tag = tree.node_at(pos).symbol.name
         anchor = prior.shared.get(tag)
         if anchor is None:
@@ -699,7 +724,7 @@ def compute_ties(tree: Tree, prior: PriorSpec) -> tuple:
 def group_tags(tree: Tree, ties: tuple) -> list:
     """Marker tag of each parameter group, aligned with theta_c."""
     tags: list = []
-    positions = const_positions(tree)
+    positions = tree.shape.const
     for pos, g in zip(positions, ties):
         if g == len(tags):
             tags.append(tree.node_at(pos).symbol.name)
@@ -714,7 +739,7 @@ def sample_expression(prior: PriorSpec, rng: np.random.Generator) -> SymbolicExp
     theta_c = tuple(
         prior.markers[tag].sample(rng) for tag in group_tags(tree, ties)
     )
-    n_disc = len(disc_positions(tree))
+    n_disc = len(tree.shape.disc)
     support = prior.theta_d_support
     theta_d = tuple(support[int(rng.integers(len(support)))] for _ in range(n_disc))
     return SymbolicExpression(tree, theta_c, theta_d, ties)

@@ -271,14 +271,21 @@ def sample_from_state(pta: Pta, state, rng, max_depth: int = DEFAULT_MAX_DEPTH) 
     There is one attempt, which missing row mass or a node deeper than
     ``max_depth`` ends with DepthBudgetExhausted.  Unlike the expression
     sampler, this does not redraw: a caller that rejects on the error
-    proposes each tree with exactly its inside probability.
+    proposes each tree with exactly its inside probability.  A state that
+    grows one tree only gives the tree held for it, after the same draws.
     """
-    return _grow(_emission_table(pta), rng, int(state), 0, max_depth)
+    return _grow(*_generation_tables(pta), rng, int(state), 0, max_depth)
 
 
-def _grow(emit, rng, q: int, depth: int, max_depth: int) -> Tree:
+def _grow(emit, fixed, rng, q: int, depth: int, max_depth: int) -> Tree:
     """One attempt of ``sample_from_state`` from state ``q`` at ``depth``; a
-    module function, so that no closure cycle keeps the automaton alive."""
+    held tree that would pass ``max_depth`` is grown out, to overflow as it
+    would unheld.  A module function, so no closure cycle keeps the automaton alive."""
+    held = fixed.get(q)
+    if held is not None and depth + held[1] <= max_depth:
+        if held[2]:
+            rng.random(held[2])  # the stream of one rng.random() per inner node
+        return held[0]
     if depth > max_depth:
         raise DepthBudgetExhausted(f"the grown tree passed depth {max_depth}")
     symbol, cdf, kids = emit[q]
@@ -287,13 +294,15 @@ def _grow(emit, rng, q: int, depth: int, max_depth: int) -> Tree:
     i = bisect_right(cdf, rng.random())
     if i == len(cdf):
         raise DepthBudgetExhausted(f"the grown tree drew missing row mass at state {q}")
-    return Tree(symbol, tuple(_grow(emit, rng, s, depth + 1, max_depth) for s in kids[i]))
+    return Tree(symbol, tuple(_grow(emit, fixed, rng, s, depth + 1, max_depth) for s in kids[i]))
 
 
-def _emission_table(pta: Pta):
-    """State -> (symbol, running sums of its entries' probabilities, their
-    child-state tuples) for the one symbol the state emits; a leaf symbol has
-    neither.  ``_grow`` picks the first entry whose running sum exceeds a draw."""
+def _generation_tables(pta: Pta):
+    """(state -> (symbol, running sums of its entries' probabilities, their
+    child-state tuples) of the one symbol it emits, a leaf with neither; state
+    -> (tree, height, inner nodes) of each state that grows one tree: a leaf
+    state, or one whose single entry, with a running sum >= 1.0, leads into
+    such states).  ``_grow`` picks the first entry whose sum exceeds a draw."""
     if pta._emission is None:
         options: dict = {}
         for (name, rank), entry in pta.tables.items():
@@ -311,7 +320,18 @@ def _emission_table(pta: Pta):
                     f"state {pta.states[q]} does not emit exactly one symbol; "
                     "generative sampling is defined for single-symbol states"
                 )
-        pta._emission = {q: only for q, (only,) in options.items()}
+        emit = {q: only for q, (only,) in options.items()}
+        fixed, changed = {}, True
+        while changed:
+            changed = False
+            for q, (symbol, cdf, kids) in emit.items():
+                tup = kids[0] if len(cdf) == 1 and cdf[0] >= 1.0 else ()
+                if q in fixed or len(tup) != symbol.rank or any(s not in fixed for s in tup):
+                    continue
+                subtrees, heights, inner = zip(*(fixed[s] for s in tup)) if tup else ((), (-1,), ())
+                fixed[q] = Tree(symbol, subtrees), max(heights) + 1, sum(inner) + (symbol.rank > 0)
+                changed = True
+        pta._emission = emit, fixed
     return pta._emission
 
 

@@ -8,6 +8,7 @@ parameter), and each marker occurrence consumes one parameter entry in
 pre-order.  Everything here is immutable.  Trees are interned in one
 process-wide weak table, so equal trees are one object; the table's
 get-then-set is not atomic, and no caller builds trees from several threads.
+A node's marker addresses are composed from its children's when it is built.
 """
 
 from __future__ import annotations
@@ -110,6 +111,19 @@ class TreeShape(NamedTuple):
     disc: tuple
 
 
+_NO_MARKERS = TreeShape((), ())  # shared by every marker-free node
+
+
+def _compose_shape(symbol: RankedSymbol, children: tuple) -> TreeShape:
+    """A node's marker addresses from its children's: each child's behind its index."""
+    if all(c.shape is _NO_MARKERS for c in children):  # true of every leaf
+        if is_const_marker(symbol):
+            return TreeShape(((),), ())
+        return TreeShape((), ((),)) if is_disc_marker(symbol) else _NO_MARKERS
+    return TreeShape(*(tuple((i,) + a for i, c in enumerate(children, 1) for a in c.shape[f])
+                       for f in (0, 1)))
+
+
 # (symbol name, rank, children) -> the one live Tree of that key
 _NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
@@ -119,13 +133,14 @@ class Tree:
 
     ``Tree(symbol, children)`` returns the one live node of that symbol name,
     rank and children, built only if there is none: equal trees are one
-    object, so equality and hashing are by identity.  The node count is set
-    at construction; the shape record and the compiled evaluation program
-    are computed once per node, on first use.  ``walk``, ``replace_at`` and
-    ``repr`` are iterative, so very deep trees stay within the recursion limit.
+    object, so equality and hashing are by identity.  The node count and
+    ``shape``, the marker addresses, are set at construction from the
+    children's; the compiled evaluation program is computed once per node,
+    on first use.  ``walk``, ``replace_at`` and ``repr`` are iterative, so
+    very deep trees stay within the recursion limit.
     """
 
-    __slots__ = ("symbol", "children", "size", "_shape", "_program", "__weakref__")
+    __slots__ = ("symbol", "children", "size", "shape", "_program", "__weakref__")
 
     def __new__(cls, symbol: RankedSymbol, children: tuple = ()):
         key = (symbol.name, symbol.rank, children)
@@ -136,7 +151,7 @@ class Tree:
             node = object.__new__(cls)
             for name, value in (("symbol", symbol), ("children", children),
                                 ("size", 1 + sum(c.size for c in children)),
-                                ("_shape", None), ("_program", None)):
+                                ("shape", _compose_shape(symbol, children)), ("_program", None)):
                 object.__setattr__(node, name, value)
             _NODES[key] = node
         return node
@@ -145,18 +160,6 @@ class Tree:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Tree is immutable: cannot assign to '{name}'")
-
-    @property
-    def shape(self) -> TreeShape:
-        if self._shape is None:
-            const, disc = [], []
-            for addr, node in self.walk():
-                if is_const_marker(node.symbol):
-                    const.append(addr)
-                elif is_disc_marker(node.symbol):
-                    disc.append(addr)
-            object.__setattr__(self, "_shape", TreeShape(tuple(const), tuple(disc)))
-        return self._shape
 
     # -- address arithmetic ----------------------------------------------
 
@@ -219,10 +222,6 @@ def _resolve_name(name: str, observed_children: int, alphabet: RankedAlphabet) -
         if not ranks:
             raise UnknownSymbol(f"symbol '{name}' not in alphabet") from None
         raise ArityMismatch(name, min(ranks), observed_children) from None
-
-
-def const_positions(tree: Tree) -> tuple:
-    return tree.shape.const
 
 
 def disc_positions(tree: Tree) -> tuple:

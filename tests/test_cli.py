@@ -146,6 +146,25 @@ def test_fit_nonpositive_chains_exits_2(capsys, tmp_path, chains):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("where, error", [("directory", "IsADirectoryError"),
+                                          ("missing-parent", "FileNotFoundError")])
+def test_fit_bad_out_exits_2_before_running_the_chain(capsys, tmp_path, monkeypatch, where, error):
+    def never(*args, **kwargs):
+        raise AssertionError("run_chains was called")
+
+    monkeypatch.setattr("treegress.cli.run_chains", never)
+    train = tmp_path / "train.csv"
+    train.write_text("c,s\n1.0,2.0\n")
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"burn_in": 20_000, "samples": 10_000, "thin": 1}))
+    out_path = tmp_path if where == "directory" else tmp_path / "absent" / "p.json"
+    code, out, err = run_cli(capsys, "fit", "--prior", "E_iso", "--train", str(train),
+                             "--config", str(config), "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert json.loads(err.strip())["error"] == error
+    assert not (tmp_path / "absent").exists()
+
+
 @pytest.mark.parametrize("depth", ["0", "-1"])
 def test_sample_nonpositive_max_depth_exits_2(capsys, depth):
     code, out, err = run_cli(capsys, "sample", "--prior", "E_1", "--n", "1", "--max-depth", depth)

@@ -492,9 +492,9 @@ def test_intern_shares_one_object_per_distinct_tree(e_hyp):
     assert sample_tree(e_hyp, np.random.default_rng(8)) is tree
     again = parse_tree(str(tree))
     assert again is tree and parse_tree(str(tree), e_hyp.alphabet) is tree
-    ties, tags = ctx.ties(tree)
+    ties, priors = ctx.ties(tree)
     assert ties == compute_ties(tree, e_hyp)
-    assert tags == group_tags(tree, ties)
+    assert priors == tuple(e_hyp.markers[tag] for tag in group_tags(tree, ties))
     assert ctx.ties(again) is ctx.ties(tree)
 
 

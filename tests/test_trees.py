@@ -28,7 +28,6 @@ from treegress.trees import (
     RankedSymbol,
     SymbolicExpression,
     Tree,
-    const_positions,
     disc_positions,
     eval_expression,
     format_tree,
@@ -81,19 +80,19 @@ def test_positions_two_markers():
     # tree shaped like (x - c)^2 + (y + z)^2 + c with two continuous markers
     text = "(+ (+ (pow (- x c#) 2) (pow (+ y z) 2)) c#)"
     t = parse_tree(text)
-    marks = const_positions(t)
+    marks = t.shape.const
     assert marks == ((1, 1, 1, 2), (2,))
     assert list(marks) == [addr for addr in addresses(t) if t.node_at(addr).symbol == CM]
 
 
 def test_positions_absent_symbol():
     t = parse_tree("(+ a b)", ALPHA)
-    assert const_positions(t) == () and disc_positions(t) == ()
+    assert t.shape.const == () and disc_positions(t) == ()
 
 
 def test_positions_preorder():
     t = parse_tree("(+ c# c#)")
-    assert const_positions(t) == ((1,), (2,))
+    assert t.shape.const == ((1,), (2,))
 
 
 # -- SymbolicExpression invariants ------------------------------------------------
@@ -332,7 +331,7 @@ def test_equal_trees_are_one_object():
 def test_shape_record():
     t = parse_tree("(+ c# (* d# (+ x c#)))")
     assert t.size == 7
-    assert const_positions(t) == ((1,), (2, 2, 2))
+    assert t.shape.const == ((1,), (2, 2, 2))
     assert disc_positions(t) == ((2, 1),)
     assert t.shape is t.shape
 
