@@ -35,7 +35,7 @@ from .inference import (
 )
 from .prte import PriorSpec, format_prte, load_prior, prte_density, sample_expression
 from .pta import compile_prior, pta_eval
-from .trees import eval_expression, format_tree, parse_tree
+from .trees import eval_expression, parse_tree
 
 _MCMC_FIELDS = set(McmcConfig.__dataclass_fields__)
 _RUN_CONFIG_EXTRA = {"prior", "train", "out"}
@@ -219,9 +219,7 @@ def _print_fit_summary(posterior: Posterior) -> None:
     for move, s in posterior.accept_stats.items():
         rate = s["accepted"] / s["proposed"] if s["proposed"] else 0.0
         print(f"accept[{move}]: {s['accepted']}/{s['proposed']} ({rate:.3f})")
-    counts = Counter()
-    for tree, c in Counter(d.expr.tree for d in posterior.draws).items():
-        counts[format_tree(tree)] += c
+    counts = Counter(posterior.texts[d.expr.tree] for d in posterior.draws)
     top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
     for text, c in top:
         print(f"top: {c}/{len(posterior.draws)} {text}")

@@ -171,8 +171,17 @@ class Posterior:
         appearance; each draw's index into them).  A summary evaluates each
         distinct expression once and gathers per-draw results by index."""
         first: dict = {}  # eval_key -> (index, expression)
-        index = [first.setdefault(eval_key(d.expr), (len(first), d.expr))[0] for d in self.draws]
+        index, prev = [], None
+        for d in self.draws:  # a repeated draw object keeps the index of the draw before it
+            if d is not prev:
+                i, prev = first.setdefault(eval_key(d.expr), (len(first), d.expr))[0], d
+            index.append(i)
         return tuple(expr for _, expr in first.values()), np.array(index, dtype=np.intp)
+
+    @cached_property
+    def texts(self) -> dict:
+        """Each distinct tree of the draws -> its ``format_tree`` text, formatted once."""
+        return {tree: format_tree(tree) for tree in {d.expr.tree for d in self.draws}}
 
 
 # -- likelihood -------------------------------------------------------------------
@@ -493,8 +502,9 @@ def run_chain(prior: PriorSpec, data, config: McmcConfig, on_draw=None) -> Poste
     depth overflow, a parameter or sigma step out of float range) count as
     rejections so the kernel is total.  A proposal deeper than max_depth lies
     outside the target's support, so rejecting it keeps the chain exact for
-    the posterior restricted to trees within max_depth.  ``on_draw`` is
-    called with each Draw as it is recorded (partial-trace collection)."""
+    the posterior restricted to trees within max_depth.  ``on_draw`` is called with
+    each Draw as it is recorded (partial-trace collection); while the state is the
+    one last recorded, its Draw object is recorded again."""
     if prior.max_depth != config.max_depth:
         prior = replace(prior, max_depth=config.max_depth)
     pta = compile_prior(prior, config.state_budget)
@@ -517,7 +527,7 @@ def run_chain(prior: PriorSpec, data, config: McmcConfig, on_draw=None) -> Poste
     stats = {
         move: {"proposed": 0, "accepted": 0, "aborted": 0} for move in MOVES
     }
-    draws = []
+    draws, recorded = [], None
     total_steps = config.burn_in + config.samples
     for step in range(total_steps):
         move = MOVES[min(bisect_right(cumulative, rng.random()), len(MOVES) - 1)]
@@ -538,7 +548,8 @@ def run_chain(prior: PriorSpec, data, config: McmcConfig, on_draw=None) -> Poste
                 stats[move]["accepted"] += 1
         k = step - config.burn_in
         if k >= 0 and (k + 1) % config.thin == 0:
-            draw = Draw(state.expr, state.sigma, state.log_posterior)
+            if state is not recorded:  # a run of one state is one Draw, appended again
+                draw, recorded = Draw(state.expr, state.sigma, state.log_posterior), state
             draws.append(draw)
             if on_draw is not None:
                 on_draw(draw)
@@ -631,24 +642,33 @@ def posterior_predict(posterior: Posterior, inputs, rng=None):
 
 
 def posterior_to_json(posterior: Posterior) -> str:
-    texts = {tree: format_tree(tree) for tree in {d.expr.tree for d in posterior.draws}}
-    doc = {
-        "config": asdict(posterior.config),
-        "seed": posterior.seed,
-        "draws": [
-            {
-                "expr": texts[d.expr.tree],
-                "theta_c": list(d.expr.theta_c),
-                "theta_d": [str(v) for v in d.expr.theta_d],
-                "ties": list(d.expr.ties),
-                "sigma": d.sigma,
-                "log_post": d.log_post,
-            }
-            for d in posterior.draws
-        ],
-        "accept_stats": posterior.accept_stats,
-    }
-    return json.dumps(doc, indent=2)
+    """The bytes of ``json.dumps(doc, indent=2)`` for the posterior's document.  Each
+    draw object is encoded once, and a draw that is the draw before it (``d is prev``,
+    a run of one state) reuses that text.  A draw is laid out by hand, every scalar
+    as json's own encoder writes it: NaN, Infinity, -0.0, ints and escapes."""
+    # the document's head and tail, each dumped alone: the head's closing "\n}" is
+    # cut, and every line of the tail is indented one level, as a value in the document
+    head = json.dumps({"config": asdict(posterior.config), "seed": posterior.seed}, indent=2)
+    stats = json.dumps(posterior.accept_stats, indent=2).replace("\n", "\n  ")
+    entries, prev = [], None
+    for d in posterior.draws:
+        if d is not prev:
+            entry, prev = _draw_json(d, posterior.texts[d.expr.tree]), d
+        entries.append(entry)
+    draws = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+    return f'{head[:-2]},\n  "draws": {draws},\n  "accept_stats": {stats}\n}}'
+
+
+def _draw_json(d: Draw, text: str) -> str:
+    """One entry of the draws list, at the depth ``indent=2`` puts it."""
+    e, nc, nt = d.expr, len(d.expr.theta_c), len(d.expr.ties)
+    items = json.dumps([*e.theta_c, *e.ties, *map(str, e.theta_d), d.sigma, d.log_post])
+    items = items[1:-1].split(", ")  # no item holds ", ": numbers, and Fractions as strings
+    theta_c, ties, theta_d = ("[\n        " + ",\n        ".join(xs) + "\n      ]" if xs else "[]"
+                              for xs in (items[:nc], items[nc:nc + nt], items[nc + nt:-2]))
+    return (f'    {{\n      "expr": {json.dumps(text)},\n      "theta_c": {theta_c},\n'
+            f'      "theta_d": {theta_d},\n      "ties": {ties},\n      "sigma": {items[-2]},\n'
+            f'      "log_post": {items[-1]}\n    }}')
 
 
 def posterior_from_json(text: str) -> Posterior:

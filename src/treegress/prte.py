@@ -661,7 +661,7 @@ def sample_tree(prior: PriorSpec, rng: np.random.Generator) -> Tree:
     fixed = prior.graph.fixed_trees()
     for _ in range(RESAMPLE_RETRIES):
         try:
-            return _draw(prior, fixed, rng, prior.root, 0)
+            return _draw(prior, fixed, rng, (prior.root,), 0)[0]
         except DepthBudgetExhausted:
             continue
     raise DepthBudgetExhausted(
@@ -669,28 +669,33 @@ def sample_tree(prior: PriorSpec, rng: np.random.Generator) -> Tree:
     )
 
 
-def _draw(prior: PriorSpec, fixed: dict, rng: np.random.Generator, node: Prte, depth: int) -> Tree:
-    """One attempt of ``sample_tree`` from ``node`` at ``depth``; a held tree
-    that would pass max_depth is built out, to overflow as it would unheld.
-    A module function, not a closure: a recursive closure is a reference
-    cycle that would keep the prior alive until the next full collection."""
-    while True:
-        held = fixed.get(id(node))
-        if held is not None and depth + held[1] <= prior.max_depth:
-            return held[0]
-        if isinstance(node, PSymbol):
-            if depth > prior.max_depth:
-                raise DepthBudgetExhausted(f"the drawn tree passed depth {prior.max_depth}")
-            return Tree(node.symbol,
-                        tuple(_draw(prior, fixed, rng, c, depth + 1) for c in node.children))
-        if isinstance(node, PChoice):
-            node = _pick_branch(node, rng)
-        elif isinstance(node, PVar):
-            node = prior.graph.var_target[id(node)]
-        elif isinstance(node, PConcat):
-            node = node.left
-        else:  # PIter
-            node = node.body
+def _draw(prior: PriorSpec, fixed: dict, rng: np.random.Generator, nodes: tuple,
+          depth: int) -> tuple:
+    """One attempt of ``sample_tree``: the trees of sibling ``nodes`` at ``depth``, left
+    to right.  Choices resolve in this frame, so a held tree opens none; one that would
+    pass max_depth is built out, to overflow as it would unheld.  Not a recursive
+    closure: its reference cycle would keep the prior alive until a full collection."""
+    out = []
+    for node in nodes:
+        while True:
+            held = fixed.get(id(node))
+            if held is not None and depth + held[1] <= prior.max_depth:
+                out.append(held[0])
+                break
+            if isinstance(node, PSymbol):
+                if depth > prior.max_depth:
+                    raise DepthBudgetExhausted(f"the drawn tree passed depth {prior.max_depth}")
+                out.append(Tree(node.symbol, _draw(prior, fixed, rng, node.children, depth + 1)))
+                break
+            if isinstance(node, PChoice):
+                node = _pick_branch(node, rng)
+            elif isinstance(node, PVar):
+                node = prior.graph.var_target[id(node)]
+            elif isinstance(node, PConcat):
+                node = node.left
+            else:  # PIter
+                node = node.body
+    return tuple(out)
 
 
 def _pick_branch(choice: PChoice, rng: np.random.Generator) -> Prte:

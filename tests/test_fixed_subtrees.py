@@ -50,7 +50,7 @@ def _draws(prior, pta, seeds, max_depth):
     ``sample_from_state`` from each state, in a fixed order."""
     fixed = prior.graph.fixed_trees()
     out = [_outcome(lambda rng: sample_tree(prior, rng), s) for s in seeds]
-    out += [_outcome(lambda rng: _draw(prior, fixed, rng, prior.root, 0), s) for s in seeds]
+    out += [_outcome(lambda rng: _draw(prior, fixed, rng, (prior.root,), 0)[0], s) for s in seeds]
     out += [_outcome(lambda rng: sample_from_state(pta, q, rng, max_depth), s)
             for q in range(pta.n_states) for s in seeds]
     return out

@@ -582,6 +582,21 @@ def test_posterior_distinct_table():
     assert empty[0] == () and empty[1].tolist() == []
 
 
+def test_posterior_distinct_keys_a_repeated_draw_object_once(monkeypatch):
+    import treegress.inference
+
+    # a run of one draw object is keyed once; equal values in another object
+    # are keyed again, so a signed zero still tells them apart
+    a, b = (Draw(expr_of("c#", theta_c=(v,)), 0.1, -1.0) for v in (0.0, -0.0))
+    calls = []
+    real = treegress.inference.eval_key
+    monkeypatch.setattr(treegress.inference, "eval_key", lambda e: calls.append(e) or real(e))
+    exprs, index = make_posterior([a, a, b, b, Draw(a.expr, 0.1, -1.0), a]).distinct
+    assert [id(e) for e in exprs] == [id(a.expr), id(b.expr)]
+    assert index.tolist() == [0, 0, 1, 1, 0, 0]
+    assert len(calls) == 4
+
+
 @pytest.mark.parametrize("noise", [False, True])
 def test_bands_match_a_per_point_loop(noise):
     # repeated draws, and draws that are non-finite at the negative inputs
