@@ -35,7 +35,7 @@ from .inference import (
 )
 from .prte import PriorSpec, format_prte, load_prior, prte_density, sample_expression
 from .pta import compile_prior, pta_eval
-from .trees import eval_expression, parse_tree
+from .trees import eval_expression, parse_tree  # eval_expression: bench/spans.py looks it up here
 
 _MCMC_FIELDS = set(McmcConfig.__dataclass_fields__)
 _RUN_CONFIG_EXTRA = {"prior", "train", "out"}
@@ -234,10 +234,12 @@ def cmd_report(args) -> int:
     rng = np.random.default_rng(args.seed) if args.with_noise else None
 
     metrics_lines, bands_lines = [], []
-    exprs, index = posterior.distinct
+    index = posterior.distinct[1]
     x_names = None  # the first dataset's input columns, in its header's order
     for data_path in args.data:
         ds = read_dataset(data_path)
+        if ds.n == 0:
+            raise InputError(f"{data_path} has no rows")
         name = Path(data_path).stem
         inputs = ds.inputs()
         if x_names is None:
@@ -248,20 +250,20 @@ def cmd_report(args) -> int:
         elif set(inputs) != set(x_names):
             raise InputError(f"{data_path}: input columns {sorted(inputs)} differ from "
                              f"the first dataset's {sorted(x_names)}")
-        # one RMSE per distinct expression, NaN where it is non-finite on the data
-        preds = [eval_expression(e, inputs) for e in exprs]
+        bands = posterior_predict(posterior, inputs, rng=rng)
+        # one RMSE per distinct expression, from the columns the bands evaluated;
+        # NaN where it is non-finite on the data
         errors = np.array([rmse(p, ds.target) if np.isfinite(p).all() else math.nan
-                           for p in preds])[index]
+                           for p in bands["columns"].T])[index]
         per_draw = errors[~np.isnan(errors)]
         mean, std = (np.mean(per_draw), np.std(per_draw)) if per_draw.size else (math.nan,) * 2
         metrics_lines.append(f"{name},{_fmt(mean)},{_fmt(std)},{errors.size - per_draw.size}\n")
 
-        bands = posterior_predict(posterior, inputs, rng=rng)
+        order = np.argsort(inputs[x_names[0]], kind="stable")
         columns = [inputs[v] for v in x_names] + [bands[q] for q in _BANDS]
-        for j in np.argsort(inputs[x_names[0]], kind="stable"):
-            cells = ",".join(_fmt(c[j]) for c in columns)
-            flagged = int(bands["dropped"][j] == len(posterior.draws))
-            bands_lines.append(f"{name},{cells},{flagged}\n")
+        flagged = bands["dropped"] == len(posterior.draws)
+        for *cells, f in zip(*(c[order].tolist() for c in columns), flagged[order].tolist()):
+            bands_lines.append(f"{name},{','.join(map(repr, cells))},{int(f)}\n")
 
     metrics_path = out_dir / "metrics.csv"
     metrics_path.write_text("dataset,rmse_mean,rmse_std,dropped_draws\n" + "".join(metrics_lines),

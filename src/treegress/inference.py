@@ -591,51 +591,88 @@ def run_chains(prior: PriorSpec, data, config: McmcConfig, chains: int, on_draw=
 # -- posterior summaries ------------------------------------------------------------------
 
 
-_BAND_BLOCK = 256  # points per vectorised block in posterior_predict
+_BAND_BLOCK = 256  # points per block of expanded rows in posterior_predict
+_PERCENTS = [5.0, 50.0, 95.0]
+_QUANTILES = np.true_divide(_PERCENTS, 100)  # q as np.percentile reads it
 
 
 def posterior_predict(posterior: Posterior, inputs, rng=None):
-    """Pointwise predictive mean and 5/50/95% quantiles over the draws.
-    Passing an rng adds observation noise (one sigma-scaled draw per
-    posterior sample), giving aleatoric-plus-epistemic bands; without it the
-    bands are epistemic only.  Draws that evaluate non-finite at a point are
-    dropped there and counted; a point with no finite draw yields a NaN row
-    whose count is the number of draws.  Each distinct draw is evaluated
-    once."""
+    """Pointwise predictive mean and 5/50/95% quantiles over the draws, the bits of
+    ``np.mean`` and ``np.percentile`` of each point's draws.  Passing an rng adds
+    observation noise (one sigma-scaled draw per posterior sample), giving
+    aleatoric-plus-epistemic bands; without it the bands are epistemic only.  Draws
+    that evaluate non-finite at a point are dropped there and counted; a point with no
+    finite draw yields a NaN row whose count is the number of draws.  Each distinct
+    expression is evaluated once; ``columns`` holds those noise-free values, a column
+    each.  Quantiles are read from a point's distinct values and draw counts, except at
+    a point with a dropped draw or with both 0.0 and -0.0, or when the distinct columns
+    are a quarter of the draws or more (as with noise, a column a draw)."""
     if not posterior.draws:
         raise InputError("posterior holds no draws")
-    inputs = {k: np.asarray(v, dtype=float) for k, v in inputs.items()}
     exprs, index = posterior.distinct
-    # one row per point, one column per draw; C order, as the row reductions below assume
-    values = np.take(np.column_stack([eval_expression(e, inputs) for e in exprs]), index, axis=1)
+    # one row per point, one column per distinct expression; C order, as the row reductions assume
+    columns = values = np.column_stack([eval_expression(e, inputs) for e in exprs])
     n = values.shape[0]
-    if rng is not None:  # one noise vector per draw, drawn in draw order
+    if rng is not None:  # one noise vector per draw, drawn in draw order: each draw is a column
         sigmas = np.array([d.sigma for d in posterior.draws])
+        values = np.take(columns, index, axis=1)
         values += sigmas * rng.standard_normal((sigmas.size, n)).T
+        index = np.arange(sigmas.size)
+    counts = np.bincount(index)
     finite = np.isfinite(values)
-    dropped = (~finite).sum(axis=1)
+    shared = counts.size < index.size  # else a column a draw, in first-appearance (draw) order
+    # the unweighted count spares a noisy report's bands an integer matmul, about 6% of their time
+    dropped = ~finite @ counts if shared else (~finite).sum(axis=1)
+    # Quantiles read from a point's sorted distinct values and counts cost what numpy's
+    # partition of all its draws does at about a quarter as many columns as draws.
+    # numpy's partition orders 0.0 and -0.0 as it likes: a point holding both stays on it.
+    counted = np.zeros(n, dtype=bool)
+    if 4 * counts.size < index.size:
+        zero, sign = values == 0, np.signbit(values)
+        counted = ~((zero & sign).any(axis=1) & (zero & ~sign).any(axis=1))
     mean = np.full(n, np.nan)
     quantiles = np.full((3, n), np.nan)
-    # Points where every draw is finite go through numpy a block of rows at a
-    # time; a row reduces and interpolates exactly as the single point does.
+    # Points where every draw is finite, a block at a time: the mean reduces each
+    # expanded row as np.mean of that point alone does.
     whole = np.flatnonzero(dropped == 0)
     for start in range(0, whole.size, _BAND_BLOCK):
         idx = whole[start:start + _BAND_BLOCK]
-        rows = values[idx]
+        rows = np.take(values[idx], index, axis=1) if shared else values[idx]
         mean[idx] = rows.mean(axis=1)
-        quantiles[:, idx] = np.percentile(rows, [5.0, 50.0, 95.0], axis=1)
+        c = counted[idx]
+        if c.any():
+            quantiles[:, idx[c]] = _counted_percentiles(values[idx[c]], counts)
+            rows, idx = rows[~c], idx[~c]
+        quantiles[:, idx] = np.percentile(rows, _PERCENTS, axis=1)
     for j in np.flatnonzero(dropped):
-        row = values[j, finite[j]]
+        row = values[j, index][finite[j, index]]
         if row.size:
             mean[j] = row.mean()
-            quantiles[:, j] = np.percentile(row, [5.0, 50.0, 95.0])
-    return {
-        "mean": mean,
-        "q05": quantiles[0],
-        "q50": quantiles[1],
-        "q95": quantiles[2],
-        "dropped": dropped,
-    }
+            quantiles[:, j] = np.percentile(row, _PERCENTS)
+    return {"mean": mean, "q05": quantiles[0], "q50": quantiles[1], "q95": quantiles[2],
+            "dropped": dropped, "columns": columns}
+
+
+def _counted_percentiles(values, counts):
+    """np.percentile(q=[5, 50, 95], axis=1) of ``values`` with column i repeated
+    counts[i] times: numpy's linear method (Hyndman & Fan type 7) at numpy's
+    indexes, with numpy's ``_lerp``, read from each row's sorted distinct values."""
+    draws = counts.sum()
+    virtual = (draws - 1) * _QUANTILES
+    prev = np.floor(virtual)  # 2 draws or more: virtual < draws - 1, so numpy's clip never applies
+    at = np.concatenate([prev, prev + 1])  # both neighbours of each quantile
+    order = np.argsort(values, axis=1)
+    filled = np.cumsum(counts[order], axis=1)  # draws up to each sorted value
+    # the sorted value that holds each position, found by one search over all
+    # rows: each row's running counts are lifted past those of the rows before
+    lift = np.arange(len(values))[:, None]
+    k = np.searchsorted((filled + lift * draws).ravel(), at + lift * draws,
+                        side="right") - lift * counts.size
+    # ties are equal values or zeros of one sign, so any order among them reads the same bits
+    a, b = np.take_along_axis(values, np.take_along_axis(order, k, axis=1),
+                              axis=1).T.reshape(2, 3, -1)
+    t = (virtual - prev)[:, None]
+    return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
 
 
 # -- serialization ------------------------------------------------------------------------

@@ -719,8 +719,9 @@ def test_report_evaluates_each_distinct_draw_once(capsys, tmp_path, monkeypatch)
         "--data", str(data_path), "--out-dir", str(tmp_path / "rep"),
     )
     assert code == 0
-    # two distinct draws among four, once for the RMSE and once for the bands
-    assert sorted(calls) == [(1.0,), (1.0,), (2.0,), (2.0,)]
+    # two distinct draws among four, each evaluated once: the RMSE reads the
+    # columns the bands evaluated
+    assert sorted(calls) == [(1.0,), (2.0,)]
     row = (tmp_path / "rep" / "metrics.csv").read_text().splitlines()[1].split(",")
     # per-draw rmse: sqrt(2.5) for each of the three c# = 1 draws, 0 for c# = 2
     assert float(row[1]) == pytest.approx(0.75 * math.sqrt(2.5))
@@ -794,6 +795,30 @@ def test_report_other_input_columns_exit_2(capsys, tmp_path, second, message):
     doc = json.loads(err.strip())
     assert doc["error"] == "InputError"
     assert message in doc["message"]
+
+
+@pytest.mark.parametrize("header", ["c,s\n", "c,s\n\n"])
+@pytest.mark.parametrize("first", [False, True])
+def test_report_data_without_rows_exits_2(capsys, tmp_path, monkeypatch, header, first):
+    import treegress.inference
+
+    empty = tmp_path / "empty.csv"
+    empty.write_text(header)
+    data = [empty]
+    if first:  # a dataset with rows before it
+        data.insert(0, tmp_path / "a.csv")
+        data[0].write_text("c,s\n1.0,2.0\n")
+    else:  # rejected before any expression is evaluated
+        monkeypatch.setattr(treegress.inference, "eval_expression",
+                            lambda expr, inputs: pytest.fail("evaluated an expression"))
+    code, _, err = run_cli(
+        capsys, "report", "--posterior", str(_hand_posterior(tmp_path)),
+        "--data", *map(str, data), "--out-dir", str(tmp_path / "rep"),
+    )
+    assert code == 2
+    doc = json.loads(err.strip())
+    assert doc["error"] == "InputError"
+    assert doc["message"] == f"{empty} has no rows"
 
 
 def test_report_target_only_csv_exits_2(capsys, tmp_path):
