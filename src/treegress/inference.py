@@ -52,10 +52,11 @@ from .prte import sample_expression, sample_tree
 # pta_eval stays bound: bench/spans.py wraps it here
 from .pta import Pta, compile_prior, context_marginal, inside, pta_eval  # noqa: F401
 from .pta import sample_from_state
+# disc_positions stays bound: bench/spans.py wraps it here
+from .trees import disc_positions  # noqa: F401
 from .trees import (
     SymbolicExpression,
     Tree,
-    disc_positions,
     eval_expression,
     format_tree,
     parse_tree,
@@ -249,26 +250,6 @@ def _stdnorm_logpdf(u) -> float:
     return float(-0.5 * np.sum(u * u) - 0.5 * u.size * LOG_2PI)
 
 
-def _apply_theta_jump(theta_old, n_new: int, u):
-    """Deterministic part of a dimension jump given the drawn auxiliaries.
-    Returns (theta_new, u_star, log|det|, log p(u), log p(u_star))."""
-    n_old = len(theta_old)
-    if n_new == n_old:
-        empty = np.zeros(0)
-        return np.asarray(theta_old, float), empty, 0.0, 0.0, 0.0
-    if n_new > n_old:
-        theta_new, u_star, logdet = expand_params(theta_old, u)
-    else:
-        theta_new, u_star, logdet = shrink_params(theta_old, u)
-    return theta_new, u_star, logdet, _stdnorm_logpdf(u), _stdnorm_logpdf(u_star)
-
-
-def _draw_theta_jump(theta_old, n_new: int, rng):
-    n_old = len(theta_old)
-    u = rng.standard_normal(n_new) if n_new != n_old else np.zeros(0)
-    return _apply_theta_jump(theta_old, n_new, u)
-
-
 def _disc_jump(theta_d_old, n_new: int, support, rng):
     """Match the discrete parameter vector to the new marker count: survivors
     keep values by rank, additions draw uniformly from the support.  Returns
@@ -404,17 +385,20 @@ class _ChainContext:
 def _jump_to(state, ctx, tree, ties, rng, log_fwd, log_rev, log_tree=None):
     """The proposal on ``tree`` with the state's parameters dimension-matched
     to it, and the move's ``log_fwd``/``log_rev`` plus the jump terms."""
+    theta = state.expr.theta_c
     n_new = (max(ties) + 1) if ties else 0
-    theta_new, _, logdet, log_pu, log_pu_rev = _draw_theta_jump(
-        state.expr.theta_c, n_new, rng
-    )
-    n_disc = len(disc_positions(tree))
+    logdet = log_pu = log_pu_rev = 0.0  # a jump that keeps the count draws nothing
+    if n_new != len(theta):  # expand or shrink with standard-normal auxiliaries u
+        u = rng.standard_normal(n_new)
+        jump = expand_params if n_new > len(theta) else shrink_params
+        theta_new, u_star, logdet = jump(theta, u)
+        theta = tuple(theta_new.tolist())
+        log_pu, log_pu_rev = _stdnorm_logpdf(u), _stdnorm_logpdf(u_star)
     theta_d_new, disc_fwd, disc_rev = _disc_jump(
-        state.expr.theta_d, n_disc, ctx.prior.theta_d_support, rng
+        state.expr.theta_d, tree.n_disc, ctx.prior.theta_d_support, rng
     )
     expr = object.__new__(SymbolicExpression)  # unchecked, as in with_theta_c: ties are the chain's
-    expr.__dict__.update(tree=tree, theta_c=tuple(theta_new.tolist()), theta_d=theta_d_new,
-                         ties=ties)
+    expr.__dict__.update(tree=tree, theta_c=theta, theta_d=theta_d_new, ties=ties)
     proposal = ctx.make_state(expr, state.sigma, log_tree)
     return proposal, log_fwd + log_pu + disc_fwd - logdet, log_rev + log_pu_rev + disc_rev
 
@@ -732,7 +716,7 @@ def posterior_from_json(text: str) -> Posterior:
             raise InputError(f"draw {i} is not an object whose {', '.join(_DRAW_KEYS)} are a "
                              "string, lists of numbers, strings and integers, and two numbers")
         # a repeat of the previous draw is that draw, unless a zero could differ in sign
-        if entry == prev and 0 not in (entry["sigma"], entry["log_post"], *entry["theta_c"]):
+        if entry == prev and 0 not in (entry["log_post"], *entry["theta_c"]):
             draws.append(draws[-1])
             continue
         prev = entry
@@ -742,7 +726,10 @@ def posterior_from_json(text: str) -> Posterior:
                 tree = trees[entry["expr"]] = parse_tree(entry["expr"])
             theta_d = tuple(Fraction(v) for v in entry["theta_d"])
             expr = SymbolicExpression(tree, tuple(entry["theta_c"]), theta_d, tuple(entry["ties"]))
-            draws.append(Draw(expr, float(entry["sigma"]), float(entry["log_post"])))
+            sigma = float(entry["sigma"])
+            if not (sigma > 0 and math.isfinite(sigma)):
+                raise InputError("sigma must be positive and finite")
+            draws.append(Draw(expr, sigma, float(entry["log_post"])))
         except (InputError, ValueError, ArithmeticError) as exc:
             raise InputError(f"draw {i}: {exc}") from exc
     return Posterior(tuple(draws), doc["accept_stats"], config, doc["seed"])

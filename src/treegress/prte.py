@@ -710,8 +710,7 @@ def compute_ties(tree: Tree, prior: PriorSpec) -> tuple:
     everything else gets its own group."""
     group_of: dict = {}
     ties = []
-    for pos in tree.shape.const:
-        tag = tree.node_at(pos).symbol.name
+    for pos, tag in _const_markers(tree):
         anchor = prior.shared.get(tag)
         if anchor is None:
             key = ("solo", pos)
@@ -729,11 +728,17 @@ def compute_ties(tree: Tree, prior: PriorSpec) -> tuple:
 def group_tags(tree: Tree, ties: tuple) -> list:
     """Marker tag of each parameter group, aligned with theta_c."""
     tags: list = []
-    positions = tree.shape.const
-    for pos, g in zip(positions, ties):
+    for (_, tag), g in zip(_const_markers(tree), ties):
         if g == len(tags):
-            tags.append(tree.node_at(pos).symbol.name)
+            tags.append(tag)
     return tags
+
+
+def _const_markers(tree: Tree) -> list:
+    """(address, tag) of each continuous marker in pre-order, from one walk."""
+    if not tree.n_const:  # no walk for a tree without markers
+        return []
+    return [(pos, node.symbol.name) for pos, node in tree.walk() if is_const_marker(node.symbol)]
 
 
 def sample_expression(prior: PriorSpec, rng: np.random.Generator) -> SymbolicExpression:
@@ -744,9 +749,8 @@ def sample_expression(prior: PriorSpec, rng: np.random.Generator) -> SymbolicExp
     theta_c = tuple(
         prior.markers[tag].sample(rng) for tag in group_tags(tree, ties)
     )
-    n_disc = len(tree.shape.disc)
     support = prior.theta_d_support
-    theta_d = tuple(support[int(rng.integers(len(support)))] for _ in range(n_disc))
+    theta_d = tuple(support[int(rng.integers(len(support)))] for _ in range(tree.n_disc))
     return SymbolicExpression(tree, theta_c, theta_d, ties)
 
 

@@ -8,7 +8,7 @@ parameter), and each marker occurrence consumes one parameter entry in
 pre-order.  Everything here is immutable.  Trees are interned in one
 process-wide weak table, so equal trees are one object; the table's
 get-then-set is not atomic, and no caller builds trees from several threads.
-A node's marker addresses are composed from its children's when it is built.
+A node's size and marker counts are summed from its children's when built.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import operator
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -104,26 +103,6 @@ class RankedAlphabet:
         return frozenset(self._table)
 
 
-class TreeShape(NamedTuple):
-    """Pre-order addresses of the parameter markers."""
-
-    const: tuple
-    disc: tuple
-
-
-_NO_MARKERS = TreeShape((), ())  # shared by every marker-free node
-
-
-def _compose_shape(symbol: RankedSymbol, children: tuple) -> TreeShape:
-    """A node's marker addresses from its children's: each child's behind its index."""
-    if all(c.shape is _NO_MARKERS for c in children):  # true of every leaf
-        if is_const_marker(symbol):
-            return TreeShape(((),), ())
-        return TreeShape((), ((),)) if is_disc_marker(symbol) else _NO_MARKERS
-    return TreeShape(*(tuple((i,) + a for i, c in enumerate(children, 1) for a in c.shape[f])
-                       for f in (0, 1)))
-
-
 # (symbol name, rank, children) -> the one live Tree of that key
 _NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
@@ -133,14 +112,14 @@ class Tree:
 
     ``Tree(symbol, children)`` returns the one live node of that symbol name,
     rank and children, built only if there is none: equal trees are one
-    object, so equality and hashing are by identity.  The node count and
-    ``shape``, the marker addresses, are set at construction from the
-    children's; the compiled evaluation program is computed once per node,
+    object, so equality and hashing are by identity.  ``size`` and the marker
+    counts ``n_const`` and ``n_disc`` are summed from the children's at
+    construction; the compiled evaluation program is computed once per node,
     on first use.  ``walk``, ``replace_at`` and ``repr`` are iterative, so
     very deep trees stay within the recursion limit.
     """
 
-    __slots__ = ("symbol", "children", "size", "shape", "_program", "__weakref__")
+    __slots__ = ("symbol", "children", "size", "n_const", "n_disc", "_program", "__weakref__")
 
     def __new__(cls, symbol: RankedSymbol, children: tuple = ()):
         key = (symbol.name, symbol.rank, children)
@@ -148,10 +127,16 @@ class Tree:
         if node is None:
             if len(children) != symbol.rank:
                 raise ArityMismatch(symbol.name, symbol.rank, len(children))
+            size, n_const, n_disc = 1, 0, 0
+            if not children:  # a marker leaf counts itself
+                n_const, n_disc = int(is_const_marker(symbol)), int(is_disc_marker(symbol))
+            for c in children:
+                size += c.size
+                n_const += c.n_const
+                n_disc += c.n_disc
             node = object.__new__(cls)
-            for name, value in (("symbol", symbol), ("children", children),
-                                ("size", 1 + sum(c.size for c in children)),
-                                ("shape", _compose_shape(symbol, children)), ("_program", None)):
+            for name, value in (("symbol", symbol), ("children", children), ("size", size),
+                                ("n_const", n_const), ("n_disc", n_disc), ("_program", None)):
                 object.__setattr__(node, name, value)
             _NODES[key] = node
         return node
@@ -225,7 +210,8 @@ def _resolve_name(name: str, observed_children: int, alphabet: RankedAlphabet) -
 
 
 def disc_positions(tree: Tree) -> tuple:
-    return tree.shape.disc
+    """Pre-order addresses of the discrete markers; no walk for a tree without one."""
+    return tuple(a for a, n in tree.walk() if is_disc_marker(n.symbol)) if tree.n_disc else ()
 
 
 @dataclass(frozen=True)
@@ -244,8 +230,7 @@ class SymbolicExpression:
     ties: tuple = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        shape = self.tree.shape
-        n_pos = len(shape.const)
+        n_pos = self.tree.n_const
         ties = self.ties
         if ties is None:
             ties = tuple(range(n_pos))
@@ -268,10 +253,8 @@ class SymbolicExpression:
             )
         if not all(map(math.isfinite, self.theta_c)):
             raise InputError("continuous parameters must be finite")
-        n_disc = len(shape.disc)
-        object.__setattr__(
-            self, "theta_d", tuple(Fraction(v) for v in self.theta_d)
-        )
+        n_disc = self.tree.n_disc
+        object.__setattr__(self, "theta_d", tuple(Fraction(v) for v in self.theta_d))
         if len(self.theta_d) != n_disc:
             raise LengthMismatch(
                 f"{n_disc} discrete markers but {len(self.theta_d)} discrete parameters"
@@ -370,7 +353,7 @@ def _compile(tree: Tree) -> tuple:
     once; a symbol without an evaluation rule becomes a failing instruction,
     so errors surface in evaluation order."""
     program = []
-    const_slot, disc_slot = itertools.count(), itertools.count(len(tree.shape.const))
+    const_slot, disc_slot = itertools.count(), itertools.count(tree.n_const)
     stack = [tree]
     while stack:
         item = stack.pop()

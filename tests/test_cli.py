@@ -630,6 +630,12 @@ def test_posterior_with_unknown_config_key_exits_2(capsys, tmp_path):
         (lambda doc: doc["draws"][1].update(theta_d=["x"]), "draw 1: "),
         (lambda doc: doc["draws"][2].update(expr="(* c#"), "draw 2: "),
         (lambda doc: doc["draws"][3].update(theta_c=[]), "draw 3: "),
+        (lambda doc: doc["draws"][0].update(sigma=0.0), "draw 0: sigma must be positive and finite"),
+        (lambda doc: doc["draws"][1].update(sigma=-0.1), "draw 1: sigma must be positive and finite"),
+        (lambda doc: doc["draws"][2].update(sigma=math.nan),
+         "draw 2: sigma must be positive and finite"),
+        (lambda doc: doc["draws"][3].update(sigma=math.inf),
+         "draw 3: sigma must be positive and finite"),
     ],
 )
 def test_malformed_posterior_exits_2(capsys, tmp_path, edit, message):

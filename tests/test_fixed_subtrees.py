@@ -1,12 +1,12 @@
-"""Fixed subtrees and composed shapes.
+"""Fixed subtrees and composed marker counts.
 
 A prior sub-expression without a choice, and an automaton state with one
 sure entry into such states, can give only one tree.  Both samplers return
 the tree they hold for it instead of rebuilding it node by node.  Holding it
 must change no draw: with the tables emptied, every draw gives the same tree
-object, the same error and the same generator state.  ``Tree.shape`` composes
-a node's marker addresses from its children's and must equal the addresses a
-full walk finds.
+object, the same error and the same generator state.  A node sums its
+marker counts from its children's, and they must equal the markers a full
+walk finds.
 """
 
 import numpy as np
@@ -23,6 +23,7 @@ from treegress.trees import (
     RankedAlphabet,
     RankedSymbol,
     Tree,
+    disc_positions,
     is_const_marker,
     is_disc_marker,
     parse_tree,
@@ -124,7 +125,7 @@ def test_the_reference_langmuir_chain_builds_few_trees(e_iso, monkeypatch):
     assert 0 < calls[0] <= 5_000
 
 
-# -- composed shapes -----------------------------------------------------------------
+# -- composed marker counts ----------------------------------------------------------
 
 LEAVES = [Tree(RankedSymbol(name, 0)) for name in ("a", "x", "k#", "m#", "d#")]
 TREES = st.recursive(
@@ -136,19 +137,17 @@ TREES = st.recursive(
 
 
 def _walked(tree):
-    """The marker addresses a full pre-order walk finds."""
-    nodes = list(tree.walk())
-    return (tuple(addr for addr, n in nodes if is_const_marker(n.symbol)),
-            tuple(addr for addr, n in nodes if is_disc_marker(n.symbol)))
+    """The node, continuous-marker and discrete-marker counts of a full pre-order walk."""
+    nodes = [n.symbol for _, n in tree.walk()]
+    return (len(nodes), sum(map(is_const_marker, nodes)), sum(map(is_disc_marker, nodes)))
 
 
 @settings(derandomize=True, database=None, deadline=1000, max_examples=300)
 @given(TREES)
 def test_a_composed_shape_is_the_walked_one(tree):
     for _, node in tree.walk():
-        assert node.shape == _walked(node)
-    empty = {id(node.shape) for _, node in tree.walk() if _walked(node) == ((), ())}
-    assert len(empty) <= 1  # every marker-free node shares one empty shape
+        assert (node.size, node.n_const, node.n_disc) == _walked(node)
+        assert type(node.n_const) is int and type(node.n_disc) is int
 
 
 def test_a_deep_shape_composes_without_recursion():
@@ -156,4 +155,5 @@ def test_a_deep_shape_composes_without_recursion():
     for _ in range(3000):
         t = Tree(G, (t,))
     t = Tree(F, (Tree(RankedSymbol("d#", 0)), t))
-    assert t.shape == (((2,) + (1,) * 3000,), ((1,),))
+    assert (t.size, t.n_const, t.n_disc) == (3003, 1, 1)
+    assert disc_positions(t) == ((1,),)

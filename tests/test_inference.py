@@ -19,8 +19,8 @@ from treegress.inference import (
     Draw,
     McmcConfig,
     Posterior,
-    _apply_theta_jump,
     _ChainContext,
+    _stdnorm_logpdf,
     _sum_squared_error,
     expand_params,
     posterior_from_json,
@@ -245,6 +245,26 @@ def test_jacobian_matches_finite_differences(n, n_star):
     assert numeric_log_abs_det(jump_map(n, n_star), point) == pytest.approx(
         analytic, abs=1e-6
     )
+
+
+def _apply_theta_jump(theta_old, n_new: int, u):
+    """Oracle for the parameter jump ``_jump_to`` makes, given its auxiliaries
+    u.  Returns (theta_new, u_star, log|det|, log p(u), log p(u_star))."""
+    n_old = len(theta_old)
+    if n_new == n_old:
+        empty = np.zeros(0)
+        return np.asarray(theta_old, float), empty, 0.0, 0.0, 0.0
+    if n_new > n_old:
+        theta_new, u_star, logdet = expand_params(theta_old, u)
+    else:
+        theta_new, u_star, logdet = shrink_params(theta_old, u)
+    return theta_new, u_star, logdet, _stdnorm_logpdf(u), _stdnorm_logpdf(u_star)
+
+
+def _draw_theta_jump(theta_old, n_new: int, rng):
+    n_old = len(theta_old)
+    u = rng.standard_normal(n_new) if n_new != n_old else np.zeros(0)
+    return _apply_theta_jump(theta_old, n_new, u)
 
 
 def test_jump_reversibility_terms():
@@ -646,7 +666,7 @@ def test_posterior_json_keeps_signed_zeros_of_repeated_draws():
     # consecutive draws that compare equal but differ in the sign of a zero
     one, zero, minus = (expr_of("(* c# c)", theta_c=(v,)) for v in (1.0, 0.0, -0.0))
     draws = [Draw(one, 0.5, -1.0), Draw(one, 0.5, -1.0), Draw(one, 0.5, 0.0),
-             Draw(one, 0.5, -0.0), Draw(one, 0.0, -1.0), Draw(one, -0.0, -1.0),
+             Draw(one, 0.5, -0.0), Draw(one, 0.25, -0.0), Draw(one, 0.25, 0.0),
              Draw(zero, 0.5, -1.0), Draw(minus, 0.5, -1.0)]
     text = posterior_to_json(Posterior(tuple(draws), {}, McmcConfig(), 0))
     back = posterior_from_json(text)
@@ -729,7 +749,7 @@ def _full_path(move, state, ctx, rng):
         rev_regrow = inf._log(boltzmann @ ctx.inside(old.node_at(addr)))
     ties, _ = ctx.ties(tree)
     n_new = (max(ties) + 1) if ties else 0
-    theta, _, logdet, log_pu, log_pu_rev = inf._draw_theta_jump(state.expr.theta_c, n_new, rng)
+    theta, _, logdet, log_pu, log_pu_rev = _draw_theta_jump(state.expr.theta_c, n_new, rng)
     theta_d, disc_fwd, disc_rev = inf._disc_jump(
         state.expr.theta_d, len(disc_positions(tree)), ctx.prior.theta_d_support, rng
     )

@@ -63,13 +63,12 @@ def _unchecked(tree, theta_c, theta_d, ties):
 def draws(draw):
     tree = draw(st.sampled_from(TREES))
     ties, groups = [], 0
-    for _ in tree.shape.const:  # group indices numbered by first occurrence
+    for _ in range(tree.n_const):  # group indices numbered by first occurrence
         g = draw(st.integers(0, groups))
         ties.append(g)
         groups += g == groups
     theta_c = draw(st.lists(SCALARS, min_size=groups, max_size=groups))
-    n_disc = len(tree.shape.disc)
-    theta_d = draw(st.lists(FRACTIONS, min_size=n_disc, max_size=n_disc))
+    theta_d = draw(st.lists(FRACTIONS, min_size=tree.n_disc, max_size=tree.n_disc))
     expr = _unchecked(tree, theta_c, theta_d, tuple(ties))
     return Draw(expr, draw(SCALARS), draw(SCALARS))
 

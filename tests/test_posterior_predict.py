@@ -92,7 +92,7 @@ SIGMAS = st.sampled_from([0.0, 0.5, 2.0, 1e308])
 @st.composite
 def expressions(draw):
     tree = draw(st.sampled_from(TREES))
-    return SymbolicExpression(tree, tuple(draw(PARAMS) for _ in tree.shape.const))
+    return SymbolicExpression(tree, tuple(draw(PARAMS) for _ in range(tree.n_const)))
 
 
 @st.composite

@@ -13,11 +13,14 @@ Covers:
 import dataclasses
 import gc
 import math
+import time
 import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treegress.errors import (
     DepthBudgetExhausted,
@@ -37,13 +40,14 @@ from treegress.prte import (
     build_prior,
     compute_ties,
     format_prte,
+    group_tags,
     load_prior,
     parse_prte,
     prte_density,
     sample_expression,
     sample_tree,
 )
-from treegress.trees import RankedSymbol, parse_tree
+from treegress.trees import RankedSymbol, Tree, is_const_marker, parse_tree
 
 
 # -- parsing ---------------------------------------------------------------------
@@ -402,6 +406,49 @@ def test_ties_match_a_recursive_walk(all_shipped):
         for _ in range(100):
             tree = sample_tree(prior, rng)
             assert compute_ties(tree, prior) == reference_ties(tree, prior), str(tree)
+
+
+# a# groups under its nearest '*', b# under its nearest binary '+'; k# is solo
+NESTED = build_prior(
+    "nested",
+    "iter $x { choice{ 1/2: *(+(a#, $x), +(b#, k#)), 1/2: *(a#, d#) } }",
+    markers={tag: {"dist": "exp", "rate": 1.0} for tag in ("a#", "b#", "k#")},
+    shared={"a#": {"anchor": "*", "rank": 2}, "b#": {"anchor": "+", "rank": 2}},
+    theta_d_support=[1, 2],
+)
+NESTED_TREES = st.recursive(
+    st.sampled_from([Tree(RankedSymbol(name, 0)) for name in ("a#", "b#", "k#", "d#", "x")]),
+    lambda kids: st.builds(lambda name, left, right: Tree(RankedSymbol(name, 2), (left, right)),
+                           st.sampled_from(["*", "+"]), kids, kids),
+    max_leaves=30,
+)
+
+
+@settings(derandomize=True, database=None, deadline=1000, max_examples=300)
+@given(NESTED_TREES)
+def test_ties_under_nested_anchors_match_a_recursive_walk(tree):
+    from helpers import reference_ties
+
+    ties = compute_ties(tree, NESTED)
+    assert ties == reference_ties(tree, NESTED)
+    tags = [node.symbol.name for _, node in tree.walk() if is_const_marker(node.symbol)]
+    assert group_tags(tree, ties) == [tags[ties.index(g)] for g in range(len(set(ties)))]
+
+
+def test_a_deep_marker_comb_builds_in_linear_time():
+    # one marker per level: storing each marker's address on every ancestor
+    # made this build cubic in the depth
+    start = time.perf_counter()
+    plus, k = RankedSymbol("+", 2), Tree(RankedSymbol("k#", 0))
+    built = k
+    for _ in range(1000):
+        built = Tree(plus, (k, built))
+    parsed = parse_tree("(* k# " * 1000 + "k#" + ")" * 1000)
+    assert time.perf_counter() - start < 1.0
+    for tree in (built, parsed):
+        assert (tree.size, tree.n_const, tree.n_disc) == (2001, 1001, 0)
+        assert compute_ties(tree, NESTED) == tuple(range(1001))
+        assert group_tags(tree, tuple(range(1001))) == ["k#"] * 1001
 
 
 def test_minimal_isotherm_sample_shape(e_iso):

@@ -80,19 +80,20 @@ def test_positions_two_markers():
     # tree shaped like (x - c)^2 + (y + z)^2 + c with two continuous markers
     text = "(+ (+ (pow (- x c#) 2) (pow (+ y z) 2)) c#)"
     t = parse_tree(text)
-    marks = t.shape.const
-    assert marks == ((1, 1, 1, 2), (2,))
-    assert list(marks) == [addr for addr in addresses(t) if t.node_at(addr).symbol == CM]
+    marks = [addr for addr, node in t.walk() if node.symbol == CM]
+    assert marks == [(1, 1, 1, 2), (2,)]
+    assert marks == [addr for addr in addresses(t) if t.node_at(addr).symbol == CM]
+    assert t.n_const == 2 and t.n_disc == 0
 
 
 def test_positions_absent_symbol():
     t = parse_tree("(+ a b)", ALPHA)
-    assert t.shape.const == () and disc_positions(t) == ()
+    assert t.n_const == t.n_disc == 0 and disc_positions(t) == ()
 
 
 def test_positions_preorder():
     t = parse_tree("(+ c# c#)")
-    assert t.shape.const == ((1,), (2,))
+    assert t.n_const == 2 and [a for a, n in t.walk() if n.symbol == CM] == [(1,), (2,)]
 
 
 # -- SymbolicExpression invariants ------------------------------------------------
@@ -330,10 +331,9 @@ def test_equal_trees_are_one_object():
 
 def test_shape_record():
     t = parse_tree("(+ c# (* d# (+ x c#)))")
-    assert t.size == 7
-    assert t.shape.const == ((1,), (2, 2, 2))
+    assert (t.size, t.n_const, t.n_disc) == (7, 2, 1)
+    assert [(n.size, n.n_const, n.n_disc) for n in t.children] == [(1, 1, 0), (5, 1, 1)]
     assert disc_positions(t) == ((2, 1),)
-    assert t.shape is t.shape
 
 
 def test_parse_against_alphabet_rejects_unknown():
