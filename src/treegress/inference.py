@@ -66,6 +66,7 @@ from .trees import (
 LOG_2PI = math.log(2.0 * math.pi)
 # a log sigma beyond this in size takes the likelihood's sigma**2 out of float range
 _MAX_LOG_SIGMA = 0.5 * math.log(sys.float_info.max)
+_MIN_TAU = 745 / sys.float_info.max  # log m >= -744.5 for m > 0, so from here up log(m)/tau is finite
 _CACHE_CAP = 200_000
 
 MOVES = ("global", "local", "params", "sigma")
@@ -112,8 +113,8 @@ class McmcConfig:
             raise InputError("burn_in >= 0, samples > 0, thin > 0 required")
         if self.samples % self.thin:
             raise InputError("samples must be divisible by thin")
-        if self.lambda_sigma <= 0 or self.tau <= 0:
-            raise InputError("lambda_sigma and tau must be positive")
+        if self.lambda_sigma <= 0 or self.tau < _MIN_TAU:
+            raise InputError(f"lambda_sigma must be positive and tau at least {_MIN_TAU!r}")
         if self.step_sigma < 0 or self.step_theta < 0:
             raise InputError("step scales must be non-negative")
         if self.max_depth <= 0 or self.state_budget <= 0:
@@ -216,38 +217,50 @@ def _log_lik_from_sse(sse: float, sigma: float, n: int) -> float:
 
 
 def expand_params(theta, u):
-    """Grow the parameter vector to len(u) entries.  The first len(theta)
-    outputs mix old values with auxiliaries, the rest are fresh; returns
-    (theta_star, u_star, log|det|) with log|det| = -len(theta)*log(2)."""
-    theta = np.asarray(theta, dtype=float)
-    u = np.asarray(u, dtype=float)
-    n, n_star = theta.size, u.size
+    """Grow the float sequence theta to len(u) entries: the first len(theta)
+    mix old values with auxiliaries, the rest are fresh.  Returns tuples of
+    floats (theta_star, u_star) and log|det| = -len(theta)*log(2)."""
+    n, n_star = len(theta), len(u)
     if n_star <= n:
         raise SizeMismatch(f"expansion needs a target larger than {n}, got {n_star}")
-    u_theta, u_new = u[:n], u[n:]
-    theta_star = np.concatenate([(theta + u_theta) / 2.0, u_new])
-    u_star = (theta - u_theta) / 2.0
-    return theta_star, u_star, -n * math.log(2.0)
+    theta_star = (*[(t + v) / 2.0 for t, v in zip(theta, u)], *u[n:])
+    return theta_star, tuple([(t - v) / 2.0 for t, v in zip(theta, u)]), -n * math.log(2.0)
 
 
 def shrink_params(theta, u):
-    """Shrink the parameter vector onto len(u) entries: the kept block is
-    theta[:len(u)] + u, the auxiliaries remember what it takes to undo the
-    move; log|det| = +len(u)*log(2)."""
-    theta = np.asarray(theta, dtype=float)
-    u = np.asarray(u, dtype=float)
-    n, n_star = theta.size, u.size
+    """Shrink the float sequence theta onto len(u) entries, theta[:len(u)] + u;
+    the auxiliaries remember what it takes to undo the move.  Returns tuples
+    of floats (theta_star, u_star) and log|det| = +len(u)*log(2)."""
+    n, n_star = len(theta), len(u)
     if n_star > n:
         raise SizeMismatch(f"shrinkage target {n_star} exceeds current size {n}")
-    head, tail = theta[:n_star], theta[n_star:]
-    theta_star = head + u
-    u_star = np.concatenate([head - u, tail])
-    return theta_star, u_star, n_star * math.log(2.0)
+    u_star = (*[t - v for t, v in zip(theta, u)], *theta[n_star:])
+    return tuple([t + v for t, v in zip(theta, u)]), u_star, n_star * math.log(2.0)
+
+
+def _pairwise_sum(a) -> float:
+    """float(np.sum(a)) for a list of floats, to the bit: 0.0 plus the pairwise
+    sum of numpy's ``loops_utils.h.src``.  (``sum`` compensates from Python 3.12.)"""
+    n = len(a)
+    if n > 128:  # the halves, split at a multiple of 8
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
+    res, m = 0.0, n - n % 8
+    if m:  # eight running sums over the first m entries; the tail follows
+        r0, r1, r2, r3, r4, r5, r6, r7 = a[:8]
+        for i in range(8, m, 8):
+            r0, r1, r2, r3 = r0 + a[i], r1 + a[i + 1], r2 + a[i + 2], r3 + a[i + 3]
+            r4, r5, r6, r7 = r4 + a[i + 4], r5 + a[i + 5], r6 + a[i + 6], r7 + a[i + 7]
+        res += ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for x in a[m:]:
+        res += x
+    return res
 
 
 def _stdnorm_logpdf(u) -> float:
-    u = np.asarray(u, dtype=float)
-    return float(-0.5 * np.sum(u * u) - 0.5 * u.size * LOG_2PI)
+    """log N(u; 0, I) for floats.  u·u is summed as ``np.sum`` sums it (``_pairwise_sum``,
+    after numpy's ``loops_utils.h.src``), so the jump terms are numpy's to the bit."""
+    return -0.5 * _pairwise_sum([x * x for x in u]) - 0.5 * len(u) * LOG_2PI
 
 
 def _disc_jump(theta_d_old, n_new: int, support, rng):
@@ -389,10 +402,9 @@ def _jump_to(state, ctx, tree, ties, rng, log_fwd, log_rev, log_tree=None):
     n_new = (max(ties) + 1) if ties else 0
     logdet = log_pu = log_pu_rev = 0.0  # a jump that keeps the count draws nothing
     if n_new != len(theta):  # expand or shrink with standard-normal auxiliaries u
-        u = rng.standard_normal(n_new)
+        u = rng.standard_normal(n_new).tolist()
         jump = expand_params if n_new > len(theta) else shrink_params
-        theta_new, u_star, logdet = jump(theta, u)
-        theta = tuple(theta_new.tolist())
+        theta, u_star, logdet = jump(theta, u)
         log_pu, log_pu_rev = _stdnorm_logpdf(u), _stdnorm_logpdf(u_star)
     theta_d_new, disc_fwd, disc_rev = _disc_jump(
         state.expr.theta_d, tree.n_disc, ctx.prior.theta_d_support, rng
@@ -546,12 +558,11 @@ def _initial_state(ctx: _ChainContext, rng) -> ChainState:
     sigma from its exponential prior unless pinned.  Redraw the expression
     when it cannot evaluate on the data (infinite negative likelihood would
     wedge the chain)."""
-    config = ctx.config
-    sigma = (
-        config.sigma0
-        if config.sigma0 is not None
-        else float(rng.exponential(1.0 / config.lambda_sigma))
-    )
+    sigma = ctx.config.sigma0
+    if sigma is None:  # a draw meets the range a pinned sigma0 meets
+        sigma = float(rng.exponential(1.0 / ctx.config.lambda_sigma))
+        if not (sigma > 0 and abs(math.log(sigma)) <= _MAX_LOG_SIGMA):
+            raise InputError(f"lambda_sigma drew sigma {sigma!r}, out of float range: pin sigma0")
     for _ in range(1000):
         state = ctx.make_state(sample_expression(ctx.prior, rng), sigma)
         if math.isfinite(state.log_lik):

@@ -566,6 +566,8 @@ def _solve_linear(matrix, rhs):
 
 # -- marker priors and prior specifications --------------------------------------
 
+_HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
+
 
 @dataclass(frozen=True)
 class MarkerPrior:
@@ -585,6 +587,8 @@ class MarkerPrior:
             raise InputError("exponential rate must be positive")
         if self.kind == "normal" and self.stddev <= 0:
             raise InputError("normal stddev must be positive")
+        # log(rate) or log(stddev), only the one the kind reads: a normal prior may carry rate=0
+        object.__setattr__(self, "_log_scale", math.log(self.rate if self.kind == "exp" else self.stddev))
 
     def sample(self, rng: np.random.Generator) -> float:
         if self.kind == "exp":
@@ -595,9 +599,9 @@ class MarkerPrior:
         if self.kind == "exp":
             if x < 0:
                 return -math.inf
-            return math.log(self.rate) - self.rate * x
+            return self._log_scale - self.rate * x
         z = (x - self.mean) / self.stddev
-        return -0.5 * z * z - math.log(self.stddev) - 0.5 * math.log(2 * math.pi)
+        return -0.5 * z * z - self._log_scale - _HALF_LOG_2PI
 
 
 @dataclass(frozen=True)

@@ -81,11 +81,12 @@ MARKED = {"name": "t", "expression": "choice{ 1/2: k#, 1/2: b }",
         ("config", {"prior": ["E_iso"]}, "['prior'] must be strings"),
         ("config", {"out": None, "train": "x.csv"}, "['out'] must be strings"),
         ("config", {"seed": -1}, "seed must be non-negative"),
+        ("config", {"tau": 1e-310}, "tau at least"),
     ],
     ids=["prior-not-object", "expression-5", "max-depth-deep", "markers-list", "exp-no-rate",
          "support-a", "shared-5", "anchor-no-rank", "variables-ab", "name-5", "max-depth-true",
          "max-depth-2.7", "rate-inf", "rate-nan", "stddev-nan", "mean-inf", "config-list",
-         "tau-nan", "train-5", "prior-list", "out-null", "seed-negative"],
+         "tau-nan", "train-5", "prior-list", "out-null", "seed-negative", "tau-tiny"],
 )
 def test_malformed_prior_or_run_config_exits_2(capsys, tmp_path, kind, doc, message):
     path = tmp_path / f"{kind}.json"
@@ -432,6 +433,25 @@ def test_fit_sigma0_out_of_float_range_exits_2(capsys, tmp_path, sigma0):
     doc = json.loads(err)
     assert doc["error"] == "InputError"
     assert "sigma0" in doc["message"]
+
+
+@pytest.mark.parametrize("lambda_sigma", [1e308, 1e200, 1e160])
+def test_fit_sigma_drawn_out_of_float_range_exits_2(capsys, tmp_path, lambda_sigma):
+    # sigma ~ Exp(lambda_sigma) lands where the likelihood's sigma squared
+    # underflows: an input error naming the fix, before any expression is drawn
+    train = tmp_path / "train.csv"
+    train.write_text("c,s\n1.0,2.0\n2.0,3.0\n")
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"burn_in": 1, "samples": 10, "thin": 1,
+                                  "lambda_sigma": lambda_sigma}))
+    code, out, err = run_cli(
+        capsys, "fit", "--prior", "E_iso", "--train", str(train), "--config", str(config),
+        "--out", str(tmp_path / "p.json"),
+    )
+    assert (code, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["error"] == "InputError"
+    assert "lambda_sigma" in doc["message"] and "sigma0" in doc["message"]
 
 
 def test_fit_overflowing_parameter_step_aborts_the_move(capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 Independent oracles:
     - hand-computed Gaussian log-densities
+    - the dimension maps and the auxiliary log-density written with numpy
     - central-difference Jacobian determinants of the dimension maps
     - exhaustive posterior enumeration on a finite six-tree prior
     - the exponential prior law of the noise scale under a constant likelihood
@@ -10,9 +11,13 @@ Independent oracles:
 
 import itertools
 import math
+import struct
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treegress.errors import InputError, SizeMismatch
 from treegress.inference import (
@@ -20,6 +25,7 @@ from treegress.inference import (
     McmcConfig,
     Posterior,
     _ChainContext,
+    _pairwise_sum,
     _stdnorm_logpdf,
     _sum_squared_error,
     expand_params,
@@ -164,29 +170,29 @@ def test_chain_evaluates_only_proposals_with_a_finite_parameter_prior(e_iso, mon
 
 def test_expand_worked_example():
     theta_star, u_star, logdet = expand_params([4.0], [2.0, 9.0])
-    assert theta_star.tolist() == [3.0, 9.0]
-    assert u_star.tolist() == [1.0]
+    assert theta_star == (3.0, 9.0)
+    assert u_star == (1.0,)
     assert logdet == pytest.approx(-math.log(2.0))
 
 
 def test_expand_from_empty():
     theta_star, u_star, logdet = expand_params([], [7.0])
-    assert theta_star.tolist() == [7.0]
-    assert u_star.size == 0
+    assert theta_star == (7.0,)
+    assert u_star == ()
     assert logdet == 0.0
 
 
 def test_shrink_worked_example():
     theta_star, u_star, logdet = shrink_params([3.0, 7.0], [1.0])
-    assert theta_star.tolist() == [4.0]
-    assert u_star.tolist() == [2.0, 7.0]
+    assert theta_star == (4.0,)
+    assert u_star == (2.0, 7.0)
     assert logdet == pytest.approx(math.log(2.0))
 
 
 def test_shrink_to_empty():
     theta_star, u_star, logdet = shrink_params([3.0, 7.0], [])
-    assert theta_star.size == 0
-    assert u_star.tolist() == [3.0, 7.0]
+    assert theta_star == ()
+    assert u_star == (3.0, 7.0)
     assert logdet == 0.0
 
 
@@ -247,6 +253,38 @@ def test_jacobian_matches_finite_differences(n, n_star):
     )
 
 
+def np_expand_params(theta, u):
+    """The expansion map on numpy vectors, the oracle of ``expand_params``."""
+    theta = np.asarray(theta, dtype=float)
+    u = np.asarray(u, dtype=float)
+    n, n_star = theta.size, u.size
+    if n_star <= n:
+        raise SizeMismatch(f"expansion needs a target larger than {n}, got {n_star}")
+    u_theta, u_new = u[:n], u[n:]
+    theta_star = np.concatenate([(theta + u_theta) / 2.0, u_new])
+    u_star = (theta - u_theta) / 2.0
+    return theta_star, u_star, -n * math.log(2.0)
+
+
+def np_shrink_params(theta, u):
+    """The shrinkage map on numpy vectors, the oracle of ``shrink_params``."""
+    theta = np.asarray(theta, dtype=float)
+    u = np.asarray(u, dtype=float)
+    n, n_star = theta.size, u.size
+    if n_star > n:
+        raise SizeMismatch(f"shrinkage target {n_star} exceeds current size {n}")
+    head, tail = theta[:n_star], theta[n_star:]
+    theta_star = head + u
+    u_star = np.concatenate([head - u, tail])
+    return theta_star, u_star, n_star * math.log(2.0)
+
+
+def np_stdnorm_logpdf(u) -> float:
+    """log N(u; 0, I) with numpy's sum, the oracle of ``_stdnorm_logpdf``."""
+    u = np.asarray(u, dtype=float)
+    return float(-0.5 * np.sum(u * u) - 0.5 * u.size * LOG_2PI)
+
+
 def _apply_theta_jump(theta_old, n_new: int, u):
     """Oracle for the parameter jump ``_jump_to`` makes, given its auxiliaries
     u.  Returns (theta_new, u_star, log|det|, log p(u), log p(u_star))."""
@@ -255,10 +293,10 @@ def _apply_theta_jump(theta_old, n_new: int, u):
         empty = np.zeros(0)
         return np.asarray(theta_old, float), empty, 0.0, 0.0, 0.0
     if n_new > n_old:
-        theta_new, u_star, logdet = expand_params(theta_old, u)
+        theta_new, u_star, logdet = np_expand_params(theta_old, u)
     else:
-        theta_new, u_star, logdet = shrink_params(theta_old, u)
-    return theta_new, u_star, logdet, _stdnorm_logpdf(u), _stdnorm_logpdf(u_star)
+        theta_new, u_star, logdet = np_shrink_params(theta_old, u)
+    return theta_new, u_star, logdet, np_stdnorm_logpdf(u), np_stdnorm_logpdf(u_star)
 
 
 def _draw_theta_jump(theta_old, n_new: int, rng):
@@ -286,6 +324,63 @@ def test_jump_reversibility_terms():
         assert logdet_r == pytest.approx(-logdet)
         assert log_pu_r == pytest.approx(log_pu_rev)
         assert log_pu_rev_r == pytest.approx(log_pu)
+
+
+def _bits(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def test_float_jump_matches_the_numpy_oracle_to_the_bit():
+    # the jump _jump_to makes, on the floats of rng.standard_normal(n).tolist(),
+    # against the numpy maps it replaced, in both directions over sizes 0-25
+    rng = np.random.default_rng(21)
+    jumps = 0
+    for n_old in range(26):
+        for n_new in range(26):
+            if n_old == n_new:
+                continue
+            for _ in range(4):
+                theta = (rng.standard_normal(n_old) * rng.choice([0.01, 1.0, 1e3], n_old)).tolist()
+                u = rng.standard_normal(n_new).tolist()
+                jump = expand_params if n_new > n_old else shrink_params
+                theta_new, u_star, logdet = jump(theta, u)
+                want = _apply_theta_jump(theta, n_new, np.array(u))
+                assert type(theta_new) is tuple and type(u_star) is tuple
+                assert all(type(x) is float for x in theta_new + u_star)
+                assert _bits(theta_new) == _bits(want[0].tolist())
+                assert _bits(u_star) == _bits(want[1].tolist())
+                got = (logdet, _stdnorm_logpdf(u), _stdnorm_logpdf(u_star))
+                assert _bits(got) == _bits(want[2:])
+                jumps += 1
+    assert jumps >= 2000
+
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.inf, -math.inf,
+                                math.nan, 1e300, -1e300, 1.0])
+
+
+@st.composite
+def _float_vectors(draw):
+    """Seeded normal vectors of length 0-400 at one of several scales, salted
+    with any floats: zeros of both signs, subnormals, infinities, NaN."""
+    n = draw(st.integers(0, 400))
+    scale = draw(st.sampled_from([0.0, 1e-320, 1e-160, 1.0, 1e150, 1e300]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = (rng.standard_normal(n) * scale).tolist()
+    for at, value in draw(st.lists(st.tuples(st.integers(0, 399), st.floats() | _EDGE_FLOATS),
+                                   max_size=12)):
+        if at < n:
+            values[at] = value
+    return values
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(_float_vectors())
+def test_pairwise_sum_is_numpys_sum(values):
+    with np.errstate(all="ignore"):
+        want = float(np.sum(np.array(values, dtype=float)))
+    got = _pairwise_sum(values)
+    assert (math.isnan(got) and math.isnan(want)) or _bits([got]) == _bits([want])
 
 
 # -- config ------------------------------------------------------------------------
@@ -917,3 +1012,9 @@ def test_boltzmann_temperature_limits(e1):
     # impossible states stay impossible at any temperature
     for tau in (0.5, 1.0, 1e9):
         assert np.all(boltzmann(tau)[~support] == 0.0)
+    # at the smallest tau the config takes, every weight is still a number
+    coldest = boltzmann(745 / sys.float_info.max)
+    assert np.all(np.isfinite(coldest)) and coldest.sum() == pytest.approx(1.0)
+    assert np.all(coldest[~support] == 0.0)
+    with pytest.raises(InputError, match="tau at least"):
+        McmcConfig(tau=math.nextafter(745 / sys.float_info.max, 0.0))

@@ -13,6 +13,7 @@ Covers:
 import dataclasses
 import gc
 import math
+import struct
 import time
 import weakref
 from fractions import Fraction
@@ -31,6 +32,7 @@ from treegress.errors import (
     WeightSumError,
 )
 from treegress.prte import (
+    MarkerPrior,
     PChoice,
     PConcat,
     PIter,
@@ -380,6 +382,33 @@ def test_marker_draws_follow_declared_rate(e_iso):
     mean = float(np.mean(draws))
     # Exp(rate 0.015) has mean ~66.7; loose 4-sigma band
     assert abs(mean - 1 / 0.015) < 4 * (1 / 0.015) / math.sqrt(len(draws))
+
+
+def _old_logpdf(prior, x):
+    """MarkerPrior.logpdf with its logarithms taken on every call: the oracle."""
+    if prior.kind == "exp":
+        if x < 0:
+            return -math.inf
+        return math.log(prior.rate) - prior.rate * x
+    z = (x - prior.mean) / prior.stddev
+    return -0.5 * z * z - math.log(prior.stddev) - 0.5 * math.log(2 * math.pi)
+
+
+def test_marker_logpdf_keeps_the_bits_of_the_formula(all_shipped):
+    # every shipped marker prior is exponential; two normal ones stand in for that kind
+    priors = [m for spec in all_shipped.values() for m in spec.markers.values()]
+    priors += [MarkerPrior("normal", mean=1.5, stddev=0.3),
+               MarkerPrior("normal", mean=-2.0, stddev=7.0)]
+    for prior in priors:
+        for x in (-1e300, -1.0, -0.0, 0.0, 5e-324, 0.3, 1e300):
+            got, want = prior.logpdf(x), _old_logpdf(prior, x)
+            assert struct.pack("<d", got) == struct.pack("<d", want), (prior, x)
+
+
+def test_marker_prior_validates_only_its_kind_s_scale():
+    # a field the kind does not read is not checked, and its log is not taken
+    assert MarkerPrior("normal", rate=0.0).logpdf(0.0) == _old_logpdf(MarkerPrior("normal"), 0.0)
+    assert MarkerPrior("exp", stddev=-1.0).logpdf(1.0) == -1.0
 
 
 def test_zero_marker_prior_gives_empty_theta(e1):
