@@ -203,6 +203,7 @@ def cmd_fit(args) -> int:
     except InputError:
         raise
     except TreegressError as exc:
+        config = dataclasses.replace(config, max_depth=config.max_depth or prior.max_depth)
         trace = Posterior(tuple(partial), {}, config, config.seed)
         out.write_text(posterior_to_json(trace), encoding="utf-8")
         raise RuntimeFailure(

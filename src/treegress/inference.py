@@ -47,7 +47,7 @@ from .errors import (
     RuntimeFailure,
     SizeMismatch,
 )
-from .prte import DEFAULT_MAX_DEPTH, PriorSpec, compute_ties, group_tags
+from .prte import PriorSpec, compute_ties, group_tags
 from .prte import sample_expression, sample_tree
 # pta_eval stays bound: bench/spans.py wraps it here
 from .pta import Pta, compile_prior, context_marginal, inside, pta_eval  # noqa: F401
@@ -74,6 +74,7 @@ MOVES = ("global", "local", "params", "sigma")
 
 # the Python types accepted for each field annotation of McmcConfig
 _FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool,
+                "int | None": (numbers.Integral, type(None)),
                 "float | None": (numbers.Real, type(None))}
 # a posterior draw's keys and the JSON types of their values (a number is an int or a float)
 _DRAW_KEYS = ("expr", "theta_c", "theta_d", "ties", "sigma", "log_post")
@@ -94,7 +95,7 @@ class McmcConfig:
     p_local: float = 0.4
     p_param: float = 0.3
     p_sigma: float = 0.1
-    max_depth: int = DEFAULT_MAX_DEPTH
+    max_depth: int | None = None  # None: the prior's max_depth
     state_budget: int = 10_000
     sigma0: float | None = None
     prior_only: bool = False
@@ -117,7 +118,7 @@ class McmcConfig:
             raise InputError(f"lambda_sigma must be positive and tau at least {_MIN_TAU!r}")
         if self.step_sigma < 0 or self.step_theta < 0:
             raise InputError("step scales must be non-negative")
-        if self.max_depth <= 0 or self.state_budget <= 0:
+        if (self.max_depth is not None and self.max_depth <= 0) or self.state_budget <= 0:
             raise InputError("max_depth and state_budget must be positive")
         mix = (self.p_global, self.p_local, self.p_param, self.p_sigma)
         if any(p < 0 for p in mix):
@@ -308,6 +309,7 @@ class _ChainContext:
         self.inside_memo: dict = {}  # subtree -> inside vector
         self.marginal_cache: dict = {}  # (tree, address) -> (Boltzmann vector, its cdf)
         self.tie_table: dict = {}  # tree -> (its ties, its groups' marker priors)
+        self.cumulative = tuple(accumulate(config.move_mix().values()))  # added in MOVES order
 
     def ties(self, tree: Tree) -> tuple:
         """(the tree's tie table, each group's marker prior), computed once per distinct tree."""
@@ -429,18 +431,15 @@ def propose_global(state: ChainState, ctx: _ChainContext, rng):
 def propose_local(state: ChainState, ctx: _ChainContext, rng):
     """Cut a uniformly chosen subtree, draw the automaton state at the cut
     from the tempered context marginal, regrow from that state within the
-    depth left at the cut.  Returns None when the context is impossible; a
-    regrow past that depth raises DepthBudgetExhausted, which the chain
-    counts as an aborted move."""
+    depth left at the cut.  An impossible context raises ImpossibleContext
+    and a regrow past that depth DepthBudgetExhausted; the chain counts
+    either as an aborted move."""
     tree = state.expr.tree
     n_nodes = tree.size
     addr, old_sub = tree.nth(int(rng.integers(n_nodes)))
-    try:
-        boltzmann, cdf = ctx.boltzmann_marginal(tree, addr)
-    except ImpossibleContext:
-        return None
+    boltzmann, cdf = ctx.boltzmann_marginal(tree, addr)
     start = int(cdf.searchsorted(rng.random(), side="right"))
-    new_sub = sample_from_state(ctx.pta, start, rng, ctx.config.max_depth - len(addr))
+    new_sub = sample_from_state(ctx.pta, start, rng, ctx.prior.max_depth - len(addr))
     log_rev_regrow = _log(boltzmann @ ctx.inside(old_sub))
     if new_sub is old_sub:  # the current expression: the jumps draw nothing, add 0.0
         log_regrow = -math.log(n_nodes) + log_rev_regrow
@@ -492,65 +491,31 @@ _PROPOSERS = {
 # -- the chain -------------------------------------------------------------------------
 
 
+def _step(state: ChainState, ctx: _ChainContext, rng, stats) -> ChainState:
+    """The next state after one move, counted in ``stats``.  A proposer that
+    returns None or raises DepthBudgetExhausted or ImpossibleContext aborts
+    the move: a rejection.  The uniform is drawn only when log_alpha < 0."""
+    move = MOVES[min(bisect_right(ctx.cumulative, rng.random()), len(MOVES) - 1)]
+    counts = stats[move]
+    counts["proposed"] += 1
+    try:
+        out = _PROPOSERS[move](state, ctx, rng)
+    except (DepthBudgetExhausted, ImpossibleContext):
+        out = None
+    if out is None:
+        counts["aborted"] += 1
+        return state
+    proposal, log_fwd, log_rev = out
+    log_alpha = proposal.log_posterior - state.log_posterior + log_rev - log_fwd
+    if log_alpha >= 0 or math.log(max(rng.random(), 1e-300)) < log_alpha:
+        counts["accepted"] += 1
+        return proposal
+    return state
+
+
 def run_chain(prior: PriorSpec, data, config: McmcConfig, on_draw=None) -> Posterior:
-    """Burn in, then record every thin-th state of the next `samples` steps.
-    Fully deterministic given the seed.  Aborted moves (impossible regrow,
-    depth overflow, a parameter or sigma step out of float range) count as
-    rejections so the kernel is total.  A proposal deeper than max_depth lies
-    outside the target's support, so rejecting it keeps the chain exact for
-    the posterior restricted to trees within max_depth.  ``on_draw`` is called with
-    each Draw as it is recorded (partial-trace collection); while the state is the
-    one last recorded, its Draw object is recorded again."""
-    if prior.max_depth != config.max_depth:
-        prior = replace(prior, max_depth=config.max_depth)
-    pta = compile_prior(prior, config.state_budget)
-    ctx = _ChainContext(prior, pta, data, config)
-    if data is not None and not config.prior_only:
-        if ctx.y.size == 0:
-            raise InputError("the training data has no rows")
-        missing = set(prior.variables) - set(ctx.inputs)
-        extra = set(ctx.inputs) - set(prior.variables)
-        if missing or extra:
-            raise InputError(
-                f"data columns {sorted(ctx.inputs)} do not match prior variables "
-                f"{sorted(prior.variables)}"
-            )
-
-    rng = np.random.default_rng(config.seed)
-    state = _initial_state(ctx, rng)
-
-    cumulative = tuple(accumulate(config.move_mix().values()))  # added in MOVES order
-    stats = {
-        move: {"proposed": 0, "accepted": 0, "aborted": 0} for move in MOVES
-    }
-    draws, recorded = [], None
-    total_steps = config.burn_in + config.samples
-    for step in range(total_steps):
-        move = MOVES[min(bisect_right(cumulative, rng.random()), len(MOVES) - 1)]
-        stats[move]["proposed"] += 1
-        try:
-            out = _PROPOSERS[move](state, ctx, rng)
-        except DepthBudgetExhausted:
-            out = None
-        if out is None:
-            stats[move]["aborted"] += 1
-        else:
-            proposal, log_fwd, log_rev = out
-            log_alpha = (
-                proposal.log_posterior - state.log_posterior + log_rev - log_fwd
-            )
-            if log_alpha >= 0 or math.log(max(rng.random(), 1e-300)) < log_alpha:
-                state = proposal
-                stats[move]["accepted"] += 1
-        k = step - config.burn_in
-        if k >= 0 and (k + 1) % config.thin == 0:
-            if state is not recorded:  # a run of one state is one Draw, appended again
-                draw, recorded = Draw(state.expr, state.sigma, state.log_posterior), state
-            draws.append(draw)
-            if on_draw is not None:
-                on_draw(draw)
-
-    return Posterior(tuple(draws), stats, config, config.seed)
+    """One chain: ``run_chains`` with ``chains=1``, seeded by ``config.seed`` itself."""
+    return run_chains(prior, data, config, 1, on_draw)
 
 
 def _initial_state(ctx: _ChainContext, rng) -> ChainState:
@@ -571,16 +536,49 @@ def _initial_state(ctx: _ChainContext, rng) -> ChainState:
 
 
 def run_chains(prior: PriorSpec, data, config: McmcConfig, chains: int, on_draw=None) -> Posterior:
-    """Independent chains with per-chain seeds derived from the master seed,
-    merged in chain order."""
+    """Independent chains, each seeded from the master seed (one chain: the seed
+    itself) and merged in chain order.  A chain burns in, then records every
+    thin-th state of the next `samples` steps.  The depth is the config's
+    ``max_depth``, or the prior's when that is None; the returned config records
+    it.  The prior is compiled and the data checked once, and all chains share
+    one context, whose caches hold pure functions of interned trees.  Aborted
+    moves count as rejections, so the kernel is total; a proposal deeper than
+    max_depth lies outside the support of the depth-truncated target.
+    ``on_draw`` sees each Draw as it is recorded, chain after chain; while a
+    chain's state is the one last recorded, its Draw object is recorded again."""
     if chains < 1:
         raise InputError(f"chains must be at least 1, got {chains}")
+    if config.max_depth is None:
+        config = replace(config, max_depth=prior.max_depth)
+    elif prior.max_depth != config.max_depth:
+        prior = replace(prior, max_depth=config.max_depth)
+    ctx = _ChainContext(prior, compile_prior(prior, config.state_budget), data, config)
+    if data is not None and not config.prior_only:
+        if ctx.y.size == 0:
+            raise InputError("the training data has no rows")
+        missing = set(prior.variables) - set(ctx.inputs)
+        extra = set(ctx.inputs) - set(prior.variables)
+        if missing or extra:
+            raise InputError(
+                f"data columns {sorted(ctx.inputs)} do not match prior variables "
+                f"{sorted(prior.variables)}"
+            )
     seeds = [config.seed] if chains == 1 else [
         int(s.generate_state(1)[0]) for s in np.random.SeedSequence(config.seed).spawn(chains)]
-    posts = [run_chain(prior, data, replace(config, seed=seed), on_draw=on_draw) for seed in seeds]
-    stats = {move: {key: sum(p.accept_stats[move][key] for p in posts) for key in counts}
-             for move, counts in posts[0].accept_stats.items()}
-    return Posterior(tuple(d for p in posts for d in p.draws), stats, config, config.seed)
+    stats = {move: {"proposed": 0, "accepted": 0, "aborted": 0} for move in MOVES}
+    draws = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        state, recorded = _initial_state(ctx, rng), None
+        for k in range(-config.burn_in, config.samples):
+            state = _step(state, ctx, rng, stats)
+            if k >= 0 and (k + 1) % config.thin == 0:
+                if state is not recorded:  # a run of one state is one Draw, appended again
+                    draw, recorded = Draw(state.expr, state.sigma, state.log_posterior), state
+                draws.append(draw)
+                if on_draw is not None:
+                    on_draw(draw)
+    return Posterior(tuple(draws), stats, config, config.seed)
 
 
 # -- posterior summaries ------------------------------------------------------------------

@@ -48,6 +48,9 @@ from .trees import (
 
 WEIGHT_TOL = 1e-12
 DEFAULT_MAX_DEPTH = 50
+# the samplers recurse once per level: _draw spends one frame on it and pta._grow
+# two, so 400 levels stay clear of Python's default recursion limit of 1000
+MAX_DEPTH_CAP = 400
 RESAMPLE_RETRIES = 1000
 
 _KEYWORDS = frozenset({"choice", "iter", "subst"})
@@ -626,8 +629,8 @@ class PriorSpec:
     def __post_init__(self):
         graph = _Resolution(self.root)
         object.__setattr__(self, "_graph", graph)
-        if self.max_depth <= 0:
-            raise InputError("max_depth must be positive")
+        if not 0 < self.max_depth <= MAX_DEPTH_CAP:
+            raise InputError(f"max_depth must be between 1 and {MAX_DEPTH_CAP}, got {self.max_depth}")
         if graph.height > self.max_depth:  # the sampler would overflow on every draw
             raise InputError(
                 f"the prior's shallowest tree is {graph.height} deep, beyond max_depth {self.max_depth}"

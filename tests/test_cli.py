@@ -487,7 +487,8 @@ def test_fit_with_no_finite_start_exits_3_and_writes_an_empty_trace(capsys, tmp_
         "error": "RuntimeFailure",
         "message": "inference stopped after 0 draws: no prior draw evaluates finitely on the data",
     }
-    assert json.loads(out_path.read_text())["draws"] == []
+    trace = json.loads(out_path.read_text())
+    assert trace["draws"] == [] and trace["config"]["max_depth"] == 50  # the prior's depth
 
 
 # -- report ----------------------------------------------------------------------
@@ -932,3 +933,51 @@ def test_fit_max_depth_below_the_prior_height_exits_2(capsys, tmp_path, max_dept
     else:
         _assert_too_deep(code, out, err, max_depth)
         assert not out_path.exists()
+
+
+def _depth(text):
+    return max(len(addr) for addr, _ in parse_tree(text).walk())
+
+
+def test_fit_and_sample_keep_the_prior_files_max_depth(capsys, tmp_path):
+    prior = tmp_path / "comb.json"
+    prior.write_text(json.dumps({"name": "comb", "variables": ["c"], "max_depth": 2,
+                                 "expression": "iter $x { choice{ 1/2: +(c, $x), 1/2: c } }"}))
+    code, out, err = run_cli(capsys, "sample", "--prior", str(prior), "--n", "200", "--seed", "0")
+    assert code == 0, err
+    assert max(_depth(json.loads(line)["expr"]) for line in out.splitlines()) == 2
+    train = tmp_path / "train.csv"
+    train.write_text("c,s\n1.0,4.0\n2.0,5.0\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"burn_in": 200, "samples": 400, "thin": 2}))
+    out_path = tmp_path / "posterior.json"
+    code, out, err = run_cli(capsys, "fit", "--prior", str(prior), "--train", str(train),
+                             "--config", str(config), "--out", str(out_path))
+    assert code == 0, err
+    doc = json.loads(out_path.read_text())
+    assert doc["config"]["max_depth"] == 2  # the depth the fit used
+    assert max(_depth(d["expr"]) for d in doc["draws"]) == 2
+
+
+@pytest.mark.parametrize("route", ["prior file", "sample --max-depth", "run config"])
+def test_a_max_depth_past_the_recursion_cap_exits_2(capsys, tmp_path, route):
+    comb = {"name": "comb", "expression": "iter $x { choice{ 999/1000: +(f, $x), 1/1000: f } }",
+            "max_depth": 100_000 if route == "prior file" else 50}
+    prior = tmp_path / "comb.json"
+    prior.write_text(json.dumps(comb))
+    out_path = tmp_path / "posterior.json"
+    if route == "run config":
+        train = tmp_path / "train.csv"
+        train.write_text("s\n1.0\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"burn_in": 5, "samples": 5, "thin": 1, "max_depth": 100_000}))
+        argv = ["fit", "--prior", str(prior), "--train", str(train), "--config", str(config),
+                "--out", str(out_path)]
+    else:
+        argv = ["sample", "--prior", str(prior), "--n", "3", "--seed", "2"]
+        argv += ["--max-depth", "100000"] if route == "sample --max-depth" else []
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, ""), err
+    doc = json.loads(err.strip())
+    assert doc["error"] == "InputError" and "max_depth must be between 1 and 400" in doc["message"]
+    assert not out_path.exists()

@@ -10,9 +10,11 @@ Independent oracles:
 """
 
 import itertools
+import json
 import math
 import struct
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 
 from treegress.errors import InputError, SizeMismatch
 from treegress.inference import (
+    MOVES,
     Draw,
     McmcConfig,
     Posterior,
@@ -393,7 +396,7 @@ def test_config_validation():
     with pytest.raises(InputError):
         McmcConfig(tau=0.0)
     # a JSON true is a bool, not 1: only a bool field takes it
-    for field in ("burn_in", "tau", "sigma0"):
+    for field in ("burn_in", "tau", "sigma0", "max_depth"):
         with pytest.raises(InputError, match=field):
             McmcConfig(**{field: True})
     # a JSON NaN or Infinity is a float; no float field takes it
@@ -403,8 +406,10 @@ def test_config_validation():
                          ("sigma0", -math.inf)]:
         with pytest.raises(InputError, match=f"{field} must be finite"):
             McmcConfig(**{field: value})
+    with pytest.raises(InputError, match="max_depth"):
+        McmcConfig(max_depth=0)
     McmcConfig(prior_only=True)
-    McmcConfig()  # defaults valid
+    assert McmcConfig().max_depth is None  # defaults valid; None is the prior's depth
 
 
 # -- finite-prior posterior vs enumeration --------------------------------------------
@@ -634,6 +639,62 @@ def test_run_chains_rejects_fewer_than_one_chain(e1, chains):
         run_chains(e1, None, config, chains)
 
 
+def _merged_oracle(prior, data, config, chains):
+    """Multi-chain runs as they were merged: one ``run_chain`` per spawned
+    seed, the draws concatenated in chain order and the stats summed."""
+    seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(config.seed).spawn(chains)]
+    posts = [run_chain(prior, data, replace(config, seed=seed)) for seed in seeds]
+    stats = {move: {key: sum(p.accept_stats[move][key] for p in posts) for key in counts}
+             for move, counts in posts[0].accept_stats.items()}
+    merged_config = replace(posts[0].config, seed=config.seed)
+    return Posterior(tuple(d for p in posts for d in p.draws), stats, merged_config, config.seed)
+
+
+@pytest.mark.parametrize("workload", ["ogden", "e1-prior"])
+def test_run_chains_equals_the_merge_of_single_chains(workload, e_hyp, e1):
+    from treegress.experiments import gen_hyperelastic
+
+    prior, data, chains, config = {
+        "ogden": (e_hyp, gen_hyperelastic(7)["train"], 2,
+                  McmcConfig(burn_in=300, samples=300, thin=3, seed=0)),
+        "e1-prior": (e1, None, 3, McmcConfig(burn_in=0, samples=400, thin=2, seed=0,
+                                            prior_only=True)),
+    }[workload]
+    seen = []
+    got = run_chains(prior, data, config, chains, on_draw=seen.append)
+    want = _merged_oracle(prior, data, config, chains)
+    assert posterior_to_json(got) == posterior_to_json(want)
+    assert json.dumps(got.accept_stats) == json.dumps(want.accept_stats)
+    assert tuple(seen) == got.draws
+
+
+def test_run_chain_calls_the_proposer_in_the_table(e_iso, monkeypatch):
+    """A proposer swapped into ``_PROPOSERS`` (as the benchmark's tracer swaps
+    them) is the one the chain calls, once per local move proposed."""
+    import treegress.inference as inf
+    from treegress.experiments import gen_isotherm
+
+    calls = []
+    real = inf._PROPOSERS["local"]
+    monkeypatch.setitem(inf._PROPOSERS, "local", lambda *a: calls.append(1) or real(*a))
+    post = run_chain(e_iso, gen_isotherm("langmuir", 7)["train"],
+                     McmcConfig(burn_in=100, samples=100, thin=10, seed=0))
+    assert len(calls) == post.accept_stats["local"]["proposed"] > 0
+
+
+def test_a_chain_takes_its_depth_from_the_prior_unless_the_config_sets_one():
+    prior = build_prior("comb", "iter $x { choice{ 1/2: +(c, $x), 1/2: c } }",
+                        variables=["c"], max_depth=2)
+    config = McmcConfig(burn_in=200, samples=400, thin=2, seed=0, prior_only=True)
+    assert config.max_depth is None
+    post = run_chain(prior, None, config)
+    assert post.config.max_depth == 2
+    assert max(len(a) for d in post.draws for a in addresses(d.expr.tree)) == 2
+    deeper = run_chain(prior, None, replace(config, max_depth=6))
+    assert deeper.config.max_depth == 6
+    assert max(len(a) for d in deeper.draws for a in addresses(d.expr.tree)) > 2
+
+
 # -- prediction ------------------------------------------------------------------------
 
 def make_posterior(draw_specs):
@@ -838,7 +899,7 @@ def _full_path(move, state, ctx, rng):
         addr = list(old.walk())[int(rng.integers(old.size))][0]
         boltzmann, _ = ctx.boltzmann_marginal(old, addr)
         start = int(rng.choice(len(boltzmann), p=boltzmann))
-        new_sub = sample_from_state(ctx.pta, start, rng, ctx.config.max_depth - len(addr))
+        new_sub = sample_from_state(ctx.pta, start, rng, ctx.prior.max_depth - len(addr))
         tree = old.replace_at(addr, new_sub)
         fwd_regrow = inf._log(boltzmann @ ctx.inside(tree.node_at(addr)))
         rev_regrow = inf._log(boltzmann @ ctx.inside(old.node_at(addr)))
@@ -859,14 +920,13 @@ def _full_path(move, state, ctx, rng):
 
 
 def test_identity_proposals_match_the_full_path(e_iso, e_hyp, monkeypatch):
+    """The kernel runs as the chain runs it, through ``_step``; each global and
+    local proposal that is the current state is checked against ``_full_path``
+    from a snapshot of the generator taken before the proposal."""
     import copy
-    import struct
-    from bisect import bisect_right
 
     import treegress.inference as inf
-    from treegress.errors import DepthBudgetExhausted
     from treegress.experiments import gen_hyperelastic, gen_isotherm
-    from treegress.pta import compile_prior
 
     calls = []  # the chain evaluates on the data through run_program
     real_eval = inf.run_program
@@ -874,41 +934,42 @@ def test_identity_proposals_match_the_full_path(e_iso, e_hyp, monkeypatch):
         inf, "run_program", lambda expr, inputs: calls.append(expr) or real_eval(expr, inputs)
     )
     bits = lambda x: struct.pack("<d", x)  # noqa: E731
-    fits = [
-        (e_iso, gen_isotherm("langmuir", seed=7)["train"]),
-        (e_hyp, gen_hyperelastic(seed=7)["train"]),
-    ]
-    for prior, data in fits:
-        checked = {"global": 0, "local": 0}
-        config = McmcConfig(burn_in=500, samples=500, thin=10, seed=0)
-        pta = compile_prior(prior)
-        ctx = inf._ChainContext(prior, pta, data, config)
-        rng = np.random.default_rng(0)
-        state = inf._initial_state(ctx, rng)
-        cumulative = tuple(itertools.accumulate(config.move_mix().values()))  # as in run_chain
-        for _ in range(config.burn_in + config.samples):
-            move = inf.MOVES[min(bisect_right(cumulative, rng.random()), len(inf.MOVES) - 1)]
+    checked = {"global": 0, "local": 0}
+
+    def checking(move, propose):
+        def wrapper(state, ctx, rng):
             before, n_calls = copy.deepcopy(rng), len(calls)
-            try:
-                out = inf._PROPOSERS[move](state, ctx, rng)
-            except DepthBudgetExhausted:
-                out = None
-            if out is None:
-                continue
-            proposal, log_fwd, log_rev = out
-            if proposal is state:
+            out = propose(state, ctx, rng)  # an abort raises through to _step
+            if out is not None and out[0] is state:
+                _, log_fwd, log_rev = out
                 assert len(calls) == n_calls  # no evaluation on the data
-                fresh = inf._ChainContext(prior, pta, data, config)
+                fresh = _ChainContext(ctx.prior, ctx.pta, (ctx.inputs, ctx.y), ctx.config)
                 full, full_fwd, full_rev = _full_path(move, state, fresh, before)
                 assert full.expr == state.expr
                 assert bits(full.log_posterior) == bits(state.log_posterior)
                 assert (bits(full_fwd), bits(full_rev)) == (bits(log_fwd), bits(log_rev))
                 assert before.bit_generator.state == rng.bit_generator.state
                 checked[move] += 1
-            log_alpha = proposal.log_posterior - state.log_posterior + log_rev - log_fwd
-            if log_alpha >= 0 or math.log(max(rng.random(), 1e-300)) < log_alpha:
-                state = proposal
+            return out
+
+        return wrapper
+
+    for move in checked:
+        monkeypatch.setitem(inf._PROPOSERS, move, checking(move, inf._PROPOSERS[move]))
+    fits = [
+        (e_iso, gen_isotherm("langmuir", seed=7)["train"]),
+        (e_hyp, gen_hyperelastic(seed=7)["train"]),
+    ]
+    for prior, data in fits:
+        checked.update(dict.fromkeys(checked, 0))
+        ctx = _ChainContext(prior, compile_prior(prior), data, McmcConfig())
+        rng = np.random.default_rng(0)
+        state = inf._initial_state(ctx, rng)
+        stats = {move: {"proposed": 0, "accepted": 0, "aborted": 0} for move in MOVES}
+        for _ in range(1000):
+            state = inf._step(state, ctx, rng, stats)
         assert checked["global"] > 0 and checked["local"] > 0
+        assert sum(c["proposed"] for c in stats.values()) == 1000
     assert calls  # the counter sees the evaluations of the proposals that are not the state
 
 

@@ -32,6 +32,7 @@ from treegress.errors import (
     WeightSumError,
 )
 from treegress.prte import (
+    MAX_DEPTH_CAP,
     MarkerPrior,
     PChoice,
     PConcat,
@@ -216,6 +217,34 @@ def test_least_derivation_height_bounds_max_depth(expression, height):
         with pytest.raises(InputError, match="beyond max_depth"):
             dataclasses.replace(prior, max_depth=height - 1)
 
+
+
+COMB = "iter $x { choice{ 999/1000: +(f, $x), 1/1000: f } }"
+
+
+def test_max_depth_is_capped_where_both_samplers_still_recurse():
+    """Past the cap a prior is rejected; at it, a comb drawn by ``sample_tree``
+    and one grown by ``sample_from_state`` (two frames a level) reach the cap
+    and finish, with a tree or DepthBudgetExhausted, not a RecursionError."""
+    from treegress.pta import compile_prior, sample_from_state
+
+    for depth in (MAX_DEPTH_CAP + 1, 100_000):
+        with pytest.raises(InputError, match=f"between 1 and {MAX_DEPTH_CAP}"):
+            build_prior("comb", COMB, max_depth=depth)
+    prior = build_prior("comb", COMB, max_depth=MAX_DEPTH_CAP)
+    with pytest.raises(InputError, match="max_depth"):
+        dataclasses.replace(prior, max_depth=MAX_DEPTH_CAP + 1)
+    pta = compile_prior(prior)
+    start = int(np.flatnonzero(pta.initial)[0])
+    for draw in (lambda rng: sample_tree(prior, rng),
+                 lambda rng: sample_from_state(pta, start, rng, MAX_DEPTH_CAP)):
+        depths = []
+        for seed in range(8):
+            try:
+                depths.append(max(len(a) for a, _ in draw(np.random.default_rng(seed)).walk()))
+            except DepthBudgetExhausted:
+                depths.append(MAX_DEPTH_CAP + 1)
+        assert max(depths) > MAX_DEPTH_CAP / 2, depths
 
 
 # -- canonical printing -------------------------------------------------------------
