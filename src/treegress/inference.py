@@ -446,7 +446,7 @@ def propose_local(state: ChainState, ctx: _ChainContext, rng):
         return state, log_regrow, log_regrow
     new_tree = tree.replace_at(addr, new_sub)
     ties, _ = ctx.ties(new_tree)
-    log_fwd = -math.log(n_nodes) + _log(boltzmann @ ctx.inside(new_tree.node_at(addr)))
+    log_fwd = -math.log(n_nodes) + _log(boltzmann @ ctx.inside(new_sub))
     log_rev = -math.log(new_tree.size) + log_rev_regrow
     return _jump_to(state, ctx, new_tree, ties, rng, log_fwd, log_rev)
 

@@ -144,68 +144,56 @@ def format_prte(e: Prte) -> str:
     raise TypeError(f"not a Prte: {e!r}")
 
 
-_NUMBER_RE = re.compile(r"-?\d+(\.\d+)?(/\d+)?")
-_VAR_RE = re.compile(r"\$[A-Za-z_][A-Za-z0-9_]*")
-_PUNCT = "(){},:."
+# One token per match: whitespace, then punctuation, a variable, a number, a
+# name, a stray '$' or the end.  A number must end at whitespace, punctuation or
+# the end; the lookahead and backreference stop the regex from backtracking into
+# a shorter number, so ``0.5iter`` reads as the name ``0``, ``.`` and ``5iter``.
+_TOKEN_RE = re.compile(r"""
+    \s*
+    (?: (?P<punct>[(){},:.])
+      | (?P<var>\$[A-Za-z_][A-Za-z0-9_]*)
+      | (?=(?P<num>-?\d+(?:\.\d+)?(?:/\d+)?))(?P=num)(?=[\s(){},:.]|\Z)
+      | (?P<name>[^\s(){},:.$]+)
+      | (?P<bad>.)
+      | (?P<eof>\Z) )
+""", re.VERBOSE)
 
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str  # 'num' | 'var' | 'name' | one of _PUNCT | 'eof'
+    kind: str  # 'num' | 'var' | 'name' | one of "(){},:." | 'eof'
     text: str
-    line: int
-    col: int
+    pos: int  # offset into the text; a variable's is its '$'
+
+
+def _line_col(text: str, pos: int) -> tuple:
+    """1-based line and column of an offset; only a newline starts a line."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 def _tokenize(text: str):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        m = _VAR_RE.match(text, i)
-        if m:
-            tokens.append(_Token("var", m.group()[1:], line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m and (m.end() >= n or text[m.end()].isspace() or text[m.end()] in _PUNCT):
-            tokens.append(_Token("num", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        j = i
-        while j < n and not text[j].isspace() and text[j] not in _PUNCT and text[j] != "$":
-            j += 1
-        if j == i:
-            raise PrteSyntaxError(f"unexpected character {ch!r}", line, col)
-        tokens.append(_Token("name", text[i:j], line, col))
-        col += j - i
-        i = j
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+    tokens, pos = [], 0
+    while True:
+        m = _TOKEN_RE.match(text, pos)
+        kind = m.lastgroup
+        tok, start, pos = m.group(kind), m.start(kind), m.end()
+        if kind == "bad":
+            raise PrteSyntaxError(f"unexpected character {tok!r}", *_line_col(text, start))
+        if kind == "var":
+            tok = tok[1:]
+        tokens.append(_Token(tok if kind == "punct" else kind, tok, start))
+        if kind == "eof":
+            return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+
+    def error(self, message: str, tok: _Token) -> PrteSyntaxError:
+        return PrteSyntaxError(message, *_line_col(self.text, tok.pos))
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -218,14 +206,8 @@ class _Parser:
     def expect(self, kind: str) -> _Token:
         tok = self.next()
         if tok.kind != kind:
-            raise PrteSyntaxError(
-                f"expected {kind!r}, found {tok.text!r}", tok.line, tok.col
-            )
+            raise self.error(f"expected {kind!r}, found {tok.text!r}", tok)
         return tok
-
-    def fail(self, message: str):
-        tok = self.peek()
-        raise PrteSyntaxError(message, tok.line, tok.col)
 
     # prte := primary { "." "subst" "(" VAR "," prte ")" }
     def parse_prte(self) -> Prte:
@@ -234,7 +216,7 @@ class _Parser:
             self.next()
             kw = self.expect("name")
             if kw.text != "subst":
-                raise PrteSyntaxError(f"expected 'subst', found {kw.text!r}", kw.line, kw.col)
+                raise self.error(f"expected 'subst', found {kw.text!r}", kw)
             self.expect("(")
             var = self.expect("var").text
             self.expect(",")
@@ -254,7 +236,7 @@ class _Parser:
             return self.parse_iter()
         if tok.kind in ("name", "num"):
             return self.parse_node()
-        self.fail(f"expected an expression, found {tok.text!r}")
+        raise self.error(f"expected an expression, found {tok.text!r}", tok)
 
     def parse_choice(self) -> PChoice:
         kw = self.next()
@@ -272,14 +254,15 @@ class _Parser:
         try:
             return PChoice(tuple(branches))
         except WeightSumError as exc:
-            raise WeightSumError(f"{exc} (line {kw.line}, column {kw.col})") from None
+            line, col = _line_col(self.text, kw.pos)
+            raise WeightSumError(f"{exc} (line {line}, column {col})") from None
 
     def parse_weight(self):
         tok = self.expect("num")
         try:
             return Fraction(tok.text)
         except (ValueError, ZeroDivisionError):
-            raise PrteSyntaxError(f"bad weight {tok.text!r}", tok.line, tok.col) from None
+            raise self.error(f"bad weight {tok.text!r}", tok) from None
 
     def parse_iter(self) -> PIter:
         self.next()
@@ -293,7 +276,7 @@ class _Parser:
         tok = self.next()
         name = tok.text
         if name in _KEYWORDS:
-            raise PrteSyntaxError(f"{name!r} is a reserved word", tok.line, tok.col)
+            raise self.error(f"{name!r} is a reserved word", tok)
         if self.peek().kind == "(":
             self.next()
             kids = [self.parse_prte()]
@@ -314,7 +297,7 @@ def _parse(text: str) -> Prte:
         raise InputError("the expression nests too deeply to parse") from None
     tail = parser.peek()
     if tail.kind != "eof":
-        raise PrteSyntaxError(f"trailing input {tail.text!r}", tail.line, tail.col)
+        raise parser.error(f"trailing input {tail.text!r}", tail)
     return expr
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import re
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -385,23 +386,24 @@ def _compile(tree: Tree) -> tuple:
 # -- prefix text format -------------------------------------------------------
 
 
+_SEXPR_TOKEN = re.compile(r"[()]|[^\s()]+")  # a parenthesis, or a name up to space or one
+
+
 def format_tree(tree: Tree) -> str:
     """Parenthesized prefix form: '(+ a b)', bare name for leaves."""
     parts = []
-    stack = [("node", tree)]
+    stack = [tree]  # nodes, and the strings that go between them
     while stack:
-        kind, item = stack.pop()
-        if kind == "text":
+        item = stack.pop()
+        if type(item) is str:
             parts.append(item)
         elif not item.children:
             parts.append(item.symbol.name)
         else:
-            parts.append(f"({item.symbol.name} ")
-            stack.append(("text", ")"))
-            for idx in range(len(item.children) - 1, -1, -1):
-                stack.append(("node", item.children[idx]))
-                if idx > 0:
-                    stack.append(("text", " "))
+            parts.append("(" + item.symbol.name)
+            stack.append(")")
+            for child in reversed(item.children):
+                stack += (child, " ")
     return "".join(parts)
 
 
@@ -415,7 +417,7 @@ def parse_tree(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
             return RankedSymbol(name, k)
         return _resolve_name(name, k, alphabet)
 
-    tokens = _tokenize_sexpr(text)
+    tokens = _SEXPR_TOKEN.findall(text)
     pos = 0
     open_nodes = []  # (name, children so far) of each '(' not yet closed
     while True:
@@ -442,22 +444,3 @@ def parse_tree(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
     if pos != len(tokens):
         raise InputError("trailing input after tree text")
     return node
-
-
-def _tokenize_sexpr(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            tokens.append(ch)
-            i += 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-    return tokens
