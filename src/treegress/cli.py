@@ -204,7 +204,7 @@ def cmd_fit(args) -> int:
         raise
     except TreegressError as exc:
         config = dataclasses.replace(config, max_depth=config.max_depth or prior.max_depth)
-        trace = Posterior(tuple(partial), {}, config, config.seed)
+        trace = Posterior(tuple(partial), {}, config)
         out.write_text(posterior_to_json(trace), encoding="utf-8")
         raise RuntimeFailure(
             f"inference stopped after {len(partial)} draws: {exc}"

@@ -166,7 +166,6 @@ class Posterior:
     draws: tuple
     accept_stats: dict
     config: McmcConfig
-    seed: int
 
     @cached_property
     def distinct(self) -> tuple:
@@ -578,7 +577,7 @@ def run_chains(prior: PriorSpec, data, config: McmcConfig, chains: int, on_draw=
                 draws.append(draw)
                 if on_draw is not None:
                     on_draw(draw)
-    return Posterior(tuple(draws), stats, config, config.seed)
+    return Posterior(tuple(draws), stats, config)
 
 
 # -- posterior summaries ------------------------------------------------------------------
@@ -678,7 +677,7 @@ def posterior_to_json(posterior: Posterior) -> str:
     as json's own encoder writes it: NaN, Infinity, -0.0, ints and escapes."""
     # the document's head and tail, each dumped alone: the head's closing "\n}" is
     # cut, and every line of the tail is indented one level, as a value in the document
-    head = json.dumps({"config": asdict(posterior.config), "seed": posterior.seed}, indent=2)
+    head = json.dumps({"config": asdict(posterior.config), "seed": posterior.config.seed}, indent=2)
     stats = json.dumps(posterior.accept_stats, indent=2).replace("\n", "\n  ")
     entries, prev = [], None
     for d in posterior.draws:
@@ -714,6 +713,9 @@ def posterior_from_json(text: str) -> Posterior:
     config = McmcConfig(**doc["config"])
     if type(doc["draws"]) is not list or type(doc["seed"]) is not int:
         raise InputError("a posterior's 'draws' is a list and its 'seed' an integer")
+    if doc["seed"] != config.seed:  # the writer records the config's seed there
+        raise InputError(
+            f"the posterior's 'seed' {doc['seed']} is not its config's seed {config.seed}")
     trees: dict = {}  # each distinct expression text is parsed once
     draws, prev = [], None
     for i, entry in enumerate(doc["draws"]):
@@ -741,4 +743,4 @@ def posterior_from_json(text: str) -> Posterior:
             draws.append(Draw(expr, sigma, float(entry["log_post"])))
         except (InputError, ValueError, ArithmeticError) as exc:
             raise InputError(f"draw {i}: {exc}") from exc
-    return Posterior(tuple(draws), doc["accept_stats"], config, doc["seed"])
+    return Posterior(tuple(draws), doc["accept_stats"], config)

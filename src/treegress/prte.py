@@ -44,6 +44,7 @@ from .trees import (
     Tree,
     is_const_marker,
     is_disc_marker,
+    is_numeric_literal,
 )
 
 WEIGHT_TOL = 1e-12
@@ -314,25 +315,29 @@ def parse_prte(text: str) -> Prte:
 
 
 class _Resolution:
-    """Static pass over an expression.
+    """Static pass over an expression, the one place each fact about a node is
+    derived.
 
     Resolves every variable occurrence to the sub-expression it expands to
     (the right side of its concatenation, or the enclosing iteration itself),
     checks that every iteration admits a finite derivation, finds the least
-    derivation ``height`` of the root, and precomputes the root-symbol
-    distribution ``reach`` of every node: the probability that expanding the
-    node emits its first symbol at each emitting site.
+    derivation height of every node, holds the one tree of every node that
+    derives only one, and precomputes the root-symbol distribution ``reach``
+    of every node: the probability that expanding the node emits its first
+    symbol at each emitting site.
     """
 
     def __init__(self, root: Prte):
         self.root = root
-        self.var_target: dict[int, Prte] = {}
+        # id of a variable, concatenation or iteration -> the node it expands to
+        self.target: dict[int, Prte] = {}
         self.nodes: list[Prte] = []
         self._seen: set[int] = set()
-        self.fixed: dict | None = None  # see fixed_trees
         try:
             self._resolve(root, {})
-            self.height = self._least_height()
+            self.heights = self._least_heights()
+            self.height = self.heights[id(root)]
+            self.fixed = self._fixed_trees()
             self.reach = self._compute_reach()
         except RecursionError:
             raise InputError("the expression nests too deeply to analyse") from None
@@ -352,19 +357,17 @@ class _Resolution:
         elif isinstance(node, PVar):
             if node.name not in scope:
                 raise UnboundVariable(f"variable ${node.name} is not bound")
-            self.var_target[key] = scope[node.name]
+            self.target[key] = scope[node.name]
         elif isinstance(node, PChoice):
             for _, b in node.branches:
                 self._resolve(b, scope)
         elif isinstance(node, PConcat):
             self._resolve(node.right, scope)
-            inner = dict(scope)
-            inner[node.var] = node.right
-            self._resolve(node.left, inner)
+            self.target[key] = node.left
+            self._resolve(node.left, {**scope, node.var: node.right})
         elif isinstance(node, PIter):
-            inner = dict(scope)
-            inner[node.var] = node
-            self._resolve(node.body, inner)
+            self.target[key] = node.body
+            self._resolve(node.body, {**scope, node.var: node})
         else:
             raise TypeError(f"not a Prte: {node!r}")
 
@@ -374,25 +377,21 @@ class _Resolution:
         """Weighted epsilon successors: where probability mass flows without
         emitting a symbol."""
         if isinstance(node, PChoice):
-            return list(node.branches)
-        if isinstance(node, PVar):
-            return [(Fraction(1), self.var_target[id(node)])]
-        if isinstance(node, PConcat):
-            return [(Fraction(1), node.left)]
-        if isinstance(node, PIter):
-            return [(Fraction(1), node.body)]
-        return []
+            return node.branches
+        if isinstance(node, PSymbol):
+            return ()
+        return ((Fraction(1), self.target[id(node)]),)
 
-    # termination -----------------------------------------------------------
+    # termination and fixed trees -------------------------------------------
 
-    def _least_height(self):
-        """Least derivation height of every node, by lowering each from
+    def _least_heights(self):
+        """id(node) -> least derivation height, found by lowering each from
         infinity until nothing changes (Knuth 1977): a leaf symbol has height
         0 and an inner symbol 1 plus its children's maximum; a choice has its
         branches' minimum, and a variable, concatenation or iteration the
         height of what it expands to.  An infinite height derives no finite
         tree: an iteration whose body never sheds its variable keeps growing
-        forever and is rejected.  Returns the root's height."""
+        forever and is rejected."""
         height = {id(n): math.inf for n in self.nodes}
         changed = True
         while changed:
@@ -412,28 +411,27 @@ class _Resolution:
                 )
         if height[id(self.root)] == math.inf:
             raise NonTerminatingIter("expression cannot derive any finite tree")
-        return height[id(self.root)]
+        return height
 
-    def fixed_trees(self) -> dict:
+    def _fixed_trees(self) -> dict:
         """id(node) -> (tree, height) of every node whose expansion reaches no
-        choice and so derives one tree; a fixpoint like ``_least_height``'s."""
-        if self.fixed is None:
-            fixed, changed = {}, True
-            while changed:
-                changed = False
-                for n in reversed(self.nodes):
-                    if id(n) in fixed or isinstance(n, PChoice):
-                        continue
-                    if isinstance(n, PSymbol):
-                        kids = [fixed.get(id(c)) for c in n.children]
-                        held = None if None in kids else (Tree(n.symbol, tuple(t for t, _ in kids)),
-                                                          max((h + 1 for _, h in kids), default=0))
-                    else:
-                        held = fixed.get(id(self.expansion(n)[0][1]))
-                    if held is not None:
-                        fixed[id(n)], changed = held, True
-            self.fixed = fixed
-        return self.fixed
+        choice and so derives one tree, whose height is the node's least one;
+        a fixpoint like ``_least_heights``'s."""
+        fixed, changed = {}, True
+        while changed:
+            changed = False
+            for n in reversed(self.nodes):
+                if id(n) in fixed or isinstance(n, PChoice):
+                    continue
+                if isinstance(n, PSymbol):
+                    kids = [fixed.get(id(c)) for c in n.children]
+                    tree = None if None in kids else Tree(n.symbol, tuple(t for t, _ in kids))
+                else:
+                    held = fixed.get(id(self.target[id(n)]))
+                    tree = held and held[0]
+                if tree is not None:
+                    fixed[id(n)], changed = (tree, self.heights[id(n)]), True
+        return fixed
 
     # root-symbol distributions ----------------------------------------------
 
@@ -625,12 +623,18 @@ class PriorSpec:
             raise InputError(f"markers without a prior: {sorted(used_tags - declared)}")
         if declared - used_tags:
             raise InputError(f"declared markers never used: {sorted(declared - used_tags)}")
+        undeclared = sorted(set(self.shared) - declared)
+        if undeclared:
+            raise InputError(f"shared tags that are not declared markers: {undeclared}")
+        leaves = {RankedSymbol(v, 0) for v in self.variables}
+        unreadable = sorted(s.name for s in leaves if is_numeric_literal(s) or s.name.endswith("#"))
+        if unreadable:  # evaluation reads such a leaf as a literal or a parameter, never a column
+            raise InputError(f"variables that name a number or a marker: {unreadable}")
         if any(is_disc_marker(s) for s in used) and not self.theta_d_support:
             raise InputError("discrete markers present but theta_d_support is empty")
         object.__setattr__(
             self, "theta_d_support", tuple(Fraction(v) for v in self.theta_d_support)
         )
-        leaves = {RankedSymbol(v, 0) for v in self.variables}
         object.__setattr__(self, "alphabet", RankedAlphabet(used | leaves))
 
     @property
@@ -647,11 +651,10 @@ def sample_tree(prior: PriorSpec, rng: np.random.Generator) -> Tree:
     discarded and redrawn; persistent overflow raises DepthBudgetExhausted.
     The truncation slightly biases the sampled law against very deep trees;
     the density does not.  A sub-expression without a choice gives the tree
-    ``prior.graph.fixed_trees()`` holds for it."""
-    fixed = prior.graph.fixed_trees()
+    ``prior.graph.fixed`` holds for it."""
     for _ in range(RESAMPLE_RETRIES):
         try:
-            return _draw(prior, fixed, rng, (prior.root,), 0)[0]
+            return _draw(prior, rng, (prior.root,), 0)[0]
         except DepthBudgetExhausted:
             continue
     raise DepthBudgetExhausted(
@@ -659,12 +662,12 @@ def sample_tree(prior: PriorSpec, rng: np.random.Generator) -> Tree:
     )
 
 
-def _draw(prior: PriorSpec, fixed: dict, rng: np.random.Generator, nodes: tuple,
-          depth: int) -> tuple:
+def _draw(prior: PriorSpec, rng: np.random.Generator, nodes: tuple, depth: int) -> tuple:
     """One attempt of ``sample_tree``: the trees of sibling ``nodes`` at ``depth``, left
     to right.  Choices resolve in this frame, so a held tree opens none; one that would
     pass max_depth is built out, to overflow as it would unheld.  Not a recursive
     closure: its reference cycle would keep the prior alive until a full collection."""
+    fixed, target = prior.graph.fixed, prior.graph.target
     out = []
     for node in nodes:
         while True:
@@ -675,16 +678,9 @@ def _draw(prior: PriorSpec, fixed: dict, rng: np.random.Generator, nodes: tuple,
             if isinstance(node, PSymbol):
                 if depth > prior.max_depth:
                     raise DepthBudgetExhausted(f"the drawn tree passed depth {prior.max_depth}")
-                out.append(Tree(node.symbol, _draw(prior, fixed, rng, node.children, depth + 1)))
+                out.append(Tree(node.symbol, _draw(prior, rng, node.children, depth + 1)))
                 break
-            if isinstance(node, PChoice):
-                node = _pick_branch(node, rng)
-            elif isinstance(node, PVar):
-                node = prior.graph.var_target[id(node)]
-            elif isinstance(node, PConcat):
-                node = node.left
-            else:  # PIter
-                node = node.body
+            node = _pick_branch(node, rng) if isinstance(node, PChoice) else target[id(node)]
     return tuple(out)
 
 
@@ -752,40 +748,33 @@ def prte_density(prior: PriorSpec, tree: Tree):
     over every derivation, as an exact Fraction; 0 for trees outside the
     language.  Unlike the sampler this is not depth-limited."""
     graph = prior.graph
-    zero = Fraction(0)
-    by_symbol: dict = {}
+    sites_of: dict = {}
     for s in graph.symbol_nodes:
-        by_symbol.setdefault((s.symbol.name, s.symbol.rank), []).append(s)
+        sites_of.setdefault(s.symbol, []).append(s)
+    # inside values, bottom-up: emitted[node][id(site)] is the probability that
+    # the emitting site generates exactly the tree node; each distinct node is
+    # scored once, however often it occurs
+    emitted: dict = {}
 
-    # inside values bottom-up over tree positions; val[(addr, site_id)] is the
-    # probability that the emitting site generates the subtree at addr
-    val: dict = {}
-    order = sorted(tree.walk(), key=lambda item: len(item[0]), reverse=True)
-    for addr, node in order:
-        key = (node.symbol.name, node.symbol.rank)
-        for site in by_symbol.get(key, ()):
+    def derives(expr: Prte, node: Tree):
+        """The probability that expanding ``expr`` generates exactly ``node``."""
+        at = emitted[node]
+        return sum((w * at[sid] for sid, w in graph.reach[id(expr)].items() if sid in at),
+                   Fraction(0))
+
+    for _, node in reversed(list(tree.walk())):  # a node after all of its descendants
+        if node in emitted:
+            continue
+        at = emitted[node] = {}
+        for site in sites_of.get(node.symbol, ()):
             p = Fraction(1)
-            for i in range(1, node.symbol.rank + 1):
-                reach_i = graph.reach[id(site.children[i - 1])]
-                child_addr = addr + (i,)
-                total = zero
-                for sid, w in reach_i.items():
-                    v = val.get((child_addr, sid))
-                    if v is not None:
-                        total += w * v
-                if total == 0:
-                    p = zero
+            for expr, child in zip(site.children, node.children):
+                p *= derives(expr, child)
+                if not p:
                     break
-                p *= total
-            if p != 0:
-                val[(addr, id(site))] = p
-
-    total = zero
-    for sid, w in graph.reach[id(prior.root)].items():
-        v = val.get(((), sid))
-        if v is not None:
-            total += w * v
-    return total
+            if p:
+                at[id(site)] = p
+    return derives(prior.root, tree)
 
 
 # -- prior files -------------------------------------------------------------------

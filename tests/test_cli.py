@@ -66,6 +66,14 @@ MARKED = {"name": "t", "expression": "choice{ 1/2: k#, 1/2: b }",
         ("prior", {**MARKED, "shared": {"a#": 5}}, "anchor name and rank"),
         ("prior", {**MARKED, "shared": {"k#": {"anchor": "+"}}}, "anchor name and rank"),
         ("prior", {**MARKED, "variables": "ab"}, "'variables'"),
+        ("prior", {**MARKED, "expression": "f(x#, x#)",
+                   "markers": {"x#": {"dist": "exp", "rate": 1}},
+                   "shared": {"y#": {"anchor": "zz", "rank": 2}}},
+         "shared tags that are not declared markers: ['y#']"),
+        ("prior", {**MARKED, "variables": ["x", "2"]},
+         "variables that name a number or a marker: ['2']"),
+        ("prior", {**MARKED, "variables": ["k#"]},
+         "variables that name a number or a marker: ['k#']"),
         ("prior", {**MARKED, "name": 5}, "'name'"),
         ("prior", {**MARKED, "max_depth": True}, "'max_depth'"),
         ("prior", {**MARKED, "max_depth": 2.7}, "'max_depth'"),
@@ -84,7 +92,8 @@ MARKED = {"name": "t", "expression": "choice{ 1/2: k#, 1/2: b }",
         ("config", {"tau": 1e-310}, "tau at least"),
     ],
     ids=["prior-not-object", "expression-5", "max-depth-deep", "markers-list", "exp-no-rate",
-         "support-a", "shared-5", "anchor-no-rank", "variables-ab", "name-5", "max-depth-true",
+         "support-a", "shared-5", "anchor-no-rank", "variables-ab", "shared-undeclared",
+         "variable-number", "variable-marker", "name-5", "max-depth-true",
          "max-depth-2.7", "rate-inf", "rate-nan", "stddev-nan", "mean-inf", "config-list",
          "tau-nan", "train-5", "prior-list", "out-null", "seed-negative", "tau-tiny"],
 )
@@ -519,7 +528,7 @@ def test_report_exact_posterior_zero_rmse(capsys, tmp_path):
     tree = parse_tree("(* 2 c)")
     expr = SymbolicExpression(tree)
     post = Posterior(
-        (Draw(expr, 0.1, -1.0),), {}, McmcConfig(burn_in=1, samples=10, thin=1), 0
+        (Draw(expr, 0.1, -1.0),), {}, McmcConfig(burn_in=1, samples=10, thin=1)
     )
     post_path = tmp_path / "p.json"
     post_path.write_text(posterior_to_json(post))
@@ -543,7 +552,7 @@ def test_report_hand_computed_three_draws(capsys, tmp_path):
         Draw(SymbolicExpression(parse_tree("c#"), theta_c=(v,)), 0.1, -1.0)
         for v in (1.0, 2.0, 3.0)
     )
-    post = Posterior(draws, {}, McmcConfig(burn_in=1, samples=10, thin=1), 0)
+    post = Posterior(draws, {}, McmcConfig(burn_in=1, samples=10, thin=1))
     post_path = tmp_path / "p.json"
     post_path.write_text(posterior_to_json(post))
     data_path = tmp_path / "d.csv"
@@ -563,7 +572,7 @@ def test_report_hand_computed_three_draws(capsys, tmp_path):
 def test_report_flags_dead_points(capsys, tmp_path):
     expr = SymbolicExpression(parse_tree("(/ 1 c)"))
     post = Posterior(
-        (Draw(expr, 0.1, -1.0),), {}, McmcConfig(burn_in=1, samples=10, thin=1), 0
+        (Draw(expr, 0.1, -1.0),), {}, McmcConfig(burn_in=1, samples=10, thin=1)
     )
     post_path = tmp_path / "p.json"
     post_path.write_text(posterior_to_json(post))
@@ -587,7 +596,7 @@ def _hand_posterior(tmp_path, config=None):
         for v in (1.0, 2.0, 1.0, 1.0)
     )
     post_path = tmp_path / "p.json"
-    post_path.write_text(posterior_to_json(Posterior(draws, {}, McmcConfig(), 0)))
+    post_path.write_text(posterior_to_json(Posterior(draws, {}, McmcConfig())))
     if config is not None:
         doc = json.loads(post_path.read_text())
         doc["config"].update(config)
@@ -639,6 +648,9 @@ def test_posterior_with_unknown_config_key_exits_2(capsys, tmp_path):
         (lambda doc: doc.pop("config"), "config"),
         (lambda doc: doc.update(draws={}), "'draws' is a list"),
         (lambda doc: doc.update(seed="x"), "'seed' an integer"),
+        (lambda doc: doc.update(seed=-3), "'seed' -3 is not its config's seed 0"),
+        (lambda doc: doc.update(seed=1, config={**doc["config"], "seed": 99}),
+         "'seed' 1 is not its config's seed 99"),
         (lambda doc: doc["draws"][1].pop("sigma"), "draw 1 is not an object whose"),
         (lambda doc: doc["draws"].__setitem__(2, 5), "draw 2 is not an object whose"),
         (lambda doc: doc["draws"][3].update(theta_c="1.0"), "draw 3 is not an object whose"),
@@ -783,7 +795,7 @@ def test_report_writes_every_dataset_in_the_first_header_order(capsys, tmp_path,
     rng = np.random.default_rng(3)
     draws = tuple(Draw(sample_expression(e_hyp, rng), 0.1, -1.0) for _ in range(3))
     post_path = tmp_path / "p.json"
-    post_path.write_text(posterior_to_json(Posterior(draws, {}, McmcConfig(), 0)))
+    post_path.write_text(posterior_to_json(Posterior(draws, {}, McmcConfig())))
     first = tmp_path / "test1.csv"
     gen_hyperelastic(seed=7)["test1"].to_csv(first)
     rows = [line.split(",") for line in first.read_text().splitlines()]
@@ -850,7 +862,7 @@ def test_report_data_without_rows_exits_2(capsys, tmp_path, monkeypatch, header,
 
 def test_report_target_only_csv_exits_2(capsys, tmp_path):
     post = Posterior((Draw(SymbolicExpression(parse_tree("(* 2 3)")), 0.1, -1.0),), {},
-                     McmcConfig(), 0)
+                     McmcConfig())
     post_path = tmp_path / "p.json"
     post_path.write_text(posterior_to_json(post))
     data_path = tmp_path / "d.csv"

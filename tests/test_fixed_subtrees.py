@@ -49,9 +49,8 @@ def _outcome(draw, seed):
 def _draws(prior, pta, seeds, max_depth):
     """Every outcome of ``sample_tree``, of one attempt at the root and of
     ``sample_from_state`` from each state, in a fixed order."""
-    fixed = prior.graph.fixed_trees()
     out = [_outcome(lambda rng: sample_tree(prior, rng), s) for s in seeds]
-    out += [_outcome(lambda rng: _draw(prior, fixed, rng, (prior.root,), 0)[0], s) for s in seeds]
+    out += [_outcome(lambda rng: _draw(prior, rng, (prior.root,), 0)[0], s) for s in seeds]
     out += [_outcome(lambda rng: sample_from_state(pta, q, rng, max_depth), s)
             for q in range(pta.n_states) for s in seeds]
     return out
@@ -77,7 +76,7 @@ def test_shipped_priors_draw_the_same_without_fixed_tables(all_shipped, monkeypa
 
 def test_shipped_priors_hold_their_fixed_blocks(e_iso, e_hyp):
     for prior in (e_iso, e_hyp):
-        assert max(tree.size for tree, _ in prior.graph.fixed_trees().values()) >= 10
+        assert max(tree.size for tree, _ in prior.graph.fixed.values()) >= 10
         assert max(n for _, _, n in _generation_tables(compile_prior(prior))[1].values()) >= 5
 
 
@@ -85,7 +84,7 @@ def test_shipped_priors_hold_their_fixed_blocks(e_iso, e_hyp):
 def test_a_fixed_block_at_the_depth_bound_draws_as_built(max_depth, monkeypatch):
     prior = build_prior("block", BLOCK, max_depth=max_depth)
     block = parse_tree("(g (g a))")
-    assert block in {tree for tree, _ in prior.graph.fixed_trees().values()}
+    assert block in {tree for tree, _ in prior.graph.fixed.values()}
     assert block in {tree for tree, _, _ in _generation_tables(compile_prior(prior))[1].values()}
     held = _check_unchanged_without_tables(prior, range(40), max_depth, monkeypatch)
     under_f = [out.children[0] is block for out, _ in held

@@ -180,7 +180,7 @@ def _hand_report(root, name):
         for text, theta, sigma in HAND_DRAWS[name]
     )
     posterior = d / "posterior.json"
-    posterior.write_text(posterior_to_json(Posterior(draws, {}, McmcConfig(), 0)))
+    posterior.write_text(posterior_to_json(Posterior(draws, {}, McmcConfig())))
     (d / "data.csv").write_text(HAND_DATA)
     _cli("report", "--posterior", posterior, "--data", d / "data.csv", "--out-dir", d / "report")
     _cli("report", "--posterior", posterior, "--data", d / "data.csv", "--out-dir", d / "noisy",

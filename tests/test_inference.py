@@ -647,7 +647,7 @@ def _merged_oracle(prior, data, config, chains):
     stats = {move: {key: sum(p.accept_stats[move][key] for p in posts) for key in counts}
              for move, counts in posts[0].accept_stats.items()}
     merged_config = replace(posts[0].config, seed=config.seed)
-    return Posterior(tuple(d for p in posts for d in p.draws), stats, merged_config, config.seed)
+    return Posterior(tuple(d for p in posts for d in p.draws), stats, merged_config)
 
 
 @pytest.mark.parametrize("workload", ["ogden", "e1-prior"])
@@ -700,7 +700,7 @@ def test_a_chain_takes_its_depth_from_the_prior_unless_the_config_sets_one():
 def make_posterior(draw_specs):
     draws = tuple(draw_specs)
     cfg = McmcConfig(burn_in=1, samples=10, thin=1)
-    return Posterior(draws, {}, cfg, 0)
+    return Posterior(draws, {}, cfg)
 
 
 def test_single_draw_quantiles_collapse():
@@ -824,7 +824,7 @@ def test_posterior_json_keeps_signed_zeros_of_repeated_draws():
     draws = [Draw(one, 0.5, -1.0), Draw(one, 0.5, -1.0), Draw(one, 0.5, 0.0),
              Draw(one, 0.5, -0.0), Draw(one, 0.25, -0.0), Draw(one, 0.25, 0.0),
              Draw(zero, 0.5, -1.0), Draw(minus, 0.5, -1.0)]
-    text = posterior_to_json(Posterior(tuple(draws), {}, McmcConfig(), 0))
+    text = posterior_to_json(Posterior(tuple(draws), {}, McmcConfig()))
     back = posterior_from_json(text)
     assert back.draws == tuple(draws)
     assert posterior_to_json(back) == text

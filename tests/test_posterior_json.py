@@ -98,14 +98,14 @@ def posteriors(draw):
         else:
             out.append(_flip_zeros(out[-1]))
     config = McmcConfig(seed=draw(st.integers(0, 2**32)), sigma0=draw(st.sampled_from([None, 0.5])))
-    return Posterior(tuple(out), draw(STATS), config, draw(st.integers(0, 2**63)))
+    return Posterior(tuple(out), draw(STATS), config)
 
 
 def oracle(posterior: Posterior) -> str:
     """The writer as it was: the whole document through ``json.dumps(indent=2)``."""
     doc = {
         "config": asdict(posterior.config),
-        "seed": posterior.seed,
+        "seed": posterior.config.seed,
         "draws": [
             {
                 "expr": format_tree(d.expr.tree),
@@ -129,11 +129,11 @@ def test_the_writer_gives_the_bytes_of_an_indent_2_dump(posterior):
 
 
 def test_an_empty_trace_and_a_run_with_signed_zeros():
-    empty = Posterior((), {}, McmcConfig(), 0)
+    empty = Posterior((), {}, McmcConfig())
     assert posterior_to_json(empty) == oracle(empty)
     d = Draw(SymbolicExpression(parse_tree("(* c# (pow x d#))"), (-0.0,), (Fraction(-2, 3),)),
              0.5, -math.inf)
-    post = Posterior((d, d, _flip_zeros(d), d), {}, McmcConfig(), 3)
+    post = Posterior((d, d, _flip_zeros(d), d), {}, McmcConfig(seed=3))
     text = posterior_to_json(post)
     assert text == oracle(post)
     entries = json.loads(text)["draws"]

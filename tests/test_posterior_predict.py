@@ -112,7 +112,7 @@ def posteriors(draw):
             d = Draw(pool[i], draw(SIGMAS), -1.0)
         draws.append(d)
         last[i] = d
-    return Posterior(tuple(draws), {}, McmcConfig(), 0)
+    return Posterior(tuple(draws), {}, McmcConfig())
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -135,7 +135,7 @@ def test_signed_zeros_at_every_order_statistic(n, both):
     counts = rng.multinomial(n, np.full(len(values), 1 / len(values)))
     draws = [Draw(e, 0.1, -1.0) for e, c in zip(exprs, counts) for _ in range(c)]
     rng.shuffle(draws)
-    assert_same_bands(Posterior(tuple(draws), {}, McmcConfig(), 0),
+    assert_same_bands(Posterior(tuple(draws), {}, McmcConfig()),
                       {"x": rng.choice([-0.0, 0.0], size=40)})
 
 
@@ -147,7 +147,7 @@ def test_every_split_of_the_draws_between_two_expressions():
     for n in range(9, 41):  # 2 columns, at least 9 draws: the counted path
         for m in range(1, n):
             draws = tuple(Draw(a if i < m else b, 0.1, -1.0) for i in range(n))
-            assert_same_bands(Posterior(draws, {}, McmcConfig(), 0), x)
+            assert_same_bands(Posterior(draws, {}, McmcConfig()), x)
 
 
 @pytest.mark.parametrize("k", [3, 100, 249, 250, 251, 500, 900, 1000])
@@ -161,7 +161,7 @@ def test_the_counted_quantiles_take_points_with_under_a_quarter_as_many_columns_
     exprs = [SymbolicExpression(tree, (float(c),)) for c in rng.standard_normal(k)]
     picks = np.concatenate([np.arange(k), rng.integers(0, k, 1000 - k)])
     rng.shuffle(picks)
-    post = Posterior(tuple(Draw(exprs[i], 0.1, -1.0) for i in picks), {}, McmcConfig(), 0)
+    post = Posterior(tuple(Draw(exprs[i], 0.1, -1.0) for i in picks), {}, McmcConfig())
     x = {"x": np.linspace(0.5, 3.0, 40)}
     real, rows = np.percentile, []
     monkeypatch.setattr(np, "percentile", lambda a, *rest, **kw: rows.append(len(a)) or
@@ -172,7 +172,7 @@ def test_the_counted_quantiles_take_points_with_under_a_quarter_as_many_columns_
 
 def test_no_draws_is_an_input_error():
     with pytest.raises(InputError, match="no draws"):
-        posterior_predict(Posterior((), {}, McmcConfig(), 0), {"x": np.zeros(3)})
+        posterior_predict(Posterior((), {}, McmcConfig()), {"x": np.zeros(3)})
 
 
 # -- the reference posteriors -------------------------------------------------------------
@@ -261,7 +261,7 @@ def test_the_bands_of_a_repeated_posterior_hold_no_points_by_draws_matrix(monkey
     tree = parse_tree("(* c# x)")
     runs = [(Draw(SymbolicExpression(tree, (c,)), 0.1, -1.0), k)
             for c, k in ((1.0, 500), (2.0, 300), (3.0, 200))]
-    post = Posterior(tuple(d for d, k in runs for _ in range(k)), {}, McmcConfig(), 0)
+    post = Posterior(tuple(d for d, k in runs for _ in range(k)), {}, McmcConfig())
     x = {"x": np.linspace(0.1, 10.0, 2000)}
     post.distinct  # keyed before measuring
     tracemalloc.start()
