@@ -670,6 +670,14 @@ def _counted_percentiles(values, counts):
 # -- serialization ------------------------------------------------------------------------
 
 
+# the writer's layout around and between the entries of the draws list; no JSON string
+# holds a raw newline, so in any document these can only sit between values
+_DRAWS_OPEN = ',\n  "draws": [\n    {\n'
+_DRAW_SEP = '\n    },\n    {\n'
+_DRAWS_CLOSE = '\n    }\n  ],\n  "accept_stats": '
+_DECODER = json.JSONDecoder()
+
+
 def posterior_to_json(posterior: Posterior) -> str:
     """The bytes of ``json.dumps(doc, indent=2)`` for the posterior's document.  Each
     draw object is encoded once, and a draw that is the draw before it (``d is prev``,
@@ -684,24 +692,62 @@ def posterior_to_json(posterior: Posterior) -> str:
         if d is not prev:
             entry, prev = _draw_json(d, posterior.texts[d.expr.tree]), d
         entries.append(entry)
-    draws = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
-    return f'{head[:-2]},\n  "draws": {draws},\n  "accept_stats": {stats}\n}}'
+    if not entries:
+        return f'{head[:-2]},\n  "draws": [],\n  "accept_stats": {stats}\n}}'
+    return f"{head[:-2]}{_DRAWS_OPEN}{_DRAW_SEP.join(entries)}{_DRAWS_CLOSE}{stats}\n}}"
 
 
 def _draw_json(d: Draw, text: str) -> str:
-    """One entry of the draws list, at the depth ``indent=2`` puts it."""
+    """The members of one entry of the draws list, at the depth ``indent=2`` puts them."""
     e, nc, nt = d.expr, len(d.expr.theta_c), len(d.expr.ties)
     items = json.dumps([*e.theta_c, *e.ties, *map(str, e.theta_d), d.sigma, d.log_post])
     items = items[1:-1].split(", ")  # no item holds ", ": numbers, and Fractions as strings
     theta_c, ties, theta_d = ("[\n        " + ",\n        ".join(xs) + "\n      ]" if xs else "[]"
                               for xs in (items[:nc], items[nc:nc + nt], items[nc + nt:-2]))
-    return (f'    {{\n      "expr": {json.dumps(text)},\n      "theta_c": {theta_c},\n'
+    return (f'      "expr": {json.dumps(text)},\n      "theta_c": {theta_c},\n'
             f'      "theta_d": {theta_d},\n      "ties": {ties},\n      "sigma": {items[-2]},\n'
-            f'      "log_post": {items[-1]}\n    }}')
+            f'      "log_post": {items[-1]}')
+
+
+def _load_posterior(text: str):
+    """``json.loads(text)``, decoding a run of draw entries with equal text once, as one
+    dict object, when the text has the writer's layout.  Each entry is compared with the
+    text of the one before; the head, the tail and each entry that differs are decoded
+    alone.  If one of them is not exactly one object between the layout's markers, the
+    whole text is decoded as one document instead, so any other text gives json's own
+    result or error."""
+    start, end = text.find(_DRAWS_OPEN), text.rfind(_DRAWS_CLOSE)
+    try:
+        if not 0 <= start < end:
+            raise ValueError("not the writer's layout")
+        # the head parses with "}" after it only if the marker's comma ends a member of
+        # the top-level object; the tail starts at the "accept_stats" key
+        head = json.loads(text[:start] + "}")
+        tail = json.loads("{" + text[end + _DRAWS_CLOSE.index('"accept_stats"'):])
+        if not head:
+            raise ValueError("not the writer's layout")
+        entries, body, pos = [], "", start + len(_DRAWS_OPEN)
+        while True:
+            # a repeat is the text of the entry before, then a separator or the closing marker
+            stop = pos + len(body)
+            if not (entries and text.startswith(body, pos)
+                    and (stop == end or text.startswith(_DRAW_SEP, stop, end))):
+                # decoded from its "{", an entry must end at the "}" that starts a marker
+                entry, at = _DECODER.raw_decode(text, pos - 2)
+                stop = at - 6
+                if stop != end and not text.startswith(_DRAW_SEP, stop, end):
+                    raise ValueError("an entry is not one object")
+                body = text[pos:stop]
+            entries.append(entry)
+            if stop == end:
+                return {**head, "draws": entries, **tail}
+            pos = stop + len(_DRAW_SEP)
+    except (ValueError, RecursionError):
+        return json.loads(text)
 
 
 def posterior_from_json(text: str) -> Posterior:
-    doc = json.loads(text)
+    doc = _load_posterior(text)
     if not isinstance(doc, dict) or not isinstance(doc.get("config"), dict):
         raise InputError("a posterior is a JSON object with a 'config' object")
     missing = [key for key in ("config", "seed", "draws", "accept_stats") if key not in doc]
@@ -719,6 +765,9 @@ def posterior_from_json(text: str) -> Posterior:
     trees: dict = {}  # each distinct expression text is parsed once
     draws, prev = [], None
     for i, entry in enumerate(doc["draws"]):
+        if entry is prev and draws:  # one dict for a run; a null first entry is not prev
+            draws.append(draws[-1])
+            continue
         if (type(entry) is not dict
                 or tuple(map(type, map(entry.get, _DRAW_KEYS))) not in _DRAW_TYPES
                 or not set(map(type, entry["theta_c"])) <= {int, float}
@@ -726,10 +775,6 @@ def posterior_from_json(text: str) -> Posterior:
                 or not set(map(type, entry["ties"])) <= {int}):
             raise InputError(f"draw {i} is not an object whose {', '.join(_DRAW_KEYS)} are a "
                              "string, lists of numbers, strings and integers, and two numbers")
-        # a repeat of the previous draw is that draw, unless a zero could differ in sign
-        if entry == prev and 0 not in (entry["log_post"], *entry["theta_c"]):
-            draws.append(draws[-1])
-            continue
         prev = entry
         try:
             tree = trees.get(entry["expr"])

@@ -626,6 +626,11 @@ class PriorSpec:
         undeclared = sorted(set(self.shared) - declared)
         if undeclared:
             raise InputError(f"shared tags that are not declared markers: {undeclared}")
+        anchors = {(s.name, s.rank) for s in used}
+        unmatched = sorted(tag for tag, anchor in self.shared.items() if anchor not in anchors)
+        if unmatched:  # no node would anchor them, so each tag would tie all its markers
+            raise InputError(
+                f"shared tags whose anchor no symbol of the expression has: {unmatched}")
         leaves = {RankedSymbol(v, 0) for v in self.variables}
         unreadable = sorted(s.name for s in leaves if is_numeric_literal(s) or s.name.endswith("#"))
         if unreadable:  # evaluation reads such a leaf as a literal or a parameter, never a column
@@ -762,8 +767,14 @@ def prte_density(prior: PriorSpec, tree: Tree):
         return sum((w * at[sid] for sid, w in graph.reach[id(expr)].items() if sid in at),
                    Fraction(0))
 
-    for _, node in reversed(list(tree.walk())):  # a node after all of its descendants
+    stack = [(tree, False)]  # post-order: a node pushes its children only when first met
+    while stack:
+        node, ready = stack.pop()
         if node in emitted:
+            continue
+        if not ready:
+            stack.append((node, True))
+            stack.extend((child, False) for child in node.children)
             continue
         at = emitted[node] = {}
         for site in sites_of.get(node.symbol, ()):

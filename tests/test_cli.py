@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from treegress.cli import main
-from treegress.inference import Draw, McmcConfig, Posterior, posterior_to_json
+from treegress.inference import (
+    Draw,
+    McmcConfig,
+    Posterior,
+    posterior_from_json,
+    posterior_to_json,
+)
 from treegress.prte import build_prior
 from treegress.trees import SymbolicExpression, parse_tree
 
@@ -70,6 +76,14 @@ MARKED = {"name": "t", "expression": "choice{ 1/2: k#, 1/2: b }",
                    "markers": {"x#": {"dist": "exp", "rate": 1}},
                    "shared": {"y#": {"anchor": "zz", "rank": 2}}},
          "shared tags that are not declared markers: ['y#']"),
+        ("prior", {**MARKED, "expression": "f(x#, x#)",
+                   "markers": {"x#": {"dist": "exp", "rate": 1}},
+                   "shared": {"x#": {"anchor": "zz", "rank": 2}}},
+         "shared tags whose anchor no symbol of the expression has: ['x#']"),
+        ("prior", {**MARKED, "expression": "f(x#, x#)",
+                   "markers": {"x#": {"dist": "exp", "rate": 1}},
+                   "shared": {"x#": {"anchor": "f", "rank": 1}}},
+         "shared tags whose anchor no symbol of the expression has: ['x#']"),
         ("prior", {**MARKED, "variables": ["x", "2"]},
          "variables that name a number or a marker: ['2']"),
         ("prior", {**MARKED, "variables": ["k#"]},
@@ -93,9 +107,10 @@ MARKED = {"name": "t", "expression": "choice{ 1/2: k#, 1/2: b }",
     ],
     ids=["prior-not-object", "expression-5", "max-depth-deep", "markers-list", "exp-no-rate",
          "support-a", "shared-5", "anchor-no-rank", "variables-ab", "shared-undeclared",
-         "variable-number", "variable-marker", "name-5", "max-depth-true",
-         "max-depth-2.7", "rate-inf", "rate-nan", "stddev-nan", "mean-inf", "config-list",
-         "tau-nan", "train-5", "prior-list", "out-null", "seed-negative", "tau-tiny"],
+         "anchor-unknown", "anchor-wrong-rank", "variable-number", "variable-marker", "name-5",
+         "max-depth-true", "max-depth-2.7", "rate-inf", "rate-nan", "stddev-nan", "mean-inf",
+         "config-list", "tau-nan", "train-5", "prior-list", "out-null", "seed-negative",
+         "tau-tiny"],
 )
 def test_malformed_prior_or_run_config_exits_2(capsys, tmp_path, kind, doc, message):
     path = tmp_path / f"{kind}.json"
@@ -569,6 +584,30 @@ def test_report_hand_computed_three_draws(capsys, tmp_path):
     assert float(row[2]) == pytest.approx(math.sqrt(2 / 9))
 
 
+def test_report_reads_the_writer_layout_and_compact_json_alike(capsys, fitted):
+    # the fit's draws, then a run of one state whose zero changes sign in its middle
+    tmp_path, data_dir, _, out, _ = fitted
+    fit = posterior_from_json(out.read_text())
+    d = Draw(SymbolicExpression(parse_tree("(+ c# (* c# c))"), theta_c=(-0.0, 0.5)), 0.1, -1.0)
+    e = Draw(SymbolicExpression(d.expr.tree, theta_c=(0.0, 0.5)), 0.1, -1.0)
+    post = Posterior(fit.draws + (d, d, e, d, d), fit.accept_stats, fit.config)
+    writer = posterior_to_json(post)
+    outputs = []
+    for name, text in (("writer", writer), ("compact", json.dumps(json.loads(writer)))):
+        post_path, report_dir = tmp_path / f"{name}.json", tmp_path / name
+        post_path.write_text(text)
+        code, _, err = run_cli(
+            capsys, "report", "--posterior", str(post_path),
+            "--data", str(data_dir / "test1.csv"), str(data_dir / "test3.csv"),
+            "--out-dir", str(report_dir),
+        )
+        assert code == 0, err
+        outputs.append([(report_dir / f).read_bytes() for f in ("metrics.csv", "bands.csv")])
+    assert outputs[0] == outputs[1]
+    signs = [math.copysign(1, x.expr.theta_c[0]) for x in posterior_from_json(writer).draws[-5:]]
+    assert signs == [-1, -1, 1, -1, -1]
+
+
 def test_report_flags_dead_points(capsys, tmp_path):
     expr = SymbolicExpression(parse_tree("(/ 1 c)"))
     post = Posterior(
@@ -669,6 +708,7 @@ def test_posterior_with_unknown_config_key_exits_2(capsys, tmp_path):
          "draw 2: sigma must be positive and finite"),
         (lambda doc: doc["draws"][3].update(sigma=math.inf),
          "draw 3: sigma must be positive and finite"),
+        (lambda doc: doc["draws"].__setitem__(0, None), "draw 0 is not an object whose"),
     ],
 )
 def test_malformed_posterior_exits_2(capsys, tmp_path, edit, message):
@@ -677,15 +717,19 @@ def test_malformed_posterior_exits_2(capsys, tmp_path, edit, message):
     post_path = _hand_posterior(tmp_path)
     doc = json.loads(post_path.read_text())
     edit(doc)
-    post_path.write_text(json.dumps(doc))
-    code, _, err = run_cli(
-        capsys, "report", "--posterior", str(post_path),
-        "--data", str(data_path), "--out-dir", str(tmp_path / "rep"),
-    )
-    assert code == 2
-    doc = json.loads(err.strip())
-    assert doc["error"] == "InputError"
-    assert message in doc["message"]
+    errors = []
+    # compact, and in the writer's layout, which the reader splits at its draws
+    for indent in (None, 2):
+        post_path.write_text(json.dumps(doc, indent=indent))
+        code, _, err = run_cli(
+            capsys, "report", "--posterior", str(post_path),
+            "--data", str(data_path), "--out-dir", str(tmp_path / "rep"),
+        )
+        assert code == 2
+        errors.append(json.loads(err.strip()))
+    assert errors[0] == errors[1]
+    assert errors[0]["error"] == "InputError"
+    assert message in errors[0]["message"]
 
 
 @pytest.mark.parametrize(

@@ -1,20 +1,27 @@
-"""The posterior writer against ``json.dumps(doc, indent=2)``.
+"""The posterior writer against ``json.dumps(doc, indent=2)``, and the reader
+against ``json.loads``.
 
 ``posterior_to_json`` lays each draw out by hand and encodes a repeated draw
 object once.  The document it writes must be the bytes the plain indent-2
 dump of the same document gives, which is the layout the reference SHAs pin.
 The chain records a run of one state as one ``Draw`` object, repeated.
+
+``posterior_from_json`` decodes a run of equal entries once when the text has
+the writer's layout; on any text, edited or not, its document must be the one
+``json.loads`` gives, or it must raise the same error.
 """
 
 import hashlib
 import json
 import math
+import re
 from dataclasses import asdict
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treegress.inference
 from treegress.cli import _print_fit_summary
 from treegress.experiments import gen_isotherm
 from treegress.inference import (
@@ -22,7 +29,9 @@ from treegress.inference import (
     Draw,
     McmcConfig,
     Posterior,
+    _load_posterior,
     eval_key,
+    posterior_from_json,
     posterior_to_json,
     run_chains,
 )
@@ -171,3 +180,131 @@ def test_the_reference_langmuir_chain_records_one_draw_per_run(e_iso, capsys, mo
     summary = capsys.readouterr().out
     assert hashlib.sha256(summary.encode()).hexdigest() == (
         "530413e705ea6c4a8a8dc044de96a99b33900cc2d28e6b1e545f02f6887227a6")
+
+
+# -- the reader -------------------------------------------------------------------
+
+# the writer's layout around and between draw entries, as indent=2 puts it
+DRAWS_OPEN = ',\n  "draws": [\n    {\n'
+DRAW_SEP = '\n    },\n    {\n'
+DRAWS_CLOSE = '\n    }\n  ],\n  "accept_stats": '
+# a number an entry holds, as a list item or a field value
+NUMBER = re.compile(r"(?<= )-?(?:Infinity|NaN|\d[\d.eE+-]*)(?=,\n|\n|\Z)")
+ZERO = re.compile(r"(?<= )-?0\.0(?=,\n|\n|\Z)")
+
+
+def _outcome(load, text):
+    """What ``load`` gives for the text: the document as json writes it (which tells
+    -0.0, NaN, 1 and 1.0 apart), or the type and message of its error."""
+    try:
+        return json.dumps(load(text))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def edited_posteriors(draw):
+    """A writer output, edited: a space or newline inserted, a character deleted, a
+    field of one entry (one that repeats the entry before it, where there is one)
+    given another value, a zero's sign swapped, ``true`` in place of a number, or a
+    second "draws" key in the tail."""
+    text = posterior_to_json(draw(posteriors()))
+    kind = draw(st.sampled_from(["insert", "delete", "field", "zero", "true", "tail-draws"]))
+    if kind == "insert":
+        at = draw(st.integers(0, len(text)))
+        return text[:at] + draw(st.sampled_from([" ", "\n"])) + text[at:]
+    if kind == "delete":
+        at = draw(st.integers(0, len(text) - 1))
+        return text[:at] + text[at + 1:]
+    if kind == "tail-draws":
+        return text[:-2] + ',\n  "draws": ' + draw(st.sampled_from(["null", "[]", "{}"])) + "\n}"
+    if DRAWS_OPEN not in text:
+        return text
+    head, rest = text.split(DRAWS_OPEN)
+    body, tail = rest.split(DRAWS_CLOSE)
+    entries = body.split(DRAW_SEP)
+    runs = [j for j in range(1, len(entries)) if entries[j] == entries[j - 1]]
+    j = draw(st.sampled_from(runs or range(len(entries))))
+    entry = entries[j]
+    if kind == "field":
+        field = draw(st.sampled_from(["expr", "sigma", "log_post", "ties"]))
+        value = draw(st.sampled_from(['"x"', "0.25", "-0.0", "1e400", "[]", "[1.5]"]))
+        entry = re.sub(rf'(?<="{field}": )[^\n]*?(?=,\n|\Z)', lambda _: value, entry, count=1)
+    elif kind == "zero":
+        entry = ZERO.sub(lambda m: m[0][1:] if m[0][0] == "-" else "-" + m[0], entry, count=1)
+    else:
+        numbers = list(NUMBER.finditer(entry))
+        if numbers:
+            m = draw(st.sampled_from(numbers))
+            entry = entry[:m.start()] + "true" + entry[m.end():]
+    entries[j] = entry
+    return head + DRAWS_OPEN + DRAW_SEP.join(entries) + DRAWS_CLOSE + tail
+
+
+def _read_and_write(text):
+    return posterior_to_json(posterior_from_json(text))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.one_of(posteriors().map(posterior_to_json), edited_posteriors()))
+def test_the_reader_decodes_as_json_loads(text):
+    assert _outcome(_load_posterior, text) == _outcome(json.loads, text)
+    # and a valid document gives the posterior, or the error, its compact dump gives
+    try:
+        compact = json.dumps(json.loads(text))
+    except ValueError:
+        return
+    assert _outcome(_read_and_write, text) == _outcome(_read_and_write, compact)
+
+
+def _count_entry_decodes(monkeypatch) -> list:
+    """Patch the reader's entry decoder to record where it starts each decode."""
+    decoder, starts = treegress.inference._DECODER, []
+
+    class Spy:
+        def raw_decode(self, s, idx):
+            starts.append(idx)
+            return decoder.raw_decode(s, idx)
+
+    monkeypatch.setattr(treegress.inference, "_DECODER", Spy())
+    return starts
+
+
+def test_the_reader_falls_back_on_edges_of_the_layout():
+    d = Draw(SymbolicExpression(parse_tree("(* c# x)"), (1.5,)), 0.5, -1.0)
+    text = posterior_to_json(Posterior((d, d), {}, McmcConfig()))
+    start = text.index(DRAWS_OPEN)
+    edges = {
+        "no head": "{" + text[start:],  # "{," is not JSON
+        "draws in the tail": text[:-2] + ',\n  "draws": null\n}',
+        # valid JSON, but the first entry ends before the marker that follows it
+        "two entries in one": text.replace(DRAW_SEP, "\n    }, {\n"),
+        "one entry in two": text.replace('"theta_c": [', '"theta_c": [' + DRAW_SEP, 1),
+        # an empty last entry: a separator that runs into the closing marker
+        "empty last entry": text.replace(DRAWS_CLOSE, DRAW_SEP[:-1] + DRAWS_CLOSE),
+        "a bad separator": text.replace(DRAW_SEP, "\n    };\n    {\n"),
+        "an entry that extends the one before": posterior_to_json(
+            Posterior((d, Draw(d.expr, d.sigma, -1.05)), {}, McmcConfig())),
+        # not JSON; past the text of the entry before, an object starts 12 bytes on
+        "an entry that extends the one before, unclosed":
+            text.replace(DRAWS_CLOSE, ',\n     "x": {"y": 1' + DRAWS_CLOSE),
+    }
+    for name, edited in edges.items():
+        assert _outcome(_load_posterior, edited) == _outcome(json.loads, edited), name
+
+
+def test_the_reader_decodes_each_run_of_the_writer_once(monkeypatch):
+    # a writer posterior of 4 runs; only a run decoded once is one object
+    a, b, c = (Draw(SymbolicExpression(parse_tree("(* c# x)"), (v,)), 0.5, -1.0)
+               for v in (1.0, 2.0, 3.0))
+    post = Posterior((a, a, a, b, a, a, c, c, c), {}, McmcConfig())
+    text = posterior_to_json(post)
+    assert text.count(DRAWS_OPEN) == text.count(DRAWS_CLOSE) == 1
+    assert text.count(DRAW_SEP) == len(post.draws) - 1
+
+    decoded = _count_entry_decodes(monkeypatch)
+    back = posterior_from_json(text)
+    assert len(decoded) == 4
+    assert [d is prev for prev, d in zip(back.draws, back.draws[1:])] == [
+        True, True, False, False, True, False, True, True]
+    assert posterior_to_json(back) == text

@@ -11,6 +11,7 @@ agree with the library exactly: the same tree objects, generator states and
 errors for every draw, and equal Fractions for every density.
 """
 
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -258,6 +259,20 @@ def test_density_of_a_tree_with_repeated_subtrees():
         tree = Tree(plus, (tree, tree))
     assert tree.size == 2**11 - 1
     assert prte_density(prior, tree) == _density_oracle(prior, tree) == Fraction(1, 2**tree.size)
+
+
+def test_density_of_a_deep_complete_tree_scores_each_distinct_node_once():
+    # depth 18: 524,287 occurrences of 19 distinct nodes; a pass over every
+    # occurrence took over half a second
+    prior = build_prior("doubling", "iter $x { choice{ 1/2: +($x, $x), 1/2: a } }")
+    plus, tree = RankedSymbol("+", 2), Tree(RankedSymbol("a", 0))
+    expected = Fraction(1, 2)  # D_0, the leaf; D_d = D_{d-1}^2 / 2
+    for _ in range(18):
+        tree, expected = Tree(plus, (tree, tree)), expected ** 2 / 2
+    start = time.perf_counter()
+    p = prte_density(prior, tree)
+    assert time.perf_counter() - start < 0.2
+    assert p == expected == Fraction(1, 2**tree.size)
 
 
 def test_density_of_a_deep_comb():
