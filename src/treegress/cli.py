@@ -21,9 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, RuntimeFailure, TreegressError
+from .errors import InputError, RuntimeFailure, TreegressError, json_object
 from .experiments import gen_hyperelastic, gen_isotherm, prior_documents, read_dataset, rmse
 from .inference import (
+    CONFIG_KEYS,
     Draw,
     McmcConfig,
     Posterior,
@@ -37,12 +38,12 @@ from .prte import PriorSpec, format_prte, load_prior, prte_density, sample_expre
 from .pta import compile_prior, pta_eval
 from .trees import eval_expression, parse_tree  # eval_expression: bench/spans.py looks it up here
 
-_MCMC_FIELDS = set(McmcConfig.__dataclass_fields__)
-_RUN_CONFIG_EXTRA = {"prior", "train", "out"}
+# prior, train and out each name a path, or the prior a library prior
+_RUN_CONFIG_KEYS = {**CONFIG_KEYS, "prior": (str,), "train": (str,), "out": (str,)}
 _BANDS = ("mean", "q05", "q50", "q95")  # the posterior_predict columns that bands.csv holds
 # input problems, exit 2; any other OSError, such as a full disk, exits 3
 _INPUT_FAULTS = (InputError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
-                 FileExistsError, UnicodeDecodeError, json.JSONDecodeError)
+                 FileExistsError, UnicodeDecodeError)
 
 
 def _resolve_seed(args):
@@ -160,35 +161,17 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _load_run_config(path, seed_override) -> tuple:
-    """Run configuration: the MCMC fields plus optional prior/train/out
-    references.  Unknown keys are rejected; referenced paths must exist."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise InputError("a run config file holds one JSON object")
-    unknown = set(doc) - _MCMC_FIELDS - _RUN_CONFIG_EXTRA
-    if unknown:
-        raise InputError(f"unknown config keys: {sorted(unknown)}")
-    refs = {k: doc.pop(k) for k in list(doc) if k in _RUN_CONFIG_EXTRA}
-    bad = sorted(k for k, v in refs.items() if not isinstance(v, str))
-    if bad:
-        raise InputError(f"config keys {bad} must be strings (a path or a library prior name)")
-    if "train" in refs and not Path(refs["train"]).exists():
-        raise InputError(f"train file {refs['train']} does not exist")
-    if seed_override is not None:
-        doc["seed"] = seed_override
-    config = McmcConfig(**doc)
-    return config, refs
-
-
 def cmd_fit(args) -> int:
     if args.chains < 1:
         raise InputError(f"--chains must be at least 1, got {args.chains}")
-    config, refs = _load_run_config(args.config, args.seed)
-    prior_ref = args.prior or refs.get("prior")
-    train_ref = args.train or refs.get("train")
-    out_ref = args.out or refs.get("out")
+    doc = json_object(Path(args.config).read_text(encoding="utf-8"), "run config", _RUN_CONFIG_KEYS)
+    refs = {key: doc.pop(key, None) for key in ("prior", "train", "out")}
+    if args.seed is not None:
+        doc["seed"] = args.seed
+    config = McmcConfig(**doc)
+    prior_ref = args.prior or refs["prior"]
+    train_ref = args.train or refs["train"]
+    out_ref = args.out or refs["out"]
     if not (prior_ref and train_ref and out_ref):
         raise InputError("fit needs a prior, a train csv, and an output path")
     out = Path(out_ref)  # checked before the chain runs, not after

@@ -46,6 +46,7 @@ from .errors import (
     InputError,
     RuntimeFailure,
     SizeMismatch,
+    json_object,
 )
 from .prte import PriorSpec, compute_ties, group_tags
 from .prte import sample_expression, sample_tree
@@ -79,6 +80,8 @@ _FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool,
 # a posterior draw's keys and the JSON types of their values (a number is an int or a float)
 _DRAW_KEYS = ("expr", "theta_c", "theta_d", "ties", "sigma", "log_post")
 _DRAW_TYPES = {(str, list, list, list, s, p) for s in (int, float) for p in (int, float)}
+# a posterior's keys, all required
+_POSTERIOR_KEYS = {"config": (dict,), "seed": (int,), "draws": (list,), "accept_stats": (dict,)}
 
 
 @dataclass(frozen=True)
@@ -131,6 +134,10 @@ class McmcConfig:
 
     def move_mix(self):
         return dict(zip(MOVES, (self.p_global, self.p_local, self.p_param, self.p_sigma)))
+
+
+# the keys of a config object in a JSON input, with any value: McmcConfig checks its fields
+CONFIG_KEYS = dict.fromkeys(McmcConfig.__dataclass_fields__)
 
 
 @dataclass(frozen=True)
@@ -747,18 +754,8 @@ def _load_posterior(text: str):
 
 
 def posterior_from_json(text: str) -> Posterior:
-    doc = _load_posterior(text)
-    if not isinstance(doc, dict) or not isinstance(doc.get("config"), dict):
-        raise InputError("a posterior is a JSON object with a 'config' object")
-    missing = [key for key in ("config", "seed", "draws", "accept_stats") if key not in doc]
-    if missing:
-        raise InputError(f"posterior lacks the keys {missing}")
-    unknown = set(doc["config"]) - set(McmcConfig.__dataclass_fields__)
-    if unknown:
-        raise InputError(f"unknown config keys in posterior: {sorted(unknown)}")
-    config = McmcConfig(**doc["config"])
-    if type(doc["draws"]) is not list or type(doc["seed"]) is not int:
-        raise InputError("a posterior's 'draws' is a list and its 'seed' an integer")
+    doc = json_object(text, "posterior", _POSTERIOR_KEYS, _POSTERIOR_KEYS, loads=_load_posterior)
+    config = McmcConfig(**json_object(doc["config"], "posterior config", CONFIG_KEYS))
     if doc["seed"] != config.seed:  # the writer records the config's seed there
         raise InputError(
             f"the posterior's 'seed' {doc['seed']} is not its config's seed {config.seed}")

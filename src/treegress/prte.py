@@ -18,7 +18,6 @@ computed exactly in rational arithmetic: every choice weight is a Fraction.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from bisect import bisect_right
@@ -36,6 +35,7 @@ from .errors import (
     PrteSyntaxError,
     UnboundVariable,
     WeightSumError,
+    json_object,
 )
 from .trees import (
     RankedAlphabet,
@@ -808,15 +808,13 @@ def build_prior(
     exactly the symbols used plus the declared input variables."""
     expr = _parse(expression)
     marker_priors = {tag: _marker_from_dict(tag, spec) for tag, spec in (markers or {}).items()}
-    shared_anchors = {}
-    for tag, anchor in (shared or {}).items():
-        pair = (anchor.get("anchor"), anchor.get("rank")) if type(anchor) is dict else None
-        if pair is None or type(pair[0]) is not str or type(pair[1]) is not int:
-            raise InputError(f"shared tag '{tag}': {anchor!r} is not an anchor name and rank")
-        shared_anchors[tag] = pair
+    anchors = {tag: json_object(spec, f"shared tag '{tag}'", _ANCHOR_KEYS, _ANCHOR_KEYS)
+               for tag, spec in (shared or {}).items()}
     try:
         support = tuple(Fraction(str(v)) for v in theta_d_support)
-    except (ValueError, ZeroDivisionError) as exc:
+        for v in support:
+            float(v)  # a value evaluates as a float, so it must have a finite one
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"theta_d_support: {exc}") from exc
     return PriorSpec(
         name=name,
@@ -824,65 +822,42 @@ def build_prior(
         max_depth=max_depth,
         markers=marker_priors,
         theta_d_support=support,
-        shared=shared_anchors,
+        shared={tag: (a["anchor"], a["rank"]) for tag, a in anchors.items()},
         variables=tuple(variables),
     )
 
 
-_MARKER_PARAMS = {"exp": ("rate",), "normal": ("mean", "stddev")}
+# per marker distribution, and for a shared anchor: the keys of its object, all required
+_MARKER_KEYS = {"exp": {"dist": (str,), "rate": (float,)},
+                "normal": {"dist": (str,), "mean": (float,), "stddev": (float,)}}
+_ANCHOR_KEYS = {"anchor": (str,), "rank": (int,)}
 
 
 def _marker_from_dict(tag: str, spec: dict) -> MarkerPrior:
     kind = spec.get("dist")
-    params = _MARKER_PARAMS.get(kind) if type(kind) is str else None
-    if params is None:
+    keys = _MARKER_KEYS.get(kind) if type(kind) is str else None
+    if keys is None:
         raise InputError(f"marker '{tag}': unknown distribution {kind!r}")
-    values = [spec.get(param) for param in params]
-    if not all(type(v) in (int, float) for v in values):
-        raise InputError(f"marker '{tag}': the {kind} prior needs numbers for {', '.join(params)}")
-    return MarkerPrior(kind, **{param: float(v) for param, v in zip(params, values)})
+    spec = json_object(spec, f"marker '{tag}'", keys, keys)
+    return MarkerPrior(kind, **{key: float(spec[key]) for key in keys if key != "dist"})
 
 
-# per prior file key: the JSON type of its value and of the items of a list
-# or the values of an object
-_PRIOR_FILE_TYPES = {
-    "name": (str, ()),
-    "expression": (str, ()),
-    "variables": (list, (str,)),
-    "markers": (dict, (dict,)),
-    "theta_d_support": (list, (int, float, str)),
-    "max_depth": (int, ()),
-    "shared": (dict, ()),
+# per prior file key, which names the parameter of build_prior it fills: the JSON
+# type of its value, and of the items of a list or the values of an object
+_PRIOR_FILE_KEYS = {
+    "name": (str,),
+    "expression": (str,),
+    "variables": (list, str),
+    "markers": (dict, dict),
+    "theta_d_support": (list, float, str),
+    "max_depth": (int,),
+    "shared": (dict, dict),
 }
 
 
 def load_prior(source) -> PriorSpec:
-    """Load a prior from a JSON file path or an already-parsed dict.  A
-    document that is not an object, or a key of the wrong JSON type, raises
-    InputError; ``build_prior`` checks the markers, anchors and support."""
-    doc = source
+    """Load a prior from a JSON file path or an already-parsed dict.  ``json_object``
+    checks its keys and their JSON types; ``build_prior`` checks the values."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise InputError("a prior file holds one JSON object")
-    unknown = set(doc) - set(_PRIOR_FILE_TYPES)
-    if unknown:
-        raise InputError(f"unknown prior file keys: {sorted(unknown)}")
-    if "name" not in doc or "expression" not in doc:
-        raise InputError("prior file needs 'name' and 'expression'")
-    for key, (kind, items) in _PRIOR_FILE_TYPES.items():
-        value = doc.get(key, kind())
-        inner = value.values() if type(value) is dict else value
-        if type(value) is not kind or (items and not all(type(v) in items for v in inner)):
-            of = f" of {' or '.join(t.__name__ for t in items)}" if items else ""
-            raise InputError(f"prior file key '{key}' must be of type {kind.__name__}{of}")
-    return build_prior(
-        name=doc["name"],
-        expression=doc["expression"],
-        variables=doc.get("variables", ()),
-        markers=doc.get("markers", {}),
-        theta_d_support=doc.get("theta_d_support", ()),
-        max_depth=doc.get("max_depth", DEFAULT_MAX_DEPTH),
-        shared=doc.get("shared", {}),
-    )
+        source = Path(source).read_text(encoding="utf-8")
+    return build_prior(**json_object(source, "prior file", _PRIOR_FILE_KEYS, ("name", "expression")))

@@ -149,12 +149,6 @@ class Tree:
 
     # -- address arithmetic ----------------------------------------------
 
-    def node_at(self, address) -> "Tree":
-        node = self
-        for i in address:
-            node = node.children[i - 1]
-        return node
-
     def replace_at(self, address, subtree: "Tree") -> "Tree":
         """The tree with ``subtree`` at ``address``: one new node at most per
         level of the path, every subtree off the path shared with this tree."""

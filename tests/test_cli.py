@@ -67,10 +67,12 @@ MARKED = {"name": "t", "expression": "choice{ 1/2: k#, 1/2: b }",
         ("prior", {**MARKED, "expression": 5}, "'expression'"),
         ("prior", {**MARKED, "max_depth": "deep"}, "'max_depth'"),
         ("prior", {**MARKED, "markers": [1]}, "'markers'"),
-        ("prior", {**MARKED, "markers": {"k#": {"dist": "exp"}}}, "numbers for rate"),
+        ("prior", {**MARKED, "markers": {"k#": {"dist": "exp"}}},
+         "marker 'k#': missing keys ['rate']"),
         ("prior", {**MARKED, "theta_d_support": ["a"]}, "theta_d_support"),
-        ("prior", {**MARKED, "shared": {"a#": 5}}, "anchor name and rank"),
-        ("prior", {**MARKED, "shared": {"k#": {"anchor": "+"}}}, "anchor name and rank"),
+        ("prior", {**MARKED, "shared": {"a#": 5}}, "key 'shared' must be of type dict of dict"),
+        ("prior", {**MARKED, "shared": {"k#": {"anchor": "+"}}},
+         "shared tag 'k#': missing keys ['rank']"),
         ("prior", {**MARKED, "variables": "ab"}, "'variables'"),
         ("prior", {**MARKED, "expression": "f(x#, x#)",
                    "markers": {"x#": {"dist": "exp", "rate": 1}},
@@ -99,18 +101,29 @@ MARKED = {"name": "t", "expression": "choice{ 1/2: k#, 1/2: b }",
          "finite"),
         ("config", [], "one JSON object"),
         ("config", {"tau": math.nan}, "tau must be finite"),
-        ("config", {"train": 5}, "['train'] must be strings"),
-        ("config", {"prior": ["E_iso"]}, "['prior'] must be strings"),
-        ("config", {"out": None, "train": "x.csv"}, "['out'] must be strings"),
+        ("config", {"train": 5}, "run config: key 'train' must be of type str"),
+        ("config", {"prior": ["E_iso"]}, "run config: key 'prior' must be of type str"),
+        ("config", {"out": None, "train": "x.csv"}, "run config: key 'out' must be of type str"),
         ("config", {"seed": -1}, "seed must be non-negative"),
         ("config", {"tau": 1e-310}, "tau at least"),
+        # no float has the value, which fit would evaluate
+        ("prior", {**MARKED, "theta_d_support": ["1/2", "1e400"]}, "theta_d_support"),
+        ("prior", {**MARKED, "theta_d_support": [10 ** 400]}, "theta_d_support"),
+        ("prior", {**MARKED, "markers": {"k#": {"dist": "exp", "rate": 1, "mean": 3}}},
+         "marker 'k#': unknown keys ['mean']"),
+        ("prior", {**MARKED, "expression": "f(x#, x#)",
+                   "markers": {"x#": {"dist": "exp", "rate": 1}},
+                   "shared": {"x#": {"anchor": "f", "rank": 2, "depth": 1}}},
+         "shared tag 'x#': unknown keys ['depth']"),
+        ("prior", {**MARKED, "seed": 3}, "prior file: unknown keys ['seed']"),
     ],
     ids=["prior-not-object", "expression-5", "max-depth-deep", "markers-list", "exp-no-rate",
          "support-a", "shared-5", "anchor-no-rank", "variables-ab", "shared-undeclared",
          "anchor-unknown", "anchor-wrong-rank", "variable-number", "variable-marker", "name-5",
          "max-depth-true", "max-depth-2.7", "rate-inf", "rate-nan", "stddev-nan", "mean-inf",
          "config-list", "tau-nan", "train-5", "prior-list", "out-null", "seed-negative",
-         "tau-tiny"],
+         "tau-tiny", "support-1e400", "support-10**400", "marker-unknown-key", "anchor-unknown-key",
+         "prior-unknown-key"],
 )
 def test_malformed_prior_or_run_config_exits_2(capsys, tmp_path, kind, doc, message):
     path = tmp_path / f"{kind}.json"
@@ -685,8 +698,9 @@ def test_posterior_with_unknown_config_key_exits_2(capsys, tmp_path):
         (lambda doc: doc["config"].update(burn_in="x"), "burn_in"),
         (lambda doc: doc.pop("draws"), "draws"),
         (lambda doc: doc.pop("config"), "config"),
-        (lambda doc: doc.update(draws={}), "'draws' is a list"),
-        (lambda doc: doc.update(seed="x"), "'seed' an integer"),
+        (lambda doc: doc.update(draws={}), "'draws' must be of type list"),
+        (lambda doc: doc.update(seed="x"), "'seed' must be of type int"),
+        (lambda doc: doc.update(diagnostics={}), "posterior: unknown keys ['diagnostics']"),
         (lambda doc: doc.update(seed=-3), "'seed' -3 is not its config's seed 0"),
         (lambda doc: doc.update(seed=1, config={**doc["config"], "seed": 99}),
          "'seed' 1 is not its config's seed 99"),
@@ -768,6 +782,31 @@ def test_a_directory_file_or_non_utf8_input_exits_2(capsys, tmp_path, command, o
     code, _, err = run_cli(capsys, command, *(str(x) for kv in options.items() for x in kv))
     assert code == 2
     assert json.loads(err.strip())["error"] == error
+
+
+NEST = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("text", ['{"a": ' + NEST + "}", '{"name": "t",', "[1] 2",
+                                  '{"seed": ' + "1" * 5000 + "}"],
+                         ids=["nested-100000-deep", "truncated", "two-values", "int-5000-digits"])
+@pytest.mark.parametrize("command, option, kind",
+                         [("parse", "--prior", "prior file"), ("fit", "--config", "run config"),
+                          ("report", "--posterior", "posterior")])
+def test_json_text_that_does_not_decode_exits_2(capsys, tmp_path, command, option, kind, text):
+    (tmp_path / "train.csv").write_text("c,s\n1.0,2.0\n")
+    options = {
+        "parse": {},
+        "fit": {"--prior": "E_iso", "--train": tmp_path / "train.csv",
+                "--out": tmp_path / "p.json"},
+        "report": {"--data": tmp_path / "train.csv", "--out-dir": tmp_path / "rep"},
+    }[command]
+    (tmp_path / "in.json").write_text(text)
+    options[option] = tmp_path / "in.json"
+    code, out, err = run_cli(capsys, command, *(str(x) for kv in options.items() for x in kv))
+    assert (code, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["error"] == "InputError" and doc["message"].startswith(f"{kind}: cannot decode JSON (")
 
 
 def test_a_full_disk_is_a_runtime_failure(capsys, tmp_path, monkeypatch):

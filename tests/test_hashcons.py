@@ -67,15 +67,16 @@ def test_replace_at_builds_through_a_node_table(all_shipped):
         rng = np.random.default_rng(1)
         tree = sample_tree(prior, rng)
         subtree = sample_tree(prior, rng)
-        for addr, _ in tree.walk():
+        nodes = dict(tree.walk())
+        for addr in nodes:
             shared = tree.replace_at(addr, subtree)
-            assert shared.node_at(addr) is subtree and tree.replace_at(addr, subtree) is shared
+            at = dict(shared.walk())
+            assert at[addr] is subtree and tree.replace_at(addr, subtree) is shared
             assert parse_tree(format_tree(shared)) is shared
             if addr:  # an off-path sibling stays this tree's object
-                parent = tree.node_at(addr[:-1])
-                for i, child in enumerate(parent.children, 1):
+                for i, child in enumerate(nodes[addr[:-1]].children, 1):
                     if i != addr[-1]:
-                        assert shared.node_at(addr[:-1] + (i,)) is child
+                        assert at[addr[:-1] + (i,)] is child
         # putting back the subtree that is there rebuilds this tree's own nodes
         for addr, node in tree.walk():
             assert tree.replace_at(addr, node) is tree

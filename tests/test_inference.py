@@ -896,13 +896,13 @@ def _full_path(move, state, ctx, rng):
         tree = sample_tree(ctx.prior, rng)
     else:
         old = state.expr.tree
-        addr = list(old.walk())[int(rng.integers(old.size))][0]
+        addr, old_sub = list(old.walk())[int(rng.integers(old.size))]
         boltzmann, _ = ctx.boltzmann_marginal(old, addr)
         start = int(rng.choice(len(boltzmann), p=boltzmann))
         new_sub = sample_from_state(ctx.pta, start, rng, ctx.prior.max_depth - len(addr))
         tree = old.replace_at(addr, new_sub)
-        fwd_regrow = inf._log(boltzmann @ ctx.inside(tree.node_at(addr)))
-        rev_regrow = inf._log(boltzmann @ ctx.inside(old.node_at(addr)))
+        fwd_regrow = inf._log(boltzmann @ ctx.inside(new_sub))  # the node at addr in tree
+        rev_regrow = inf._log(boltzmann @ ctx.inside(old_sub))
     ties, _ = ctx.ties(tree)
     n_new = (max(ties) + 1) if ties else 0
     theta, _, logdet, log_pu, log_pu_rev = _draw_theta_jump(state.expr.theta_c, n_new, rng)

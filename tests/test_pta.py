@@ -161,8 +161,8 @@ def test_outside_times_inside_is_the_tree_score_at_every_address(all_shipped):
             memo = {}
             total = float(pta.initial @ inside(pta, t, memo))
             assert total > 0
-            for addr in addresses(t):
-                split = float(outside(pta, t, addr, memo) @ inside(pta, t.node_at(addr), memo))
+            for addr, node in t.walk():
+                split = float(outside(pta, t, addr, memo) @ inside(pta, node, memo))
                 assert split == pytest.approx(total, rel=1e-12, abs=0.0)
 
 

@@ -82,7 +82,6 @@ def test_positions_two_markers():
     t = parse_tree(text)
     marks = [addr for addr, node in t.walk() if node.symbol == CM]
     assert marks == [(1, 1, 1, 2), (2,)]
-    assert marks == [addr for addr in addresses(t) if t.node_at(addr).symbol == CM]
     assert t.n_const == 2 and t.n_disc == 0
 
 
@@ -288,9 +287,8 @@ def test_deep_chain_replace_validate_and_repr():
         t = Tree(g, (t,))
     bottom = (1,) * 3000
     swapped = t.replace_at(bottom, Tree(b))
-    assert swapped.node_at(bottom).symbol == b and swapped.size == t.size
-    got, node = t.nth(3000)
-    assert got == bottom and node is t.node_at(bottom) and node.symbol == a
+    assert swapped.nth(3000) == (bottom, Tree(b)) and swapped.size == t.size
+    assert t.nth(3000) == (bottom, Tree(a))
     assert parse_tree(format_tree(t), RankedAlphabet([g, a])) == t
     assert repr(t) == f"Tree({format_tree(t)!r})"
 
@@ -302,11 +300,11 @@ def test_node_sizes_and_nth_address(all_shipped):
     for _ in range(3000):  # built bottom-up, with no recursion
         chain = Tree(RankedSymbol("g", 1), (chain,))
     for t in trees + [chain]:
-        pre_order = addresses(t)
+        pre_order = list(t.walk())
         assert t.size == len(pre_order)
-        for n, addr in enumerate(pre_order):
-            got, node = t.nth(n)
-            assert got == addr and node is t.node_at(addr)
+        for n, (addr, node) in enumerate(pre_order):
+            got, got_node = t.nth(n)
+            assert got == addr and got_node is node
         for n in (-1, t.size):
             with pytest.raises(IndexError):
                 t.nth(n)
@@ -344,4 +342,4 @@ def test_parse_against_alphabet_rejects_unknown():
 def test_addresses_one_based():
     t = parse_tree("(+ a (+ b b))")
     assert addresses(t) == [(), (1,), (2,), (2, 1), (2, 2)]
-    assert t.node_at((2, 1)).symbol.name == "b"
+    assert dict(t.walk())[(2, 1)].symbol.name == "b"
