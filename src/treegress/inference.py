@@ -55,16 +55,12 @@ from .pta import Pta, compile_prior, context_marginal, inside, pta_eval  # noqa:
 from .pta import sample_from_state
 # disc_positions stays bound: bench/spans.py wraps it here
 from .trees import disc_positions  # noqa: F401
-from .trees import (
-    SymbolicExpression,
-    Tree,
-    eval_expression,
-    format_tree,
-    parse_tree,
-    run_program,
-)
+# format_tree stays bound: bench/spans.py wraps it here
+from .trees import format_tree  # noqa: F401
+from .trees import SymbolicExpression, Tree, eval_expression, parse_tree, run_program
 
 LOG_2PI = math.log(2.0 * math.pi)
+_HALF_LOG_2PI = 0.5 * LOG_2PI
 # a log sigma beyond this in size takes the likelihood's sigma**2 out of float range
 _MAX_LOG_SIGMA = 0.5 * math.log(sys.float_info.max)
 _MIN_TAU = 745 / sys.float_info.max  # log m >= -744.5 for m > 0, so from here up log(m)/tau is finite
@@ -140,19 +136,17 @@ class McmcConfig:
 CONFIG_KEYS = dict.fromkeys(McmcConfig.__dataclass_fields__)
 
 
-@dataclass(frozen=True)
 class ChainState:
-    expr: SymbolicExpression
-    sigma: float
-    log_lik: float
-    log_prior_tree: float
-    log_prior_params: float
-    log_prior_sigma: float
-    sse: float
+    """A state of the chain and its score terms; ``log_posterior``, their sum, is added once."""
 
-    @property
-    def log_posterior(self) -> float:
-        return self.log_lik + self.log_prior_tree + self.log_prior_params + self.log_prior_sigma
+    __slots__ = ("expr", "sigma", "log_lik", "log_prior_tree", "log_prior_params",
+                 "log_prior_sigma", "sse", "log_posterior")
+
+    def __init__(self, expr, sigma, log_lik, log_prior_tree, log_prior_params, log_prior_sigma, sse):
+        self.expr, self.sigma, self.log_lik, self.sse = expr, sigma, log_lik, sse
+        self.log_prior_tree, self.log_prior_params = log_prior_tree, log_prior_params
+        self.log_prior_sigma = log_prior_sigma
+        self.log_posterior = log_lik + log_prior_tree + log_prior_params + log_prior_sigma
 
 
 @dataclass(frozen=True)
@@ -189,8 +183,22 @@ class Posterior:
 
     @cached_property
     def texts(self) -> dict:
-        """Each distinct tree of the draws -> its ``format_tree`` text, formatted once."""
-        return {tree: format_tree(tree) for tree in {d.expr.tree for d in self.draws}}
+        """Each distinct tree of the draws -> its ``format_tree`` text.  A memo local to
+        this call formats each distinct node once, children first, without recursion."""
+        trees = {d.expr.tree for d in self.draws}
+        memo: dict = {}
+        stack = list(trees)
+        while stack:
+            node = stack.pop()
+            if node in memo:
+                continue
+            texts = [memo.get(child) for child in node.children]
+            if None in texts:  # a child has no text yet: the children first, then the node again
+                stack.append(node)
+                stack += node.children
+            else:
+                memo[node] = f"({node.symbol.name} {' '.join(texts)})" if texts else node.symbol.name
+        return {tree: memo[tree] for tree in trees}
 
 
 # -- likelihood -------------------------------------------------------------------
@@ -313,17 +321,18 @@ class _ChainContext:
         else:
             self.inputs, self.y = {}, np.zeros(0)
         self.inside_memo: dict = {}  # subtree -> inside vector
-        self.marginal_cache: dict = {}  # (tree, address) -> (Boltzmann vector, its cdf)
-        self.tie_table: dict = {}  # tree -> (its ties, its groups' marker priors)
+        self.marginal_cache: dict = {}  # (tree, address) -> the cut site's record
+        self.tie_table: dict = {}  # tree -> (its ties, its groups' marker-prior constants)
         self.cumulative = tuple(accumulate(config.move_mix().values()))  # added in MOVES order
 
     def ties(self, tree: Tree) -> tuple:
-        """(the tree's tie table, each group's marker prior), computed once per distinct tree."""
+        """(the tree's tie table, the ``MarkerPrior.constants`` of each group's prior in
+        slot order), computed once per distinct tree."""
         known = self.tie_table.get(tree)
         if known is None:
             ties = compute_ties(tree, self.prior)
-            priors = tuple(self.prior.markers[tag] for tag in group_tags(tree, ties))
-            known = _bounded(self.tie_table)[tree] = ties, priors
+            consts = tuple(self.prior.markers[tag].constants for tag in group_tags(tree, ties))
+            known = _bounded(self.tie_table)[tree] = ties, consts
         return known
 
     def inside(self, tree: Tree) -> np.ndarray:
@@ -336,10 +345,12 @@ class _ChainContext:
         return _log(self.pta.initial @ self.inside(tree))
 
     def boltzmann_marginal(self, tree: Tree, addr) -> tuple:
-        """(tempered distribution of the state at ``addr`` given the rest of
-        the tree, its cumulative sum normalised as ``Generator.choice``
-        normalises it); zero-probability states stay excluded for any
-        temperature.  Searching the cdf picks the state ``rng.choice`` would."""
+        """The record of the cut site ``addr`` of ``tree``: (tempered distribution of
+        the state there given the rest of the tree, its cumulative sum normalised as
+        ``Generator.choice`` normalises it, as a list, and the log probability that
+        the distribution regrows the subtree already there).  Zero-probability states
+        stay excluded for any temperature.  ``bisect_right`` on the cdf picks the
+        state ``rng.choice`` would."""
         key = (tree, addr)
         cached = self.marginal_cache.get(key)
         if cached is None:
@@ -352,13 +363,25 @@ class _ChainContext:
             weights /= weights.sum()
             cdf = weights.cumsum()
             cdf /= cdf[-1]
-            cached = _bounded(self.marginal_cache)[key] = weights, cdf
+            node = tree
+            for i in addr:
+                node = node.children[i - 1]
+            regrow = _log(weights @ self.inside(node))
+            cached = _bounded(self.marginal_cache)[key] = weights, cdf.tolist(), regrow
         return cached
 
     def log_prior_params(self, expr: SymbolicExpression) -> float:
-        total = 0.0  # the cached priors fit expr.ties: every state's ties come from compute_ties
-        for prior, value in zip(self.ties(expr.tree)[1], expr.theta_c):
-            total += prior.logpdf(value)
+        """The marker priors' log density at theta_c, term by term in the order of
+        the formula, plus the uniform discrete priors' log mass."""
+        total = 0.0  # the cached constants fit expr.ties: every state's ties come from compute_ties
+        for (exp, rate, mean, stddev, log_scale), x in zip(self.ties(expr.tree)[1], expr.theta_c):
+            if exp:
+                if x < 0:  # the sum is -inf: for a finite theta, as the chain's, no term is +inf
+                    return -math.inf
+                total += log_scale - rate * x
+            else:
+                z = (x - mean) / stddev
+                total += -0.5 * z * z - log_scale - _HALF_LOG_2PI
         if expr.theta_d:
             total -= len(expr.theta_d) * math.log(len(self.prior.theta_d_support))
         return total
@@ -392,15 +415,19 @@ class _ChainContext:
             ll = 0.0
         else:
             ll = _log_lik_from_sse(state.sse, sigma, self.y.size)
-        return replace(
-            state,
-            sigma=sigma,
-            log_lik=ll,
-            log_prior_sigma=self.log_prior_sigma(sigma),
-        )
+        return ChainState(state.expr, sigma, ll, state.log_prior_tree, state.log_prior_params,
+                          self.log_prior_sigma(sigma), state.sse)
 
 
 # -- proposals ------------------------------------------------------------------------
+
+
+def _chain_expr(tree, theta_c, theta_d, ties) -> SymbolicExpression:
+    """A SymbolicExpression built without its checks: a proposal's ties come from
+    ``compute_ties`` and its parameters are finite floats, as many as its groups."""
+    expr = object.__new__(SymbolicExpression)
+    expr.__dict__.update(tree=tree, theta_c=theta_c, theta_d=theta_d, ties=ties)
+    return expr
 
 
 def _jump_to(state, ctx, tree, ties, rng, log_fwd, log_rev, log_tree=None):
@@ -417,9 +444,7 @@ def _jump_to(state, ctx, tree, ties, rng, log_fwd, log_rev, log_tree=None):
     theta_d_new, disc_fwd, disc_rev = _disc_jump(
         state.expr.theta_d, tree.n_disc, ctx.prior.theta_d_support, rng
     )
-    expr = object.__new__(SymbolicExpression)  # unchecked, as in with_theta_c: ties are the chain's
-    expr.__dict__.update(tree=tree, theta_c=theta, theta_d=theta_d_new, ties=ties)
-    proposal = ctx.make_state(expr, state.sigma, log_tree)
+    proposal = ctx.make_state(_chain_expr(tree, theta, theta_d_new, ties), state.sigma, log_tree)
     return proposal, log_fwd + log_pu + disc_fwd - logdet, log_rev + log_pu_rev + disc_rev
 
 
@@ -443,10 +468,9 @@ def propose_local(state: ChainState, ctx: _ChainContext, rng):
     tree = state.expr.tree
     n_nodes = tree.size
     addr, old_sub = tree.nth(int(rng.integers(n_nodes)))
-    boltzmann, cdf = ctx.boltzmann_marginal(tree, addr)
-    start = int(cdf.searchsorted(rng.random(), side="right"))
-    new_sub = sample_from_state(ctx.pta, start, rng, ctx.prior.max_depth - len(addr))
-    log_rev_regrow = _log(boltzmann @ ctx.inside(old_sub))
+    boltzmann, cdf, log_rev_regrow = ctx.boltzmann_marginal(tree, addr)
+    new_sub = sample_from_state(ctx.pta, bisect_right(cdf, rng.random()), rng,
+                                ctx.prior.max_depth - len(addr))
     if new_sub is old_sub:  # the current expression: the jumps draw nothing, add 0.0
         log_regrow = -math.log(n_nodes) + log_rev_regrow
         return state, log_regrow, log_regrow
@@ -464,7 +488,8 @@ def propose_params(state: ChainState, ctx: _ChainContext, rng):
     """Joint Gaussian random walk on the continuous parameters.  The step
     scale is multiplied by a symmetric random factor so that parameters of
     very different magnitudes all mix; the proposal stays symmetric."""
-    theta = state.expr.theta_c  # Python floats, whose overflow gives inf without a warning
+    expr = state.expr
+    theta = expr.theta_c  # Python floats, whose overflow gives inf without a warning
     if not theta:
         return state, 0.0, 0.0
     mult = _STEP_MULTIPLIERS[int(rng.integers(len(_STEP_MULTIPLIERS)))]
@@ -472,8 +497,8 @@ def propose_params(state: ChainState, ctx: _ChainContext, rng):
     theta_new = [t + step * z for t, z in zip(theta, rng.standard_normal(len(theta)).tolist())]
     if not all(map(math.isfinite, theta_new)):  # an overflowing step aborts the move
         return None
-    expr = state.expr.with_theta_c(theta_new)
-    proposal = ctx.make_state(expr, state.sigma, state.log_prior_tree)
+    proposal = ctx.make_state(_chain_expr(expr.tree, tuple(theta_new), expr.theta_d, expr.ties),
+                              state.sigma, state.log_prior_tree)
     return proposal, 0.0, 0.0
 
 

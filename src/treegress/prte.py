@@ -550,9 +550,6 @@ def _solve_linear(matrix, rhs):
 
 # -- marker priors and prior specifications --------------------------------------
 
-_HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
-
-
 @dataclass(frozen=True)
 class MarkerPrior:
     """Distribution of the continuous parameter bound to one marker tag."""
@@ -571,21 +568,16 @@ class MarkerPrior:
             raise InputError("exponential rate must be positive")
         if self.kind == "normal" and self.stddev <= 0:
             raise InputError("normal stddev must be positive")
-        # log(rate) or log(stddev), only the one the kind reads: a normal prior may carry rate=0
-        object.__setattr__(self, "_log_scale", math.log(self.rate if self.kind == "exp" else self.stddev))
+        # what the chain's log density reads; log(rate) or log(stddev), only the one the
+        # kind reads: a normal prior may carry rate=0
+        log_scale = math.log(self.rate if self.kind == "exp" else self.stddev)
+        object.__setattr__(self, "constants",
+                           (self.kind == "exp", self.rate, self.mean, self.stddev, log_scale))
 
     def sample(self, rng: np.random.Generator) -> float:
         if self.kind == "exp":
             return float(rng.exponential(1.0 / self.rate))
         return float(rng.normal(self.mean, self.stddev))
-
-    def logpdf(self, x: float) -> float:
-        if self.kind == "exp":
-            if x < 0:
-                return -math.inf
-            return self._log_scale - self.rate * x
-        z = (x - self.mean) / self.stddev
-        return -0.5 * z * z - self._log_scale - _HALF_LOG_2PI
 
 
 @dataclass(frozen=True)
@@ -807,6 +799,10 @@ def build_prior(
     ``PriorSpec`` runs the static analysis once and derives the alphabet:
     exactly the symbols used plus the declared input variables."""
     expr = _parse(expression)
+    for what, specs in (("marker", markers), ("shared tag", shared)):
+        for tag, spec in (specs or {}).items():  # json_object would decode a string as JSON
+            if type(spec) is not dict:
+                raise InputError(f"{what} '{tag}': not one JSON object but a {type(spec).__name__}")
     marker_priors = {tag: _marker_from_dict(tag, spec) for tag, spec in (markers or {}).items()}
     anchors = {tag: json_object(spec, f"shared tag '{tag}'", _ANCHOR_KEYS, _ANCHOR_KEYS)
                for tag, spec in (shared or {}).items()}

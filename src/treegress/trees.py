@@ -255,15 +255,6 @@ class SymbolicExpression:
                 f"{n_disc} discrete markers but {len(self.theta_d)} discrete parameters"
             )
 
-    def with_theta_c(self, theta_c: list) -> "SymbolicExpression":
-        """This expression with new continuous parameters, a list of floats.
-        Only they are checked: the rest was validated with this expression."""
-        if len(theta_c) != len(self.theta_c) or not all(map(math.isfinite, theta_c)):
-            raise InputError(f"expected {len(self.theta_c)} finite continuous parameters")
-        new = object.__new__(SymbolicExpression)
-        new.__dict__.update(self.__dict__, theta_c=tuple(theta_c))
-        return new
-
 
 def eval_expression(expr: SymbolicExpression, inputs) -> np.ndarray:
     """Evaluate the expression pointwise on equal-length input columns.

@@ -14,6 +14,7 @@ import json
 import math
 import struct
 import sys
+from bisect import bisect_right
 from dataclasses import replace
 
 import numpy as np
@@ -117,7 +118,8 @@ def test_zero_parameter_prior_is_scored_without_the_data(e_iso, monkeypatch):
     ctx = _ChainContext(e_iso, compile_prior(e_iso), gen_isotherm("langmuir", 7)["train"],
                         McmcConfig())
     expr = sample_expression(e_iso, np.random.default_rng(0))
-    negative = expr.with_theta_c([-0.5] + list(expr.theta_c[1:]))  # every E_iso marker is exp
+    # every E_iso marker is exp
+    negative = SymbolicExpression(expr.tree, (-0.5, *expr.theta_c[1:]), expr.theta_d, expr.ties)
 
     def no_evaluation(*_):
         raise AssertionError("evaluated a proposal whose parameter prior is zero")
@@ -612,9 +614,9 @@ def test_intern_shares_one_object_per_distinct_tree(e_hyp):
     assert sample_tree(e_hyp, np.random.default_rng(8)) is tree
     again = parse_tree(str(tree))
     assert again is tree and parse_tree(str(tree), e_hyp.alphabet) is tree
-    ties, priors = ctx.ties(tree)
+    ties, consts = ctx.ties(tree)
     assert ties == compute_ties(tree, e_hyp)
-    assert priors == tuple(e_hyp.markers[tag] for tag in group_tags(tree, ties))
+    assert consts == tuple(e_hyp.markers[tag].constants for tag in group_tags(tree, ties))
     assert ctx.ties(again) is ctx.ties(tree)
 
 
@@ -897,7 +899,7 @@ def _full_path(move, state, ctx, rng):
     else:
         old = state.expr.tree
         addr, old_sub = list(old.walk())[int(rng.integers(old.size))]
-        boltzmann, _ = ctx.boltzmann_marginal(old, addr)
+        boltzmann = ctx.boltzmann_marginal(old, addr)[0]
         start = int(rng.choice(len(boltzmann), p=boltzmann))
         new_sub = sample_from_state(ctx.pta, start, rng, ctx.prior.max_depth - len(addr))
         tree = old.replace_at(addr, new_sub)
@@ -976,8 +978,8 @@ def test_identity_proposals_match_the_full_path(e_iso, e_hyp, monkeypatch):
 # -- tempered context distribution ---------------------------------------------------
 
 def test_pick_state_is_rng_choice(e1, e_iso, monkeypatch):
-    """``propose_local`` replaces ``rng.choice(n, p=boltzmann)`` with a search
-    of the cdf ``boltzmann_marginal`` returns beside it; it must pick the same
+    """``propose_local`` replaces ``rng.choice(n, p=boltzmann)`` with ``bisect_right``
+    on the cdf ``boltzmann_marginal`` returns beside it; it must pick the same
     states from the same generator state, because it relies on how numpy
     implements ``choice``."""
     import treegress.inference as inf
@@ -995,10 +997,10 @@ def test_pick_state_is_rng_choice(e1, e_iso, monkeypatch):
             return self.r if size is None else np.full(size, self.r)
 
     def check(ctx, tree, addr, draws, seed):
-        p, cdf = ctx.boltzmann_marginal(tree, addr)
+        p, cdf, _ = ctx.boltzmann_marginal(tree, addr)
 
         def pick(rng):  # the search propose_local makes
-            return int(cdf.searchsorted(rng.random(), side="right"))
+            return bisect_right(cdf, rng.random())
 
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         got = [pick(ours) for _ in range(draws)]
@@ -1021,6 +1023,7 @@ def test_pick_state_is_rng_choice(e1, e_iso, monkeypatch):
             gen.dirichlet(np.ones(40)) * (gen.random(40) < 0.5)]
     for i, vector in enumerate(made):  # each fed to boltzmann_marginal as the state marginal
         monkeypatch.setattr(inf, "context_marginal", lambda *_, v=np.asarray(vector): v)
+        monkeypatch.setattr(inf, "inside", lambda *_, n=len(vector): np.ones(n))  # of its size
         total += check(inf._ChainContext(e1, pta, None, cfg), tree, (1,), 6000, i)
     monkeypatch.undo()
     for prior in (e1, e_iso):  # real marginals, at two temperatures
@@ -1048,6 +1051,46 @@ def test_boltzmann_marginal_calls_context_marginal_once_per_miss(e1, monkeypatch
     for addr in queries:
         ctx.boltzmann_marginal(tree, addr)
     assert calls == [(tree, addr) for addr in dict.fromkeys(queries)]
+
+
+def test_a_held_tree_is_scored_once_per_cut_site(e_iso, monkeypatch):
+    """On the reference Langmuir chain (data seed 7, chain seed 0, 2000 + 1000 steps)
+    the context marginal runs once per distinct (tree, address), and a local move at
+    a cut site met before calls no ``inside``: the chain state holds one structure,
+    so all but the first move at each site regrow the same subtree for free."""
+    import treegress.inference as inf
+    from treegress.experiments import gen_isotherm
+
+    marginals, insides, sites, moves = [], [], [], {"hit": 0, "held": 0}
+    real_marginal, real_inside = inf.context_marginal, inf.inside
+    monkeypatch.setattr(inf, "context_marginal",
+                        lambda *a: marginals.append(a[1:3]) or real_marginal(*a))
+    monkeypatch.setattr(inf, "inside", lambda *a: insides.append(a[1]) or real_inside(*a))
+    real_site = _ChainContext.boltzmann_marginal
+
+    def site(ctx, tree, addr):
+        sites.append(((tree, addr), (tree, addr) in ctx.marginal_cache))
+        return real_site(ctx, tree, addr)
+
+    monkeypatch.setattr(_ChainContext, "boltzmann_marginal", site)
+    real_local = inf._PROPOSERS["local"]
+
+    def local(state, ctx, rng):
+        n_sites, n_insides = len(sites), len(insides)
+        out = real_local(state, ctx, rng)  # an abort raises through to _step
+        if len(sites) > n_sites and sites[-1][1]:
+            moves["hit"] += 1
+            if out is not None and out[0] is state:
+                assert len(insides) == n_insides  # no inside vector and no dot product
+                moves["held"] += 1
+        return out
+
+    monkeypatch.setitem(inf._PROPOSERS, "local", local)
+    post = run_chain(e_iso, gen_isotherm("langmuir", 7)["train"],
+                     McmcConfig(burn_in=2000, samples=1000, thin=10, seed=0))
+    assert post.accept_stats["local"]["proposed"] == len(sites)
+    assert marginals == list(dict.fromkeys(key for key, _ in sites))
+    assert (len(sites), len(marginals), moves["hit"], moves["held"]) == (1175, 51, 1124, 1021)
 
 
 def test_boltzmann_temperature_limits(e1):

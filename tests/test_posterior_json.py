@@ -35,7 +35,7 @@ from treegress.inference import (
     posterior_to_json,
     run_chains,
 )
-from treegress.trees import SymbolicExpression, format_tree, parse_tree
+from treegress.trees import RankedSymbol, SymbolicExpression, Tree, format_tree, parse_tree
 
 # trees with no marker, continuous and discrete markers, and symbol names that
 # json escapes: non-ASCII, astral (a surrogate pair), a quote and a backslash
@@ -129,6 +129,25 @@ def oracle(posterior: Posterior) -> str:
         "accept_stats": posterior.accept_stats,
     }
     return json.dumps(doc, indent=2)
+
+
+def test_texts_are_the_format_tree_texts(e1):
+    """``Posterior.texts`` formats each distinct node once through a memo, and gives
+    ``format_tree``'s text for every tree of the e1-prior reference posterior and
+    for a tree 3,000 deep."""
+    config = McmcConfig(burn_in=0, samples=2000, thin=2, seed=0, prior_only=True)
+    post = run_chains(e1, None, config, 1)
+    trees = {d.expr.tree for d in post.draws}
+    assert len(trees) == 519
+    assert post.texts == {tree: format_tree(tree) for tree in trees}
+    digest = hashlib.sha256(posterior_to_json(post).encode()).hexdigest()
+    assert digest.startswith("5fc088e1")  # tests/test_reference_posteriors.py's e1-prior
+    leaf, pair = parse_tree("x"), RankedSymbol("f", 2)
+    deep = leaf
+    for i in range(3000):
+        deep = Tree(pair, (deep, leaf) if i % 2 else (leaf, deep))
+    draw = Draw(SymbolicExpression(deep), 1.0, 0.0)
+    assert Posterior((draw,), {}, config).texts == {deep: format_tree(deep)}
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

@@ -12,6 +12,7 @@ Covers:
 
 import dataclasses
 import gc
+import json
 import math
 import struct
 import time
@@ -50,7 +51,8 @@ from treegress.prte import (
     sample_expression,
     sample_tree,
 )
-from treegress.trees import RankedSymbol, Tree, is_const_marker, parse_tree
+from treegress.inference import McmcConfig, _ChainContext
+from treegress.trees import RankedSymbol, SymbolicExpression, Tree, is_const_marker, parse_tree
 
 
 # -- parsing ---------------------------------------------------------------------
@@ -161,21 +163,32 @@ def test_alphabet_is_the_symbols_used_plus_the_variables(all_shipped):
     assert prior.alphabet.symbol_keys() == {("+", 2), ("x", 0), ("y", 0), ("z", 0)}
 
 
+EXP = {"dist": "exp", "rate": 1.0}
+
+
 @pytest.mark.parametrize(
-    "expression, markers, error",
+    "expression, markers, shared, error",
     [
-        ("choice{ 1/2: a, 1/2 b }", {}, PrteSyntaxError),
-        ("choice{ 1/2: a, 1/3: b }", {}, WeightSumError),
-        ("f($x)", {}, UnboundVariable),
-        ("iter $x { f($x) }", {}, NonTerminatingIter),
-        ("+(k#, a)", {}, InputError),
+        ("choice{ 1/2: a, 1/2 b }", {}, None, PrteSyntaxError),
+        ("choice{ 1/2: a, 1/3: b }", {}, None, WeightSumError),
+        ("f($x)", {}, None, UnboundVariable),
+        ("iter $x { f($x) }", {}, None, NonTerminatingIter),
+        ("+(k#, a)", {}, None, InputError),
+        # a Python caller's marker or anchor that is not a dict, JSON text included
+        ("+(k#, a)", {"k#": "exp"}, None, InputError),
+        ("+(k#, a)", {"k#": json.dumps(EXP)}, None, InputError),
+        ("+(k#, k#)", {"k#": EXP}, {"k#": '{"anchor": "+", "rank": 2}'}, InputError),
+        ("+(k#, k#)", {"k#": EXP}, {"k#": ("+", 2)}, InputError),
     ],
-    ids=["syntax", "weight-sum", "unbound", "non-terminating", "undeclared-marker"],
+    ids=["syntax", "weight-sum", "unbound", "non-terminating", "undeclared-marker",
+         "marker-str", "marker-json-text", "anchor-json-text", "anchor-tuple"],
 )
-def test_single_fault_priors_raise_their_error(expression, markers, error):
+def test_single_fault_priors_raise_their_error(expression, markers, shared, error):
     with pytest.raises(InputError) as exc:
-        build_prior("bad", expression, markers=markers)
+        build_prior("bad", expression, markers=markers, shared=shared)
     assert type(exc.value) is error
+    if isinstance(next(iter((shared or markers).values()), {}), (str, tuple)):
+        assert "not one JSON object" in str(exc.value)
 
 
 def test_too_deep_an_expression_is_an_input_error():
@@ -423,6 +436,13 @@ def _old_logpdf(prior, x):
     return -0.5 * z * z - math.log(prior.stddev) - 0.5 * math.log(2 * math.pi)
 
 
+def _scored(prior, x):
+    """The chain's log density of one marker of this prior at x, read through its record."""
+    one = PriorSpec("one", PSymbol(RankedSymbol("k#", 0)), markers={"k#": prior})
+    ctx = _ChainContext(one, None, None, McmcConfig(prior_only=True))
+    return ctx.log_prior_params(SymbolicExpression(Tree(RankedSymbol("k#", 0)), (x,)))
+
+
 def test_marker_logpdf_keeps_the_bits_of_the_formula(all_shipped):
     # every shipped marker prior is exponential; two normal ones stand in for that kind
     priors = [m for spec in all_shipped.values() for m in spec.markers.values()]
@@ -430,14 +450,14 @@ def test_marker_logpdf_keeps_the_bits_of_the_formula(all_shipped):
                MarkerPrior("normal", mean=-2.0, stddev=7.0)]
     for prior in priors:
         for x in (-1e300, -1.0, -0.0, 0.0, 5e-324, 0.3, 1e300):
-            got, want = prior.logpdf(x), _old_logpdf(prior, x)
+            got, want = _scored(prior, x), _old_logpdf(prior, x)
             assert struct.pack("<d", got) == struct.pack("<d", want), (prior, x)
 
 
 def test_marker_prior_validates_only_its_kind_s_scale():
     # a field the kind does not read is not checked, and its log is not taken
-    assert MarkerPrior("normal", rate=0.0).logpdf(0.0) == _old_logpdf(MarkerPrior("normal"), 0.0)
-    assert MarkerPrior("exp", stddev=-1.0).logpdf(1.0) == -1.0
+    assert _scored(MarkerPrior("normal", rate=0.0), 0.0) == _old_logpdf(MarkerPrior("normal"), 0.0)
+    assert _scored(MarkerPrior("exp", stddev=-1.0), 1.0) == -1.0
 
 
 def test_zero_marker_prior_gives_empty_theta(e1):
@@ -491,6 +511,38 @@ def test_ties_under_nested_anchors_match_a_recursive_walk(tree):
     assert ties == reference_ties(tree, NESTED)
     tags = [node.symbol.name for _, node in tree.walk() if is_const_marker(node.symbol)]
     assert group_tags(tree, ties) == [tags[ties.index(g)] for g in range(len(set(ties)))]
+
+
+POSITIVE = st.floats(min_value=5e-324, max_value=1e308)
+MARKER_PRIORS = st.one_of(
+    st.builds(lambda rate: MarkerPrior("exp", rate=rate), POSITIVE),
+    st.builds(lambda mean, stddev: MarkerPrior("normal", mean=mean, stddev=stddev),
+              st.floats(-1e308, 1e308), POSITIVE),
+)
+# -0.0, negatives, subnormals and +-1e308 among the draws
+THETAS = (st.sampled_from([-0.0, 0.0, -1.0, 5e-324, -5e-324, 2e-310, -1e308, 1e308])
+          | st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(NESTED_TREES, st.tuples(MARKER_PRIORS, MARKER_PRIORS, MARKER_PRIORS), st.data())
+def test_the_record_scorer_is_the_formula_summed_over_tied_groups(tree, priors, data):
+    """The chain's marker log density, read from its per-tree record of constants,
+    is the sum of ``_old_logpdf`` over the tie groups in slot order, to the bit."""
+    prior = dataclasses.replace(NESTED, markers=dict(zip(("a#", "b#", "k#"), priors)))
+    ties = compute_ties(tree, prior)
+    tags = group_tags(tree, ties)
+    theta = data.draw(st.lists(THETAS, min_size=len(tags), max_size=len(tags)))
+    theta_d = data.draw(st.lists(st.sampled_from([1, 2]), min_size=tree.n_disc,
+                                 max_size=tree.n_disc))
+    want = 0.0
+    for tag, x in zip(tags, theta):
+        want += _old_logpdf(prior.markers[tag], x)
+    if theta_d:
+        want -= len(theta_d) * math.log(2)
+    ctx = _ChainContext(prior, None, None, McmcConfig(prior_only=True))
+    got = ctx.log_prior_params(SymbolicExpression(tree, tuple(theta), tuple(theta_d), ties))
+    assert struct.pack("<d", got) == struct.pack("<d", want), (got, want)
 
 
 def test_a_deep_marker_comb_builds_in_linear_time():

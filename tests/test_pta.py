@@ -41,7 +41,7 @@ FGA = RankedAlphabet([F, G, A])
 
 # -- independent oracles --------------------------------------------------------
 
-from helpers import addresses, all_trees, brute_force_eval
+from helpers import all_trees, brute_force_eval
 
 
 def hand_built_pta():
@@ -185,11 +185,12 @@ def test_boltzmann_marginal_is_the_context_marginal(all_shipped):
         rng = np.random.default_rng(6)
         for _ in range(10):
             t = sample_tree(prior, rng)
-            for addr in addresses(t):
+            for addr, node in t.walk():
                 want = context_marginal(pta, t, addr)
-                got, cdf = ctx.boltzmann_marginal(t, addr)
+                got, cdf, regrow = ctx.boltzmann_marginal(t, addr)
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
                 np.testing.assert_array_equal(cdf, got.cumsum() / got.cumsum()[-1])
+                assert regrow == math.log(got @ inside(pta, node))  # the subtree at the cut
 
 
 # -- context marginals ----------------------------------------------------------------
