@@ -44,6 +44,7 @@ from .errors import (
     DepthBudgetExhausted,
     ImpossibleContext,
     InputError,
+    LengthMismatch,
     RuntimeFailure,
     SizeMismatch,
     json_object,
@@ -57,7 +58,7 @@ from .pta import sample_from_state
 from .trees import disc_positions  # noqa: F401
 # format_tree stays bound: bench/spans.py wraps it here
 from .trees import format_tree  # noqa: F401
-from .trees import SymbolicExpression, Tree, eval_expression, parse_tree, run_program
+from .trees import SymbolicExpression, Tree, eval_expression, input_columns, parse_tree, run_program
 
 LOG_2PI = math.log(2.0 * math.pi)
 _HALF_LOG_2PI = 0.5 * LOG_2PI
@@ -204,18 +205,10 @@ class Posterior:
 # -- likelihood -------------------------------------------------------------------
 
 
-def _coerce_data(data):
-    if hasattr(data, "inputs") and hasattr(data, "target"):
-        return data.inputs(), np.asarray(data.target, dtype=float)
-    inputs, y = data
-    return {k: np.asarray(v, dtype=float) for k, v in inputs.items()}, np.asarray(
-        y, dtype=float
-    )
-
-
-def _sum_squared_error(expr: SymbolicExpression, inputs, y) -> float:
-    with np.errstate(all="ignore"):
-        sse = float(np.add.reduce((y - run_program(expr, inputs)) ** 2))
+def _sum_squared_error(expr: SymbolicExpression, columns, n: int, y) -> float:
+    """The residuals' sum of squares, evaluated as ``run_program`` evaluates: on checked
+    columns, under the caller's error state (``run_chains`` enters it once per run)."""
+    sse = float(np.add.reduce((y - run_program(expr, columns, n)) ** 2))
     return sse if math.isfinite(sse) else math.inf  # a non-finite prediction sums to inf or nan
 
 
@@ -307,21 +300,32 @@ def _bounded(cache: dict) -> dict:
 
 class _ChainContext:
     """Everything a move needs: prior, automaton, data, config, caches.  The
-    caches key trees by identity: equal trees are one object, so a redrawn
-    tree finds the entries of the tree the chain already holds.  A key holds
-    its tree alive, and a cache is emptied past _CACHE_CAP, which costs speed
-    only."""
+    data are checked once, here: ``inputs`` and ``n`` are what ``input_columns``
+    returns, ``y`` is 1-D and as long as the columns, and unless the chain is
+    prior-only, ``y`` has rows and the columns are the prior's variables.  The
+    caches key trees by identity: equal trees are one object, so a redrawn tree
+    finds the entries of the tree the chain already holds.  A key holds its
+    tree alive, and a cache is emptied past _CACHE_CAP, which costs speed only."""
 
     def __init__(self, prior: PriorSpec, pta: Pta, data, config: McmcConfig):
         self.prior = prior
         self.pta = pta
         self.config = config
-        if data is not None:
-            self.inputs, self.y = _coerce_data(data)
-        else:
-            self.inputs, self.y = {}, np.zeros(0)
+        if hasattr(data, "target"):  # a Dataset
+            data = data.inputs(), data.target
+        inputs, y = ({}, ()) if data is None else data
+        self.inputs, self.n = input_columns(inputs)
+        self.y = np.asarray(y, dtype=float)
+        if self.y.ndim != 1 or (self.inputs and self.y.size != self.n):
+            raise LengthMismatch(f"target of shape {self.y.shape} for columns of length {self.n}")
+        if data is not None and not config.prior_only:
+            if self.y.size == 0:
+                raise InputError("the training data has no rows")
+            if set(self.inputs) != set(prior.variables):
+                raise InputError(f"data columns {sorted(self.inputs)} do not match prior "
+                                 f"variables {sorted(prior.variables)}")
         self.inside_memo: dict = {}  # subtree -> inside vector
-        self.marginal_cache: dict = {}  # (tree, address) -> the cut site's record
+        self.marginal_cache: dict = {}  # (tree, node index) -> the cut site's record
         self.tie_table: dict = {}  # tree -> (its ties, its groups' marker-prior constants)
         self.cumulative = tuple(accumulate(config.move_mix().values()))  # added in MOVES order
 
@@ -344,16 +348,18 @@ class _ChainContext:
     def log_prior_tree(self, tree: Tree) -> float:
         return _log(self.pta.initial @ self.inside(tree))
 
-    def boltzmann_marginal(self, tree: Tree, addr) -> tuple:
-        """The record of the cut site ``addr`` of ``tree``: (tempered distribution of
-        the state there given the rest of the tree, its cumulative sum normalised as
-        ``Generator.choice`` normalises it, as a list, and the log probability that
-        the distribution regrows the subtree already there).  Zero-probability states
-        stay excluded for any temperature.  ``bisect_right`` on the cdf picks the
-        state ``rng.choice`` would."""
-        key = (tree, addr)
+    def boltzmann_marginal(self, tree: Tree, n: int) -> tuple:
+        """The record of the cut site at node ``n`` of ``tree`` in ``walk`` order:
+        (tempered distribution of the state there given the rest of the tree, its
+        cumulative sum normalised as ``Generator.choice`` normalises it, as a list,
+        the log probability that the distribution regrows the subtree already there,
+        the site's address, the subtree there).  Zero-probability states stay
+        excluded for any temperature.  ``bisect_right`` on the cdf picks the state
+        ``rng.choice`` would."""
+        key = (tree, n)
         cached = self.marginal_cache.get(key)
         if cached is None:
+            addr, node = tree.nth(n)
             marginal = context_marginal(self.pta, tree, addr, self.inside_memo)
             support = marginal > 0
             logits = np.full(marginal.shape, -math.inf)
@@ -363,11 +369,8 @@ class _ChainContext:
             weights /= weights.sum()
             cdf = weights.cumsum()
             cdf /= cdf[-1]
-            node = tree
-            for i in addr:
-                node = node.children[i - 1]
             regrow = _log(weights @ self.inside(node))
-            cached = _bounded(self.marginal_cache)[key] = weights, cdf.tolist(), regrow
+            cached = _bounded(self.marginal_cache)[key] = weights, cdf.tolist(), regrow, addr, node
         return cached
 
     def log_prior_params(self, expr: SymbolicExpression) -> float:
@@ -398,7 +401,7 @@ class _ChainContext:
         elif log_params == -math.inf:  # rejected whatever the data say, so not evaluated
             sse, ll = math.inf, -math.inf
         else:
-            sse = _sum_squared_error(expr, self.inputs, self.y)
+            sse = _sum_squared_error(expr, self.inputs, self.n, self.y)
             ll = _log_lik_from_sse(sse, sigma, self.y.size)
         return ChainState(
             expr=expr,
@@ -467,8 +470,8 @@ def propose_local(state: ChainState, ctx: _ChainContext, rng):
     either as an aborted move."""
     tree = state.expr.tree
     n_nodes = tree.size
-    addr, old_sub = tree.nth(int(rng.integers(n_nodes)))
-    boltzmann, cdf, log_rev_regrow = ctx.boltzmann_marginal(tree, addr)
+    boltzmann, cdf, log_rev_regrow, addr, old_sub = ctx.boltzmann_marginal(
+        tree, int(rng.integers(n_nodes)))
     new_sub = sample_from_state(ctx.pta, bisect_right(cdf, rng.random()), rng,
                                 ctx.prior.max_depth - len(addr))
     if new_sub is old_sub:  # the current expression: the jumps draw nothing, add 0.0
@@ -571,12 +574,12 @@ def run_chains(prior: PriorSpec, data, config: McmcConfig, chains: int, on_draw=
     itself) and merged in chain order.  A chain burns in, then records every
     thin-th state of the next `samples` steps.  The depth is the config's
     ``max_depth``, or the prior's when that is None; the returned config records
-    it.  The prior is compiled and the data checked once, and all chains share
-    one context, whose caches hold pure functions of interned trees.  Aborted
-    moves count as rejections, so the kernel is total; a proposal deeper than
-    max_depth lies outside the support of the depth-truncated target.
-    ``on_draw`` sees each Draw as it is recorded, chain after chain; while a
-    chain's state is the one last recorded, its Draw object is recorded again."""
+    it.  The prior is compiled, the data checked and ``np.errstate(all="ignore")`` entered
+    once; all chains share one context, whose caches hold pure functions of interned
+    trees.  Aborted moves count as rejections, so the kernel is total; a proposal deeper
+    than max_depth lies outside the support of the depth-truncated target.  ``on_draw``
+    sees each Draw as it is recorded, chain after chain; while a chain's state is the
+    one last recorded, its Draw object is recorded again."""
     if chains < 1:
         raise InputError(f"chains must be at least 1, got {chains}")
     if config.max_depth is None:
@@ -584,31 +587,22 @@ def run_chains(prior: PriorSpec, data, config: McmcConfig, chains: int, on_draw=
     elif prior.max_depth != config.max_depth:
         prior = replace(prior, max_depth=config.max_depth)
     ctx = _ChainContext(prior, compile_prior(prior, config.state_budget), data, config)
-    if data is not None and not config.prior_only:
-        if ctx.y.size == 0:
-            raise InputError("the training data has no rows")
-        missing = set(prior.variables) - set(ctx.inputs)
-        extra = set(ctx.inputs) - set(prior.variables)
-        if missing or extra:
-            raise InputError(
-                f"data columns {sorted(ctx.inputs)} do not match prior variables "
-                f"{sorted(prior.variables)}"
-            )
     seeds = [config.seed] if chains == 1 else [
         int(s.generate_state(1)[0]) for s in np.random.SeedSequence(config.seed).spawn(chains)]
     stats = {move: {"proposed": 0, "accepted": 0, "aborted": 0} for move in MOVES}
     draws = []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        state, recorded = _initial_state(ctx, rng), None
-        for k in range(-config.burn_in, config.samples):
-            state = _step(state, ctx, rng, stats)
-            if k >= 0 and (k + 1) % config.thin == 0:
-                if state is not recorded:  # a run of one state is one Draw, appended again
-                    draw, recorded = Draw(state.expr, state.sigma, state.log_posterior), state
-                draws.append(draw)
-                if on_draw is not None:
-                    on_draw(draw)
+    with np.errstate(all="ignore"):  # a non-finite prediction scores -inf; it does not warn
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            state, recorded = _initial_state(ctx, rng), None
+            for k in range(-config.burn_in, config.samples):
+                state = _step(state, ctx, rng, stats)
+                if k >= 0 and (k + 1) % config.thin == 0:
+                    if state is not recorded:  # a run of one state is one Draw, appended again
+                        draw, recorded = Draw(state.expr, state.sigma, state.log_posterior), state
+                    draws.append(draw)
+                    if on_draw is not None:
+                        on_draw(draw)
     return Posterior(tuple(draws), stats, config)
 
 

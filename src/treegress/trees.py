@@ -266,20 +266,26 @@ def eval_expression(expr: SymbolicExpression, inputs) -> np.ndarray:
     than raising; callers map those to log-likelihood -inf.  Each distinct
     tree is compiled once (see ``_compile``).
     """
+    columns, n = input_columns(inputs)
     with np.errstate(all="ignore"):
-        return run_program(expr, inputs)
+        return run_program(expr, columns, n)
 
 
-def run_program(expr: SymbolicExpression, inputs) -> np.ndarray:
-    """``eval_expression`` under the caller's floating-point error state.  A
-    caller that enters ``np.errstate(all="ignore")`` for more work than the
-    evaluation calls this, and enters the state once."""
+def input_columns(inputs) -> tuple:
+    """(the inputs as contiguous float64 columns, their common length, or 1 without
+    a column); columns that are not 1-D and of one length raise LengthMismatch."""
     columns = {name: np.ascontiguousarray(col, dtype=float) for name, col in inputs.items()}
-    lengths = {col.shape[0] for col in columns.values()}
-    if len(lengths) > 1:
-        raise LengthMismatch(f"input columns differ in length: {sorted(lengths)}")
-    n = lengths.pop() if lengths else 1
+    shapes = {col.shape for col in columns.values()}
+    if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
+        raise LengthMismatch(f"input columns must be 1-D and of one length, got {sorted(shapes)}")
+    return columns, shapes.pop()[0] if shapes else 1
 
+
+def run_program(expr: SymbolicExpression, columns: dict, n: int) -> np.ndarray:
+    """``eval_expression`` on the ``columns`` and length ``n`` that ``input_columns``
+    returns, under the caller's floating-point error state.  A caller that evaluates
+    many times on one data set checks it once and enters ``np.errstate(all="ignore")``
+    once, around all of the evaluations."""
     program = expr.tree._program
     if program is None:
         program = _compile(expr.tree)

@@ -178,3 +178,35 @@ def test_a_chain_builds_each_distinct_node_once(e_iso, monkeypatch):
     assert 0 < table.misses <= 100
     gc.collect()  # the chain's nodes are gone, so the restored table misses none
     assert len(table) == len(original)
+
+
+@pytest.mark.parametrize("workload", ["langmuir", "ogden", "e1-prior"])
+def test_only_the_evaluation_meets_a_floating_point_condition(workload, e_iso, e_hyp, e1,
+                                                              monkeypatch):
+    """``run_chains`` enters ``np.errstate(all="ignore")`` once, around every step, for
+    the evaluation on the data, where a non-finite prediction scores -inf.  No other
+    part of a step may meet a floating-point condition: here the steps run under
+    ``errstate(all="raise")``, with only ``run_program`` under "ignore"."""
+    prior, data, chains, config = _fits(e_iso, e_hyp, e1)[workload]
+    evaluations = []
+    real_run = inf.run_program
+
+    def ignoring(*args):
+        evaluations.append(args[0])
+        with np.errstate(all="ignore"):
+            return real_run(*args)
+
+    monkeypatch.setattr(inf, "run_program", ignoring)
+    ctx = inf._ChainContext(prior, compile_prior(prior, config.state_budget), data, config)
+    seeds = [config.seed] if chains == 1 else [
+        int(s.generate_state(1)[0]) for s in np.random.SeedSequence(config.seed).spawn(chains)]
+    stats = {move: {"proposed": 0, "accepted": 0, "aborted": 0} for move in inf.MOVES}
+    with np.errstate(all="raise"):
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            state = inf._initial_state(ctx, rng)
+            for _ in range(config.burn_in + config.samples):
+                state = inf._step(state, ctx, rng, stats)
+    steps = chains * (config.burn_in + config.samples)
+    assert sum(counts["proposed"] for counts in stats.values()) == steps
+    assert bool(evaluations) is not config.prior_only

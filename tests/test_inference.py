@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treegress.errors import InputError, SizeMismatch
+from treegress.errors import InputError, LengthMismatch, SizeMismatch
 from treegress.inference import (
     MOVES,
     Draw,
@@ -91,10 +91,13 @@ def test_three_point_hand_computed():
 
 def test_sum_squared_error_of_a_non_finite_prediction_is_inf():
     y = np.array([1.0, 2.0, 3.0])
-    for bad in (math.nan, math.inf, -math.inf):
-        assert _sum_squared_error(expr_of("x"), {"x": np.array([1.0, bad, 3.0])}, y) == math.inf
-    # finite residuals whose squares overflow
-    assert _sum_squared_error(expr_of("x"), {"x": np.array([1e200, 2.0, -1e200])}, y) == math.inf
+    with np.errstate(all="ignore"):  # the chain's error state, entered once per run
+        for bad in (math.nan, math.inf, -math.inf):
+            pred = {"x": np.array([1.0, bad, 3.0])}
+            assert _sum_squared_error(expr_of("x"), pred, 3, y) == math.inf
+        # finite residuals whose squares overflow
+        pred = {"x": np.array([1e200, 2.0, -1e200])}
+        assert _sum_squared_error(expr_of("x"), pred, 3, y) == math.inf
 
 
 def test_sum_squared_error_matches_np_sum_bit_for_bit():
@@ -103,7 +106,7 @@ def test_sum_squared_error_matches_np_sum_bit_for_bit():
         n = int(rng.integers(1, 41))
         y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, size=n)
         pred = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, size=n)
-        sse = _sum_squared_error(expr_of("x"), {"x": pred}, y)
+        sse = _sum_squared_error(expr_of("x"), {"x": pred}, n, y)
         assert sse.hex() == float(np.sum((y - pred) ** 2)).hex()
 
 
@@ -144,13 +147,13 @@ def test_chain_evaluates_only_proposals_with_a_finite_parameter_prior(e_iso, mon
     real_sse = inf._sum_squared_error
     log_priors = []  # the parameter prior of each expression the chain evaluates
 
-    def counted(expr, inputs, y):
+    def counted(expr, columns, n, y):
         log_priors.append(scorer.log_prior_params(expr))
-        return real_sse(expr, inputs, y)
+        return real_sse(expr, columns, n, y)
 
     def evaluate_always(self, expr, sigma, log_tree=None):
         """make_state scoring every proposal on the data: the reference."""
-        sse = inf._sum_squared_error(expr, self.inputs, self.y)
+        sse = inf._sum_squared_error(expr, self.inputs, self.n, self.y)
         return inf.ChainState(
             expr=expr, sigma=sigma, log_lik=inf._log_lik_from_sse(sse, sigma, self.y.size),
             log_prior_tree=self.log_prior_tree(expr.tree) if log_tree is None else log_tree,
@@ -620,10 +623,20 @@ def test_intern_shares_one_object_per_distinct_tree(e_hyp):
     assert ctx.ties(again) is ctx.ties(tree)
 
 
-def test_variable_mismatch_rejected(e_iso):
-    data = ({"z": np.ones(3)}, np.ones(3))
-    with pytest.raises(InputError):
-        run_chain(e_iso, data, McmcConfig(burn_in=1, samples=10, thin=1))
+def test_variable_mismatch_rejected(e_iso, monkeypatch):
+    """Data that do not fit the chain raise before it starts: columns that are not
+    the prior's variables, or columns and a target not 1-D and of one length."""
+    import treegress.inference as inf
+
+    monkeypatch.setattr(inf, "_initial_state", lambda *_: pytest.fail("the chain started"))
+    for inputs, y, error, message in [
+        ({"z": np.ones(3)}, np.ones(3), InputError, "do not match prior variables"),
+        ({"c": np.ones(3)}, np.ones(4), LengthMismatch, r"shape \(4,\) for columns of length 3"),
+        ({"c": np.ones((3, 2))}, np.ones(3), LengthMismatch, r"of one length, got \[\(3, 2\)\]"),
+        ({"c": np.ones(3)}, np.ones((3, 1)), LengthMismatch, r"target of shape \(3, 1\)"),
+    ]:
+        with pytest.raises(error, match=message):
+            run_chain(e_iso, (inputs, y), McmcConfig(burn_in=1, samples=10, thin=1))
 
 
 def test_multi_chain_merge(e_sum):
@@ -898,8 +911,9 @@ def _full_path(move, state, ctx, rng):
         tree = sample_tree(ctx.prior, rng)
     else:
         old = state.expr.tree
-        addr, old_sub = list(old.walk())[int(rng.integers(old.size))]
-        boltzmann = ctx.boltzmann_marginal(old, addr)[0]
+        n = int(rng.integers(old.size))
+        addr, old_sub = list(old.walk())[n]
+        boltzmann = ctx.boltzmann_marginal(old, n)[0]
         start = int(rng.choice(len(boltzmann), p=boltzmann))
         new_sub = sample_from_state(ctx.pta, start, rng, ctx.prior.max_depth - len(addr))
         tree = old.replace_at(addr, new_sub)
@@ -933,7 +947,7 @@ def test_identity_proposals_match_the_full_path(e_iso, e_hyp, monkeypatch):
     calls = []  # the chain evaluates on the data through run_program
     real_eval = inf.run_program
     monkeypatch.setattr(
-        inf, "run_program", lambda expr, inputs: calls.append(expr) or real_eval(expr, inputs)
+        inf, "run_program", lambda expr, *data: calls.append(expr) or real_eval(expr, *data)
     )
     bits = lambda x: struct.pack("<d", x)  # noqa: E731
     checked = {"global": 0, "local": 0}
@@ -996,8 +1010,8 @@ def test_pick_state_is_rng_choice(e1, e_iso, monkeypatch):
         def random(self, size=None, dtype=np.float64, out=None):
             return self.r if size is None else np.full(size, self.r)
 
-    def check(ctx, tree, addr, draws, seed):
-        p, cdf, _ = ctx.boltzmann_marginal(tree, addr)
+    def check(ctx, tree, n, draws, seed):
+        p, cdf = ctx.boltzmann_marginal(tree, n)[:2]
 
         def pick(rng):  # the search propose_local makes
             return bisect_right(cdf, rng.random())
@@ -1024,15 +1038,15 @@ def test_pick_state_is_rng_choice(e1, e_iso, monkeypatch):
     for i, vector in enumerate(made):  # each fed to boltzmann_marginal as the state marginal
         monkeypatch.setattr(inf, "context_marginal", lambda *_, v=np.asarray(vector): v)
         monkeypatch.setattr(inf, "inside", lambda *_, n=len(vector): np.ones(n))  # of its size
-        total += check(inf._ChainContext(e1, pta, None, cfg), tree, (1,), 6000, i)
+        total += check(inf._ChainContext(e1, pta, None, cfg), tree, 1, 6000, i)  # address (1,)
     monkeypatch.undo()
     for prior in (e1, e_iso):  # real marginals, at two temperatures
         pta = compile_prior(prior)
         for tau in (1.0, 0.5):
             ctx = inf._ChainContext(prior, pta, None, McmcConfig(tau=tau))
             for t in [sample_tree(prior, gen) for _ in range(4)]:
-                for addr in addresses(t)[:6]:
-                    total += check(ctx, t, addr, 1000, total)
+                for n in range(min(t.size, 6)):
+                    total += check(ctx, t, n, 1000, total)
     assert total >= 100_000
 
 
@@ -1047,30 +1061,32 @@ def test_boltzmann_marginal_calls_context_marginal_once_per_miss(e1, monkeypatch
     monkeypatch.setattr(inf, "context_marginal", lambda *a: calls.append(a[1:3]) or real(*a))
     ctx = inf._ChainContext(e1, compile_prior(e1), None, McmcConfig())
     tree = parse_tree("(f (g a) b)", e1.alphabet)
-    queries = [(1,), (), (1, 1), (1,), (2,), (), (1, 1), (1,)]
-    for addr in queries:
-        ctx.boltzmann_marginal(tree, addr)
-    assert calls == [(tree, addr) for addr in dict.fromkeys(queries)]
+    queries = [1, 0, 2, 1, 3, 0, 2, 1]  # node indexes in walk order: (), (1,), (1, 1), (2,)
+    for n in queries:
+        assert ctx.boltzmann_marginal(tree, n)[3:] == tree.nth(n)
+    assert calls == [(tree, tree.nth(n)[0]) for n in dict.fromkeys(queries)]
 
 
 def test_a_held_tree_is_scored_once_per_cut_site(e_iso, monkeypatch):
     """On the reference Langmuir chain (data seed 7, chain seed 0, 2000 + 1000 steps)
-    the context marginal runs once per distinct (tree, address), and a local move at
-    a cut site met before calls no ``inside``: the chain state holds one structure,
-    so all but the first move at each site regrow the same subtree for free."""
+    the context marginal runs once per distinct (tree, node index), and a local move at
+    a cut site met before calls no ``inside`` and no ``Tree.nth``: the chain state holds
+    one structure, so all but the first move at each site regrow the same subtree for free."""
     import treegress.inference as inf
     from treegress.experiments import gen_isotherm
 
     marginals, insides, sites, moves = [], [], [], {"hit": 0, "held": 0}
-    real_marginal, real_inside = inf.context_marginal, inf.inside
+    descents = []
+    real_marginal, real_inside, real_nth = inf.context_marginal, inf.inside, Tree.nth
     monkeypatch.setattr(inf, "context_marginal",
                         lambda *a: marginals.append(a[1:3]) or real_marginal(*a))
     monkeypatch.setattr(inf, "inside", lambda *a: insides.append(a[1]) or real_inside(*a))
+    monkeypatch.setattr(Tree, "nth", lambda tree, n: descents.append(n) or real_nth(tree, n))
     real_site = _ChainContext.boltzmann_marginal
 
-    def site(ctx, tree, addr):
-        sites.append(((tree, addr), (tree, addr) in ctx.marginal_cache))
-        return real_site(ctx, tree, addr)
+    def site(ctx, tree, n):
+        sites.append(((tree, n), (tree, n) in ctx.marginal_cache))
+        return real_site(ctx, tree, n)
 
     monkeypatch.setattr(_ChainContext, "boltzmann_marginal", site)
     real_local = inf._PROPOSERS["local"]
@@ -1088,9 +1104,12 @@ def test_a_held_tree_is_scored_once_per_cut_site(e_iso, monkeypatch):
     monkeypatch.setitem(inf._PROPOSERS, "local", local)
     post = run_chain(e_iso, gen_isotherm("langmuir", 7)["train"],
                      McmcConfig(burn_in=2000, samples=1000, thin=10, seed=0))
+    n_descents = len(descents)
+    monkeypatch.undo()
     assert post.accept_stats["local"]["proposed"] == len(sites)
-    assert marginals == list(dict.fromkeys(key for key, _ in sites))
+    assert marginals == [(t, t.nth(n)[0]) for t, n in dict.fromkeys(key for key, _ in sites)]
     assert (len(sites), len(marginals), moves["hit"], moves["held"]) == (1175, 51, 1124, 1021)
+    assert n_descents == len(marginals)  # one descent per cut site, none per move
 
 
 def test_boltzmann_temperature_limits(e1):
@@ -1105,7 +1124,7 @@ def test_boltzmann_temperature_limits(e1):
 
     def boltzmann(tau):
         cfg = McmcConfig(burn_in=1, samples=10, thin=1, tau=tau)
-        return _ChainContext(e1, pta, None, cfg).boltzmann_marginal(tree, addr)[0]
+        return _ChainContext(e1, pta, None, cfg).boltzmann_marginal(tree, 1)[0]  # at addr
 
     # unit temperature reproduces the marginal itself
     assert np.allclose(boltzmann(1.0), raw)

@@ -185,9 +185,10 @@ def test_boltzmann_marginal_is_the_context_marginal(all_shipped):
         rng = np.random.default_rng(6)
         for _ in range(10):
             t = sample_tree(prior, rng)
-            for addr, node in t.walk():
+            for n, (addr, node) in enumerate(t.walk()):
                 want = context_marginal(pta, t, addr)
-                got, cdf, regrow = ctx.boltzmann_marginal(t, addr)
+                got, cdf, regrow, at, sub = ctx.boltzmann_marginal(t, n)
+                assert at == addr and sub is node  # the site's address and subtree, by index
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
                 np.testing.assert_array_equal(cdf, got.cumsum() / got.cumsum()[-1])
                 assert regrow == math.log(got @ inside(pta, node))  # the subtree at the cut
