@@ -331,7 +331,9 @@ class _ChainContext:
 
     def ties(self, tree: Tree) -> tuple:
         """(the tree's tie table, the ``MarkerPrior.constants`` of each group's prior in
-        slot order), computed once per distinct tree."""
+        slot order), computed once per distinct tree with markers; ((), ()) without one."""
+        if not tree.n_const:
+            return (), ()
         known = self.tie_table.get(tree)
         if known is None:
             ties = compute_ties(tree, self.prior)

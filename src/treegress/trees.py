@@ -5,10 +5,10 @@ root = empty tuple) are derived on demand rather than stored.  A symbolic
 expression couples a tree with parameter vectors: rank-0 symbols whose name
 ends in ``#`` are continuous-parameter markers (``d#`` alone marks a discrete
 parameter), and each marker occurrence consumes one parameter entry in
-pre-order.  Everything here is immutable.  Trees are interned in one
-process-wide weak table, so equal trees are one object; the table's
-get-then-set is not atomic, and no caller builds trees from several threads.
-A node's size and marker counts are summed from its children's when built.
+pre-order.  Everything here is immutable.  Trees are interned in one dict of
+keyed weak references, so equal trees are one object; its get-then-set is not
+atomic, and no caller builds trees from several threads.  A node's size and
+marker counts are summed from its children's when built.
 """
 
 from __future__ import annotations
@@ -104,27 +104,37 @@ class RankedAlphabet:
         return frozenset(self._table)
 
 
-# (symbol name, rank, children) -> the one live Tree of that key
-_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# (symbol name, rank, children) -> a weak reference to the one live Tree of that key
+_NODES: dict = {}
+
+
+class _NodeRef(weakref.ref):
+    __slots__ = ("key",)  # the node's key in _NODES, set by the node's builder
+
+
+def _forget(ref: _NodeRef, nodes: dict = _NODES) -> None:  # reads no module global
+    if nodes.get(ref.key) is ref:  # else a newer node holds the key
+        del nodes[ref.key]
 
 
 class Tree:
     """An immutable labeled tree; child count always equals the symbol rank.
 
-    ``Tree(symbol, children)`` returns the one live node of that symbol name,
-    rank and children, built only if there is none: equal trees are one
-    object, so equality and hashing are by identity.  ``size`` and the marker
-    counts ``n_const`` and ``n_disc`` are summed from the children's at
-    construction; the compiled evaluation program is computed once per node,
-    on first use.  ``walk``, ``replace_at`` and ``repr`` are iterative, so
-    very deep trees stay within the recursion limit.
+    ``Tree(symbol, children)`` returns the one live node of that symbol name, rank and
+    children, built only if there is none: equal trees are one object, so equality and
+    hashing are by identity; a node's weak reference in ``_NODES`` drops its entry when
+    the node dies.  ``size`` and the marker counts ``n_const`` and ``n_disc`` are summed
+    from the children's at construction; the compiled evaluation program is computed
+    once per node, on first use.  ``walk``, ``replace_at`` and ``repr`` are iterative,
+    so very deep trees stay within the recursion limit.
     """
 
     __slots__ = ("symbol", "children", "size", "n_const", "n_disc", "_program", "__weakref__")
 
     def __new__(cls, symbol: RankedSymbol, children: tuple = ()):
         key = (symbol.name, symbol.rank, children)
-        node = _NODES.get(key)
+        ref = _NODES.get(key)
+        node = None if ref is None else ref()  # a dead reference counts as no node
         if node is None:
             if len(children) != symbol.rank:
                 raise ArityMismatch(symbol.name, symbol.rank, len(children))
@@ -136,15 +146,19 @@ class Tree:
                 n_const += c.n_const
                 n_disc += c.n_disc
             node = object.__new__(cls)
-            for name, value in (("symbol", symbol), ("children", children), ("size", size),
-                                ("n_const", n_const), ("n_disc", n_disc), ("_program", None)):
-                object.__setattr__(node, name, value)
-            _NODES[key] = node
+            _set_symbol(node, symbol)
+            _set_children(node, children)
+            _set_size(node, size)
+            _set_n_const(node, n_const)
+            _set_n_disc(node, n_disc)
+            _set_program(node, None)
+            _NODES[key] = ref = _NodeRef(node, _forget)
+            ref.key = key
         return node
 
     __hash__ = object.__hash__  # by identity; in the class body, so a profiler can wrap it
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value):  # a node's builder writes through the slots' setters
         raise AttributeError(f"Tree is immutable: cannot assign to '{name}'")
 
     # -- address arithmetic ----------------------------------------------
@@ -190,6 +204,10 @@ class Tree:
 
     def __repr__(self):
         return f"Tree({format_tree(self)!r})"
+
+
+_set_symbol, _set_children, _set_size, _set_n_const, _set_n_disc, _set_program = (
+    getattr(Tree, name).__set__ for name in Tree.__slots__[:6])
 
 
 def _resolve_name(name: str, observed_children: int, alphabet: RankedAlphabet) -> RankedSymbol:
@@ -289,7 +307,7 @@ def run_program(expr: SymbolicExpression, columns: dict, n: int) -> np.ndarray:
     program = expr.tree._program
     if program is None:
         program = _compile(expr.tree)
-        object.__setattr__(expr.tree, "_program", program)
+        _set_program(expr.tree, program)
     params = [expr.theta_c[g] for g in expr.ties] + [float(v) for v in expr.theta_d]
     stack = []
     for op, arg in program:

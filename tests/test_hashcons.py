@@ -1,16 +1,21 @@
-"""Equal trees are one object (hash-consing in one process-wide weak table).
+"""Equal trees are one object (hash-consing in one process-wide table of weak
+references).
 
 ``Tree(symbol, children)`` returns the live node of that key, so every way of
 making a tree (parsing, both samplers, ``replace_at``, reading a posterior)
 returns the object already held for an equal tree, and a node leaves the
-table once nothing else holds it.  The chain's caches key trees by identity;
-emptying them changes only the speed, never a draw.
+table once nothing else holds it: its reference's callback drops the entry.
+The chain's caches key trees by identity; emptying them changes only the
+speed, never a draw.
 """
 
 import gc
 import json
+import os
 import random
-import weakref
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +106,59 @@ def test_a_dropped_deep_tree_leaves_the_table():
     assert len(trees._NODES) == before
 
 
+def test_a_node_rebuilt_after_its_twin_died_is_a_new_entry():
+    symbol = RankedSymbol("twin", 0)
+    key = (symbol.name, symbol.rank, ())
+    first = Tree(symbol)
+    old_ref = trees._NODES[key]
+    assert old_ref() is first and old_ref.key == key
+    del first  # the callback drops the entry
+    assert old_ref() is None and key not in trees._NODES
+    second = Tree(symbol)
+    assert trees._NODES[key]() is second and Tree(symbol) is second
+    assert [k for k in trees._NODES if k == key] == [key]
+    # a stale callback for the key leaves the newer node's entry in place
+    trees._forget(old_ref)
+    assert trees._NODES[key]() is second
+
+
+def test_a_node_dies_quietly_after_the_module_globals_are_gone(monkeypatch):
+    """Interpreter shutdown may clear the module's globals while nodes are still
+    alive: the callback reads the table it was bound to, not ``trees._NODES``."""
+    node = Tree(RankedSymbol("last", 0))
+    table = trees._NODES
+    monkeypatch.setattr(trees, "_NODES", None)
+    del node
+    assert ("last", 0, ()) not in table
+
+
+def test_a_dead_reference_left_in_the_table_is_a_miss():
+    """A node freed late (in CPython's deferred deallocation of deep trees) can
+    leave a dead reference in the table until its callback runs: a lookup that
+    meets one builds a new node, and the late callback then leaves it in place."""
+
+    class Gone:
+        pass
+
+    symbol = RankedSymbol("late", 0)
+    key = (symbol.name, symbol.rank, ())
+    gone = Gone()
+    dead = trees._NodeRef(gone)
+    dead.key = key
+    del gone
+    assert dead() is None
+    trees._NODES[key] = dead
+    try:
+        node = Tree(symbol)
+        assert type(node) is Tree and node.symbol is symbol
+        assert trees._NODES[key] is not dead and trees._NODES[key]() is node
+        trees._forget(dead)
+        assert trees._NODES[key]() is node and Tree(symbol) is node
+    finally:
+        if trees._NODES.get(key) is dead:
+            del trees._NODES[key]
+
+
 def test_a_tree_is_immutable():
     t = parse_tree("(+ a b)")
     for field, value in (("symbol", RankedSymbol("-", 2)), ("children", ()), ("size", 1)):
@@ -153,17 +211,10 @@ def test_emptying_the_chain_caches_changes_no_draw(workload, cap, e_iso, e_hyp, 
     assert len(contexts) == 1  # every chain of a fit runs on one context
     for ctx in contexts:
         caches = (ctx.inside_memo, ctx.marginal_cache, ctx.tie_table)
+        if workload == "e1-prior":  # no E_1 tree has a marker, so none takes a tie entry
+            assert ctx.tie_table == {}
+            caches = caches[:2]
         assert {id(cache) for cache in (caches if cap == 0 else caches[:1])} <= emptied
-
-
-class _CountingTable(weakref.WeakValueDictionary):
-    """The node table, counting its misses: one per node built."""
-
-    misses = 0
-
-    def __setitem__(self, key, node):
-        self.misses += 1
-        super().__setitem__(key, node)
 
 
 def test_a_chain_builds_each_distinct_node_once(e_iso, monkeypatch):
@@ -171,13 +222,53 @@ def test_a_chain_builds_each_distinct_node_once(e_iso, monkeypatch):
     steps) holds one structure; drawing every proposal in full built 9,269
     nodes, and building each distinct node once builds 50."""
     data = gen_isotherm("langmuir", 7)["train"]
-    original = trees._NODES
-    table = _CountingTable(original)
-    monkeypatch.setattr(trees, "_NODES", table)
+    misses = []  # one weak reference per node built
+    real_ref = trees._NodeRef
+
+    def counting(node, callback):
+        misses.append(node.symbol)  # not the node, which would then stay alive
+        return real_ref(node, callback)
+
+    gc.collect()
+    before = len(trees._NODES)
+    monkeypatch.setattr(trees, "_NodeRef", counting)
     run_chain(e_iso, data, McmcConfig(burn_in=2000, samples=1000, thin=10, seed=0))
-    assert 0 < table.misses <= 100
-    gc.collect()  # the chain's nodes are gone, so the restored table misses none
-    assert len(table) == len(original)
+    assert 0 < len(misses) <= 100
+    gc.collect()  # the chain's nodes are gone, and so are their entries
+    assert len(trees._NODES) == before
+
+
+def test_a_fit_leaves_the_node_table_as_it_found_it(e1):
+    gc.collect()
+    before = len(trees._NODES)
+    posterior = run_chains(e1, None, McmcConfig(burn_in=0, samples=200, thin=2, seed=1,
+                                                prior_only=True), 2)
+    assert len(trees._NODES) > before
+    del posterior
+    gc.collect()
+    assert len(trees._NODES) == before
+
+
+def test_the_command_line_exits_quietly(tmp_path):
+    """A fit and a report in a fresh interpreter exit 0 and print nothing to
+    stderr: the nodes still alive at shutdown die without a callback error."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env.pop("TREEGRESS_SEED", None)
+    (tmp_path / "config.json").write_text(json.dumps(
+        {"burn_in": 200, "samples": 200, "thin": 4, "seed": 2}))
+    commands = [
+        ["gen-data", "--task", "isotherm:langmuir", "--seed", "7", "--out-dir", "data"],
+        ["fit", "--prior", "E_iso", "--train", "data/train.csv", "--config", "config.json",
+         "--out", "posterior.json"],
+        ["report", "--posterior", "posterior.json", "--data", "data/test1.csv",
+         "--out-dir", "report"],
+    ]
+    for args in commands:
+        done = subprocess.run([sys.executable, "-m", "treegress.cli", *args], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert (done.returncode, done.stderr) == (0, ""), args
 
 
 @pytest.mark.parametrize("workload", ["langmuir", "ogden", "e1-prior"])

@@ -623,6 +623,32 @@ def test_intern_shares_one_object_per_distinct_tree(e_hyp):
     assert ctx.ties(again) is ctx.ties(tree)
 
 
+@pytest.mark.parametrize("stem", ["e1", "e_iso", "e_hyp"])
+def test_a_tree_without_markers_takes_no_tie_entry(stem, all_shipped):
+    """``ctx.ties`` gives what ``compute_ties`` and ``group_tags`` give, and stores an
+    entry only for a tree with continuous markers: none for the marker-free E_1."""
+    from treegress.errors import DepthBudgetExhausted
+    from treegress.prte import compute_ties, group_tags, sample_tree
+
+    prior = all_shipped[stem]
+    ctx = _ChainContext(prior, compile_prior(prior), None, McmcConfig(prior_only=True))
+    drawn = []
+    for seed in range(40):
+        try:
+            drawn.append(sample_tree(prior, np.random.default_rng(seed)))
+        except DepthBudgetExhausted:
+            continue
+    assert len(drawn) > 20
+    for tree in drawn:
+        ties = compute_ties(tree, prior)
+        consts = tuple(prior.markers[tag].constants for tag in group_tags(tree, ties))
+        assert ctx.ties(tree) == (ties, consts)
+        if tree.n_const:
+            assert ctx.tie_table[tree] == (ties, consts)
+    assert set(ctx.tie_table) == {tree for tree in drawn if tree.n_const}
+    assert (ctx.tie_table == {}) is (stem == "e1")
+
+
 def test_variable_mismatch_rejected(e_iso, monkeypatch):
     """Data that do not fit the chain raise before it starts: columns that are not
     the prior's variables, or columns and a target not 1-D and of one length."""
