@@ -23,6 +23,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
 
@@ -49,8 +50,8 @@ from .trees import (
 
 WEIGHT_TOL = 1e-12
 DEFAULT_MAX_DEPTH = 50
-# the samplers recurse once per level: _draw spends one frame on it and pta._grow
-# two, so 400 levels stay clear of Python's default recursion limit of 1000
+# the samplers recurse once per level, one frame each in _draw and pta._grow, so
+# 400 levels stay clear of Python's default recursion limit of 1000
 MAX_DEPTH_CAP = 400
 RESAMPLE_RETRIES = 1000
 
@@ -433,6 +434,30 @@ class _Resolution:
                     fixed[id(n)], changed = (tree, self.heights[id(n)]), True
         return fixed
 
+    @cached_property
+    def plan(self) -> tuple:
+        """One record per symbol and per choice, the root's first, built at the first draw.
+        Records name each other by index, so there is no cycle, though ``iter`` makes the
+        graph cyclic.  A symbol's is (symbol, child indices, its (tree, height) in ``fixed``
+        or None); a choice's is (None, branch indices with the last one twice, for a draw
+        above every running sum, its running sums).  A variable, concatenation or iteration
+        takes the index of the symbol or choice it expands to; ``fixed`` holds that exactly
+        when it holds the node, at the same height."""
+        def site(node):
+            while id(node) in self.target:
+                node = self.target[id(node)]
+            return node
+
+        first = site(self.root)
+        sites = [first, *(n for n in self.nodes if id(n) not in self.target and n is not first)]
+        index = {id(n): i for i, n in enumerate(sites)}
+        index.update((key, index[id(site(n))]) for key, n in self.target.items())
+        return tuple(
+            (n.symbol, tuple(index[id(c)] for c in n.children), self.fixed.get(id(n)))
+            if isinstance(n, PSymbol) else
+            (None, tuple(index[id(b)] for _, b in (*n.branches, n.branches[-1])), n.cumulative)
+            for n in sites)
+
     # root-symbol distributions ----------------------------------------------
 
     def _compute_reach(self):
@@ -647,11 +672,12 @@ def sample_tree(prior: PriorSpec, rng: np.random.Generator) -> Tree:
     sample of its binding expression.  Samples deeper than max_depth are
     discarded and redrawn; persistent overflow raises DepthBudgetExhausted.
     The truncation slightly biases the sampled law against very deep trees;
-    the density does not.  A sub-expression without a choice gives the tree
-    ``prior.graph.fixed`` holds for it."""
+    the density does not.  The draw walks ``prior.graph.plan``, in which a symbol
+    without a choice below it gives the tree ``prior.graph.fixed`` holds for it."""
+    plan = prior.graph.plan
     for _ in range(RESAMPLE_RETRIES):
         try:
-            return _draw(prior, rng, (prior.root,), 0)[0]
+            return _draw(plan, rng, (0,), 0, prior.max_depth)[0]
         except DepthBudgetExhausted:
             continue
     raise DepthBudgetExhausted(
@@ -659,31 +685,23 @@ def sample_tree(prior: PriorSpec, rng: np.random.Generator) -> Tree:
     )
 
 
-def _draw(prior: PriorSpec, rng: np.random.Generator, nodes: tuple, depth: int) -> tuple:
-    """One attempt of ``sample_tree``: the trees of sibling ``nodes`` at ``depth``, left
-    to right.  Choices resolve in this frame, so a held tree opens none; one that would
-    pass max_depth is built out, to overflow as it would unheld.  Not a recursive
-    closure: its reference cycle would keep the prior alive until a full collection."""
-    fixed, target = prior.graph.fixed, prior.graph.target
+def _draw(plan: tuple, rng: np.random.Generator, at: tuple, depth: int, max_depth: int) -> tuple:
+    """One attempt of ``sample_tree``: the trees of the sibling plan records ``at`` at
+    ``depth``, left to right.  A choice takes the branch of the first running sum above
+    one ``rng.random()``, in this frame, so a held tree opens none; one that would pass
+    max_depth is built out, to overflow as it would unheld."""
     out = []
-    for node in nodes:
-        while True:
-            held = fixed.get(id(node))
-            if held is not None and depth + held[1] <= prior.max_depth:
-                out.append(held[0])
-                break
-            if isinstance(node, PSymbol):
-                if depth > prior.max_depth:
-                    raise DepthBudgetExhausted(f"the drawn tree passed depth {prior.max_depth}")
-                out.append(Tree(node.symbol, _draw(prior, rng, node.children, depth + 1)))
-                break
-            node = _pick_branch(node, rng) if isinstance(node, PChoice) else target[id(node)]
+    for i in at:
+        symbol, kids, held = plan[i]
+        while symbol is None:  # a choice: ``kids`` are its branches, ``held`` its running sums
+            symbol, kids, held = plan[kids[bisect_right(held, rng.random())]]
+        if held is not None and depth + held[1] <= max_depth:
+            out.append(held[0])
+        elif depth > max_depth:
+            raise DepthBudgetExhausted(f"the drawn tree passed depth {max_depth}")
+        else:
+            out.append(Tree(symbol, _draw(plan, rng, kids, depth + 1, max_depth)))
     return tuple(out)
-
-
-def _pick_branch(choice: PChoice, rng: np.random.Generator) -> Prte:
-    i = bisect_right(choice.cumulative, rng.random())
-    return choice.branches[min(i, len(choice.branches) - 1)][1]
 
 
 def compute_ties(tree: Tree, prior: PriorSpec) -> tuple:

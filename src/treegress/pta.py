@@ -193,8 +193,11 @@ def inside(pta: Pta, tree: Tree, memo=None) -> np.ndarray:
     """Inside vector of the tree: entry q is the total probability of the
     successful runs on the tree that start in state q.  ``memo`` maps
     subtrees to their inside vectors; it is filled in as the pass goes, and
-    a caller scoring trees that share subtrees passes the same dict."""
+    a caller scoring trees that share subtrees passes the same dict.  A tree
+    the memo already holds returns its entry at once."""
     memo = {} if memo is None else memo
+    if tree in memo:
+        return memo[tree]
     tables = pta.tables
     order, pending = [], [tree]
     while pending:  # pre-order over the nodes not yet in the memo
@@ -274,27 +277,32 @@ def sample_from_state(pta: Pta, state, rng, max_depth: int = DEFAULT_MAX_DEPTH) 
     proposes each tree with exactly its inside probability.  A state that
     grows one tree only gives the tree held for it, after the same draws.
     """
-    return _grow(*_generation_tables(pta), rng, int(state), 0, max_depth)
+    return _grow(*_generation_tables(pta), rng, (int(state),), 0, max_depth)[0]
 
 
-def _grow(emit, fixed, rng, q: int, depth: int, max_depth: int) -> Tree:
-    """One attempt of ``sample_from_state`` from state ``q`` at ``depth``; a
-    held tree that would pass ``max_depth`` is grown out, to overflow as it
-    would unheld.  A module function, so no closure cycle keeps the automaton alive."""
-    held = fixed.get(q)
-    if held is not None and depth + held[1] <= max_depth:
-        if held[2]:
-            rng.random(held[2])  # the stream of one rng.random() per inner node
-        return held[0]
-    if depth > max_depth:
-        raise DepthBudgetExhausted(f"the grown tree passed depth {max_depth}")
-    symbol, cdf, kids = emit[q]
-    if symbol.rank == 0:
-        return Tree(symbol)
-    i = bisect_right(cdf, rng.random())
-    if i == len(cdf):
-        raise DepthBudgetExhausted(f"the grown tree drew missing row mass at state {q}")
-    return Tree(symbol, tuple(_grow(emit, fixed, rng, s, depth + 1, max_depth) for s in kids[i]))
+def _grow(emit, fixed, rng, states: tuple, depth: int, max_depth: int) -> tuple:
+    """One attempt of ``sample_from_state``: the trees grown from the sibling ``states``
+    at ``depth``, one frame a level; a held tree that would pass ``max_depth`` is grown
+    out, to overflow as it would unheld.  No closure, so no cycle keeps the automaton."""
+    out = []
+    for q in states:
+        held = fixed.get(q)
+        if held is not None and depth + held[1] <= max_depth:
+            if held[2]:
+                rng.random(held[2])  # the stream of one rng.random() per inner node
+            out.append(held[0])
+            continue
+        if depth > max_depth:
+            raise DepthBudgetExhausted(f"the grown tree passed depth {max_depth}")
+        symbol, cdf, kids = emit[q]
+        if symbol.rank == 0:
+            out.append(Tree(symbol))
+            continue
+        i = bisect_right(cdf, rng.random())
+        if i == len(cdf):
+            raise DepthBudgetExhausted(f"the grown tree drew missing row mass at state {q}")
+        out.append(Tree(symbol, _grow(emit, fixed, rng, kids[i], depth + 1, max_depth)))
+    return tuple(out)
 
 
 def _generation_tables(pta: Pta):

@@ -309,7 +309,7 @@ def run_program(expr: SymbolicExpression, columns: dict, n: int) -> np.ndarray:
         program = _compile(expr.tree)
         _set_program(expr.tree, program)
     params = [expr.theta_c[g] for g in expr.ties] + [float(v) for v in expr.theta_d]
-    stack = []
+    stack, filled = [], {}
     for op, arg in program:
         if op is _PARAM:
             stack.append(params[arg])
@@ -321,13 +321,13 @@ def run_program(expr: SymbolicExpression, columns: dict, n: int) -> np.ndarray:
             stack.append(columns[arg])
         elif op is _POW:
             exponent = stack.pop()
-            stack[-1] = np.power(_full(stack[-1], n), _full(exponent, n))
+            stack[-1] = np.power(_full(stack[-1], n, filled), _full(exponent, n, filled))
         elif op is _FAIL:
             raise UnknownSymbol(arg)
         else:
             right = stack.pop()
             stack[-1] = op(stack[-1], right)
-    out = _full(stack[0], n)
+    out = _full(stack[0], n, filled)
     return out.copy() if len(program) == 1 else out  # never hand out an input column
 
 
@@ -340,12 +340,16 @@ def run_program(expr: SymbolicExpression, columns: dict, n: int) -> np.ndarray:
 _LITERAL, _PARAM, _VARIABLE, _POW, _FAIL = "literal", "param", "variable", "pow", "fail"
 
 
-def _full(value, n: int) -> np.ndarray:
+def _full(value, n: int, filled: dict) -> np.ndarray:
+    """``value`` as an n-long array; a scalar object is filled once per ``filled``, whose
+    entry keeps it alive so that no other takes its id (tied slots share one float)."""
     if isinstance(value, np.ndarray):
         return value
-    out = np.empty(n)
-    out.fill(value)
-    return out
+    if id(value) not in filled:
+        out = np.empty(n)
+        out.fill(value)
+        filled[id(value)] = value, out
+    return filled[id(value)][1]
 
 
 def _divide(num, den):

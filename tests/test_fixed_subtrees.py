@@ -3,11 +3,15 @@
 A prior sub-expression without a choice, and an automaton state with one
 sure entry into such states, can give only one tree.  Both samplers return
 the tree they hold for it instead of rebuilding it node by node.  Holding it
-must change no draw: with the tables emptied, every draw gives the same tree
-object, the same error and the same generator state.  A node sums its
-marker counts from its children's, and they must equal the markers a full
-walk finds.
+must change no draw: with the tables emptied (a prior's sampling plan built
+again from an empty ``fixed``, an automaton's held-state table emptied),
+every draw gives the same tree object, the same error and the same generator
+state.  The automaton's sibling-loop regrow must also grow what its earlier
+recursive form, one call per node, grows.  A node sums its marker counts
+from its children's, and they must equal the markers a full walk finds.
 """
+
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from treegress.errors import DepthBudgetExhausted
 from treegress.experiments import gen_isotherm
 from treegress.inference import McmcConfig, run_chain
 from treegress.prte import _draw, build_prior, sample_tree
-from treegress.pta import Pta, _generation_tables, compile_prior, sample_from_state
+from treegress.pta import Pta, _generation_tables, _grow, compile_prior, sample_from_state
 from treegress.trees import (
     RankedAlphabet,
     RankedSymbol,
@@ -50,7 +54,8 @@ def _draws(prior, pta, seeds, max_depth):
     """Every outcome of ``sample_tree``, of one attempt at the root and of
     ``sample_from_state`` from each state, in a fixed order."""
     out = [_outcome(lambda rng: sample_tree(prior, rng), s) for s in seeds]
-    out += [_outcome(lambda rng: _draw(prior, rng, (prior.root,), 0)[0], s) for s in seeds]
+    out += [_outcome(lambda rng: _draw(prior.graph.plan, rng, (0,), 0, prior.max_depth)[0], s)
+            for s in seeds]
     out += [_outcome(lambda rng: sample_from_state(pta, q, rng, max_depth), s)
             for q in range(pta.n_states) for s in seeds]
     return out
@@ -60,6 +65,7 @@ def _check_unchanged_without_tables(prior, seeds, max_depth, monkeypatch):
     pta = compile_prior(prior)
     held = _draws(prior, pta, seeds, max_depth)
     monkeypatch.setattr(prior.graph, "fixed", {})
+    monkeypatch.delattr(prior.graph, "plan")  # built again at the next draw, without fixed
     monkeypatch.setattr(pta, "_emission", (_generation_tables(pta)[0], {}))
     built = _draws(prior, pta, seeds, max_depth)
     assert len(held) == len(built)
@@ -108,6 +114,69 @@ def test_a_state_whose_one_entry_can_die_is_not_held(monkeypatch):
     monkeypatch.setattr(pta, "_emission", (_generation_tables(pta)[0], {}))
     assert [_outcome(draw, seed) for seed in range(20)] == held
     assert {type(out) for out, _ in held} == {Tree, tuple}  # some grow g(a), some die
+
+
+def _grow_oracle(emit, fixed, rng, q, depth, max_depth):
+    """``pta._grow`` in its earlier recursive form: one call per node, its
+    children grown through a generator."""
+    held = fixed.get(q)
+    if held is not None and depth + held[1] <= max_depth:
+        if held[2]:
+            rng.random(held[2])
+        return held[0]
+    if depth > max_depth:
+        raise DepthBudgetExhausted(f"the grown tree passed depth {max_depth}")
+    symbol, cdf, kids = emit[q]
+    if symbol.rank == 0:
+        return Tree(symbol)
+    i = bisect_right(cdf, rng.random())
+    if i == len(cdf):
+        raise DepthBudgetExhausted(f"the grown tree drew missing row mass at state {q}")
+    return Tree(symbol, tuple(_grow_oracle(emit, fixed, rng, s, depth + 1, max_depth)
+                              for s in kids[i]))
+
+
+def _check_grow(pta, seeds, max_depth):
+    """The sibling loop and the recursive oracle agree from every state, with the
+    held-state table and without it: the same tree object or error message, and
+    the same generator state."""
+    emit, fixed = _generation_tables(pta)
+    outcomes = []
+    for tables in (fixed, {}):
+        for q in range(pta.n_states):
+            for seed in seeds:
+                got = _outcome(lambda rng: _grow(emit, tables, rng, (q,), 0, max_depth)[0], seed)
+                want = _outcome(lambda rng: _grow_oracle(emit, tables, rng, q, 0, max_depth), seed)
+                assert got[1] == want[1]
+                assert got[0] is want[0] if isinstance(want[0], Tree) else got[0] == want[0]
+                outcomes.append(want[0])
+    return outcomes
+
+
+def test_the_sibling_loop_regrow_equals_the_recursive_one_on_shipped_priors(all_shipped):
+    for prior in all_shipped.values():
+        for max_depth in (prior.max_depth, 3):
+            _check_grow(compile_prior(prior), range(8), max_depth)
+
+
+@pytest.mark.parametrize("max_depth", [3, 2], ids=["ends-at-max-depth", "one-level-past"])
+def test_the_sibling_loop_regrow_equals_the_recursive_one_at_the_depth_bound(max_depth):
+    outcomes = _check_grow(compile_prior(build_prior("block", BLOCK, max_depth=max_depth)),
+                           range(40), max_depth)
+    block = parse_tree("(g (g a))")
+    trees = [out for out in outcomes if isinstance(out, Tree)]
+    if max_depth == 3:  # the block fits below f: nothing overflows, and it is drawn there
+        assert len(trees) == len(outcomes)
+        assert any(t.symbol.name == "f" and t.children[0] is block for t in trees)
+    else:  # it does not: some attempts overflow
+        assert len(trees) < len(outcomes)
+
+
+def test_the_sibling_loop_regrow_equals_the_recursive_one_on_missing_row_mass():
+    pta = Pta(RankedAlphabet([G, A]), ("q0", "q1"), [1.0, 0.0],
+              {("g", 1): ([0], [0.5], ([1],)), ("a", 0): [0.0, 1.0]})
+    outcomes = _check_grow(pta, range(20), 50)
+    assert any("missing row mass" in out[1] for out in outcomes if isinstance(out, tuple))
 
 
 def test_the_reference_langmuir_chain_builds_few_trees(e_iso, monkeypatch):

@@ -3,15 +3,18 @@
 ``_Resolution`` derives each fact about a prior node once: the node a
 variable, concatenation or iteration expands to (``target``), every node's
 least height (``heights``) and the one tree of every node that derives only
-one (``fixed``).  ``_draw`` and ``prte_density`` read those tables.  The
-oracles below keep the forms that re-derived them: a four-way step that
-resolves variables through its own scope walk, a fixed-tree fixpoint that
-works out heights again, and a density keyed by tree address.  They must
+one (``fixed``), and from them the flat ``plan`` that ``_draw`` walks;
+``prte_density`` reads the tables.  The oracles below keep the forms that
+re-derived them: a four-way step over the expression itself that resolves
+variables through its own scope walk and picks a choice's branch by its own
+``_pick_branch``, a fixed-tree fixpoint that works out heights again, and a
+density keyed by tree address.  They must
 agree with the library exactly: the same tree objects, generator states and
 errors for every draw, and equal Fractions for every density.
 """
 
 import time
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +29,6 @@ from treegress.prte import (
     PSymbol,
     PVar,
     _draw,
-    _pick_branch,
     build_prior,
     prte_density,
     sample_tree,
@@ -95,9 +97,16 @@ def _fixed_oracle(nodes, targets) -> dict:
     return fixed
 
 
-def _draw_oracle(prior, fixed, targets, rng, nodes, depth):
+def _pick_branch(choice, rng):
+    """The branch of the first running sum above one ``rng.random()``, or the last."""
+    i = bisect_right(choice.cumulative, rng.random())
+    return choice.branches[min(i, len(choice.branches) - 1)][1]
+
+
+def _draw_oracle(prior, fixed, targets, rng, nodes, depth, pick=_pick_branch):
     """``_draw`` as a four-way step: PVar through its scope target, PConcat to
-    ``left``, PIter to ``body``, with its own fixed-tree table."""
+    ``left``, PIter to ``body``, with its own fixed-tree table; ``pick`` resolves
+    a choice."""
     out = []
     for node in nodes:
         while True:
@@ -109,19 +118,19 @@ def _draw_oracle(prior, fixed, targets, rng, nodes, depth):
                 if depth > prior.max_depth:
                     raise DepthBudgetExhausted(f"the drawn tree passed depth {prior.max_depth}")
                 out.append(Tree(node.symbol, _draw_oracle(prior, fixed, targets, rng,
-                                                          node.children, depth + 1)))
+                                                          node.children, depth + 1, pick)))
                 break
             if isinstance(node, PChoice):
-                node = _pick_branch(node, rng)
+                node = pick(node, rng)
             else:
                 node = _step(node, targets)
     return tuple(out)
 
 
-def _sample_oracle(prior, fixed, targets, rng):
+def _sample_oracle(prior, fixed, targets, rng, pick=_pick_branch):
     for _ in range(RESAMPLE_RETRIES):
         try:
-            return _draw_oracle(prior, fixed, targets, rng, (prior.root,), 0)[0]
+            return _draw_oracle(prior, fixed, targets, rng, (prior.root,), 0, pick)[0]
         except DepthBudgetExhausted:
             continue
     raise DepthBudgetExhausted(
@@ -187,7 +196,7 @@ def _check_draws(prior, seeds):
         for ours, theirs in [
             (lambda rng: sample_tree(prior, rng),
              lambda rng: _sample_oracle(prior, fixed, targets, rng)),
-            (lambda rng: _draw(prior, rng, (prior.root,), 0)[0],
+            (lambda rng: _draw(prior.graph.plan, rng, (0,), 0, prior.max_depth)[0],
              lambda rng: _draw_oracle(prior, fixed, targets, rng, (prior.root,), 0)[0]),
         ]:
             (tree, state), (again, state_again) = _outcome(ours, seed), _outcome(theirs, seed)

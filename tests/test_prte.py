@@ -15,6 +15,7 @@ import gc
 import json
 import math
 import struct
+import sys
 import time
 import weakref
 from fractions import Fraction
@@ -24,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_prior_analysis import _draw_oracle, _fixed_oracle, _sample_oracle, _scope_targets
 from treegress.errors import (
     DepthBudgetExhausted,
     InputError,
@@ -41,6 +43,7 @@ from treegress.prte import (
     PriorSpec,
     PSymbol,
     PVar,
+    _draw,
     build_prior,
     compute_ties,
     format_prte,
@@ -237,8 +240,9 @@ COMB = "iter $x { choice{ 999/1000: +(f, $x), 1/1000: f } }"
 
 def test_max_depth_is_capped_where_both_samplers_still_recurse():
     """Past the cap a prior is rejected; at it, a comb drawn by ``sample_tree``
-    and one grown by ``sample_from_state`` (two frames a level) reach the cap
-    and finish, with a tree or DepthBudgetExhausted, not a RecursionError."""
+    and one grown by ``sample_from_state`` reach the cap and finish, with a tree
+    or DepthBudgetExhausted, not a RecursionError, under a recursion limit only
+    100 frames above the cap: each sampler spends one frame a level."""
     from treegress.pta import compile_prior, sample_from_state
 
     for depth in (MAX_DEPTH_CAP + 1, 100_000):
@@ -249,15 +253,20 @@ def test_max_depth_is_capped_where_both_samplers_still_recurse():
         dataclasses.replace(prior, max_depth=MAX_DEPTH_CAP + 1)
     pta = compile_prior(prior)
     start = int(np.flatnonzero(pta.initial)[0])
-    for draw in (lambda rng: sample_tree(prior, rng),
-                 lambda rng: sample_from_state(pta, start, rng, MAX_DEPTH_CAP)):
-        depths = []
-        for seed in range(8):
-            try:
-                depths.append(max(len(a) for a, _ in draw(np.random.default_rng(seed)).walk()))
-            except DepthBudgetExhausted:
-                depths.append(MAX_DEPTH_CAP + 1)
-        assert max(depths) > MAX_DEPTH_CAP / 2, depths
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(MAX_DEPTH_CAP + 100)
+    try:
+        for draw in (lambda rng: sample_tree(prior, rng),
+                     lambda rng: sample_from_state(pta, start, rng, MAX_DEPTH_CAP)):
+            depths = []
+            for seed in range(8):
+                try:
+                    depths.append(max(len(a) for a, _ in draw(np.random.default_rng(seed)).walk()))
+                except DepthBudgetExhausted:
+                    depths.append(MAX_DEPTH_CAP + 1)
+            assert max(depths) > MAX_DEPTH_CAP / 2, depths
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # -- canonical printing -------------------------------------------------------------
@@ -622,21 +631,33 @@ class _Fixed:
         return self.r
 
 
-def test_branch_pick_matches_the_float_accumulating_pick(all_shipped, monkeypatch):
-    import treegress.prte as prte
+def _attempt(draw):
+    """The tree of one draw, or the error type and message it ends with."""
+    try:
+        return draw()
+    except DepthBudgetExhausted as exc:
+        return DepthBudgetExhausted, str(exc)
 
+
+def test_branch_pick_matches_the_float_accumulating_pick(all_shipped):
     for name, prior in all_shipped.items():
+        targets, nodes = _scope_targets(prior.root)
+        fixed, plan = _fixed_oracle(nodes, targets), prior.graph.plan
         fast = np.random.default_rng(5)
         got = [sample_tree(prior, fast) for _ in range(300)]
-        with monkeypatch.context() as m:
-            m.setattr(prte, "_pick_branch", _float_accumulating_pick)
-            ref = np.random.default_rng(5)
-            want = [sample_tree(prior, ref) for _ in range(300)]
+        ref = np.random.default_rng(5)
+        want = [_sample_oracle(prior, fixed, targets, ref, _float_accumulating_pick)
+                for _ in range(300)]
         assert got == want, name
         assert fast.bit_generator.state == ref.bit_generator.state, name
-        # draws at and just below every running sum, and the largest draw below 1
+        # one attempt from each choice's plan record, every draw at and just below
+        # one of its running sums, or the largest draw below 1
         for choice in _choices(prior.root):
+            (at,) = [i for i, (symbol, _, sums) in enumerate(plan)
+                     if symbol is None and sums is choice.cumulative]
             edges = [r for acc in choice.cumulative for r in (acc, math.nextafter(acc, 0.0))]
             for r in edges + [0.0, math.nextafter(1.0, 0.0)]:
-                pick = prte._pick_branch(choice, _Fixed(r))
-                assert pick is _float_accumulating_pick(choice, _Fixed(r)), (name, r)
+                ours = _attempt(lambda: _draw(plan, _Fixed(r), (at,), 0, prior.max_depth)[0])
+                theirs = _attempt(lambda: _draw_oracle(prior, fixed, targets, _Fixed(r), (choice,),
+                                                       0, _float_accumulating_pick)[0])
+                assert ours == theirs, (name, r)

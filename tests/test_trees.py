@@ -22,7 +22,7 @@ from treegress.errors import (
     LengthMismatch,
     UnknownSymbol,
 )
-from treegress.prte import sample_expression, sample_tree
+from treegress.prte import compute_ties, sample_expression, sample_tree
 from treegress.trees import (
     RankedAlphabet,
     RankedSymbol,
@@ -208,6 +208,8 @@ HAND_TREES = [
     ("(/ (* a# b#) (+ 1 a# b#))", (1e300, -1e300), (), (0, 1, 0, 1)),
     ("(- (* d# x) (/ 1/3 d#))", (), (Fraction(2, 3), Fraction(-5)), None),
     ("(+ (* a# x) (* a# (pow x 2)) 0.1)", (-0.0, 0.0), (), None),
+    ("(* (pow a# -1) (pow b# -1))", (-0.0, 0.0), (), None),
+    ("(+ (pow x a#) (pow 2 a#) (pow a# a#))", (1.5,), (), (0, 0, 0, 0)),
 ]
 
 
@@ -227,6 +229,39 @@ def test_compiled_matches_tree_walk_on_prior_draws(all_shipped, stem, n_points):
     for _ in range(150):
         e = sample_expression(prior, rng)
         assert eval_expression(e, xs).tobytes() == reference_eval(e, xs).tobytes(), str(e.tree)
+
+
+class _CountingNumpy:
+    """numpy, counting the arrays that ``empty`` makes."""
+
+    def __init__(self):
+        self.made = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, *args, **kwargs):
+        self.made += 1
+        return np.empty(*args, **kwargs)
+
+
+def test_a_tied_pow_operand_is_filled_once_per_evaluation(e_hyp, monkeypatch):
+    import treegress.trees as trees
+
+    tree = parse_tree("(* (/ mu# alpha#) (- (+ (pow l1 alpha#) (pow l2 alpha#) (pow l3 alpha#)) 3))")
+    ties = compute_ties(tree, e_hyp)
+    assert ties == (0, 1, 1, 1, 1)  # the four alpha# share one parameter
+    rng = np.random.default_rng(2)
+    xs = {v: rng.uniform(0.5, 3.0, 25) for v in ("l1", "l2", "l3")}
+    exprs = [SymbolicExpression(tree, (float(mu), float(alpha)), (), ties)
+             for mu, alpha in rng.uniform(0.1, 4.0, (3, 2))]
+    counting = _CountingNumpy()
+    monkeypatch.setattr(trees, "np", counting)
+    got = [eval_expression(e, xs) for e in exprs]
+    assert counting.made == len(exprs)  # one fill of alpha# per evaluation, not three
+    monkeypatch.undo()
+    for e, out in zip(exprs, got):
+        assert out.tobytes() == reference_eval(e, xs).tobytes()
 
 
 def test_unequal_input_lengths_rejected():
