@@ -193,11 +193,8 @@ def inside(pta: Pta, tree: Tree, memo=None) -> np.ndarray:
     """Inside vector of the tree: entry q is the total probability of the
     successful runs on the tree that start in state q.  ``memo`` maps
     subtrees to their inside vectors; it is filled in as the pass goes, and
-    a caller scoring trees that share subtrees passes the same dict.  A tree
-    the memo already holds returns its entry at once."""
+    a caller scoring trees that share subtrees passes the same dict."""
     memo = {} if memo is None else memo
-    if tree in memo:
-        return memo[tree]
     tables = pta.tables
     order, pending = [], [tree]
     while pending:  # pre-order over the nodes not yet in the memo

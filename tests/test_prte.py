@@ -12,12 +12,14 @@ Covers:
 
 import dataclasses
 import gc
+import inspect
 import json
 import math
 import struct
 import sys
 import time
 import weakref
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_prior_analysis import _draw_oracle, _fixed_oracle, _sample_oracle, _scope_targets
+from test_prior_analysis import _draw_oracle, _fixed_oracle, _sample_oracle, _scope_targets, _step
 from treegress.errors import (
     DepthBudgetExhausted,
     InputError,
@@ -242,7 +244,8 @@ def test_max_depth_is_capped_where_both_samplers_still_recurse():
     """Past the cap a prior is rejected; at it, a comb drawn by ``sample_tree``
     and one grown by ``sample_from_state`` reach the cap and finish, with a tree
     or DepthBudgetExhausted, not a RecursionError, under a recursion limit only
-    100 frames above the cap: each sampler spends one frame a level."""
+    50 frames above the cap and the test's own stack: each sampler spends one
+    frame a level."""
     from treegress.pta import compile_prior, sample_from_state
 
     for depth in (MAX_DEPTH_CAP + 1, 100_000):
@@ -254,7 +257,7 @@ def test_max_depth_is_capped_where_both_samplers_still_recurse():
     pta = compile_prior(prior)
     start = int(np.flatnonzero(pta.initial)[0])
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(MAX_DEPTH_CAP + 100)
+    sys.setrecursionlimit(len(inspect.stack(0)) + MAX_DEPTH_CAP + 50)
     try:
         for draw in (lambda rng: sample_tree(prior, rng),
                      lambda rng: sample_from_state(pta, start, rng, MAX_DEPTH_CAP)):
@@ -639,6 +642,40 @@ def _attempt(draw):
         return DepthBudgetExhausted, str(exc)
 
 
+def _site(node, targets):
+    """The symbol or choice a node expands to, by the four-way step."""
+    while not isinstance(node, (PSymbol, PChoice)):
+        node = _step(node, targets)
+    return node
+
+
+def _plan_sites(plan, targets, fixed, starts):
+    """Plan index -> the symbol or choice node its record stands for, matched record
+    by record from the (index, node) pairs ``starts``.  Each index stands for one node
+    and each node has one index; a symbol's record carries its symbol, held tree and
+    one index per child, a choice's its running sums and one index per branch, the
+    last repeated."""
+    sites, index, pending = {}, {}, list(starts)
+    while pending:
+        i, node = pending.pop()
+        node = _site(node, targets)
+        if i in sites:
+            assert sites[i] is node and index[id(node)] == i
+            continue
+        assert id(node) not in index
+        sites[i], index[id(node)] = node, i
+        symbol, kids, held = plan[i]
+        if isinstance(node, PSymbol):
+            assert symbol is node.symbol and held == fixed.get(id(node))
+            assert len(kids) == len(node.children)
+            pending += zip(kids, node.children)
+        else:
+            assert symbol is None and held is node.cumulative
+            assert len(kids) == len(node.branches) + 1 and kids[-1] == kids[-2]
+            pending += zip(kids, (b for _, b in node.branches))
+    return sites
+
+
 def test_branch_pick_matches_the_float_accumulating_pick(all_shipped):
     for name, prior in all_shipped.items():
         targets, nodes = _scope_targets(prior.root)
@@ -650,13 +687,27 @@ def test_branch_pick_matches_the_float_accumulating_pick(all_shipped):
                 for _ in range(300)]
         assert got == want, name
         assert fast.bit_generator.state == ref.bit_generator.state, name
-        # one attempt from each choice's plan record, every draw at and just below
-        # one of its running sums, or the largest draw below 1
-        for choice in _choices(prior.root):
-            (at,) = [i for i, (symbol, _, sums) in enumerate(plan)
-                     if symbol is None and sums is choice.cumulative]
+        records = [(at, choice) for choice in _choices(prior.root)
+                   for at, (symbol, _, sums) in enumerate(plan)
+                   if symbol is None and sums is choice.cumulative]
+        assert len(records) == len(_choices(prior.root)), name
+        sites = _plan_sites(plan, targets, fixed, [(0, prior.root), *records])
+        # the plan with every symbol record holding its own index: a draw from a choice
+        # record gives the index of the symbol record it picks
+        probe = tuple((symbol, (), (i, 0)) if symbol is not None else (symbol, kids, sums)
+                      for i, (symbol, kids, sums) in enumerate(plan))
+        # at and just below every running sum, and the largest draw below 1: the plan
+        # record's branch is the float-accumulating pick, ``_draw`` picks the symbol that
+        # pick reaches, and one attempt from the record ends as one from the choice does
+        for at, choice in records:
+            _, branches, sums = plan[at]
             edges = [r for acc in choice.cumulative for r in (acc, math.nextafter(acc, 0.0))]
             for r in edges + [0.0, math.nextafter(1.0, 0.0)]:
+                pick = _site(_float_accumulating_pick(choice, _Fixed(r)), targets)
+                assert sites[branches[bisect_right(sums, r)]] is pick, (name, r)
+                while isinstance(pick, PChoice):
+                    pick = _site(_float_accumulating_pick(pick, _Fixed(r)), targets)
+                assert sites[_draw(probe, _Fixed(r), (at,), 0, 0)[0]] is pick, (name, r)
                 ours = _attempt(lambda: _draw(plan, _Fixed(r), (at,), 0, prior.max_depth)[0])
                 theirs = _attempt(lambda: _draw_oracle(prior, fixed, targets, _Fixed(r), (choice,),
                                                        0, _float_accumulating_pick)[0])

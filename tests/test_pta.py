@@ -176,31 +176,6 @@ def test_shared_memo_scores_equal_fresh_ones_bit_for_bit(all_shipped):
             assert float(pta.initial @ inside(pta, t, memo)) == pta_eval(pta, t)
 
 
-def test_a_memo_hit_returns_the_memo_entry_without_a_table_lookup(e1, monkeypatch):
-    import treegress.pta as pta_module
-
-    pta = compile_prior(e1)
-    rng = np.random.default_rng(3)
-    memo = {}
-    trees = [sample_tree(e1, rng) for _ in range(20)]
-    for t in trees:
-        inside(pta, t, memo)
-    looked_up = [0]
-    table = pta_module._table
-
-    def counting(tables, symbol):
-        looked_up[0] += 1
-        return table(tables, symbol)
-
-    monkeypatch.setattr(pta_module, "_table", counting)
-    for t in trees:
-        assert inside(pta, t, memo) is memo[t]
-        assert inside(object(), t, memo) is memo[t]  # reads nothing of the automaton
-    assert looked_up[0] == 0
-    inside(pta, trees[0])  # without a memo every node is looked up
-    assert looked_up[0] == trees[0].size
-
-
 def test_boltzmann_marginal_is_the_context_marginal(all_shipped):
     from treegress.inference import McmcConfig, _ChainContext
 
