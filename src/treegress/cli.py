@@ -162,8 +162,8 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    if args.chains < 1:
-        raise InputError(f"--chains must be at least 1, got {args.chains}")
+    if not 1 <= args.chains <= sys.maxsize:  # SeedSequence.spawn takes at most sys.maxsize
+        raise InputError(f"--chains must be at least 1 and at most {sys.maxsize}, got {args.chains}")
     doc = json_object(Path(args.config).read_text(encoding="utf-8"), "run config", _RUN_CONFIG_KEYS)
     refs = {key: doc.pop(key, None) for key in ("prior", "train", "out")}
     if args.seed is not None:

@@ -184,9 +184,10 @@ class Posterior:
 
     @cached_property
     def texts(self) -> dict:
-        """Each distinct tree of the draws -> its ``format_tree`` text.  A memo local to
-        this call formats each distinct node once, children first, without recursion."""
-        trees = {d.expr.tree for d in self.draws}
+        """Each distinct tree of the draws, in order of first appearance -> its
+        ``format_tree`` text.  A memo local to this call formats each distinct node once,
+        children first, without recursion."""
+        trees = dict.fromkeys(d.expr.tree for d in self.draws)
         memo: dict = {}
         stack = list(trees)
         while stack:
@@ -246,29 +247,14 @@ def shrink_params(theta, u):
     return tuple([t + v for t, v in zip(theta, u)]), u_star, n_star * math.log(2.0)
 
 
-def _pairwise_sum(a) -> float:
-    """float(np.sum(a)) for a list of floats, to the bit: 0.0 plus the pairwise
-    sum of numpy's ``loops_utils.h.src``.  (``sum`` compensates from Python 3.12.)"""
-    n = len(a)
-    if n > 128:  # the halves, split at a multiple of 8
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
-    res, m = 0.0, n - n % 8
-    if m:  # eight running sums over the first m entries; the tail follows
-        r0, r1, r2, r3, r4, r5, r6, r7 = a[:8]
-        for i in range(8, m, 8):
-            r0, r1, r2, r3 = r0 + a[i], r1 + a[i + 1], r2 + a[i + 2], r3 + a[i + 3]
-            r4, r5, r6, r7 = r4 + a[i + 4], r5 + a[i + 5], r6 + a[i + 6], r7 + a[i + 7]
-        res += ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    for x in a[m:]:
-        res += x
-    return res
-
-
 def _stdnorm_logpdf(u) -> float:
-    """log N(u; 0, I) for floats.  u·u is summed as ``np.sum`` sums it (``_pairwise_sum``,
-    after numpy's ``loops_utils.h.src``), so the jump terms are numpy's to the bit."""
-    return -0.5 * _pairwise_sum([x * x for x in u]) - 0.5 * len(u) * LOG_2PI
+    """log N(u; 0, I) for floats.  u·u is ``math.fsum``'s exactly rounded sum; one past
+    float range is inf, so a jump with such auxiliaries scores -inf and is rejected."""
+    try:
+        total = math.fsum([x * x for x in u])
+    except OverflowError:  # finite squares whose exact sum passes float range
+        total = math.inf
+    return -0.5 * total - 0.5 * len(u) * LOG_2PI
 
 
 def _disc_jump(theta_d_old, n_new: int, support, rng):
@@ -582,8 +568,8 @@ def run_chains(prior: PriorSpec, data, config: McmcConfig, chains: int, on_draw=
     than max_depth lies outside the support of the depth-truncated target.  ``on_draw``
     sees each Draw as it is recorded, chain after chain; while a chain's state is the
     one last recorded, its Draw object is recorded again."""
-    if chains < 1:
-        raise InputError(f"chains must be at least 1, got {chains}")
+    if not 1 <= chains <= sys.maxsize:  # SeedSequence.spawn takes at most sys.maxsize
+        raise InputError(f"chains must be at least 1 and at most {sys.maxsize}, got {chains}")
     if config.max_depth is None:
         config = replace(config, max_depth=prior.max_depth)
     elif prior.max_depth != config.max_depth:

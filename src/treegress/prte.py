@@ -657,7 +657,7 @@ class PriorSpec:
         object.__setattr__(
             self, "theta_d_support", tuple(Fraction(v) for v in self.theta_d_support)
         )
-        object.__setattr__(self, "alphabet", RankedAlphabet(used | leaves))
+        object.__setattr__(self, "alphabet", RankedAlphabet(sorted(used | leaves)))
 
     @property
     def graph(self) -> _Resolution:

@@ -7,8 +7,9 @@ expand to, with tuple probabilities given by the product of the child routing
 distributions.
 
 An automaton is built in the one form it is stored in, per-symbol arrays
-(``Pta.tables``) that compilation and the product write and that scoring,
-generation and the JSON dump read.  Trees are scored by the inside-outside
+(``Pta.tables``) that compilation and the product write and that scoring
+and the JSON dump read; generation reads one record per state
+(``Pta.regrow``), derived from them once.  Trees are scored by the inside-outside
 algorithm over them.  The inside pass runs bottom-up: a node's inside vector
 holds, per state, the probability of the runs on its subtree that start
 there.  The outside pass runs down one path: the outside vector at an
@@ -25,6 +26,8 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -60,7 +63,6 @@ class Pta:
         if unknown:
             raise AlphabetMismatch(f"tables on symbols outside the alphabet: {sorted(unknown)}")
         self.tables = {(s.name, s.rank): _stored(s, self.n_states, tables) for s in alphabet}
-        self._emission = None
         self._validate()
 
     def _validate(self):
@@ -86,6 +88,44 @@ class Pta:
     @property
     def n_states(self):
         return len(self.states)
+
+    @cached_property
+    def regrow(self) -> tuple:
+        """One record per state, built at the first regrow: (the one symbol the state
+        emits, the running sums of its entries' probabilities, their child-state tuples,
+        the (tree, height, inner nodes) the state grows or None).  A state grows one tree
+        when its one entry, with a running sum >= 1.0, leads into such states; a leaf
+        state has no entry and grows its leaf, at height 0.  Raises InputError unless
+        every state emits exactly one symbol."""
+        options: dict = {}  # state -> (symbol, running sums, child-state tuples) per symbol
+        for (name, rank), entry in self.tables.items():
+            symbol = self.alphabet.get(name, rank)
+            # a leaf symbol: its accepting states, with neither running sums nor tuples
+            rows = {} if rank else {s: ((), ()) for s in np.flatnonzero(entry).tolist()}
+            for state, p, tup in _entries(entry) if rank else ():
+                probs, kids = rows.setdefault(state, ([], []))
+                probs.append(p)
+                kids.append(tup)
+            for state, (probs, kids) in rows.items():
+                options.setdefault(state, []).append((symbol, tuple(accumulate(probs)), tuple(kids)))
+        for q in range(self.n_states):
+            if len(options.get(q, ())) != 1:
+                raise InputError(
+                    f"state {self.states[q]} does not emit exactly one symbol; "
+                    "generative sampling is defined for single-symbol states"
+                )
+        emit = [options[q][0] for q in range(self.n_states)]
+        held, changed = {}, True
+        while changed:
+            changed = False
+            for q, (symbol, cdf, kids) in enumerate(emit):
+                tup = kids[0] if len(cdf) == 1 and cdf[0] >= 1.0 else ()
+                if q in held or len(tup) != symbol.rank or any(s not in held for s in tup):
+                    continue
+                subtrees, heights, inner = zip(*(held[s] for s in tup)) if tup else ((), (-1,), ())
+                held[q] = Tree(symbol, subtrees), max(heights) + 1, sum(inner) + (symbol.rank > 0)
+                changed = True
+        return tuple((*record, held.get(q)) for q, record in enumerate(emit))
 
     def to_json(self) -> str:
         """Debug dump; the layout is not a stability-guaranteed format."""
@@ -271,19 +311,22 @@ def sample_from_state(pta: Pta, state, rng, max_depth: int = DEFAULT_MAX_DEPTH) 
     There is one attempt, which missing row mass or a node deeper than
     ``max_depth`` ends with DepthBudgetExhausted.  Unlike the expression
     sampler, this does not redraw: a caller that rejects on the error
-    proposes each tree with exactly its inside probability.  A state that
-    grows one tree only gives the tree held for it, after the same draws.
+    proposes each tree with exactly its inside probability.  The attempt
+    reads one record of ``Pta.regrow`` per node; a state that grows one
+    tree only gives the tree held for it, after the same draws.
     """
-    return _grow(*_generation_tables(pta), rng, (int(state),), 0, max_depth)[0]
+    return _grow(pta.regrow, rng, (int(state),), 0, max_depth)[0]
 
 
-def _grow(emit, fixed, rng, states: tuple, depth: int, max_depth: int) -> tuple:
+def _grow(records, rng, states: tuple, depth: int, max_depth: int) -> tuple:
     """One attempt of ``sample_from_state``: the trees grown from the sibling ``states``
-    at ``depth``, one frame a level; a held tree that would pass ``max_depth`` is grown
-    out, to overflow as it would unheld.  No closure, so no cycle keeps the automaton."""
+    at ``depth``, one frame a level.  An unheld state takes the entry of the first
+    running sum above one ``rng.random()``; every leaf state is held, so none gets that
+    far.  A held tree that would pass ``max_depth`` is grown out, to overflow as it
+    would unheld.  No closure, so no cycle keeps the automaton."""
     out = []
     for q in states:
-        held = fixed.get(q)
+        symbol, cdf, kids, held = records[q]
         if held is not None and depth + held[1] <= max_depth:
             if held[2]:
                 rng.random(held[2])  # the stream of one rng.random() per inner node
@@ -291,53 +334,11 @@ def _grow(emit, fixed, rng, states: tuple, depth: int, max_depth: int) -> tuple:
             continue
         if depth > max_depth:
             raise DepthBudgetExhausted(f"the grown tree passed depth {max_depth}")
-        symbol, cdf, kids = emit[q]
-        if symbol.rank == 0:
-            out.append(Tree(symbol))
-            continue
         i = bisect_right(cdf, rng.random())
         if i == len(cdf):
             raise DepthBudgetExhausted(f"the grown tree drew missing row mass at state {q}")
-        out.append(Tree(symbol, _grow(emit, fixed, rng, kids[i], depth + 1, max_depth)))
+        out.append(Tree(symbol, _grow(records, rng, kids[i], depth + 1, max_depth)))
     return tuple(out)
-
-
-def _generation_tables(pta: Pta):
-    """(state -> (symbol, running sums of its entries' probabilities, their
-    child-state tuples) of the one symbol it emits, a leaf with neither; state
-    -> (tree, height, inner nodes) of each state that grows one tree: a leaf
-    state, or one whose single entry, with a running sum >= 1.0, leads into
-    such states).  ``_grow`` picks the first entry whose sum exceeds a draw."""
-    if pta._emission is None:
-        options: dict = {}
-        for (name, rank), entry in pta.tables.items():
-            # a leaf symbol: its accepting states, with neither running sums nor tuples
-            rows = {} if rank else {s: ((), ()) for s in np.flatnonzero(entry).tolist()}
-            for state, p, tup in _entries(entry) if rank else ():
-                cdf, kids = rows.setdefault(state, ([], []))
-                cdf.append((cdf[-1] if cdf else 0.0) + p)
-                kids.append(tup)
-            for state, (cdf, kids) in rows.items():
-                options.setdefault(state, []).append((pta.alphabet.get(name, rank), cdf, kids))
-        for q in range(pta.n_states):
-            if len(options.get(q, ())) != 1:
-                raise InputError(
-                    f"state {pta.states[q]} does not emit exactly one symbol; "
-                    "generative sampling is defined for single-symbol states"
-                )
-        emit = {q: only for q, (only,) in options.items()}
-        fixed, changed = {}, True
-        while changed:
-            changed = False
-            for q, (symbol, cdf, kids) in emit.items():
-                tup = kids[0] if len(cdf) == 1 and cdf[0] >= 1.0 else ()
-                if q in fixed or len(tup) != symbol.rank or any(s not in fixed for s in tup):
-                    continue
-                subtrees, heights, inner = zip(*(fixed[s] for s in tup)) if tup else ((), (-1,), ())
-                fixed[q] = Tree(symbol, subtrees), max(heights) + 1, sum(inner) + (symbol.rank > 0)
-                changed = True
-        pta._emission = emit, fixed
-    return pta._emission
 
 
 # -- product construction --------------------------------------------------------------

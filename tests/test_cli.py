@@ -165,7 +165,8 @@ def test_sample_negative_count_exits_2(capsys):
     assert json.loads(err.strip())["error"] == "InputError"
 
 
-@pytest.mark.parametrize("chains", ["0", "-2"])
+# 10**20 is past sys.maxsize, the most chains SeedSequence.spawn takes
+@pytest.mark.parametrize("chains", ["0", "-2", "100000000000000000000"])
 def test_fit_nonpositive_chains_exits_2(capsys, tmp_path, chains):
     train = tmp_path / "train.csv"
     train.write_text("c,s\n1.0,2.0\n")

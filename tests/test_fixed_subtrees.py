@@ -4,11 +4,13 @@ A prior sub-expression without a choice, and an automaton state with one
 sure entry into such states, can give only one tree.  Both samplers return
 the tree they hold for it instead of rebuilding it node by node.  Holding it
 must change no draw: with the tables emptied (a prior's sampling plan built
-again from an empty ``fixed``, an automaton's held-state table emptied),
-every draw gives the same tree object, the same error and the same generator
-state.  The automaton's sibling-loop regrow must also grow what its earlier
-recursive form, one call per node, grows.  A node sums its marker counts
-from its children's, and they must equal the markers a full walk finds.
+again from an empty ``fixed``, an automaton's regrow records holding only
+their leaves), every draw gives the same tree object, the same error and the
+same generator state.  Every leaf state is held, at height 0, so the regrow
+has no leaf case of its own.  The automaton's sibling-loop regrow must also
+grow what its earlier recursive form, one call per node, grows.  A node sums
+its marker counts from its children's, and they must equal the markers a
+full walk finds.
 """
 
 from bisect import bisect_right
@@ -22,7 +24,7 @@ from treegress.errors import DepthBudgetExhausted
 from treegress.experiments import gen_isotherm
 from treegress.inference import McmcConfig, run_chain
 from treegress.prte import _draw, build_prior, sample_tree
-from treegress.pta import Pta, _generation_tables, _grow, compile_prior, sample_from_state
+from treegress.pta import Pta, _grow, compile_prior, product, sample_from_state
 from treegress.trees import (
     RankedAlphabet,
     RankedSymbol,
@@ -61,12 +63,23 @@ def _draws(prior, pta, seeds, max_depth):
     return out
 
 
+def _held(records) -> dict:
+    """State -> the (tree, height, inner nodes) its regrow record holds, for each held state."""
+    return {q: held for q, (_, _, _, held) in enumerate(records) if held is not None}
+
+
+def _unheld(records) -> tuple:
+    """The regrow records with every held entry None but the leaf states': a leaf state
+    is always held, and the regrow has no other way to grow a leaf."""
+    return tuple((s, cdf, kids, held if s.rank == 0 else None) for s, cdf, kids, held in records)
+
+
 def _check_unchanged_without_tables(prior, seeds, max_depth, monkeypatch):
     pta = compile_prior(prior)
     held = _draws(prior, pta, seeds, max_depth)
     monkeypatch.setattr(prior.graph, "fixed", {})
     monkeypatch.delattr(prior.graph, "plan")  # built again at the next draw, without fixed
-    monkeypatch.setattr(pta, "_emission", (_generation_tables(pta)[0], {}))
+    monkeypatch.setattr(pta, "regrow", _unheld(pta.regrow))
     built = _draws(prior, pta, seeds, max_depth)
     assert len(held) == len(built)
     for (tree, state), (again, state_again) in zip(held, built):
@@ -83,7 +96,7 @@ def test_shipped_priors_draw_the_same_without_fixed_tables(all_shipped, monkeypa
 def test_shipped_priors_hold_their_fixed_blocks(e_iso, e_hyp):
     for prior in (e_iso, e_hyp):
         assert max(tree.size for tree, _ in prior.graph.fixed.values()) >= 10
-        assert max(n for _, _, n in _generation_tables(compile_prior(prior))[1].values()) >= 5
+        assert max(n for _, _, n in _held(compile_prior(prior).regrow).values()) >= 5
 
 
 @pytest.mark.parametrize("max_depth", [3, 2], ids=["ends-at-max-depth", "one-level-past"])
@@ -91,7 +104,7 @@ def test_a_fixed_block_at_the_depth_bound_draws_as_built(max_depth, monkeypatch)
     prior = build_prior("block", BLOCK, max_depth=max_depth)
     block = parse_tree("(g (g a))")
     assert block in {tree for tree, _ in prior.graph.fixed.values()}
-    assert block in {tree for tree, _, _ in _generation_tables(compile_prior(prior))[1].values()}
+    assert block in {tree for tree, _, _ in _held(compile_prior(prior).regrow).values()}
     held = _check_unchanged_without_tables(prior, range(40), max_depth, monkeypatch)
     under_f = [out.children[0] is block for out, _ in held
                if isinstance(out, Tree) and out.symbol.name == "f"]
@@ -105,20 +118,21 @@ def test_a_state_whose_one_entry_can_die_is_not_held(monkeypatch):
     # g at q0 has one entry of probability 1/2: a draw of 1/2 or more is missing row mass
     pta = Pta(RankedAlphabet([G, A]), ("q0", "q1"), [1.0, 0.0],
               {("g", 1): ([0], [0.5], ([1],)), ("a", 0): [0.0, 1.0]})
-    assert set(_generation_tables(pta)[1]) == {1}
+    assert set(_held(pta.regrow)) == {1}
 
     def draw(rng):
         return sample_from_state(pta, 0, rng)
 
     held = [_outcome(draw, seed) for seed in range(20)]
-    monkeypatch.setattr(pta, "_emission", (_generation_tables(pta)[0], {}))
+    monkeypatch.setattr(pta, "regrow", _unheld(pta.regrow))
     assert [_outcome(draw, seed) for seed in range(20)] == held
     assert {type(out) for out, _ in held} == {Tree, tuple}  # some grow g(a), some die
 
 
 def _grow_oracle(emit, fixed, rng, q, depth, max_depth):
-    """``pta._grow`` in its earlier recursive form: one call per node, its
-    children grown through a generator."""
+    """``pta._grow`` in its earlier recursive form, on separate emit and held tables:
+    one call per node, its children grown through a generator, and a leaf grown
+    without a held entry."""
     held = fixed.get(q)
     if held is not None and depth + held[1] <= max_depth:
         if held[2]:
@@ -138,15 +152,15 @@ def _grow_oracle(emit, fixed, rng, q, depth, max_depth):
 
 def _check_grow(pta, seeds, max_depth):
     """The sibling loop and the recursive oracle agree from every state, with the
-    held-state table and without it: the same tree object or error message, and
-    the same generator state."""
-    emit, fixed = _generation_tables(pta)
+    held entries and without them (the oracle then holds nothing, not even a leaf):
+    the same tree object or error message, and the same generator state."""
+    emit = {q: record[:3] for q, record in enumerate(pta.regrow)}
     outcomes = []
-    for tables in (fixed, {}):
+    for records, fixed in ((pta.regrow, _held(pta.regrow)), (_unheld(pta.regrow), {})):
         for q in range(pta.n_states):
             for seed in seeds:
-                got = _outcome(lambda rng: _grow(emit, tables, rng, (q,), 0, max_depth)[0], seed)
-                want = _outcome(lambda rng: _grow_oracle(emit, tables, rng, q, 0, max_depth), seed)
+                got = _outcome(lambda rng: _grow(records, rng, (q,), 0, max_depth)[0], seed)
+                want = _outcome(lambda rng: _grow_oracle(emit, fixed, rng, q, 0, max_depth), seed)
                 assert got[1] == want[1]
                 assert got[0] is want[0] if isinstance(want[0], Tree) else got[0] == want[0]
                 outcomes.append(want[0])
@@ -177,6 +191,13 @@ def test_the_sibling_loop_regrow_equals_the_recursive_one_on_missing_row_mass():
               {("g", 1): ([0], [0.5], ([1],)), ("a", 0): [0.0, 1.0]})
     outcomes = _check_grow(pta, range(20), 50)
     assert any("missing row mass" in out[1] for out in outcomes if isinstance(out, tuple))
+
+
+def test_every_leaf_state_is_held_at_height_0(all_shipped):
+    hook = compile_prior(all_shipped["e_hook"])  # its product's every state emits one symbol
+    for pta in [*map(compile_prior, all_shipped.values()), product(hook, hook)]:
+        leaves = [(symbol, held) for symbol, _, _, held in pta.regrow if symbol.rank == 0]
+        assert leaves and all(held == (Tree(symbol), 0, 0) for symbol, held in leaves)
 
 
 def test_the_reference_langmuir_chain_builds_few_trees(e_iso, monkeypatch):

@@ -2,7 +2,8 @@
 
 Independent oracles:
     - hand-computed Gaussian log-densities
-    - the dimension maps and the auxiliary log-density written with numpy
+    - the dimension maps written with numpy
+    - the auxiliary log-density summed exactly in fractions
     - central-difference Jacobian determinants of the dimension maps
     - exhaustive posterior enumeration on a finite six-tree prior
     - the exponential prior law of the noise scale under a constant likelihood
@@ -16,10 +17,11 @@ import struct
 import sys
 from bisect import bisect_right
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treegress.errors import InputError, LengthMismatch, SizeMismatch
@@ -29,7 +31,6 @@ from treegress.inference import (
     McmcConfig,
     Posterior,
     _ChainContext,
-    _pairwise_sum,
     _stdnorm_logpdf,
     _sum_squared_error,
     expand_params,
@@ -338,9 +339,16 @@ def _bits(values):
     return struct.pack(f"<{len(values)}d", *values)
 
 
+def exact_stdnorm_logpdf(u) -> float:
+    """log N(u; 0, I) with u·u summed exactly, then rounded once: the oracle of
+    ``_stdnorm_logpdf``.  Raises OverflowError when that sum passes float range."""
+    return -0.5 * float(sum(Fraction(x * x) for x in u)) - 0.5 * len(u) * LOG_2PI
+
+
 def test_float_jump_matches_the_numpy_oracle_to_the_bit():
     # the jump _jump_to makes, on the floats of rng.standard_normal(n).tolist(),
-    # against the numpy maps it replaced, in both directions over sizes 0-25
+    # against the numpy maps it replaced, in both directions over sizes 0-25;
+    # the auxiliary densities against the exactly summed oracle
     rng = np.random.default_rng(21)
     jumps = 0
     for n_old in range(26):
@@ -357,8 +365,9 @@ def test_float_jump_matches_the_numpy_oracle_to_the_bit():
                 assert all(type(x) is float for x in theta_new + u_star)
                 assert _bits(theta_new) == _bits(want[0].tolist())
                 assert _bits(u_star) == _bits(want[1].tolist())
-                got = (logdet, _stdnorm_logpdf(u), _stdnorm_logpdf(u_star))
-                assert _bits(got) == _bits(want[2:])
+                assert _bits([logdet]) == _bits([want[2]])
+                got = (_stdnorm_logpdf(u), _stdnorm_logpdf(u_star))
+                assert _bits(got) == _bits([exact_stdnorm_logpdf(u), exact_stdnorm_logpdf(u_star)])
                 jumps += 1
     assert jumps >= 2000
 
@@ -384,11 +393,19 @@ def _float_vectors(draw):
 
 @settings(derandomize=True, max_examples=500, deadline=None)
 @given(_float_vectors())
-def test_pairwise_sum_is_numpys_sum(values):
-    with np.errstate(all="ignore"):
-        want = float(np.sum(np.array(values, dtype=float)))
-    got = _pairwise_sum(values)
-    assert (math.isnan(got) and math.isnan(want)) or _bits([got]) == _bits([want])
+@example([1e154, 1e154])  # finite squares whose sum passes float range
+def test_stdnorm_logpdf_is_the_exactly_summed_density(values):
+    # the exact sum rounded once; -inf past float range or on an infinite square, so
+    # a jump with such auxiliaries is rejected, and NaN from a NaN entry
+    got = _stdnorm_logpdf(values)
+    if any(math.isnan(x) for x in values):
+        assert math.isnan(got)
+        return
+    try:
+        want = exact_stdnorm_logpdf(values)
+    except OverflowError:  # past float range, or an infinite square
+        want = -math.inf
+    assert _bits([got]) == _bits([want])
 
 
 # -- config ------------------------------------------------------------------------
@@ -678,6 +695,12 @@ def test_run_chains_rejects_fewer_than_one_chain(e1, chains):
     config = McmcConfig(burn_in=1, samples=10, thin=1, prior_only=True)
     with pytest.raises(InputError, match="at least 1"):
         run_chains(e1, None, config, chains)
+
+
+def test_run_chains_rejects_more_chains_than_spawn_takes(e1):
+    config = McmcConfig(burn_in=1, samples=10, thin=1, prior_only=True)
+    with pytest.raises(InputError, match=f"at most {sys.maxsize}"):
+        run_chains(e1, None, config, sys.maxsize + 1)
 
 
 def _merged_oracle(prior, data, config, chains):

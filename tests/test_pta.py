@@ -82,6 +82,15 @@ def test_compiled_matches_oracle_on_samples(all_shipped):
             assert abs(pta_eval(pta, t) - float(prte_density(prior, t))) <= 1e-9
 
 
+def test_alphabet_and_table_keys_are_in_sorted_order(all_shipped):
+    # not in the set order of the prior's symbols, which follows the hash seed
+    for name, prior in all_shipped.items():
+        symbols = list(prior.alphabet)
+        assert symbols == sorted(symbols), name
+        keys = list(compile_prior(prior).tables)
+        assert keys == sorted(keys), name
+
+
 def test_state_budget():
     prior = build_prior("t", "choice{ 1/2: f(a, b), 1/2: b }")
     with pytest.raises(StateBudgetExceeded):
