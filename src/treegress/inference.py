@@ -289,9 +289,11 @@ class _ChainContext:
     data are checked once, here: ``inputs`` and ``n`` are what ``input_columns``
     returns, ``y`` is 1-D and as long as the columns, and unless the chain is
     prior-only, ``y`` has rows and the columns are the prior's variables.  The
-    caches key trees by identity: equal trees are one object, so a redrawn tree
-    finds the entries of the tree the chain already holds.  A key holds its
-    tree alive, and a cache is emptied past _CACHE_CAP, which costs speed only."""
+    caches but ``tempered`` key trees by identity: equal trees are one object, so
+    a redrawn tree finds the entries of the tree the chain already holds, and a
+    key holds its tree alive.  ``tempered`` keys a context marginal's bytes, so
+    cut sites with equal marginals share one read-only weights array.  A cache is
+    emptied past _CACHE_CAP, which costs speed only."""
 
     def __init__(self, prior: PriorSpec, pta: Pta, data, config: McmcConfig):
         self.prior = prior
@@ -312,6 +314,7 @@ class _ChainContext:
                                  f"variables {sorted(prior.variables)}")
         self.inside_memo: dict = {}  # subtree -> inside vector
         self.marginal_cache: dict = {}  # (tree, node index) -> the cut site's record
+        self.tempered: dict = {}  # a context marginal's bytes -> (its weights, their cdf)
         self.tie_table: dict = {}  # tree -> (its ties, its groups' marker-prior constants)
         self.cumulative = tuple(accumulate(config.move_mix().values()))  # added in MOVES order
 
@@ -341,7 +344,8 @@ class _ChainContext:
         (tempered distribution of the state there given the rest of the tree, its
         cumulative sum normalised as ``Generator.choice`` normalises it, as a list,
         the log probability that the distribution regrows the subtree already there,
-        the site's address, the subtree there).  Zero-probability states stay
+        the site's address, the subtree there).  The distribution and its cdf are
+        tempered once per distinct marginal.  Zero-probability states stay
         excluded for any temperature.  ``bisect_right`` on the cdf picks the state
         ``rng.choice`` would."""
         key = (tree, n)
@@ -349,16 +353,21 @@ class _ChainContext:
         if cached is None:
             addr, node = tree.nth(n)
             marginal = context_marginal(self.pta, tree, addr, self.inside_memo)
-            support = marginal > 0
-            logits = np.full(marginal.shape, -math.inf)
-            logits[support] = np.log(marginal[support]) / self.config.tau
-            logits -= logits[support].max()
-            weights = np.exp(logits)
-            weights /= weights.sum()
-            cdf = weights.cumsum()
-            cdf /= cdf[-1]
+            tempered = self.tempered.get(marginal.tobytes())
+            if tempered is None:
+                support = marginal > 0
+                logits = np.full(marginal.shape, -math.inf)
+                logits[support] = np.log(marginal[support]) / self.config.tau
+                logits -= logits[support].max()
+                weights = np.exp(logits)
+                weights /= weights.sum()
+                cdf = weights.cumsum()
+                cdf /= cdf[-1]
+                weights.flags.writeable = False  # shared by every site with this marginal
+                tempered = _bounded(self.tempered)[marginal.tobytes()] = weights, cdf.tolist()
+            weights, cdf = tempered
             regrow = _log(weights @ self.inside(node))
-            cached = _bounded(self.marginal_cache)[key] = weights, cdf.tolist(), regrow, addr, node
+            cached = _bounded(self.marginal_cache)[key] = weights, cdf, regrow, addr, node
         return cached
 
     def log_prior_params(self, expr: SymbolicExpression) -> float:

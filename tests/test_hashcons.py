@@ -210,10 +210,10 @@ def test_emptying_the_chain_caches_changes_no_draw(workload, cap, e_iso, e_hyp, 
     assert json.dumps(capped.accept_stats) == json.dumps(uncapped.accept_stats)
     assert len(contexts) == 1  # every chain of a fit runs on one context
     for ctx in contexts:
-        caches = (ctx.inside_memo, ctx.marginal_cache, ctx.tie_table)
+        caches = (ctx.inside_memo, ctx.marginal_cache, ctx.tempered, ctx.tie_table)
         if workload == "e1-prior":  # no E_1 tree has a marker, so none takes a tie entry
             assert ctx.tie_table == {}
-            caches = caches[:2]
+            caches = caches[:3]
         assert {id(cache) for cache in (caches if cap == 0 else caches[:1])} <= emptied
 
 

@@ -391,7 +391,7 @@ def _float_vectors(draw):
     return values
 
 
-@settings(derandomize=True, max_examples=500, deadline=None)
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
 @given(_float_vectors())
 @example([1e154, 1e154])  # finite squares whose sum passes float range
 def test_stdnorm_logpdf_is_the_exactly_summed_density(values):
@@ -1190,3 +1190,83 @@ def test_boltzmann_temperature_limits(e1):
     assert np.all(coldest[~support] == 0.0)
     with pytest.raises(InputError, match="tau at least"):
         McmcConfig(tau=math.nextafter(745 / sys.float_info.max, 0.0))
+
+
+def _tempered_oracle(marginal, tau):
+    """Tempering of one cut site's marginal on its own: (weights, cdf list)."""
+    support = marginal > 0
+    logits = np.full(marginal.shape, -math.inf)
+    logits[support] = np.log(marginal[support]) / tau
+    logits -= logits[support].max()
+    weights = np.exp(logits)
+    weights /= weights.sum()
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    return weights, cdf.tolist()
+
+
+def test_each_cut_site_is_tempered_as_on_its_own(all_shipped):
+    """Every cut site of sampled trees on every shipped prior, at four temperatures,
+    gets the per-site tempering's bytes, cdf and regrow term.  Sites with equal
+    marginal bytes share one weights array, as the roots of all trees of a prior
+    do, and each keeps the regrow term of its own subtree."""
+    import treegress.inference as inf
+    from treegress.prte import sample_tree
+    from treegress.pta import context_marginal, inside
+
+    for prior in all_shipped.values():
+        pta = compile_prior(prior)
+        trees = [sample_tree(prior, np.random.default_rng(seed)) for seed in range(8)]
+        for tau in (1.0, 0.5, 1e9, 745 / sys.float_info.max):
+            ctx = _ChainContext(prior, pta, None, McmcConfig(tau=tau))
+            shared, regrows = {}, {}  # marginal bytes -> the weights array, the regrow terms
+            for t in trees:
+                for n, (addr, node) in enumerate(t.walk()):
+                    marginal = context_marginal(pta, t, addr)
+                    weights, cdf, regrow, at, sub = ctx.boltzmann_marginal(t, n)
+                    want, want_cdf = _tempered_oracle(marginal, tau)
+                    assert weights.tobytes() == want.tobytes() and cdf == want_cdf
+                    assert struct.pack("<d", regrow) == struct.pack(
+                        "<d", inf._log(want @ inside(pta, node)))
+                    assert (at, sub) == (addr, node)
+                    assert shared.setdefault(marginal.tobytes(), weights) is weights
+                    regrows.setdefault(marginal.tobytes(), {})[node] = regrow
+            at_root = regrows[context_marginal(pta, trees[0], ()).tobytes()]
+            if len(set(trees)) > 1:  # e_hook and e_mrs draw one tree
+                assert len({at_root[t] for t in trees}) > 1  # one weights array, two regrows
+
+
+def test_a_cut_sites_weights_are_read_only(e1):
+    """Sites share their weights array, so a write through one record raises
+    instead of changing the distribution of every site with that marginal."""
+    ctx = _ChainContext(e1, compile_prior(e1), None, McmcConfig())
+    weights = ctx.boltzmann_marginal(parse_tree("(f (g a) b)", e1.alphabet), 1)[0]
+    with pytest.raises(ValueError, match="read-only"):
+        weights[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        weights /= weights.sum()
+
+
+def test_a_chain_tempers_each_distinct_marginal_once(e1, monkeypatch):
+    """On a prior-only E_1 chain (chain seed 0, 400 draws, thin 2) the context
+    marginal runs once per new cut site, 128 times; the 20 distinct marginals
+    among them are tempered once each, into 20 weights arrays."""
+    import treegress.inference as inf
+
+    marginals, weights = [], {}  # every context marginal's bytes; id -> each weights array
+    real_marginal, real_site = inf.context_marginal, _ChainContext.boltzmann_marginal
+
+    def marginal(*args):
+        out = real_marginal(*args)
+        marginals.append(out.tobytes())
+        return out
+
+    def site(ctx, tree, n):
+        record = real_site(ctx, tree, n)
+        weights[id(record[0])] = record[0]  # held here, so no id is reused
+        return record
+
+    monkeypatch.setattr(inf, "context_marginal", marginal)
+    monkeypatch.setattr(_ChainContext, "boltzmann_marginal", site)
+    run_chain(e1, None, McmcConfig(burn_in=0, samples=400, thin=2, seed=0, prior_only=True))
+    assert (len(marginals), len(set(marginals)), len(weights)) == (128, 20, 20)

@@ -151,7 +151,7 @@ def test_texts_are_the_format_tree_texts(e1):
     assert Posterior((draw,), {}, config).texts == {deep: format_tree(deep)}
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(posteriors())
 def test_the_writer_gives_the_bytes_of_an_indent_2_dump(posterior):
     assert posterior_to_json(posterior) == oracle(posterior)
@@ -265,7 +265,7 @@ def _read_and_write(text):
     return posterior_to_json(posterior_from_json(text))
 
 
-@settings(derandomize=True, max_examples=400, deadline=None)
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
 @given(st.one_of(posteriors().map(posterior_to_json), edited_posteriors()))
 def test_the_reader_decodes_as_json_loads(text):
     assert _outcome(_load_posterior, text) == _outcome(json.loads, text)

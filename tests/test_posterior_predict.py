@@ -115,7 +115,7 @@ def posteriors(draw):
     return Posterior(tuple(draws), {}, McmcConfig())
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(posteriors(), POINTS, st.one_of(st.none(), st.integers(0, 2**32)))
 def test_the_bands_are_the_dense_bands(posterior, x, seed):
     with np.errstate(over="ignore", invalid="ignore"):  # 1e300 and 1e308 overflow on purpose
