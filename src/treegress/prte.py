@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -54,6 +55,7 @@ DEFAULT_MAX_DEPTH = 50
 # 400 levels stay clear of Python's default recursion limit of 1000
 MAX_DEPTH_CAP = 400
 RESAMPLE_RETRIES = 1000
+_MIN_RATE = 1 / sys.float_info.max  # an exponential scale 1 / rate is finite above it
 
 _KEYWORDS = frozenset({"choice", "iter", "subst"})
 
@@ -322,11 +324,11 @@ class _Resolution:
     Resolves every variable occurrence to the sub-expression it expands to
     (the right side of its concatenation, or the enclosing iteration itself),
     checks that every iteration admits a finite derivation, finds the least
-    derivation height of every node, holds the one tree of every node that
-    derives only one, and precomputes the root-symbol distribution ``reach``
-    of every node: the probability that expanding the node emits its first
-    symbol at each emitting site.
-    """
+    derivation height of every node, and precomputes the root-symbol
+    distribution ``reach`` of every node: the probability that expanding the
+    node emits its first symbol at each emitting site.  The sampling ``plan``,
+    built at the first draw, holds trees as the automaton's regrow does: by
+    ``held_trees``."""
 
     def __init__(self, root: Prte):
         self.root = root
@@ -338,7 +340,6 @@ class _Resolution:
             self._resolve(root, {})
             self.heights = self._least_heights()
             self.height = self.heights[id(root)]
-            self.fixed = self._fixed_trees()
             self.reach = self._compute_reach()
         except RecursionError:
             raise InputError("the expression nests too deeply to analyse") from None
@@ -383,7 +384,7 @@ class _Resolution:
             return ()
         return ((Fraction(1), self.target[id(node)]),)
 
-    # termination and fixed trees -------------------------------------------
+    # termination -----------------------------------------------------------
 
     def _least_heights(self):
         """id(node) -> least derivation height, found by lowering each from
@@ -414,35 +415,16 @@ class _Resolution:
             raise NonTerminatingIter("expression cannot derive any finite tree")
         return height
 
-    def _fixed_trees(self) -> dict:
-        """id(node) -> (tree, height) of every node whose expansion reaches no
-        choice and so derives one tree, whose height is the node's least one;
-        a fixpoint like ``_least_heights``'s."""
-        fixed, changed = {}, True
-        while changed:
-            changed = False
-            for n in reversed(self.nodes):
-                if id(n) in fixed or isinstance(n, PChoice):
-                    continue
-                if isinstance(n, PSymbol):
-                    kids = [fixed.get(id(c)) for c in n.children]
-                    tree = None if None in kids else Tree(n.symbol, tuple(t for t, _ in kids))
-                else:
-                    held = fixed.get(id(self.target[id(n)]))
-                    tree = held and held[0]
-                if tree is not None:
-                    fixed[id(n)], changed = (tree, self.heights[id(n)]), True
-        return fixed
-
     @cached_property
     def plan(self) -> tuple:
         """One record per symbol and per choice, the root's first, built at the first draw.
         Records name each other by index, so there is no cycle, though ``iter`` makes the
-        graph cyclic.  A symbol's is (symbol, child indices, its (tree, height) in ``fixed``
-        or None); a choice's is (None, branch indices with the last one twice, for a draw
-        above every running sum, its running sums).  A variable, concatenation or iteration
-        takes the index of the symbol or choice it expands to; ``fixed`` holds that exactly
-        when it holds the node, at the same height."""
+        graph cyclic.  A symbol's is (symbol, child indices, the (tree, height, inner
+        nodes) ``held_trees`` finds for it or None); a choice's is (None, branch indices
+        with the last one twice, for a draw above every running sum, its running sums).
+        A variable, concatenation or iteration takes the index of the symbol or choice it
+        expands to.  A choice draws, so ``held_trees`` sees it as (None, None) and holds
+        exactly the symbols without a choice below them, each at its least height."""
         def site(node):
             while id(node) in self.target:
                 node = self.target[id(node)]
@@ -452,11 +434,13 @@ class _Resolution:
         sites = [first, *(n for n in self.nodes if id(n) not in self.target and n is not first)]
         index = {id(n): i for i, n in enumerate(sites)}
         index.update((key, index[id(site(n))]) for key, n in self.target.items())
+        records = [(n.symbol, tuple(index[id(c)] for c in n.children))
+                   if isinstance(n, PSymbol) else (None, None) for n in sites]
+        held = held_trees(records)
         return tuple(
-            (n.symbol, tuple(index[id(c)] for c in n.children), self.fixed.get(id(n)))
-            if isinstance(n, PSymbol) else
+            (symbol, kids, held.get(i)) if symbol is not None else
             (None, tuple(index[id(b)] for _, b in (*n.branches, n.branches[-1])), n.cumulative)
-            for n in sites)
+            for i, (n, (symbol, kids)) in enumerate(zip(sites, records)))
 
     # root-symbol distributions ----------------------------------------------
 
@@ -589,8 +573,9 @@ class MarkerPrior:
             raise InputError(f"unknown marker prior '{self.kind}'")
         if not all(map(math.isfinite, (self.rate, self.mean, self.stddev))):
             raise InputError("marker prior rate, mean and stddev must be finite")
-        if self.kind == "exp" and self.rate <= 0:
-            raise InputError("exponential rate must be positive")
+        if self.kind == "exp" and self.rate <= _MIN_RATE:  # positive, and 1 / rate finite
+            raise InputError(f"exponential rate must be above 1 / sys.float_info.max "
+                             f"({_MIN_RATE!r}), or its scale 1 / rate overflows")
         if self.kind == "normal" and self.stddev <= 0:
             raise InputError("normal stddev must be positive")
         # what the chain's log density reads; log(rate) or log(stddev), only the one the
@@ -667,13 +652,30 @@ class PriorSpec:
 # -- sampling --------------------------------------------------------------------
 
 
+def held_trees(records) -> dict:
+    """Index -> (tree, its depth, its nodes of rank above 0) of every record that can
+    give only one tree, for both samplers: a record is (symbol, child indices), or
+    (None, None) for one that draws, and is held once all its children are.  A fixpoint
+    like ``_Resolution._least_heights``, so a child may come later and a cycle is never held."""
+    held, changed = {}, True
+    while changed:
+        changed = False
+        for i, (symbol, kids) in enumerate(records):
+            if i in held or kids is None or any(k not in held for k in kids):
+                continue
+            subtrees, heights, inner = zip(*(held[k] for k in kids)) if kids else ((), (-1,), ())
+            held[i] = Tree(symbol, subtrees), max(heights) + 1, sum(inner) + (symbol.rank > 0)
+            changed = True
+    return held
+
+
 def sample_tree(prior: PriorSpec, rng: np.random.Generator) -> Tree:
     """Draw one tree.  Each variable occurrence expands to an independent
     sample of its binding expression.  Samples deeper than max_depth are
     discarded and redrawn; persistent overflow raises DepthBudgetExhausted.
     The truncation slightly biases the sampled law against very deep trees;
     the density does not.  The draw walks ``prior.graph.plan``, in which a symbol
-    without a choice below it gives the tree ``prior.graph.fixed`` holds for it."""
+    without a choice below it gives the tree ``held_trees`` holds for it."""
     plan = prior.graph.plan
     for _ in range(RESAMPLE_RETRIES):
         try:

@@ -38,7 +38,7 @@ from .errors import (
     InputError,
     StateBudgetExceeded,
 )
-from .prte import DEFAULT_MAX_DEPTH, PriorSpec
+from .prte import DEFAULT_MAX_DEPTH, PriorSpec, held_trees
 from .trees import Tree
 
 PROB_TOL = 1e-12
@@ -93,10 +93,11 @@ class Pta:
     def regrow(self) -> tuple:
         """One record per state, built at the first regrow: (the one symbol the state
         emits, the running sums of its entries' probabilities, their child-state tuples,
-        the (tree, height, inner nodes) the state grows or None).  A state grows one tree
-        when its one entry, with a running sum >= 1.0, leads into such states; a leaf
-        state has no entry and grows its leaf, at height 0.  Raises InputError unless
-        every state emits exactly one symbol."""
+        the (tree, height, inner nodes) the state grows or None).  ``held_trees``, the
+        fixpoint the prior's sampling plan uses too, finds the states that grow one tree:
+        a state whose one entry, with a running sum >= 1.0, leads into such states, and a
+        leaf state, which has no entry and grows its leaf at height 0.  Raises InputError
+        unless every state emits exactly one symbol."""
         options: dict = {}  # state -> (symbol, running sums, child-state tuples) per symbol
         for (name, rank), entry in self.tables.items():
             symbol = self.alphabet.get(name, rank)
@@ -115,16 +116,9 @@ class Pta:
                     "generative sampling is defined for single-symbol states"
                 )
         emit = [options[q][0] for q in range(self.n_states)]
-        held, changed = {}, True
-        while changed:
-            changed = False
-            for q, (symbol, cdf, kids) in enumerate(emit):
-                tup = kids[0] if len(cdf) == 1 and cdf[0] >= 1.0 else ()
-                if q in held or len(tup) != symbol.rank or any(s not in held for s in tup):
-                    continue
-                subtrees, heights, inner = zip(*(held[s] for s in tup)) if tup else ((), (-1,), ())
-                held[q] = Tree(symbol, subtrees), max(heights) + 1, sum(inner) + (symbol.rank > 0)
-                changed = True
+        held = held_trees([(symbol, kids[0]) if len(cdf) == 1 and cdf[0] >= 1.0 else
+                           (symbol, ()) if not symbol.rank else (None, None)
+                           for symbol, cdf, kids in emit])
         return tuple((*record, held.get(q)) for q, record in enumerate(emit))
 
     def to_json(self) -> str:

@@ -1,10 +1,16 @@
 import importlib.resources
+import tempfile
 
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from treegress.prte import load_prior
 
 _PRIOR_DIR = importlib.resources.files("treegress") / "priors"
+
+# hypothesis keeps its caches in a directory removed at exit, not in the checkout
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="treegress-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 def shipped_prior(stem):

@@ -95,6 +95,8 @@ MARKED = {"name": "t", "expression": "choice{ 1/2: k#, 1/2: b }",
         ("prior", {**MARKED, "max_depth": 2.7}, "'max_depth'"),
         ("prior", {**MARKED, "markers": {"k#": {"dist": "exp", "rate": math.inf}}}, "finite"),
         ("prior", {**MARKED, "markers": {"k#": {"dist": "exp", "rate": math.nan}}}, "finite"),
+        ("prior", {**MARKED, "markers": {"k#": {"dist": "exp", "rate": 1e-320}}},
+         "exponential rate must be above 1 / sys.float_info.max"),
         ("prior", {**MARKED, "markers": {"k#": {"dist": "normal", "mean": 0, "stddev": math.nan}}},
          "finite"),
         ("prior", {**MARKED, "markers": {"k#": {"dist": "normal", "mean": math.inf, "stddev": 1}}},
@@ -120,8 +122,8 @@ MARKED = {"name": "t", "expression": "choice{ 1/2: k#, 1/2: b }",
     ids=["prior-not-object", "expression-5", "max-depth-deep", "markers-list", "exp-no-rate",
          "support-a", "shared-5", "anchor-no-rank", "variables-ab", "shared-undeclared",
          "anchor-unknown", "anchor-wrong-rank", "variable-number", "variable-marker", "name-5",
-         "max-depth-true", "max-depth-2.7", "rate-inf", "rate-nan", "stddev-nan", "mean-inf",
-         "config-list", "tau-nan", "train-5", "prior-list", "out-null", "seed-negative",
+         "max-depth-true", "max-depth-2.7", "rate-inf", "rate-nan", "rate-1e-320", "stddev-nan",
+         "mean-inf", "config-list", "tau-nan", "train-5", "prior-list", "out-null", "seed-negative",
          "tau-tiny", "support-1e400", "support-10**400", "marker-unknown-key", "anchor-unknown-key",
          "prior-unknown-key"],
 )

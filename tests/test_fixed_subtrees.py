@@ -2,15 +2,17 @@
 
 A prior sub-expression without a choice, and an automaton state with one
 sure entry into such states, can give only one tree.  Both samplers return
-the tree they hold for it instead of rebuilding it node by node.  Holding it
-must change no draw: with the tables emptied (a prior's sampling plan built
-again from an empty ``fixed``, an automaton's regrow records holding only
-their leaves), every draw gives the same tree object, the same error and the
-same generator state.  Every leaf state is held, at height 0, so the regrow
-has no leaf case of its own.  The automaton's sibling-loop regrow must also
-grow what its earlier recursive form, one call per node, grows.  A node sums
-its marker counts from its children's, and they must equal the markers a
-full walk finds.
+the tree they hold for it instead of rebuilding it node by node, and one
+fixpoint, ``held_trees``, finds those trees for both: over the sampling
+plan's records and over the regrow's.  Each held entry's height and inner
+node count must be those of its tree.  Holding it must change no draw: with
+the tables emptied (a prior's plan records with every symbol's held entry
+None, an automaton's regrow records holding only their leaves), every draw
+gives the same tree object, the same error and the same generator state.
+Every leaf state is held, at height 0, so the regrow has no leaf case of its
+own.  The automaton's sibling-loop regrow must also grow what its earlier
+recursive form, one call per node, grows.  A node sums its marker counts
+from its children's, and they must equal the markers a full walk finds.
 """
 
 from bisect import bisect_right
@@ -20,10 +22,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_prior_analysis import _plan_held
 from treegress.errors import DepthBudgetExhausted
 from treegress.experiments import gen_isotherm
 from treegress.inference import McmcConfig, run_chain
-from treegress.prte import _draw, build_prior, sample_tree
+from treegress.prte import _draw, build_prior, held_trees, sample_tree
 from treegress.pta import Pta, _grow, compile_prior, product, sample_from_state
 from treegress.trees import (
     RankedAlphabet,
@@ -68,6 +71,12 @@ def _held(records) -> dict:
     return {q: held for q, (_, _, _, held) in enumerate(records) if held is not None}
 
 
+def _unplanned(plan) -> tuple:
+    """The plan records with every symbol's held entry None; a choice's keeps its sums."""
+    return tuple((symbol, kids, None if symbol is not None else sums)
+                 for symbol, kids, sums in plan)
+
+
 def _unheld(records) -> tuple:
     """The regrow records with every held entry None but the leaf states': a leaf state
     is always held, and the regrow has no other way to grow a leaf."""
@@ -77,8 +86,7 @@ def _unheld(records) -> tuple:
 def _check_unchanged_without_tables(prior, seeds, max_depth, monkeypatch):
     pta = compile_prior(prior)
     held = _draws(prior, pta, seeds, max_depth)
-    monkeypatch.setattr(prior.graph, "fixed", {})
-    monkeypatch.delattr(prior.graph, "plan")  # built again at the next draw, without fixed
+    monkeypatch.setattr(prior.graph, "plan", _unplanned(prior.graph.plan))
     monkeypatch.setattr(pta, "regrow", _unheld(pta.regrow))
     built = _draws(prior, pta, seeds, max_depth)
     assert len(held) == len(built)
@@ -95,7 +103,7 @@ def test_shipped_priors_draw_the_same_without_fixed_tables(all_shipped, monkeypa
 
 def test_shipped_priors_hold_their_fixed_blocks(e_iso, e_hyp):
     for prior in (e_iso, e_hyp):
-        assert max(tree.size for tree, _ in prior.graph.fixed.values()) >= 10
+        assert max(tree.size for tree, _, _ in _plan_held(prior.graph.plan).values()) >= 10
         assert max(n for _, _, n in _held(compile_prior(prior).regrow).values()) >= 5
 
 
@@ -103,7 +111,7 @@ def test_shipped_priors_hold_their_fixed_blocks(e_iso, e_hyp):
 def test_a_fixed_block_at_the_depth_bound_draws_as_built(max_depth, monkeypatch):
     prior = build_prior("block", BLOCK, max_depth=max_depth)
     block = parse_tree("(g (g a))")
-    assert block in {tree for tree, _ in prior.graph.fixed.values()}
+    assert block in {tree for tree, _, _ in _plan_held(prior.graph.plan).values()}
     assert block in {tree for tree, _, _ in _held(compile_prior(prior).regrow).values()}
     held = _check_unchanged_without_tables(prior, range(40), max_depth, monkeypatch)
     under_f = [out.children[0] is block for out, _ in held
@@ -127,6 +135,42 @@ def test_a_state_whose_one_entry_can_die_is_not_held(monkeypatch):
     monkeypatch.setattr(pta, "regrow", _unheld(pta.regrow))
     assert [_outcome(draw, seed) for seed in range(20)] == held
     assert {type(out) for out, _ in held} == {Tree, tuple}  # some grow g(a), some die
+
+
+def _walked_entry(tree) -> tuple:
+    """(tree, depth, nodes of rank above 0), from a full walk of the tree."""
+    nodes = list(tree.walk())
+    return tree, max(len(a) for a, _ in nodes), sum(n.symbol.rank > 0 for _, n in nodes)
+
+
+def test_held_trees_on_hand_built_records():
+    records = [
+        (F, (1, 2)),  # 0: f(g(a), a), both children later in the list
+        (G, (2,)),  # 1: g(a)
+        (A, ()),  # 2: a
+        (G, (4,)),  # 3 and 4: a cycle
+        (G, (3,)),
+        (None, None),  # 5: draws
+        (G, (5,)),  # 6: above a record that draws
+        (F, (0, 0)),  # 7: f(f(g(a), a), f(g(a), a))
+    ]
+    held = held_trees(records)
+    assert set(held) == {0, 1, 2, 7}
+    a = Tree(A)
+    ga = Tree(G, (a,))
+    fga = Tree(F, (ga, a))
+    assert held[2] == (a, 0, 0)
+    assert held[1] == (ga, 1, 1)
+    assert held[0] == (fga, 2, 2)
+    assert held[7] == (Tree(F, (fga, fga)), 3, 5)
+    assert all(entry == _walked_entry(entry[0]) for entry in held.values())
+    assert held_trees([]) == {} and held_trees([(None, None)]) == {}
+
+
+def test_held_entries_are_their_trees_on_shipped_priors(all_shipped):
+    for prior in all_shipped.values():
+        for held in (_plan_held(prior.graph.plan), _held(compile_prior(prior).regrow)):
+            assert held and all(entry == _walked_entry(entry[0]) for entry in held.values())
 
 
 def _grow_oracle(emit, fixed, rng, q, depth, max_depth):

@@ -1,15 +1,16 @@
 """The sampler and the density oracle against their earlier, self-contained forms.
 
 ``_Resolution`` derives each fact about a prior node once: the node a
-variable, concatenation or iteration expands to (``target``), every node's
-least height (``heights``) and the one tree of every node that derives only
-one (``fixed``), and from them the flat ``plan`` that ``_draw`` walks;
-``prte_density`` reads the tables.  The oracles below keep the forms that
-re-derived them: a four-way step over the expression itself that resolves
-variables through its own scope walk and picks a choice's branch by its own
-``_pick_branch``, a fixed-tree fixpoint that works out heights again, and a
-density keyed by tree address.  They must
-agree with the library exactly: the same tree objects, generator states and
+variable, concatenation or iteration expands to (``target``) and every
+node's least height (``heights``), and from them the flat ``plan`` that
+``_draw`` walks, whose symbol records hold the one tree of each symbol
+without a choice below it, as ``held_trees`` finds them; ``prte_density``
+reads the tables.  The oracles below keep the forms that re-derived them: a
+four-way step over the expression itself that resolves variables through its
+own scope walk and picks a choice's branch by its own ``_pick_branch``, a
+fixed-tree fixpoint over the expression that works out heights again, and a
+density keyed by tree address.  They must agree with the library exactly:
+the same held trees site by site, the same tree objects, generator states and
 errors for every draw, and equal Fractions for every density.
 """
 
@@ -95,6 +96,51 @@ def _fixed_oracle(nodes, targets) -> dict:
             if held is not None:
                 fixed[id(n)], changed = held, True
     return fixed
+
+
+def _site(node, targets):
+    """The symbol or choice a node expands to, by the four-way step."""
+    while not isinstance(node, (PSymbol, PChoice)):
+        node = _step(node, targets)
+    return node
+
+
+def _plan_sites(plan, targets, fixed, starts):
+    """Plan index -> the symbol or choice node its record stands for, matched record
+    by record from the (index, node) pairs ``starts``.  Each index stands for one node
+    and each node has one index; a symbol's record carries its symbol, one index per
+    child and the held entry of ``fixed``, the oracle's (tree, height), with the
+    tree's count of inner nodes; a choice's its running sums and one index per branch,
+    the last repeated."""
+    sites, index, pending = {}, {}, list(starts)
+    while pending:
+        i, node = pending.pop()
+        node = _site(node, targets)
+        if i in sites:
+            assert sites[i] is node and index[id(node)] == i
+            continue
+        assert id(node) not in index
+        sites[i], index[id(node)] = node, i
+        symbol, kids, held = plan[i]
+        if isinstance(node, PSymbol):
+            want = fixed.get(id(node))
+            if want is not None:
+                want += (sum(n.symbol.rank > 0 for _, n in want[0].walk()),)
+            assert symbol is node.symbol and held == want
+            assert len(kids) == len(node.children)
+            pending += zip(kids, node.children)
+        else:
+            assert symbol is None and held is node.cumulative
+            assert len(kids) == len(node.branches) + 1 and kids[-1] == kids[-2]
+            pending += zip(kids, (b for _, b in node.branches))
+    return sites
+
+
+def _plan_held(plan) -> dict:
+    """Plan index -> the (tree, height, inner nodes) its symbol record holds, for each
+    held record."""
+    return {i: held for i, (symbol, _, held) in enumerate(plan)
+            if symbol is not None and held is not None}
 
 
 def _pick_branch(choice, rng):
@@ -191,7 +237,9 @@ def _priors(all_shipped):
 def _check_draws(prior, seeds):
     targets, nodes = _scope_targets(prior.root)
     fixed = _fixed_oracle(nodes, targets)
-    assert prior.graph.fixed == fixed
+    plan = prior.graph.plan
+    # every plan record is reached from the root, and holds the oracle's tree or none
+    assert len(_plan_sites(plan, targets, fixed, [(0, prior.root)])) == len(plan)
     for seed in seeds:
         for ours, theirs in [
             (lambda rng: sample_tree(prior, rng),
@@ -226,10 +274,13 @@ def test_draws_equal_the_four_way_step_on_nested_scopes(name, max_depth):
 
 def test_fixed_trees_take_the_least_heights(all_shipped):
     for prior in _priors(all_shipped):
-        graph = prior.graph
+        graph, (targets, nodes) = prior.graph, _scope_targets(prior.root)
         assert graph.height == graph.heights[id(prior.root)]
-        for key, (tree, height) in graph.fixed.items():
-            assert height == graph.heights[key] == max(len(a) for a, _ in tree.walk())
+        sites = _plan_sites(graph.plan, targets, _fixed_oracle(nodes, targets), [(0, prior.root)])
+        held = _plan_held(graph.plan)
+        assert held
+        for i, (tree, height, _) in held.items():
+            assert height == graph.heights[id(sites[i])] == max(len(a) for a, _ in tree.walk())
 
 
 def test_density_equals_the_address_keyed_oracle_on_draws(all_shipped):

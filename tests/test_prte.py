@@ -27,7 +27,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_prior_analysis import _draw_oracle, _fixed_oracle, _sample_oracle, _scope_targets, _step
+from test_prior_analysis import (
+    _draw_oracle,
+    _fixed_oracle,
+    _plan_sites,
+    _sample_oracle,
+    _scope_targets,
+    _site,
+)
 from treegress.errors import (
     DepthBudgetExhausted,
     InputError,
@@ -472,6 +479,16 @@ def test_marker_prior_validates_only_its_kind_s_scale():
     assert _scored(MarkerPrior("exp", stddev=-1.0), 1.0) == -1.0
 
 
+def test_an_exponential_rate_whose_scale_overflows_is_rejected():
+    bound = 1 / sys.float_info.max
+    assert 1.0 / bound == math.inf  # the largest rate that fails: its scale overflows
+    for rate in (bound, 1e-320, 0.0, -1.0):
+        with pytest.raises(InputError, match=r"above 1 / sys\.float_info\.max"):
+            MarkerPrior("exp", rate=rate)
+    smallest = MarkerPrior("exp", rate=math.nextafter(bound, 1.0))  # the smallest that loads
+    assert math.isfinite(1.0 / smallest.rate) and math.isfinite(smallest.constants[-1])
+
+
 def test_zero_marker_prior_gives_empty_theta(e1):
     e = sample_expression(e1, np.random.default_rng(0))
     assert e.theta_c == ()
@@ -526,8 +543,10 @@ def test_ties_under_nested_anchors_match_a_recursive_walk(tree):
 
 
 POSITIVE = st.floats(min_value=5e-324, max_value=1e308)
+# every rate whose scale 1 / rate is finite, subnormal ones among them
+RATES = st.floats(min_value=1 / sys.float_info.max, max_value=1e308, exclude_min=True)
 MARKER_PRIORS = st.one_of(
-    st.builds(lambda rate: MarkerPrior("exp", rate=rate), POSITIVE),
+    st.builds(lambda rate: MarkerPrior("exp", rate=rate), RATES),
     st.builds(lambda mean, stddev: MarkerPrior("normal", mean=mean, stddev=stddev),
               st.floats(-1e308, 1e308), POSITIVE),
 )
@@ -640,40 +659,6 @@ def _attempt(draw):
         return draw()
     except DepthBudgetExhausted as exc:
         return DepthBudgetExhausted, str(exc)
-
-
-def _site(node, targets):
-    """The symbol or choice a node expands to, by the four-way step."""
-    while not isinstance(node, (PSymbol, PChoice)):
-        node = _step(node, targets)
-    return node
-
-
-def _plan_sites(plan, targets, fixed, starts):
-    """Plan index -> the symbol or choice node its record stands for, matched record
-    by record from the (index, node) pairs ``starts``.  Each index stands for one node
-    and each node has one index; a symbol's record carries its symbol, held tree and
-    one index per child, a choice's its running sums and one index per branch, the
-    last repeated."""
-    sites, index, pending = {}, {}, list(starts)
-    while pending:
-        i, node = pending.pop()
-        node = _site(node, targets)
-        if i in sites:
-            assert sites[i] is node and index[id(node)] == i
-            continue
-        assert id(node) not in index
-        sites[i], index[id(node)] = node, i
-        symbol, kids, held = plan[i]
-        if isinstance(node, PSymbol):
-            assert symbol is node.symbol and held == fixed.get(id(node))
-            assert len(kids) == len(node.children)
-            pending += zip(kids, node.children)
-        else:
-            assert symbol is None and held is node.cumulative
-            assert len(kids) == len(node.branches) + 1 and kids[-1] == kids[-2]
-            pending += zip(kids, (b for _, b in node.branches))
-    return sites
 
 
 def test_branch_pick_matches_the_float_accumulating_pick(all_shipped):
