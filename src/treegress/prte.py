@@ -447,45 +447,31 @@ class _Resolution:
     def _compute_reach(self):
         """For every node, the sub-probability of each emitting site being the
         one that produces the node's root symbol.  Expansion may loop through
-        variables without emitting, so strongly connected groups of the
-        expansion graph are solved as exact linear systems."""
+        variables without emitting, so each strongly connected group of the
+        expansion graph is one exact linear system (I - A) X = B: B sums the
+        reach of the group's successors outside it, A weighs the edges inside
+        it, and a group without such an edge is B itself."""
         reach: dict[int, dict[int, object]] = {}
         for comp in _sccs(self.nodes, self.expansion):
-            internal = {id(n) for n in comp}
-            if len(comp) == 1 and not any(
-                id(t) in internal for _, t in self.expansion(comp[0])
-            ):
-                n = comp[0]
-                if isinstance(n, PSymbol):
-                    reach[id(n)] = {id(n): Fraction(1)}
-                else:
-                    acc: dict[int, object] = {}
-                    for w, t in self.expansion(n):
-                        for s, p in reach[id(t)].items():
-                            acc[s] = acc.get(s, 0) + w * p
-                    reach[id(n)] = acc
-                continue
-            # cyclic group: solve (I - A) X = B
             order = {id(n): i for i, n in enumerate(comp)}
-            k = len(comp)
-            matrix = [[Fraction(0)] * k for _ in range(k)]
-            rhs: list[dict[int, object]] = [dict() for _ in range(k)]
-            for n in comp:
-                i = order[id(n)]
-                matrix[i][i] += 1
+            matrix = [[Fraction(int(i == j)) for j in range(len(comp))] for i in range(len(comp))]
+            rhs, cyclic = [], False
+            for i, n in enumerate(comp):
+                acc = {id(n): Fraction(1)} if isinstance(n, PSymbol) else {}
                 for w, t in self.expansion(n):
-                    if id(t) in internal:
+                    if id(t) in order:
                         matrix[i][order[id(t)]] -= w
-                    else:
-                        for s, p in reach[id(t)].items():
-                            rhs[i][s] = rhs[i].get(s, Fraction(0)) + w * p
-            solved = _solve_linear(matrix, rhs)
+                        cyclic = True
+                        continue
+                    for s, p in reach[id(t)].items():
+                        acc[s] = acc.get(s, 0) + w * p
+                rhs.append(acc)
+            solved = _solve_linear(matrix, rhs) if cyclic else rhs
             if solved is None:
                 raise NonTerminatingIter(
                     "probability mass is trapped in a variable expansion loop"
                 )
-            for n in comp:
-                reach[id(n)] = solved[order[id(n)]]
+            reach.update(zip(order, solved))
         return reach
 
 
@@ -746,12 +732,19 @@ def _const_markers(tree: Tree) -> list:
 
 def sample_expression(prior: PriorSpec, rng: np.random.Generator) -> SymbolicExpression:
     """Sample a tree as ``sample_tree`` does, then fill its parameter slots
-    from the marker priors (one draw per tie group) and the discrete support."""
+    from the marker priors (one draw per tie group) and the discrete support.
+    Raises InputError, naming the marker, when a draw passes float range."""
     tree = sample_tree(prior, rng)
     ties = compute_ties(tree, prior)
-    theta_c = tuple(
-        prior.markers[tag].sample(rng) for tag in group_tags(tree, ties)
-    )
+    tags = group_tags(tree, ties)
+    theta_c = tuple(prior.markers[tag].sample(rng) for tag in tags)
+    for tag, value in zip(tags, theta_c):
+        if not math.isfinite(value):
+            m = prior.markers[tag]
+            shape = (f"rate {m.rate!r}" if m.kind == "exp" else
+                     f"mean {m.mean!r}, stddev {m.stddev!r}")
+            raise InputError(f"marker {tag} drew {value!r} from its {m.kind} prior ({shape}), "
+                             "past float range")
     support = prior.theta_d_support
     theta_d = tuple(support[int(rng.integers(len(support)))] for _ in range(tree.n_disc))
     return SymbolicExpression(tree, theta_c, theta_d, ties)

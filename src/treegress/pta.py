@@ -48,11 +48,12 @@ DEFAULT_STATE_BUDGET = 10_000
 class Pta:
     """(alphabet, states, initial, tables), given in the form it is stored.
 
-    ``tables`` maps (symbol name, rank) to the one form every reader uses: for
-    an inner symbol (states, probabilities, child-state arrays), whose entry
-    i moves ``states[i]`` into the child states ``kids[0][i], kids[1][i],
-    ...``, in entry order; for a leaf symbol a 0/1 vector marking the states
-    that accept it.  A symbol of the alphabet with no key gets an empty entry.
+    ``tables`` maps (symbol name, rank) to the one form every reader uses,
+    (states, probabilities, child-state arrays), whose entry i moves
+    ``states[i]`` into the child states ``kids[0][i], kids[1][i], ...``, in
+    entry order.  A leaf symbol is the rank-0 case, with no child-state
+    arrays: each of its entries is a state that accepts it, with probability
+    1.  A symbol of the alphabet with no key gets an empty entry.
     """
 
     def __init__(self, alphabet, states, initial, tables):
@@ -62,7 +63,7 @@ class Pta:
         unknown = set(tables) - alphabet.symbol_keys()
         if unknown:
             raise AlphabetMismatch(f"tables on symbols outside the alphabet: {sorted(unknown)}")
-        self.tables = {(s.name, s.rank): _stored(s, self.n_states, tables) for s in alphabet}
+        self.tables = {(s.name, s.rank): _stored(s, tables) for s in alphabet}
         self._validate()
 
     def _validate(self):
@@ -71,17 +72,18 @@ class Pta:
             raise InputError("initial vector length differs from state count")
         if not (self.initial >= 0).all() or abs(float(self.initial.sum()) - 1.0) > PROB_TOL:
             raise InputError(f"initial vector {self.initial.tolist()} is not a distribution")
-        inner = [(key, entry) for key, entry in self.tables.items() if key[1]]
-        for (name, rank), (states, probs, kids) in inner:
+        for (name, rank), (states, probs, kids) in self.tables.items():
             if any(((idx < 0) | (idx >= q)).any() for idx in (states, *kids)):
                 raise InputError(f"a {name}/{rank} transition has a state index outside [0, {q})")
             if not (probs > 0).all():
                 raise InputError("transition probabilities must be positive")
+            if not (rank or (probs == 1.0).all()):
+                raise InputError(f"leaf {name} has a probability other than 1")
             totals = np.bincount(states, weights=probs, minlength=q)
             if totals.max() > 1.0 + PROB_TOL:
                 worst = int(np.argmax(totals))
                 raise InputError(f"row for {name}/{rank} at state {worst} sums to {totals[worst]}")
-        unreachable = np.flatnonzero(~_reachable(self.initial, [entry for _, entry in inner]))
+        unreachable = np.flatnonzero(~_reachable(self.initial, self.tables.values()))
         if len(unreachable):
             raise InputError(f"states unreachable from the initial support: {unreachable.tolist()}")
 
@@ -95,15 +97,14 @@ class Pta:
         emits, the running sums of its entries' probabilities, their child-state tuples,
         the (tree, height, inner nodes) the state grows or None).  ``held_trees``, the
         fixpoint the prior's sampling plan uses too, finds the states that grow one tree:
-        a state whose one entry, with a running sum >= 1.0, leads into such states, and a
-        leaf state, which has no entry and grows its leaf at height 0.  Raises InputError
-        unless every state emits exactly one symbol."""
+        a state whose one entry, with a running sum >= 1.0, leads into such states.  A
+        leaf state's one entry has probability 1 and child tuple (), so it grows its leaf
+        at height 0.  Raises InputError unless every state emits exactly one symbol."""
         options: dict = {}  # state -> (symbol, running sums, child-state tuples) per symbol
         for (name, rank), entry in self.tables.items():
             symbol = self.alphabet.get(name, rank)
-            # a leaf symbol: its accepting states, with neither running sums nor tuples
-            rows = {} if rank else {s: ((), ()) for s in np.flatnonzero(entry).tolist()}
-            for state, p, tup in _entries(entry) if rank else ():
+            rows: dict = {}
+            for state, p, tup in _entries(entry):
                 probs, kids = rows.setdefault(state, ([], []))
                 probs.append(p)
                 kids.append(tup)
@@ -116,8 +117,7 @@ class Pta:
                     "generative sampling is defined for single-symbol states"
                 )
         emit = [options[q][0] for q in range(self.n_states)]
-        held = held_trees([(symbol, kids[0]) if len(cdf) == 1 and cdf[0] >= 1.0 else
-                           (symbol, ()) if not symbol.rank else (None, None)
+        held = held_trees([(symbol, kids[0]) if len(cdf) == 1 and cdf[0] >= 1.0 else (None, None)
                            for symbol, cdf, kids in emit])
         return tuple((*record, held.get(q)) for q, record in enumerate(emit))
 
@@ -133,21 +133,15 @@ class Pta:
                 if rank
                 for state, p, tup in _entries(entry)
             ],
-            "finals": sorted([self.states[s], name] for (name, rank), vec in self.tables.items()
-                             if not rank for s in np.flatnonzero(vec)),
+            "finals": sorted([self.states[s], name] for (name, rank), (states, _, _)
+                             in self.tables.items() if not rank for s in states.tolist()),
         }
         return json.dumps(doc, indent=2)
 
 
-def _stored(sym, q: int, tables):
+def _stored(sym, tables):
     """The symbol's entry of ``tables`` as arrays, checked for shape."""
     name, rank = sym.name, sym.rank
-    if rank == 0:  # one read-only vector, shared by every leaf
-        vec = np.array(tables.get((name, 0), np.zeros(q)), dtype=float)
-        if vec.shape != (q,) or not np.isin(vec, (0.0, 1.0)).all():
-            raise InputError(f"leaf vector of {name} is not 0/1 over {q} states")
-        vec.flags.writeable = False
-        return vec
     states, probs, kids = tables.get((name, rank), ((), (), ((),) * rank))
     probs, *idx = (np.asarray(a) for a in (probs, states, *kids))
     if len(kids) != rank or probs.ndim != 1 or any(a.shape != probs.shape for a in idx):
@@ -159,17 +153,19 @@ def _stored(sym, q: int, tables):
 
 
 def _entries(entry):
-    """(state, probability, child-state tuple) of each transition of an inner
-    symbol, in entry order."""
+    """(state, probability, child-state tuple) of each entry of a symbol, in
+    entry order; a leaf's child tuple is (), which ``zip`` of no columns
+    would not give."""
     states, probs, kids = entry
-    return zip(states.tolist(), probs.tolist(), zip(*(k.tolist() for k in kids)))
+    tuples = zip(*(k.tolist() for k in kids)) if kids else [()] * len(states)
+    return zip(states.tolist(), probs.tolist(), tuples)
 
 
-def _reachable(initial, inner) -> np.ndarray:
+def _reachable(initial, entries) -> np.ndarray:
     """Mask of the states reachable from the initial support through the
-    given inner-symbol entries."""
-    src = np.concatenate([np.empty(0, np.intp)] + [s for s, _, kids in inner for _ in kids])
-    dst = np.concatenate([np.empty(0, np.intp)] + [k for _, _, kids in inner for k in kids])
+    given entries."""
+    src = np.concatenate([np.empty(0, np.intp)] + [s for s, _, kids in entries for _ in kids])
+    dst = np.concatenate([np.empty(0, np.intp)] + [k for _, _, kids in entries for k in kids])
     seen = initial > 0
     while True:
         grown = seen.copy()
@@ -200,9 +196,6 @@ def compile_prior(prior: PriorSpec, state_budget: int = DEFAULT_STATE_BUDGET) ->
     for site in sites:
         q = index[id(site)]
         sym = site.symbol
-        if sym.rank == 0:
-            tables.setdefault((sym.name, 0), np.zeros(len(sites)))[q] = 1.0
-            continue
         rows = [((), 1.0)]
         for child in site.children:
             support = graph.reach[id(child)].items()
@@ -237,11 +230,9 @@ def inside(pta: Pta, tree: Tree, memo=None) -> np.ndarray:
             order.append((node, _table(tables, node.symbol)))
             pending.extend(node.children)
     q = pta.n_states
-    for node, entry in reversed(order):
-        if node.symbol.rank == 0:
-            memo[node] = entry
+    for node, (states, weights, kids) in reversed(order):
+        if node in memo:  # a subtree met twice in this tree
             continue
-        states, weights, kids = entry
         for child, idx in zip(node.children, kids):
             weights = weights * memo[child][idx]
         memo[node] = np.bincount(states, weights=weights, minlength=q)
@@ -300,8 +291,8 @@ def sample_from_state(pta: Pta, state, rng, max_depth: int = DEFAULT_MAX_DEPTH) 
     The tree's probability from that state is its inside vector's entry,
     ``inside(pta, tree)[state]``.
 
-    Requires generative states: each state must either emit exactly one
-    symbol through transition rows or accept exactly one leaf symbol.
+    Requires generative states: each state must emit exactly one symbol,
+    a leaf symbol included, through its entries of ``Pta.tables``.
     There is one attempt, which missing row mass or a node deeper than
     ``max_depth`` ends with DepthBudgetExhausted.  Unlike the expression
     sampler, this does not redraw: a caller that rejects on the error
@@ -315,9 +306,9 @@ def sample_from_state(pta: Pta, state, rng, max_depth: int = DEFAULT_MAX_DEPTH) 
 def _grow(records, rng, states: tuple, depth: int, max_depth: int) -> tuple:
     """One attempt of ``sample_from_state``: the trees grown from the sibling ``states``
     at ``depth``, one frame a level.  An unheld state takes the entry of the first
-    running sum above one ``rng.random()``; every leaf state is held, so none gets that
-    far.  A held tree that would pass ``max_depth`` is grown out, to overflow as it
-    would unheld.  No closure, so no cycle keeps the automaton."""
+    running sum above one ``rng.random()``; a leaf state's one entry is sure, so it is
+    held and gets no draw.  A held tree that would pass ``max_depth`` is grown out, to
+    overflow as it would unheld.  No closure, so no cycle keeps the automaton."""
     out = []
     for q in states:
         symbol, cdf, kids, held = records[q]
@@ -350,11 +341,8 @@ def product(a: Pta, b: Pta, state_budget: int = DEFAULT_STATE_BUDGET) -> Pta:
         raise StateBudgetExceeded(f"{n} product states exceed budget {state_budget}")
     nb = b.n_states
     tables = {}
-    for key, entry in a.tables.items():
-        if key[1] == 0:
-            tables[key] = np.kron(entry, b.tables[key])
-            continue
-        (sa, pa, ka), (sb, pb, kb) = entry, b.tables[key]
+    for key, (sa, pa, ka) in a.tables.items():
+        sb, pb, kb = b.tables[key]
         i, j = np.divmod(np.arange(len(sa) * len(sb)), max(len(sb), 1))
         # one row per (a row, b row) pair in the factors' row order; stable, so
         # a row's entries stay a-major
@@ -374,13 +362,9 @@ def _runs(states):
 def _prune(alphabet, states, initial, tables) -> Pta:
     """The automaton on the states reachable from the initial support,
     re-indexed in order."""
-    keep = _reachable(initial, [entry for key, entry in tables.items() if key[1]])
+    keep = _reachable(initial, tables.values())
     new = np.cumsum(keep) - 1
-    for key, entry in tables.items():
-        if key[1] == 0:
-            tables[key] = entry[keep]
-            continue
-        src, probs, kids = entry
+    for key, (src, probs, kids) in tables.items():
         live = np.logical_and.reduce([keep[src], *(keep[k] for k in kids)])
         tables[key] = (new[src[live]], probs[live], tuple(new[k[live]] for k in kids))
     states = [s for s, k in zip(states, keep) if k]

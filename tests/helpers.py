@@ -7,15 +7,14 @@ from treegress.trees import Tree
 
 
 def brute_force_eval(pta, tree, hole_state=None):
-    """Sum over every state assignment: initial mass at the root, transition
-    factor per inner node, the accepting-state vector's 0/1 per leaf.  A '?'
-    leaf is clamped to hole_state instead of checking that vector."""
+    """Sum over every state assignment: initial mass at the root, then per
+    node the probability of its symbol's entry from the node's state into its
+    children's states, () for a leaf, or 0 without one.  A '?' leaf is
+    clamped to hole_state instead of reading an entry."""
     weight = {}  # (symbol key, state, child-state tuple) -> first matching entry's p
-    for key, entry in pta.tables.items():
-        if key[1]:
-            states, probs, kids = entry
-            for s, pr, *tup in zip(states.tolist(), probs.tolist(), *(k.tolist() for k in kids)):
-                weight.setdefault((key, s, tuple(tup)), pr)
+    for key, (states, probs, kids) in pta.tables.items():
+        for i, s in enumerate(states.tolist()):
+            weight.setdefault((key, s, tuple(int(k[i]) for k in kids)), float(probs[i]))
     nodes = list(tree.walk())
     addrs = [addr for addr, _ in nodes]
     total = 0.0
@@ -29,9 +28,6 @@ def brute_force_eval(pta, tree, hole_state=None):
             if node.symbol.name == "?":
                 if q != hole_state:
                     p = 0.0
-                continue
-            if node.symbol.rank == 0:
-                p *= pta.tables[(node.symbol.name, 0)][q]
                 continue
             key = (node.symbol.name, node.symbol.rank)
             tup = tuple(state_of[addr + (i,)] for i in range(1, node.symbol.rank + 1))

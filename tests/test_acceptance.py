@@ -112,7 +112,7 @@ def test_criterion_02_oracle_equivalence(library):
         {
             ("f", 2): ([0, 0, 1], [0.3, 0.4, 0.5], ([1, 0, 2], [1, 2, 2])),
             ("g", 1): ([0, 1, 1, 2], [0.6, 0.2, 0.7, 0.5], ([1, 1, 2, 2],)),
-            ("a", 0): [0, 1, 1],
+            ("a", 0): ([1, 2], [1.0, 1.0], ()),
         },
     )
     trees = all_trees(alpha, 4)

@@ -216,6 +216,52 @@ def test_sample_nonpositive_max_depth_exits_2(capsys, depth):
     assert "max_depth" in doc["message"]
 
 
+WIDE = {"name": "wide", "expression": "choice{ 1/2: f(a#, x), 1/2: x }"}
+
+
+@pytest.mark.parametrize(
+    "marker, lines",
+    [
+        ({"dist": "exp", "rate": 1e-308}, 2),
+        ({"dist": "normal", "mean": 1e308, "stddev": 1e308}, 13),
+    ],
+    ids=["exp-rate-1e-308", "normal-1e308"],
+)
+def test_a_marker_draw_past_float_range_exits_2_and_names_it(capsys, tmp_path, marker, lines):
+    # finite parameters whose draws can overflow: the lines before the draw are printed
+    prior = tmp_path / "prior.json"
+    prior.write_text(json.dumps({**WIDE, "markers": {"a#": marker}}))
+    code, out, err = run_cli(capsys, "sample", "--prior", str(prior), "--n", "20", "--seed", "1")
+    assert code == 2
+    assert len(out.splitlines()) == lines
+    assert len(err.splitlines()) == 1
+    doc = json.loads(err)
+    assert doc["error"] == "InputError"
+    assert "marker a# drew inf" in doc["message"] and marker["dist"] in doc["message"]
+
+
+def test_fit_whose_start_draw_overflows_exits_2_without_a_trace(capsys, tmp_path):
+    # a# + c overflows the squared error, so the start is redrawn until a# itself overflows
+    prior = tmp_path / "prior.json"
+    prior.write_text(json.dumps({"name": "wide", "expression": "+(a#, c)", "variables": ["c"],
+                                 "markers": {"a#": {"dist": "normal", "mean": 1e308,
+                                                    "stddev": 1e308}}}))
+    train = tmp_path / "train.csv"
+    train.write_text("c,s\n1.0,2.0\n2.0,3.0\n")
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"burn_in": 1, "samples": 10, "thin": 1, "sigma0": 1.0}))
+    out_path = tmp_path / "p.json"
+    code, out, err = run_cli(
+        capsys, "fit", "--prior", str(prior), "--train", str(train), "--config", str(config),
+        "--out", str(out_path), "--seed", "0",
+    )
+    assert (code, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["error"] == "InputError"
+    assert "marker a#" in doc["message"] and "normal" in doc["message"]
+    assert not out_path.exists()
+
+
 def test_sample_deterministic(capsys):
     args = ("sample", "--prior", "E_iso", "--n", "5", "--seed", "9")
     _, out1, _ = run_cli(capsys, *args)

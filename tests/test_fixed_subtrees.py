@@ -79,7 +79,8 @@ def _unplanned(plan) -> tuple:
 
 def _unheld(records) -> tuple:
     """The regrow records with every held entry None but the leaf states': a leaf state
-    is always held, and the regrow has no other way to grow a leaf."""
+    is always held, and unheld it would draw an ``rng.random()`` that the held one does
+    not."""
     return tuple((s, cdf, kids, held if s.rank == 0 else None) for s, cdf, kids, held in records)
 
 
@@ -125,7 +126,7 @@ def test_a_fixed_block_at_the_depth_bound_draws_as_built(max_depth, monkeypatch)
 def test_a_state_whose_one_entry_can_die_is_not_held(monkeypatch):
     # g at q0 has one entry of probability 1/2: a draw of 1/2 or more is missing row mass
     pta = Pta(RankedAlphabet([G, A]), ("q0", "q1"), [1.0, 0.0],
-              {("g", 1): ([0], [0.5], ([1],)), ("a", 0): [0.0, 1.0]})
+              {("g", 1): ([0], [0.5], ([1],)), ("a", 0): ([1], [1.0], ())})
     assert set(_held(pta.regrow)) == {1}
 
     def draw(rng):
@@ -232,7 +233,7 @@ def test_the_sibling_loop_regrow_equals_the_recursive_one_at_the_depth_bound(max
 
 def test_the_sibling_loop_regrow_equals_the_recursive_one_on_missing_row_mass():
     pta = Pta(RankedAlphabet([G, A]), ("q0", "q1"), [1.0, 0.0],
-              {("g", 1): ([0], [0.5], ([1],)), ("a", 0): [0.0, 1.0]})
+              {("g", 1): ([0], [0.5], ([1],)), ("a", 0): ([1], [1.0], ())})
     outcomes = _check_grow(pta, range(20), 50)
     assert any("missing row mass" in out[1] for out in outcomes if isinstance(out, tuple))
 

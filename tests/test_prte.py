@@ -94,6 +94,35 @@ def test_nonterminating_iteration_rejected():
         parse_prte("iter $x { choice{ 0.5: f($x), 0.5: $x } }")
 
 
+def _root_reach(text):
+    """The root's reach, each emitting site named by its symbol."""
+    prior = build_prior("reach", text)
+    names = {id(site): site.symbol.name for site in prior.graph.symbol_nodes}
+    return {names[sid]: w for sid, w in prior.graph.reach[id(prior.root)].items()}
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        # r = r/3 + a/3 + b/3
+        ("iter $x { choice{ 1/3: $x, 1/3: a, 1/3: b } }",
+         {"a": Fraction(1, 2), "b": Fraction(1, 2)}),
+        # x = y/2 + a/2 and y = x/2 + y/4 + b/4, so x = 3a/4 + b/4
+        ("iter $x { choice{ 1/2: iter $y { choice{ 1/2: $x, 1/4: $y, 1/4: b } }, 1/2: a } }",
+         {"a": Fraction(3, 4), "b": Fraction(1, 4)}),
+    ],
+    ids=["self-loop", "nested-loops"],
+)
+def test_reach_through_variable_loops_is_exact(text, want):
+    assert _root_reach(text) == want
+
+
+def test_a_loop_that_keeps_all_its_mass_is_rejected():
+    # the weights sum to 1 within tolerance, but the loop back to $x has weight exactly 1
+    with pytest.raises(NonTerminatingIter, match="probability mass is trapped"):
+        build_prior("trapped", "iter $x { choice{ 1: $x, 1/10000000000000: a } }")
+
+
 def test_weight_sum_error():
     with pytest.raises(WeightSumError):
         parse_prte("choice{ 0.5: a, 0.6: b }")

@@ -50,7 +50,7 @@ def hand_built_pta():
     tables = {
         ("f", 2): ([0, 0, 1], [0.3, 0.4, 0.5], ([1, 0, 2], [1, 2, 2])),
         ("g", 1): ([0, 1, 1, 2], [0.6, 0.2, 0.7, 0.5], ([1, 1, 2, 2],)),
-        ("a", 0): [0, 1, 1],
+        ("a", 0): ([1, 2], [1.0, 1.0], ()),
     }
     return Pta(FGA, ("s0", "s1", "s2"), [0.5, 0.25, 0.25], tables)
 
@@ -70,7 +70,8 @@ def test_trivial_prior_compiles_to_one_state():
     pta = compile_prior(prior)
     assert pta.n_states == 1
     assert pta.initial.tolist() == [1.0]
-    assert pta.tables[("a", 0)].tolist() == [1.0]
+    states, probs, kids = pta.tables[("a", 0)]
+    assert (states.tolist(), probs.tolist(), kids) == ([0], [1.0], ())
 
 
 def test_compiled_matches_oracle_on_samples(all_shipped):
@@ -105,7 +106,8 @@ def test_eval_rejects_foreign_symbols(e1):
 
 # Two states over {f/2, g/1, a/0}: s0 reads g into s1, s1 loops on g or reads a.
 G_LOOP = ([0, 1], [0.5, 0.5], ([1, 1],))
-TWO_STATE = {"initial": [1.0, 0.0], "tables": {("g", 1): G_LOOP, ("a", 0): [0, 1]}}
+A_AT_1 = ([1], [1.0], ())  # s1 accepts a
+TWO_STATE = {"initial": [1.0, 0.0], "tables": {("g", 1): G_LOOP, ("a", 0): A_AT_1}}
 
 
 def test_two_state_automaton_is_valid():
@@ -116,24 +118,26 @@ def test_two_state_automaton_is_valid():
 @pytest.mark.parametrize(
     "change",
     [
-        {"tables": {("g", 1): ([0, 0, 1], [0.25, 0.25, 0.5], ([1, 2, 1],)), ("a", 0): [0, 1]}},
-        {"tables": {("g", 1): ([0, 2], [0.5, 0.5], ([1, 1],)), ("a", 0): [0, 1]}},
-        {"tables": {("g", 1): G_LOOP, ("a", 0): [0, 1, 1]}},
-        {"tables": {("g", 1): ([0, 1], [0.5, 0.5], ([1, -1],)), ("a", 0): [0, 1]}},
+        {"tables": {("g", 1): ([0, 0, 1], [0.25, 0.25, 0.5], ([1, 2, 1],)), ("a", 0): A_AT_1}},
+        {"tables": {("g", 1): ([0, 2], [0.5, 0.5], ([1, 1],)), ("a", 0): A_AT_1}},
+        {"tables": {("g", 1): G_LOOP, ("a", 0): ([2], [1.0], ())}},
+        {"tables": {("g", 1): ([0, 1], [0.5, 0.5], ([1, -1],)), ("a", 0): A_AT_1}},
         {"initial": [1.5, -0.5]},
-        {"tables": {("g", 1): ([0, 1], [0.5, 0.5], ([1.5, 1],)), ("a", 0): [0, 1]}},
-        {"tables": {("g", 1): ([0.9, 1], [0.5, 0.5], ([1, 1],)), ("a", 0): [0, 1]}},
-        {"tables": {("g", 1): G_LOOP, ("a", 0): [1]}},
-        {"tables": {("g", 1): G_LOOP, ("a", 0): [0, 0.5]}},
-        {"tables": {("g", 1): ([0, 1], [0.5], ([1, 1],)), ("a", 0): [0, 1]}},
-        {"tables": {("g", 1): ([0, 1], [0.5, 0.5], ([1],)), ("a", 0): [0, 1]}},
-        {"tables": {("g", 1): ([0, 1], [0.5, 0.5], ([1, 1], [1, 1])), ("a", 0): [0, 1]}},
-        {"tables": {("g", 1): G_LOOP, ("a", 0): [0, 1], ("h", 1): ([], [], ([],))}},
+        {"tables": {("g", 1): ([0, 1], [0.5, 0.5], ([1.5, 1],)), ("a", 0): A_AT_1}},
+        {"tables": {("g", 1): ([0.9, 1], [0.5, 0.5], ([1, 1],)), ("a", 0): A_AT_1}},
+        {"tables": {("g", 1): G_LOOP, ("a", 0): ([1], [1.0, 1.0], ())}},
+        {"tables": {("g", 1): G_LOOP, ("a", 0): ([1], [0.5], ())}},
+        {"tables": {("g", 1): ([0, 1], [0.5], ([1, 1],)), ("a", 0): A_AT_1}},
+        {"tables": {("g", 1): ([0, 1], [0.5, 0.5], ([1],)), ("a", 0): A_AT_1}},
+        {"tables": {("g", 1): ([0, 1], [0.5, 0.5], ([1, 1], [1, 1])), ("a", 0): A_AT_1}},
+        {"tables": {("g", 1): G_LOOP, ("a", 0): A_AT_1, ("h", 1): ([], [], ([],))}},
+        {"tables": {("g", 1): G_LOOP, ("a", 0): ([1, 1], [1.0, 1.0], ())}},
+        {"tables": {("g", 1): G_LOOP, ("a", 0): ([1], [1.0], ([1],))}},
     ],
     ids=["child-past-end", "source-past-end", "final-past-end", "child-minus-one",
          "negative-initial", "child-1.5", "source-0.9", "leaf-vector-length",
          "leaf-vector-half", "probs-shorter", "kids-shorter", "two-child-arrays-for-g",
-         "key-outside-alphabet"],
+         "key-outside-alphabet", "leaf-state-twice", "leaf-with-a-child-array"],
 )
 def test_constructor_rejects_bad_state_indices_and_negative_initial_mass(change):
     with pytest.raises(InputError):
@@ -150,7 +154,8 @@ def test_matches_run_enumeration_exactly():
 
 
 def test_single_state_always_accepting():
-    tables = {("f", 2): ([0], [0.7], ([0], [0])), ("g", 1): ([0], [0.4], ([0],)), ("a", 0): [1]}
+    tables = {("f", 2): ([0], [0.7], ([0], [0])), ("g", 1): ([0], [0.4], ([0],)),
+              ("a", 0): ([0], [1.0], ())}
     pta = Pta(FGA, ("q",), [1.0], tables)
     for tree in all_trees(FGA, 4):
         n_f = sum(1 for _, n in tree.walk() if n.symbol.name == "f")
@@ -173,6 +178,26 @@ def test_outside_times_inside_is_the_tree_score_at_every_address(all_shipped):
             for addr, node in t.walk():
                 split = float(outside(pta, t, addr, memo) @ inside(pta, node, memo))
                 assert split == pytest.approx(total, rel=1e-12, abs=0.0)
+
+
+class _CountingMemo(dict):
+    """A memo that counts how often each key is set."""
+
+    def __init__(self):
+        super().__init__()
+        self.sets = {}
+
+    def __setitem__(self, key, value):
+        self.sets[key] = self.sets.get(key, 0) + 1
+        super().__setitem__(key, value)
+
+
+def test_inside_computes_each_distinct_node_once():
+    tree = parse_tree("(f (g a) (g a))", FGA)
+    memo = _CountingMemo()
+    inside(hand_built_pta(), tree, memo)
+    ga = tree.children[0]
+    assert memo.sets == {tree: 1, ga: 1, ga.children[0]: 1}
 
 
 def test_shared_memo_scores_equal_fresh_ones_bit_for_bit(all_shipped):
@@ -233,7 +258,7 @@ def test_context_marginal_excludes_zero_states(e1):
 
 def test_impossible_context():
     # g can only be read once: the start state has the sole g-row
-    pta = Pta(FGA, ("s0", "s1"), [1.0, 0.0], {("g", 1): ([0], [1.0], ([1],)), ("a", 0): [0, 1]})
+    pta = Pta(FGA, ("s0", "s1"), [1.0, 0.0], {("g", 1): ([0], [1.0], ([1],)), ("a", 0): A_AT_1})
     with pytest.raises(ImpossibleContext):
         context_marginal(pta, parse_tree("(g (g ?))"), (1, 1))
 
@@ -261,7 +286,7 @@ def test_chain_rule_consistency(e1):
 
 def test_leaf_state_generates_its_leaf(e_sum):
     pta = compile_prior(e_sum)
-    leaf_state = int(np.flatnonzero(pta.tables[("f", 0)])[0])
+    leaf_state = int(pta.tables[("f", 0)][0][0])
     tree = sample_from_state(pta, leaf_state, np.random.default_rng(0))
     logp = math.log(inside(pta, tree)[leaf_state])
     assert str(tree) == "f"
@@ -326,7 +351,7 @@ def test_a_regrow_past_max_depth_raises_depth_budget_exhausted(e_sum):
 def test_a_row_with_missing_mass_raises_depth_budget_exhausted():
     # s0's one g-row sums to 0.5: a draw below it grows (g a), any other one dies
     pta = Pta(RankedAlphabet([G, A]), ("s0", "s1"), [1.0, 0.0],
-              {("g", 1): ([0], [0.5], ([1],)), ("a", 0): [0, 1]})
+              {("g", 1): ([0], [0.5], ([1],)), ("a", 0): A_AT_1})
     assert sample_from_state(pta, 0, _Draws(0.4999)) == parse_tree("(g a)")
     for u in (0.5, 0.9):
         with pytest.raises(DepthBudgetExhausted, match="missing row mass"):
@@ -338,7 +363,8 @@ def test_a_row_with_missing_mass_raises_depth_budget_exhausted():
 
 def test_product_with_always_accepting_scales_by_constant():
     pta = hand_built_pta()
-    tables = {("f", 2): ([0], [1.0], ([0], [0])), ("g", 1): ([0], [1.0], ([0],)), ("a", 0): [1]}
+    tables = {("f", 2): ([0], [1.0], ([0], [0])), ("g", 1): ([0], [1.0], ([0],)),
+              ("a", 0): ([0], [1.0], ())}
     ones = Pta(FGA, ("u",), [1.0], tables)
     prod = product(pta, ones)
     for tree in all_trees(FGA, 4):
@@ -355,7 +381,7 @@ def test_product_squares_density(e1):
 
 def test_product_zero_if_either_zero():
     pta = hand_built_pta()
-    only_a = Pta(FGA, ("v",), [1.0], {("a", 0): [1]})  # accepts the single leaf 'a'
+    only_a = Pta(FGA, ("v",), [1.0], {("a", 0): ([0], [1.0], ())})  # accepts the single leaf 'a'
     prod = product(pta, only_a)
     assert pta_eval(prod, parse_tree("(g a)", FGA)) == 0.0
     assert pta_eval(prod, parse_tree("a", FGA)) == pytest.approx(

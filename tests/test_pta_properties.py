@@ -1,8 +1,9 @@
 """Property tests for the automaton's stored form: random hand-built
-automata, drawn as sparse rows and written into per-symbol arrays, keep every
-row entry in order, score every small tree as the exhaustive run enumeration
-does, and split each score exactly into outside times inside at every
-address."""
+automata, drawn as sparse rows and written into per-symbol arrays (a leaf's
+row as the rank-0 case, each accepting state one entry of probability 1),
+keep every row entry in order, score every small tree as the exhaustive run
+enumeration does, and split each score exactly into outside times inside at
+every address."""
 
 import itertools
 import json
@@ -25,7 +26,8 @@ PROPERTY = settings(derandomize=True, database=None, deadline=1000, max_examples
 def automata(draw):
     """1-4 states, every state with initial mass, and per (symbol, state) a
     sparse row of up to three child tuples with positive probabilities; the
-    row keeps a random share of dead mass, which may be none."""
+    row keeps a random share of dead mass, which may be none.  A random set of
+    states accepts the leaf a, each through one entry of probability 1."""
     q = draw(st.integers(1, 4))
     weights = draw(st.lists(st.integers(1, 9), min_size=q, max_size=q))
     initial = [w / sum(weights) for w in weights]
@@ -39,8 +41,9 @@ def automata(draw):
             mass = draw(st.lists(st.integers(1, 9), min_size=len(chosen), max_size=len(chosen)))
             total = sum(mass) + draw(st.integers(0, 9))
             transitions[((name, rank), state)] = [(t, m / total) for t, m in zip(chosen, mass)]
-    accepting = draw(st.sets(st.integers(0, q - 1)))
-    tables = {("a", 0): [float(s in accepting) for s in range(q)]}
+    for state in sorted(draw(st.sets(st.integers(0, q - 1)))):  # the states accepting a
+        transitions[(("a", 0), state)] = [((), 1.0)]
+    tables = {}
     for ((name, rank), state), rows in transitions.items():  # rows become columns, in order
         states, probs, kids = tables.setdefault((name, rank), ([], [], tuple([] for _ in range(rank))))
         for tup, p in rows:
@@ -58,9 +61,12 @@ def test_arrays_hold_the_row_entries_in_order(case):
     want = [
         {"symbol": name, "rank": rank, "from": f"s{state}", "to": [f"s{c}" for c in tup], "p": p}
         for ((name, rank), state), rows in transitions.items()  # f rows first, as in the dump
+        if rank
         for tup, p in rows
     ]
-    assert json.loads(pta.to_json())["transitions"] == want
+    doc = json.loads(pta.to_json())
+    assert doc["transitions"] == want
+    assert doc["finals"] == [[f"s{state}", name] for (name, rank), state in transitions if not rank]
 
 
 @PROPERTY
