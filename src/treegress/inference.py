@@ -49,8 +49,9 @@ from .errors import (
     SizeMismatch,
     json_object,
 )
-from .prte import PriorSpec, compute_ties, group_tags
-from .prte import sample_expression, sample_tree
+from .prte import PriorSpec, compute_ties, sample_expression, sample_tree
+# group_tags stays bound: bench/spans.py wraps it here; ROADMAP item 5 deletes it
+from .prte import group_tags  # noqa: F401
 # pta_eval stays bound: bench/spans.py wraps it here
 from .pta import Pta, compile_prior, context_marginal, inside, pta_eval  # noqa: F401
 from .pta import sample_from_state
@@ -74,7 +75,7 @@ MOVES = ("global", "local", "params", "sigma")
 _FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool,
                 "int | None": (numbers.Integral, type(None)),
                 "float | None": (numbers.Real, type(None))}
-# a posterior draw's keys and the JSON types of their values (a number is an int or a float)
+# a posterior draw's only keys and the JSON types of their values (a number is an int or a float)
 _DRAW_KEYS = ("expr", "theta_c", "theta_d", "ties", "sigma", "log_post")
 _DRAW_TYPES = {(str, list, list, list, s, p) for s in (int, float) for p in (int, float)}
 # a posterior's keys, all required
@@ -320,13 +321,14 @@ class _ChainContext:
 
     def ties(self, tree: Tree) -> tuple:
         """(the tree's tie table, the ``MarkerPrior.constants`` of each group's prior in
-        slot order), computed once per distinct tree with markers; ((), ()) without one."""
+        slot order), from one ``compute_ties`` walk per distinct tree with markers;
+        ((), ()) without one."""
         if not tree.n_const:
             return (), ()
         known = self.tie_table.get(tree)
         if known is None:
-            ties = compute_ties(tree, self.prior)
-            consts = tuple(self.prior.markers[tag].constants for tag in group_tags(tree, ties))
+            ties, tags = compute_ties(tree, self.prior)
+            consts = tuple(self.prior.markers[tag].constants for tag in tags)
             known = _bounded(self.tie_table)[tree] = ties, consts
         return known
 
@@ -373,7 +375,7 @@ class _ChainContext:
     def log_prior_params(self, expr: SymbolicExpression) -> float:
         """The marker priors' log density at theta_c, term by term in the order of
         the formula, plus the uniform discrete priors' log mass."""
-        total = 0.0  # the cached constants fit expr.ties: every state's ties come from compute_ties
+        total = 0.0  # the cached constants fit expr.ties: both come from one compute_ties walk
         for (exp, rate, mean, stddev, log_scale), x in zip(self.ties(expr.tree)[1], expr.theta_c):
             if exp:
                 if x < 0:  # the sum is -inf: for a finite theta, as the chain's, no term is +inf
@@ -781,13 +783,13 @@ def posterior_from_json(text: str) -> Posterior:
         if entry is prev and draws:  # one dict for a run; a null first entry is not prev
             draws.append(draws[-1])
             continue
-        if (type(entry) is not dict
+        if (type(entry) is not dict or len(entry) != len(_DRAW_KEYS)
                 or tuple(map(type, map(entry.get, _DRAW_KEYS))) not in _DRAW_TYPES
                 or not set(map(type, entry["theta_c"])) <= {int, float}
                 or not set(map(type, entry["theta_d"])) <= {str}
                 or not set(map(type, entry["ties"])) <= {int}):
-            raise InputError(f"draw {i} is not an object whose {', '.join(_DRAW_KEYS)} are a "
-                             "string, lists of numbers, strings and integers, and two numbers")
+            raise InputError(f"draw {i} is not an object whose only keys, {', '.join(_DRAW_KEYS)}, "
+                             "are a string, lists of numbers, strings and integers, two numbers")
         prev = entry
         try:
             tree = trees.get(entry["expr"])

@@ -693,50 +693,40 @@ def _draw(plan: tuple, rng: np.random.Generator, at: tuple, depth: int, max_dept
 
 
 def compute_ties(tree: Tree, prior: PriorSpec) -> tuple:
-    """Tie table for a tree under this prior's sharing rules: the i-th
-    continuous-marker position (pre-order) maps to its parameter group.
-    Shared tags group by the nearest ancestor matching their anchor symbol;
-    everything else gets its own group."""
-    group_of: dict = {}
+    """(tie table, tags) under this prior's sharing rules: the i-th continuous marker in
+    pre-order maps to its group, numbered by first occurrence, and ``tags[g]`` is group
+    g's tag.  A shared tag groups by its nearest strict ancestor matching its anchor, or
+    by none; any other marker is its own group.  One walk over the nodes with markers
+    carries each anchor's nearest occurrence on the path, in a dict copied at anchors."""
+    anchors = set(prior.shared.values())
+    groups: dict = {}  # group key -> (group, tag), in order of first occurrence
     ties = []
-    for pos, tag in _const_markers(tree):
-        anchor = prior.shared.get(tag)
-        if anchor is None:
-            key = ("solo", pos)
+    stack = [(tree, {})] if tree.n_const else []
+    occurrence = 0
+    while stack:
+        node, near = stack.pop()
+        name, rank = node.symbol.name, node.symbol.rank
+        if is_const_marker(node.symbol):
+            anchor = prior.shared.get(name)
+            key = ("solo", occurrence) if anchor is None else (name, near.get(anchor))
+            ties.append(groups.setdefault(key, (len(groups), name))[0])
         else:
-            site, node = ("root",), tree
-            for depth, i in enumerate(pos):
-                if (node.symbol.name, node.symbol.rank) == anchor:
-                    site = pos[:depth]
-                node = node.children[i - 1]
-            key = (tag, site)
-        ties.append(group_of.setdefault(key, len(group_of)))
-    return tuple(ties)
+            if (name, rank) in anchors:
+                near = {**near, (name, rank): occurrence}
+            stack.extend((child, near) for child in reversed(node.children) if child.n_const)
+        occurrence += 1
+    return tuple(ties), tuple(tag for _, tag in groups.values())
 
 
-def group_tags(tree: Tree, ties: tuple) -> list:
-    """Marker tag of each parameter group, aligned with theta_c."""
-    tags: list = []
-    for (_, tag), g in zip(_const_markers(tree), ties):
-        if g == len(tags):
-            tags.append(tag)
-    return tags
-
-
-def _const_markers(tree: Tree) -> list:
-    """(address, tag) of each continuous marker in pre-order, from one walk."""
-    if not tree.n_const:  # no walk for a tree without markers
-        return []
-    return [(pos, node.symbol.name) for pos, node in tree.walk() if is_const_marker(node.symbol)]
+group_tags = compute_ties  # bench/spans.py wraps this name; ROADMAP item 5 deletes it
 
 
 def sample_expression(prior: PriorSpec, rng: np.random.Generator) -> SymbolicExpression:
-    """Sample a tree as ``sample_tree`` does, then fill its parameter slots
-    from the marker priors (one draw per tie group) and the discrete support.
-    Raises InputError, naming the marker, when a draw passes float range."""
+    """Sample a tree as ``sample_tree`` does, then fill its parameter slots from the marker
+    priors (one draw per group of ``compute_ties``, from its tag's prior) and the discrete
+    support.  Raises InputError, naming the marker, when a draw passes float range."""
     tree = sample_tree(prior, rng)
-    ties = compute_ties(tree, prior)
-    tags = group_tags(tree, ties)
+    ties, tags = compute_ties(tree, prior)
     theta_c = tuple(prior.markers[tag].sample(rng) for tag in tags)
     for tag, value in zip(tags, theta_c):
         if not math.isfinite(value):

@@ -142,7 +142,11 @@ class Pta:
 def _stored(sym, tables):
     """The symbol's entry of ``tables`` as arrays, checked for shape."""
     name, rank = sym.name, sym.rank
-    states, probs, kids = tables.get((name, rank), ((), (), ((),) * rank))
+    try:
+        states, probs, kids = tables.get((name, rank), ((), (), ((),) * rank))
+    except (TypeError, ValueError):
+        raise InputError(f"{name}/{rank} needs a (states, probabilities, child-state arrays) "
+                         "entry") from None
     probs, *idx = (np.asarray(a) for a in (probs, states, *kids))
     if len(kids) != rank or probs.ndim != 1 or any(a.shape != probs.shape for a in idx):
         raise InputError(f"{name}/{rank} needs {2 + rank} arrays of one length")

@@ -105,8 +105,8 @@ def reference_eval(expr, inputs):
 
 
 def reference_ties(tree, prior):
-    """Tie table by one recursive walk that keeps the ancestor path: an
-    independent oracle for compute_ties."""
+    """(tie table, tags) by one recursive walk that keeps the ancestor path: an
+    independent oracle for compute_ties.  A group's tag is that of its first marker."""
     keys = []
 
     def walk(node, addr, ancestors):
@@ -114,13 +114,15 @@ def reference_ties(tree, prior):
         if node.symbol.rank == 0 and name.endswith("#") and name != "d#":
             anchor = prior.shared.get(name)
             if anchor is None:
-                keys.append(("solo", addr))
+                keys.append((("solo", addr), name))
             else:
                 sites = [a for a, s in ancestors if (s.name, s.rank) == tuple(anchor)]
-                keys.append((name, sites[-1] if sites else ("root",)))
+                keys.append(((name, sites[-1] if sites else ("root",)), name))
         for i, child in enumerate(node.children, start=1):
             walk(child, addr + (i,), ancestors + [(addr, node.symbol)])
 
     walk(tree, (), [])
     first = {}
-    return tuple(first.setdefault(key, len(first)) for key in keys)
+    ties = tuple(first.setdefault(key, len(first)) for key, _ in keys)
+    tags = tuple(keys[ties.index(g)][1] for g in range(len(first)))
+    return ties, tags

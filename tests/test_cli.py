@@ -772,6 +772,7 @@ def test_posterior_with_unknown_config_key_exits_2(capsys, tmp_path):
         (lambda doc: doc["draws"][3].update(sigma=math.inf),
          "draw 3: sigma must be positive and finite"),
         (lambda doc: doc["draws"].__setitem__(0, None), "draw 0 is not an object whose"),
+        (lambda doc: doc["draws"][3].update(extra=1), "draw 3 is not an object whose only keys"),
     ],
 )
 def test_malformed_posterior_exits_2(capsys, tmp_path, edit, message):

@@ -41,7 +41,7 @@ from treegress.inference import (
     run_chains,
     shrink_params,
 )
-from helpers import addresses
+from helpers import addresses, reference_ties
 from treegress.prte import build_prior, prte_density
 from treegress.pta import compile_prior, pta_eval
 from treegress.trees import SymbolicExpression, Tree, parse_tree
@@ -626,7 +626,7 @@ def test_cache_coherence(e_iso):
 
 def test_intern_shares_one_object_per_distinct_tree(e_hyp):
     from treegress.inference import _ChainContext
-    from treegress.prte import compute_ties, group_tags, sample_tree
+    from treegress.prte import compute_ties, sample_tree
     from treegress.pta import compile_prior
 
     ctx = _ChainContext(e_hyp, compile_prior(e_hyp), None, McmcConfig(prior_only=True))
@@ -635,17 +635,20 @@ def test_intern_shares_one_object_per_distinct_tree(e_hyp):
     again = parse_tree(str(tree))
     assert again is tree and parse_tree(str(tree), e_hyp.alphabet) is tree
     ties, consts = ctx.ties(tree)
-    assert ties == compute_ties(tree, e_hyp)
-    assert consts == tuple(e_hyp.markers[tag].constants for tag in group_tags(tree, ties))
+    want, tags = reference_ties(tree, e_hyp)
+    assert compute_ties(tree, e_hyp) == (want, tags)
+    assert ties == want
+    assert consts == tuple(e_hyp.markers[tag].constants for tag in tags)
     assert ctx.ties(again) is ctx.ties(tree)
 
 
 @pytest.mark.parametrize("stem", ["e1", "e_iso", "e_hyp"])
 def test_a_tree_without_markers_takes_no_tie_entry(stem, all_shipped):
-    """``ctx.ties`` gives what ``compute_ties`` and ``group_tags`` give, and stores an
-    entry only for a tree with continuous markers: none for the marker-free E_1."""
+    """``ctx.ties`` gives the tie table and the constants of the group tags that
+    ``compute_ties`` and the recursive oracle give, and stores an entry only for a tree
+    with continuous markers: none for the marker-free E_1."""
     from treegress.errors import DepthBudgetExhausted
-    from treegress.prte import compute_ties, group_tags, sample_tree
+    from treegress.prte import compute_ties, sample_tree
 
     prior = all_shipped[stem]
     ctx = _ChainContext(prior, compile_prior(prior), None, McmcConfig(prior_only=True))
@@ -657,8 +660,9 @@ def test_a_tree_without_markers_takes_no_tie_entry(stem, all_shipped):
             continue
     assert len(drawn) > 20
     for tree in drawn:
-        ties = compute_ties(tree, prior)
-        consts = tuple(prior.markers[tag].constants for tag in group_tags(tree, ties))
+        ties, tags = reference_ties(tree, prior)
+        assert compute_ties(tree, prior) == (ties, tags)
+        consts = tuple(prior.markers[tag].constants for tag in tags)
         assert ctx.ties(tree) == (ties, consts)
         if tree.n_const:
             assert ctx.tie_table[tree] == (ties, consts)

@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_ties
 from test_prior_analysis import (
     _draw_oracle,
     _fixed_oracle,
@@ -56,7 +57,6 @@ from treegress.prte import (
     build_prior,
     compute_ties,
     format_prte,
-    group_tags,
     load_prior,
     parse_prte,
     prte_density,
@@ -535,8 +535,6 @@ def test_shared_alpha_ties(e_hyp):
 
 
 def test_ties_match_a_recursive_walk(all_shipped):
-    from helpers import reference_ties
-
     rng = np.random.default_rng(12)
     for prior in all_shipped.values():
         for _ in range(100):
@@ -563,12 +561,25 @@ NESTED_TREES = st.recursive(
 @settings(derandomize=True, database=None, deadline=1000, max_examples=300)
 @given(NESTED_TREES)
 def test_ties_under_nested_anchors_match_a_recursive_walk(tree):
-    from helpers import reference_ties
+    ties, tags = compute_ties(tree, NESTED)
+    assert (ties, tags) == reference_ties(tree, NESTED)
+    markers = [node.symbol.name for _, node in tree.walk() if is_const_marker(node.symbol)]
+    assert tags == tuple(markers[ties.index(g)] for g in range(len(set(ties))))
 
-    ties = compute_ties(tree, NESTED)
-    assert ties == reference_ties(tree, NESTED)
-    tags = [node.symbol.name for _, node in tree.walk() if is_const_marker(node.symbol)]
-    assert group_tags(tree, ties) == [tags[ties.index(g)] for g in range(len(set(ties)))]
+
+@pytest.mark.parametrize("anchor", ["x", "a#"])
+def test_a_tag_anchored_at_a_leaf_ties_all_its_markers_into_one_group(anchor):
+    """No leaf is an ancestor, so a tag anchored at a rank-0 symbol, a variable or the
+    marker's own, has no anchor occurrence above any of its markers."""
+    prior = build_prior("leaf", "iter $x { choice{ 1/2: +(a#, $x), 1/2: +(a#, +(b#, x)) } }",
+                        variables=["x"], markers={tag: {"dist": "exp", "rate": 1.0}
+                                                  for tag in ("a#", "b#")},
+                        shared={"a#": {"anchor": anchor, "rank": 0}})
+    for text, want in [("(+ a# (+ a# (+ a# b#)))", ((0, 0, 0, 1), ("a#", "b#"))),
+                       ("(+ a# (+ a# (+ b# x)))", ((0, 0, 1), ("a#", "b#"))),
+                       ("(+ b# (+ a# (+ a# (+ b# x))))", ((0, 1, 1, 2), ("b#", "a#", "b#")))]:
+        tree = parse_tree(text)
+        assert compute_ties(tree, prior) == want == reference_ties(tree, prior), text
 
 
 POSITIVE = st.floats(min_value=5e-324, max_value=1e308)
@@ -590,8 +601,8 @@ def test_the_record_scorer_is_the_formula_summed_over_tied_groups(tree, priors, 
     """The chain's marker log density, read from its per-tree record of constants,
     is the sum of ``_old_logpdf`` over the tie groups in slot order, to the bit."""
     prior = dataclasses.replace(NESTED, markers=dict(zip(("a#", "b#", "k#"), priors)))
-    ties = compute_ties(tree, prior)
-    tags = group_tags(tree, ties)
+    ties, tags = reference_ties(tree, prior)
+    assert compute_ties(tree, prior) == (ties, tags)
     theta = data.draw(st.lists(THETAS, min_size=len(tags), max_size=len(tags)))
     theta_d = data.draw(st.lists(st.sampled_from([1, 2]), min_size=tree.n_disc,
                                  max_size=tree.n_disc))
@@ -607,7 +618,8 @@ def test_the_record_scorer_is_the_formula_summed_over_tied_groups(tree, priors, 
 
 def test_a_deep_marker_comb_builds_in_linear_time():
     # one marker per level: storing each marker's address on every ancestor
-    # made this build cubic in the depth
+    # made this build cubic in the depth, as did re-descending from the root to
+    # find each anchored marker's nearest anchor
     start = time.perf_counter()
     plus, k = RankedSymbol("+", 2), Tree(RankedSymbol("k#", 0))
     built = k
@@ -617,8 +629,15 @@ def test_a_deep_marker_comb_builds_in_linear_time():
     assert time.perf_counter() - start < 1.0
     for tree in (built, parsed):
         assert (tree.size, tree.n_const, tree.n_disc) == (2001, 1001, 0)
-        assert compute_ties(tree, NESTED) == tuple(range(1001))
-        assert group_tags(tree, tuple(range(1001))) == ["k#"] * 1001
+        assert compute_ties(tree, NESTED) == (tuple(range(1001)), ("k#",) * 1001)
+    star, a = RankedSymbol("*", 2), Tree(RankedSymbol("a#", 0))
+    anchored = a
+    for _ in range(2000):
+        anchored = Tree(star, (a, anchored))
+    start = time.perf_counter()
+    ties, tags = compute_ties(anchored, NESTED)  # a# groups under its nearest '*'
+    assert time.perf_counter() - start < 1.0
+    assert (ties, tags) == (tuple(range(2000)) + (1999,), ("a#",) * 2000)
 
 
 def test_minimal_isotherm_sample_shape(e_iso):

@@ -133,14 +133,18 @@ def test_two_state_automaton_is_valid():
         {"tables": {("g", 1): G_LOOP, ("a", 0): A_AT_1, ("h", 1): ([], [], ([],))}},
         {"tables": {("g", 1): G_LOOP, ("a", 0): ([1, 1], [1.0, 1.0], ())}},
         {"tables": {("g", 1): G_LOOP, ("a", 0): ([1], [1.0], ([1],))}},
+        {"tables": {("g", 1): G_LOOP, ("a", 0): [0, 1]}},
+        {"tables": {("g", 1): ([0], [1.0]), ("a", 0): A_AT_1}},
+        {"tables": {("g", 1): G_LOOP, ("a", 0): 1}},
     ],
     ids=["child-past-end", "source-past-end", "final-past-end", "child-minus-one",
          "negative-initial", "child-1.5", "source-0.9", "leaf-vector-length",
          "leaf-vector-half", "probs-shorter", "kids-shorter", "two-child-arrays-for-g",
-         "key-outside-alphabet", "leaf-state-twice", "leaf-with-a-child-array"],
+         "key-outside-alphabet", "leaf-state-twice", "leaf-with-a-child-array",
+         "leaf-entry-of-two", "entry-of-two-for-g", "integer-entry"],
 )
 def test_constructor_rejects_bad_state_indices_and_negative_initial_mass(change):
-    with pytest.raises(InputError):
+    with pytest.raises(InputError):  # never a bare ValueError or TypeError
         Pta(FGA, ("s0", "s1"), **{**TWO_STATE, **change})
 
 

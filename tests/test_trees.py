@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import addresses, reference_eval
+from helpers import addresses, reference_eval, reference_ties
 from treegress.errors import (
     ArityMismatch,
     InputError,
@@ -249,8 +249,9 @@ def test_a_tied_pow_operand_is_filled_once_per_evaluation(e_hyp, monkeypatch):
     import treegress.trees as trees
 
     tree = parse_tree("(* (/ mu# alpha#) (- (+ (pow l1 alpha#) (pow l2 alpha#) (pow l3 alpha#)) 3))")
-    ties = compute_ties(tree, e_hyp)
+    ties, tags = compute_ties(tree, e_hyp)
     assert ties == (0, 1, 1, 1, 1)  # the four alpha# share one parameter
+    assert (ties, tags) == reference_ties(tree, e_hyp) == (ties, ("mu#", "alpha#"))
     rng = np.random.default_rng(2)
     xs = {v: rng.uniform(0.5, 3.0, 25) for v in ("l1", "l2", "l3")}
     exprs = [SymbolicExpression(tree, (float(mu), float(alpha)), (), ties)
