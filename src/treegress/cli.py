@@ -147,11 +147,11 @@ def cmd_gen_data(args) -> int:
         datasets = gen_hyperelastic(args.seed)
     else:
         raise InputError(f"unknown task '{task}' (isotherm:<name> or hyperelastic)")
-    for split in ("train", "test1", "test2", "test3"):
+    for split, data in datasets.items():
         path = out_dir / f"{split}.csv"
-        datasets[split].to_csv(path)
+        data.to_csv(path)
         print(str(path))
-        resampled = datasets[split].meta.get("resampled", 0)
+        resampled = data.meta.get("resampled", 0)
         if resampled:
             print(
                 json.dumps({"note": "pole-adjacent inputs redrawn", "split": split,

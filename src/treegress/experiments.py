@@ -4,7 +4,7 @@ Ten sorption isotherms relate solution concentration c (mg/L) to sorbed
 concentration s (mg/Kg); parameters are drawn from exponential priors with
 per-isotherm rate overrides, inputs are uniform per split, and targets carry
 white noise.  The hyper-elastic task evaluates a two-term Ogden strain energy
-density on principal stretches.  All generation is reproducible: one master
+density w (J) on principal stretches.  All generation is reproducible: one master
 seed is split per parameter draw and per dataset.
 """
 
@@ -219,21 +219,33 @@ def ogden_energy(l1, l2, l3) -> np.ndarray:
     return w
 
 
+def _splits(children, ranges, header, noise_sd, draw) -> dict:
+    """One dataset per split of ``ranges`` (split -> input range), each drawn by a
+    generator on its seed of ``children``: ``draw(rng, lo, hi, split)`` returns the
+    noise-free columns and the meta, and white noise of sd ``noise_sd`` (none if 0)
+    is added to the target, the last column."""
+    out = {}
+    for child, (split, (lo, hi)) in zip(children, ranges.items()):
+        rng = np.random.default_rng(child)
+        columns, meta = draw(rng, lo, hi, split)
+        if noise_sd:
+            columns = (*columns[:-1], columns[-1] + rng.normal(0.0, noise_sd, N_ROWS))
+        out[split] = Dataset(header, columns, meta)
+    return out
+
+
 def gen_isotherm(name: str, seed: int, noise: bool = True) -> dict:
     """Four datasets (train, test1, test2, test3) of the named isotherm with
-    parameters drawn once from its priors.  Input points that land within
-    POLE_EPS of a pole denominator are redrawn; the count is recorded in
-    dataset meta."""
+    parameters drawn once from its priors.  Inputs within POLE_EPS of a pole
+    denominator are redrawn.  Each split's meta holds ``params``, the drawn
+    parameters, and ``resampled``, the count of redrawn inputs."""
     rates = isotherm_rates(name)
     formula, _, _, pole = _ISOTHERMS[name]
     children = np.random.SeedSequence(seed).spawn(5)
     param_rng = np.random.default_rng(children[0])
     params = {param: float(param_rng.exponential(1.0 / rate)) for param, rate in rates.items()}
 
-    out = {}
-    for i, split in enumerate(("train", "test1", "test2", "test3")):
-        rng = np.random.default_rng(children[i + 1])
-        lo, hi = _ISO_RANGES[split]
+    def draw(rng, lo, hi, split):
         c = rng.uniform(lo, hi, N_ROWS)
         resampled = 0
         if pole is not None:
@@ -245,42 +257,19 @@ def gen_isotherm(name: str, seed: int, noise: bool = True) -> dict:
                 c[bad] = rng.uniform(lo, hi, int(bad.sum()))
             else:
                 raise RuntimeFailure(f"{name}/{split}: cannot avoid pole")
-        s = formula(params, c)
-        if noise:
-            s = s + rng.normal(0.0, ISO_NOISE, N_ROWS)
-        meta = {
-            "task": f"isotherm:{name}",
-            "split": split,
-            "units": {"c": "mg/L", "s": "mg/Kg"},
-            "params": dict(params),
-            "resampled": resampled,
-            "noise_sigma": ISO_NOISE if noise else 0.0,
-        }
-        out[split] = Dataset(("c", "s"), (c, s), meta)
-    return out
+        return (c, formula(params, c)), {"params": dict(params), "resampled": resampled}
+
+    return _splits(children[1:], _ISO_RANGES, ("c", "s"), ISO_NOISE if noise else 0.0, draw)
 
 
 def gen_hyperelastic(seed: int, noise: bool = True) -> dict:
-    """Four datasets of principal stretches and noisy strain energy density."""
-    children = np.random.SeedSequence(seed).spawn(4)
-    out = {}
-    for i, split in enumerate(("train", "test1", "test2", "test3")):
-        rng = np.random.default_rng(children[i])
-        lo, hi = _HYP_RANGES[split]
+    """Four datasets of principal stretches and noisy strain energy density; meta {}."""
+    def draw(rng, lo, hi, split):
         l1, l2, l3 = (rng.uniform(lo, hi, N_ROWS) for _ in range(3))
-        w = ogden_energy(l1, l2, l3)
-        if noise:
-            w = w + rng.normal(0.0, HYP_NOISE, N_ROWS)
-        meta = {
-            "task": "hyperelastic",
-            "split": split,
-            "units": {"l1": "-", "l2": "-", "l3": "-", "w": "J"},
-            "alphas": list(OGDEN_ALPHAS),
-            "mus": list(OGDEN_MUS),
-            "noise_sigma": HYP_NOISE if noise else 0.0,
-        }
-        out[split] = Dataset(("l1", "l2", "l3", "w"), (l1, l2, l3, w), meta)
-    return out
+        return (l1, l2, l3, ogden_energy(l1, l2, l3)), {}
+
+    return _splits(np.random.SeedSequence(seed).spawn(4), _HYP_RANGES, ("l1", "l2", "l3", "w"),
+                   HYP_NOISE if noise else 0.0, draw)
 
 
 # -- shipped priors -----------------------------------------------------------------

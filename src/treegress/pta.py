@@ -53,13 +53,19 @@ class Pta:
     ``states[i]`` into the child states ``kids[0][i], kids[1][i], ...``, in
     entry order.  A leaf symbol is the rank-0 case, with no child-state
     arrays: each of its entries is a state that accepts it, with probability
-    1.  A symbol of the alphabet with no key gets an empty entry.
+    1.  A symbol of the alphabet with no key gets an empty entry.  A malformed
+    entry or initial vector (a ragged or non-numeric array, a part that is not a
+    sequence, a bad index or probability) raises InputError, never a bare
+    ValueError or TypeError.
     """
 
     def __init__(self, alphabet, states, initial, tables):
         self.alphabet = alphabet
         self.states = tuple(states)
-        self.initial = np.asarray(initial, dtype=float)
+        try:
+            self.initial = np.asarray(initial, dtype=float)
+        except (TypeError, ValueError):
+            raise InputError(f"initial vector {initial!r} is not a vector of numbers") from None
         unknown = set(tables) - alphabet.symbol_keys()
         if unknown:
             raise AlphabetMismatch(f"tables on symbols outside the alphabet: {sorted(unknown)}")
@@ -144,16 +150,16 @@ def _stored(sym, tables):
     name, rank = sym.name, sym.rank
     try:
         states, probs, kids = tables.get((name, rank), ((), (), ((),) * rank))
-    except (TypeError, ValueError):
+        probs, *idx = (np.asarray(a) for a in (probs, states, *kids))
+        if len(kids) != rank or probs.ndim != 1 or any(a.shape != probs.shape for a in idx):
+            raise InputError(f"{name}/{rank} needs {2 + rank} arrays of one length")
+        if any(a.size and a.dtype.kind not in "iu" for a in idx):
+            raise InputError(f"a {name}/{rank} state array is not of integers")
+        states, *kids = (a.astype(np.intp) for a in idx)
+        return states, probs.astype(float), tuple(kids)
+    except (AttributeError, TypeError, ValueError):
         raise InputError(f"{name}/{rank} needs a (states, probabilities, child-state arrays) "
-                         "entry") from None
-    probs, *idx = (np.asarray(a) for a in (probs, states, *kids))
-    if len(kids) != rank or probs.ndim != 1 or any(a.shape != probs.shape for a in idx):
-        raise InputError(f"{name}/{rank} needs {2 + rank} arrays of one length")
-    if any(a.size and a.dtype.kind not in "iu" for a in idx):
-        raise InputError(f"a {name}/{rank} state array is not of integers")
-    states, *kids = (a.astype(np.intp) for a in idx)
-    return states, probs.astype(float), tuple(kids)
+                         "entry of numbers") from None
 
 
 def _entries(entry):

@@ -1,10 +1,13 @@
 """Tests for synthetic data generation, the prior library, and metrics."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
+from treegress import cli, experiments
 from treegress.errors import InputError, LengthMismatch
 from treegress.experiments import (
     ISOTHERM_NAMES,
@@ -102,6 +105,69 @@ def test_rate_overrides():
     two = isotherm_rates("two_site_langmuir")
     assert (two["k_1"], two["k_2"]) == (8.0, 8.0)
     assert isotherm_rates("langmuir") == {"s_T": 0.015, "k": 4.0}
+
+
+def test_split_meta_holds_only_the_keys_that_are_read():
+    for name in ISOTHERM_NAMES:
+        data = gen_isotherm(name, seed=4)
+        assert list(data) == ["train", "test1", "test2", "test3"]
+        for ds in data.values():
+            assert set(ds.meta) == {"params", "resampled"}
+            assert ds.meta["params"] == data["train"].meta["params"]
+    assert all(ds.meta == {} for ds in gen_hyperelastic(seed=4).values())
+
+
+# -- pole redraw ------------------------------------------------------------------------
+# At POLE_EPS = 1e-6 no seed from 0 to 2,999 lands an input near either pole, so these
+# widen the band until seed 0 redraws 3 train and 2 test1 inputs of both isotherms.
+# Neither formula uses ``**``, so the digests hold whichever power loop numpy picks.
+
+POLE_CSV_SHA256 = {
+    "brunauer_emmett_teller": {
+        "train": "de679a470fd144991e4b70d04bd184000a603f86c9dcf88f1711697cd0d7cc25",
+        "test1": "c12354ac96ff023b78e0fd146d6f57274b276d6857bbdb7b0d4876d07b9c6b24",
+        "test2": "918dc96cef7904b879d8423d380d3535c85a76fd10f53f156c74bd1978a1bee4",
+        "test3": "0c3388b513ca75fccc3a115ae55b6d0bc41b9c9322f7fdcd4ac9c18dcb337368",
+    },
+    "farley_dzombak_morel": {
+        "train": "206c5b7025679aebef51aa194d73a5feb61c092f07d3096036d169edda1b5378",
+        "test1": "a6400424c408128f8b7473c4c9f3b18c8304801f75a4b4f44a555e7e2c581e8d",
+        "test2": "e194d1314a812da6c57a6a1a471ed7decbfc28885b6377fa11a18a55eb04c9d8",
+        "test3": "24d49579deef4df7afb2e725558de988029e662e9bb53debf4f2de5a69a1b169",
+    },
+}
+
+
+def _gen_data(capsys, tmp_path, name):
+    code = cli.main(["gen-data", "--task", f"isotherm:{name}", "--seed", "0",
+                     "--out-dir", str(tmp_path)])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(POLE_CSV_SHA256))
+def test_pole_adjacent_inputs_are_redrawn_and_reported(monkeypatch, capsys, tmp_path, name):
+    monkeypatch.setattr(experiments, "POLE_EPS", 0.05)
+    data = gen_isotherm(name, seed=0)
+    assert {split: ds.meta["resampled"] for split, ds in data.items()} == {
+        "train": 3, "test1": 2, "test2": 0, "test3": 0}
+    code, err = _gen_data(capsys, tmp_path, name)
+    assert code == 0
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"note": "pole-adjacent inputs redrawn", "split": "train", "count": 3},
+        {"note": "pole-adjacent inputs redrawn", "split": "test1", "count": 2},
+    ]
+    digests = {split: hashlib.sha256((tmp_path / f"{split}.csv").read_bytes()).hexdigest()
+               for split in POLE_CSV_SHA256[name]}
+    assert digests == POLE_CSV_SHA256[name]
+
+
+def test_an_unavoidable_pole_is_a_runtime_failure(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(experiments, "POLE_EPS", 10)
+    monkeypatch.setattr(experiments, "POLE_RETRIES", 3)
+    code, err = _gen_data(capsys, tmp_path, "brunauer_emmett_teller")
+    assert code == 3
+    assert json.loads(err) == {"error": "RuntimeFailure",
+                               "message": "brunauer_emmett_teller/train: cannot avoid pole"}
 
 
 # -- hyper-elastic ------------------------------------------------------------------

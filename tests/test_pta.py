@@ -136,12 +136,20 @@ def test_two_state_automaton_is_valid():
         {"tables": {("g", 1): G_LOOP, ("a", 0): [0, 1]}},
         {"tables": {("g", 1): ([0], [1.0]), ("a", 0): A_AT_1}},
         {"tables": {("g", 1): G_LOOP, ("a", 0): 1}},
+        {"tables": {("g", 1): ([0, [1]], [0.5, 0.5], ([1, 1],)), ("a", 0): A_AT_1}},
+        {"tables": {("g", 1): G_LOOP, ("a", 0): ([1], [1.0], 5)}},
+        {"tables": {("g", 1): ([0, 1], ["x", 0.5], ([1, 1],)), ("a", 0): A_AT_1}},
+        {"initial": ["x", 0.0]},
+        {"initial": [1.0, [0.0]]},
+        {"tables": [("g", 1)]},
     ],
     ids=["child-past-end", "source-past-end", "final-past-end", "child-minus-one",
          "negative-initial", "child-1.5", "source-0.9", "leaf-vector-length",
          "leaf-vector-half", "probs-shorter", "kids-shorter", "two-child-arrays-for-g",
          "key-outside-alphabet", "leaf-state-twice", "leaf-with-a-child-array",
-         "leaf-entry-of-two", "entry-of-two-for-g", "integer-entry"],
+         "leaf-entry-of-two", "entry-of-two-for-g", "integer-entry", "ragged-states",
+         "integer-child-part", "string-probability", "string-initial", "ragged-initial",
+         "tables-not-a-mapping"],
 )
 def test_constructor_rejects_bad_state_indices_and_negative_initial_mass(change):
     with pytest.raises(InputError):  # never a bare ValueError or TypeError
