@@ -54,19 +54,28 @@ class Pta:
     entry order.  A leaf symbol is the rank-0 case, with no child-state
     arrays: each of its entries is a state that accepts it, with probability
     1.  A symbol of the alphabet with no key gets an empty entry.  A malformed
-    entry or initial vector (a ragged or non-numeric array, a part that is not a
-    sequence, a bad index or probability) raises InputError, never a bare
-    ValueError or TypeError.
+    argument (states that are not a sequence, tables that are not a mapping) or
+    a malformed entry or initial vector (a ragged or non-numeric array, a part
+    that is not a sequence, a bad index or probability) raises InputError, never
+    a bare ValueError or TypeError.
     """
 
     def __init__(self, alphabet, states, initial, tables):
         self.alphabet = alphabet
-        self.states = tuple(states)
+        try:
+            self.states = tuple(states)
+        except TypeError:
+            raise InputError(f"states {states!r} is not a sequence of state names") from None
         try:
             self.initial = np.asarray(initial, dtype=float)
         except (TypeError, ValueError):
             raise InputError(f"initial vector {initial!r} is not a vector of numbers") from None
-        unknown = set(tables) - alphabet.symbol_keys()
+        try:
+            unknown = set(tables) - alphabet.symbol_keys()
+            tables.get  # the lookup _stored reads: a mapping has it
+        except (TypeError, AttributeError):
+            raise InputError(f"tables {tables!r} is not a mapping of (symbol name, rank) "
+                             "to entries") from None
         if unknown:
             raise AlphabetMismatch(f"tables on symbols outside the alphabet: {sorted(unknown)}")
         self.tables = {(s.name, s.rank): _stored(s, tables) for s in alphabet}
@@ -157,7 +166,7 @@ def _stored(sym, tables):
             raise InputError(f"a {name}/{rank} state array is not of integers")
         states, *kids = (a.astype(np.intp) for a in idx)
         return states, probs.astype(float), tuple(kids)
-    except (AttributeError, TypeError, ValueError):
+    except (TypeError, ValueError):
         raise InputError(f"{name}/{rank} needs a (states, probabilities, child-state arrays) "
                          "entry of numbers") from None
 

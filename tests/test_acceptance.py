@@ -26,8 +26,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import all_trees, brute_force_eval
+from helpers import all_trees
+from oracles import TOY_TEXT, brute_force_eval, jump_map, numeric_log_abs_det, toy_posterior
 
+import treegress
 from treegress.experiments import gen_hyperelastic, gen_isotherm, prior_library, rmse
 from treegress.inference import (
     McmcConfig,
@@ -151,17 +153,6 @@ def test_criterion_03_geometric_length_law(library):
 
 # -- 4 ------------------------------------------------------------------------------
 
-def _numeric_log_abs_det(fn, point, h=1e-5):
-    d = point.size
-    jac = np.empty((d, d))
-    for j in range(d):
-        hi, lo = point.copy(), point.copy()
-        hi[j] += h
-        lo[j] -= h
-        jac[:, j] = (fn(hi) - fn(lo)) / (2 * h)
-    return math.log(abs(np.linalg.det(jac)))
-
-
 def test_criterion_04_jacobians():
     c = criterion(4, "jacobians", 10.0).__enter__()
     rng = np.random.default_rng(4)
@@ -171,36 +162,19 @@ def test_criterion_04_jacobians():
             if n == n_star or n + n_star == 0:
                 continue
             point = rng.standard_normal(n + n_star)
-            if n_star > n:
-                mapper = lambda x: np.concatenate(expand_params(x[:n], x[n:])[:2])
-                _, _, analytic = expand_params(point[:n], point[n:])
-            else:
-                mapper = lambda x: np.concatenate(shrink_params(x[:n], x[n:])[:2])
-                _, _, analytic = shrink_params(point[:n], point[n:])
-            worst = max(worst, abs(_numeric_log_abs_det(mapper, point) - analytic))
+            _, _, analytic = (expand_params if n_star > n else shrink_params)(point[:n], point[n:])
+            worst = max(worst, abs(numeric_log_abs_det(jump_map(n, n_star), point) - analytic))
     ok = worst <= 1e-6
     c.check(ok, f"worst |analytic - numeric| = {worst:.2e}")
 
 
 # -- 5 ------------------------------------------------------------------------------
 
-TOY_TEXT = (
-    "choice{ 3/10: 1, 1/4: 2, 3/20: 3, 3/20: +(1, 1), 1/10: +(2, 3), 1/20: *(2, 3) }"
-)
-TOY_VALUES = {"1": 1.0, "2": 2.0, "3": 3.0, "(+ 1 1)": 2.0, "(+ 2 3)": 5.0, "(* 2 3)": 6.0}
-
-
 def test_criterion_05_toy_posterior_exactness():
     c = criterion(5, "toy-posterior-exactness", 120.0).__enter__()
     prior = build_prior("toy", TOY_TEXT, variables=["x"])
     y_obs, sigma = 2.2, 0.7
-    weights = {
-        text: float(prte_density(prior, parse_tree(text, prior.alphabet)))
-        * math.exp(-((y_obs - v) ** 2) / (2 * sigma**2))
-        for text, v in TOY_VALUES.items()
-    }
-    z = sum(weights.values())
-    exact = {k: w / z for k, w in weights.items()}
+    exact = toy_posterior(prior, y_obs, sigma)
     data = ({"x": np.array([0.0])}, np.array([y_obs]))
     tvs = []
     for seed in (1, 2, 3):
@@ -326,13 +300,12 @@ def test_criterion_09_product_construction(library):
 
 # -- 10 -----------------------------------------------------------------------------
 
-_SRC = Path(__file__).resolve().parent.parent / "src"
+_SRC = Path(treegress.__file__).resolve().parents[1]
 
 
 # The CLI runs with cwd=tmp_path, where a relative PYTHONPATH such as `src`
-# does not resolve, so `_run` puts the checkout's absolute `src` first itself.
-# With `pip install -e .` that directory is the same checkout, so the child
-# loads the same code with or without an install.
+# does not resolve, so `_run` puts the absolute directory of the package under
+# test first itself, and the child loads the same code as this process.
 def _run(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -21,8 +21,8 @@ import numpy as np
 import pytest
 
 import treegress.inference as inf
+from test_prior_analysis import _outcome
 from treegress import trees
-from treegress.errors import DepthBudgetExhausted
 from treegress.experiments import gen_hyperelastic, gen_isotherm
 from treegress.inference import (
     McmcConfig,
@@ -38,21 +38,11 @@ from treegress.trees import RankedSymbol, Tree, format_tree, parse_tree
 DRAWS = 20
 
 
-def _outcome(draw, seed):
-    """(the tree or the error type of one draw from ``seed``, the generator state after it)."""
-    rng = np.random.default_rng(seed)
-    try:
-        out = draw(rng)
-    except DepthBudgetExhausted:
-        out = DepthBudgetExhausted
-    return out, rng.bit_generator.state
-
-
 def _check_sampler(draw, seeds, alphabet):
     for seed in seeds:
         tree, state = _outcome(draw, seed)
         assert _outcome(draw, seed) == (tree, state)
-        if tree is not DepthBudgetExhausted:
+        if isinstance(tree, Tree):
             assert _outcome(draw, seed)[0] is tree
             assert parse_tree(format_tree(tree), alphabet) is tree
             assert all(Tree(n.symbol, n.children) is n for _, n in tree.walk())
@@ -252,7 +242,7 @@ def test_a_fit_leaves_the_node_table_as_it_found_it(e1):
 def test_the_command_line_exits_quietly(tmp_path):
     """A fit and a report in a fresh interpreter exit 0 and print nothing to
     stderr: the nodes still alive at shutdown die without a callback error."""
-    src = Path(__file__).resolve().parent.parent / "src"
+    src = Path(trees.__file__).resolve().parents[1]  # the package under test
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     env.pop("TREEGRESS_SEED", None)

@@ -1,11 +1,8 @@
 """Tests for the reversible-jump sampler.
 
-Independent oracles:
+Independent oracles (those of ``tests/oracles.py`` and these):
     - hand-computed Gaussian log-densities
-    - the dimension maps written with numpy
-    - the auxiliary log-density summed exactly in fractions
     - central-difference Jacobian determinants of the dimension maps
-    - exhaustive posterior enumeration on a finite six-tree prior
     - the exponential prior law of the noise scale under a constant likelihood
     - every E_1 tree within a depth of 3, scored exactly
 """
@@ -17,7 +14,6 @@ import struct
 import sys
 from bisect import bisect_right
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,7 +37,9 @@ from treegress.inference import (
     run_chains,
     shrink_params,
 )
-from helpers import addresses, reference_ties
+import oracles
+from helpers import addresses
+from oracles import jump_map, numeric_log_abs_det, reference_ties, stdnorm_logpdf, theta_jump
 from treegress.prte import build_prior, prte_density
 from treegress.pta import compile_prior, pta_eval
 from treegress.trees import SymbolicExpression, Tree, parse_tree
@@ -224,31 +222,6 @@ def test_shrink_undoes_expand():
         assert logdet + logdet_back == pytest.approx(0.0)
 
 
-def numeric_log_abs_det(fn, point, h=1e-5):
-    """Central-difference Jacobian determinant of a flat map R^d -> R^d."""
-    d = point.size
-    jac = np.empty((d, d))
-    for j in range(d):
-        hi = point.copy()
-        lo = point.copy()
-        hi[j] += h
-        lo[j] -= h
-        jac[:, j] = (fn(hi) - fn(lo)) / (2 * h)
-    return math.log(abs(np.linalg.det(jac)))
-
-
-def jump_map(n, n_star):
-    if n_star > n:
-        def fn(x):
-            ts, us, _ = expand_params(x[:n], x[n:])
-            return np.concatenate([ts, us])
-    else:
-        def fn(x):
-            ts, us, _ = shrink_params(x[:n], x[n:])
-            return np.concatenate([ts, us])
-    return fn
-
-
 @pytest.mark.parametrize("n,n_star", [(n, m) for n in range(6) for m in range(6) if n != m and n + m > 0])
 def test_jacobian_matches_finite_differences(n, n_star):
     rng = np.random.default_rng(100 + 10 * n + n_star)
@@ -262,56 +235,10 @@ def test_jacobian_matches_finite_differences(n, n_star):
     )
 
 
-def np_expand_params(theta, u):
-    """The expansion map on numpy vectors, the oracle of ``expand_params``."""
-    theta = np.asarray(theta, dtype=float)
-    u = np.asarray(u, dtype=float)
-    n, n_star = theta.size, u.size
-    if n_star <= n:
-        raise SizeMismatch(f"expansion needs a target larger than {n}, got {n_star}")
-    u_theta, u_new = u[:n], u[n:]
-    theta_star = np.concatenate([(theta + u_theta) / 2.0, u_new])
-    u_star = (theta - u_theta) / 2.0
-    return theta_star, u_star, -n * math.log(2.0)
-
-
-def np_shrink_params(theta, u):
-    """The shrinkage map on numpy vectors, the oracle of ``shrink_params``."""
-    theta = np.asarray(theta, dtype=float)
-    u = np.asarray(u, dtype=float)
-    n, n_star = theta.size, u.size
-    if n_star > n:
-        raise SizeMismatch(f"shrinkage target {n_star} exceeds current size {n}")
-    head, tail = theta[:n_star], theta[n_star:]
-    theta_star = head + u
-    u_star = np.concatenate([head - u, tail])
-    return theta_star, u_star, n_star * math.log(2.0)
-
-
-def np_stdnorm_logpdf(u) -> float:
-    """log N(u; 0, I) with numpy's sum, the oracle of ``_stdnorm_logpdf``."""
-    u = np.asarray(u, dtype=float)
-    return float(-0.5 * np.sum(u * u) - 0.5 * u.size * LOG_2PI)
-
-
-def _apply_theta_jump(theta_old, n_new: int, u):
-    """Oracle for the parameter jump ``_jump_to`` makes, given its auxiliaries
-    u.  Returns (theta_new, u_star, log|det|, log p(u), log p(u_star))."""
-    n_old = len(theta_old)
-    if n_new == n_old:
-        empty = np.zeros(0)
-        return np.asarray(theta_old, float), empty, 0.0, 0.0, 0.0
-    if n_new > n_old:
-        theta_new, u_star, logdet = np_expand_params(theta_old, u)
-    else:
-        theta_new, u_star, logdet = np_shrink_params(theta_old, u)
-    return theta_new, u_star, logdet, np_stdnorm_logpdf(u), np_stdnorm_logpdf(u_star)
-
-
 def _draw_theta_jump(theta_old, n_new: int, rng):
     n_old = len(theta_old)
     u = rng.standard_normal(n_new) if n_new != n_old else np.zeros(0)
-    return _apply_theta_jump(theta_old, n_new, u)
+    return theta_jump(theta_old, n_new, u)
 
 
 def test_jump_reversibility_terms():
@@ -322,10 +249,10 @@ def test_jump_reversibility_terms():
     for n_old, n_new in [(1, 4), (4, 1), (2, 2), (0, 3), (3, 0)]:
         theta = rng.standard_normal(n_old)
         u = rng.standard_normal(n_new) if n_new != n_old else np.zeros(0)
-        theta_new, u_star, logdet, log_pu, log_pu_rev = _apply_theta_jump(
+        theta_new, u_star, logdet, log_pu, log_pu_rev = theta_jump(
             theta, n_new, u
         )
-        theta_back, u_back, logdet_r, log_pu_r, log_pu_rev_r = _apply_theta_jump(
+        theta_back, u_back, logdet_r, log_pu_r, log_pu_rev_r = theta_jump(
             theta_new, n_old, u_star
         )
         assert np.allclose(theta_back, theta)
@@ -337,12 +264,6 @@ def test_jump_reversibility_terms():
 
 def _bits(values):
     return struct.pack(f"<{len(values)}d", *values)
-
-
-def exact_stdnorm_logpdf(u) -> float:
-    """log N(u; 0, I) with u·u summed exactly, then rounded once: the oracle of
-    ``_stdnorm_logpdf``.  Raises OverflowError when that sum passes float range."""
-    return -0.5 * float(sum(Fraction(x * x) for x in u)) - 0.5 * len(u) * LOG_2PI
 
 
 def test_float_jump_matches_the_numpy_oracle_to_the_bit():
@@ -360,14 +281,14 @@ def test_float_jump_matches_the_numpy_oracle_to_the_bit():
                 u = rng.standard_normal(n_new).tolist()
                 jump = expand_params if n_new > n_old else shrink_params
                 theta_new, u_star, logdet = jump(theta, u)
-                want = _apply_theta_jump(theta, n_new, np.array(u))
+                want = theta_jump(theta, n_new, np.array(u))
                 assert type(theta_new) is tuple and type(u_star) is tuple
                 assert all(type(x) is float for x in theta_new + u_star)
                 assert _bits(theta_new) == _bits(want[0].tolist())
                 assert _bits(u_star) == _bits(want[1].tolist())
                 assert _bits([logdet]) == _bits([want[2]])
                 got = (_stdnorm_logpdf(u), _stdnorm_logpdf(u_star))
-                assert _bits(got) == _bits([exact_stdnorm_logpdf(u), exact_stdnorm_logpdf(u_star)])
+                assert _bits(got) == _bits([stdnorm_logpdf(u), stdnorm_logpdf(u_star)])
                 jumps += 1
     assert jumps >= 2000
 
@@ -402,7 +323,7 @@ def test_stdnorm_logpdf_is_the_exactly_summed_density(values):
         assert math.isnan(got)
         return
     try:
-        want = exact_stdnorm_logpdf(values)
+        want = stdnorm_logpdf(values)
     except OverflowError:  # past float range, or an infinite square
         want = -math.inf
     assert _bits([got]) == _bits([want])
@@ -432,60 +353,6 @@ def test_config_validation():
         McmcConfig(max_depth=0)
     McmcConfig(prior_only=True)
     assert McmcConfig().max_depth is None  # defaults valid; None is the prior's depth
-
-
-# -- finite-prior posterior vs enumeration --------------------------------------------
-
-TOY_TEXT = (
-    "choice{ 3/10: 1, 1/4: 2, 3/20: 3, 3/20: +(1, 1), 1/10: +(2, 3), 1/20: *(2, 3) }"
-)
-TOY_VALUES = {"1": 1.0, "2": 2.0, "3": 3.0, "(+ 1 1)": 2.0, "(+ 2 3)": 5.0, "(* 2 3)": 6.0}
-
-
-def toy_prior():
-    return build_prior("toy", TOY_TEXT, variables=["x"])
-
-
-def toy_exact_posterior(y, sigma):
-    prior = toy_prior()
-    weights = {}
-    for text, value in TOY_VALUES.items():
-        tree = parse_tree(text, prior.alphabet)
-        p = float(prte_density(prior, tree))
-        weights[text] = p * math.exp(-((y - value) ** 2) / (2 * sigma**2))
-    z = sum(weights.values())
-    return {k: v / z for k, v in weights.items()}
-
-
-def toy_config(**kw):
-    base = dict(
-        burn_in=2000,
-        samples=20_000,
-        thin=1,
-        seed=1,
-        sigma0=0.7,
-        p_global=0.5,
-        p_local=0.5,
-        p_param=0.0,
-        p_sigma=0.0,
-    )
-    base.update(kw)
-    return McmcConfig(**base)
-
-
-def test_toy_posterior_total_variation():
-    prior = toy_prior()
-    data = ({"x": np.array([0.0])}, np.array([2.2]))
-    post = run_chain(prior, data, toy_config())
-    counts = {}
-    for d in post.draws:
-        counts[str(d.expr.tree)] = counts.get(str(d.expr.tree), 0) + 1
-    total = len(post.draws)
-    exact = toy_exact_posterior(2.2, 0.7)
-    tv = 0.5 * sum(
-        abs(counts.get(k, 0) / total - p) for k, p in exact.items()
-    )
-    assert tv < 0.15
 
 
 # -- prior recovery -------------------------------------------------------------------
@@ -707,17 +574,6 @@ def test_run_chains_rejects_more_chains_than_spawn_takes(e1):
         run_chains(e1, None, config, sys.maxsize + 1)
 
 
-def _merged_oracle(prior, data, config, chains):
-    """Multi-chain runs as they were merged: one ``run_chain`` per spawned
-    seed, the draws concatenated in chain order and the stats summed."""
-    seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(config.seed).spawn(chains)]
-    posts = [run_chain(prior, data, replace(config, seed=seed)) for seed in seeds]
-    stats = {move: {key: sum(p.accept_stats[move][key] for p in posts) for key in counts}
-             for move, counts in posts[0].accept_stats.items()}
-    merged_config = replace(posts[0].config, seed=config.seed)
-    return Posterior(tuple(d for p in posts for d in p.draws), stats, merged_config)
-
-
 @pytest.mark.parametrize("workload", ["ogden", "e1-prior"])
 def test_run_chains_equals_the_merge_of_single_chains(workload, e_hyp, e1):
     from treegress.experiments import gen_hyperelastic
@@ -730,7 +586,7 @@ def test_run_chains_equals_the_merge_of_single_chains(workload, e_hyp, e1):
     }[workload]
     seen = []
     got = run_chains(prior, data, config, chains, on_draw=seen.append)
-    want = _merged_oracle(prior, data, config, chains)
+    want = oracles.merged_chains(prior, data, config, chains)
     assert posterior_to_json(got) == posterior_to_json(want)
     assert json.dumps(got.accept_stats) == json.dumps(want.accept_stats)
     assert tuple(seen) == got.draws
@@ -839,35 +695,6 @@ def test_posterior_distinct_keys_a_repeated_draw_object_once(monkeypatch):
     assert [id(e) for e in exprs] == [id(a.expr), id(b.expr)]
     assert index.tolist() == [0, 0, 1, 1, 0, 0]
     assert len(calls) == 4
-
-
-@pytest.mark.parametrize("noise", [False, True])
-def test_bands_match_a_per_point_loop(noise):
-    # repeated draws, and draws that are non-finite at the negative inputs
-    # only, so both the all-finite points and the dropping points are covered
-    from helpers import reference_eval
-    from treegress.inference import Draw
-
-    rng = np.random.default_rng(5)
-    exponents = [0.5, 2.0, 1.5, 3.0, 0.5, 2.0] + list(rng.uniform(0.0, 3.0, 30))
-    draws = [Draw(expr_of("(pow x a#)", theta_c=(a,)), 0.1 + a, -1.0) for a in exponents]
-    post = make_posterior(draws)
-    x = {"x": np.linspace(-2.0, 5.0, 41)}
-    out = posterior_predict(post, x, rng=np.random.default_rng(9) if noise else None)
-
-    noise_rng = np.random.default_rng(9)
-    values = []
-    for d in draws:
-        pred = reference_eval(d.expr, x)
-        values.append(pred + d.sigma * noise_rng.standard_normal(41) if noise else pred)
-    values = np.array(values)
-    for j in range(41):
-        col = values[np.isfinite(values[:, j]), j]
-        assert out["dropped"][j] == len(draws) - col.size
-        assert out["mean"][j].tobytes() == col.mean().tobytes()
-        got = [out[q][j] for q in ("q05", "q50", "q95")]
-        assert np.array(got).tobytes() == np.percentile(col, [5.0, 50.0, 95.0]).tobytes()
-    assert 0 < out["dropped"].sum() < 41 * len(draws)
 
 
 # -- serialization ------------------------------------------------------------------------
@@ -1053,16 +880,6 @@ def test_pick_state_is_rng_choice(e1, e_iso, monkeypatch):
     from treegress.prte import sample_tree
     from treegress.pta import compile_prior
 
-    class Fixed(np.random.Generator):
-        """A generator whose random() returns one given value; choice() draws through it."""
-
-        def __init__(self, r):
-            super().__init__(np.random.PCG64(0))
-            self.r = r
-
-        def random(self, size=None, dtype=np.float64, out=None):
-            return self.r if size is None else np.full(size, self.r)
-
     def check(ctx, tree, n, draws, seed):
         p, cdf = ctx.boltzmann_marginal(tree, n)[:2]
 
@@ -1077,7 +894,8 @@ def test_pick_state_is_rng_choice(e1, e_iso, monkeypatch):
         edges = p.cumsum()
         edges /= edges[-1]  # as choice() builds it
         for r in [0.0, *edges[edges < 1], *np.nextafter(edges, 0.0)]:
-            assert pick(Fixed(r)) == Fixed(r).choice(len(p), p=p), r
+            fixed = oracles.FixedRandom(r)
+            assert pick(fixed) == fixed.choice(len(p), p=p), r
         return draws
 
     total = 0
@@ -1196,19 +1014,6 @@ def test_boltzmann_temperature_limits(e1):
         McmcConfig(tau=math.nextafter(745 / sys.float_info.max, 0.0))
 
 
-def _tempered_oracle(marginal, tau):
-    """Tempering of one cut site's marginal on its own: (weights, cdf list)."""
-    support = marginal > 0
-    logits = np.full(marginal.shape, -math.inf)
-    logits[support] = np.log(marginal[support]) / tau
-    logits -= logits[support].max()
-    weights = np.exp(logits)
-    weights /= weights.sum()
-    cdf = weights.cumsum()
-    cdf /= cdf[-1]
-    return weights, cdf.tolist()
-
-
 def test_each_cut_site_is_tempered_as_on_its_own(all_shipped):
     """Every cut site of sampled trees on every shipped prior, at four temperatures,
     gets the per-site tempering's bytes, cdf and regrow term.  Sites with equal
@@ -1228,7 +1033,7 @@ def test_each_cut_site_is_tempered_as_on_its_own(all_shipped):
                 for n, (addr, node) in enumerate(t.walk()):
                     marginal = context_marginal(pta, t, addr)
                     weights, cdf, regrow, at, sub = ctx.boltzmann_marginal(t, n)
-                    want, want_cdf = _tempered_oracle(marginal, tau)
+                    want, want_cdf = oracles.tempered(marginal, tau)
                     assert weights.tobytes() == want.tobytes() and cdf == want_cdf
                     assert struct.pack("<d", regrow) == struct.pack(
                         "<d", inf._log(want @ inside(pta, node)))

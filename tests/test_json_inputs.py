@@ -9,9 +9,10 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treegress
 from treegress.errors import InputError, json_object
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "treegress"
+SRC = Path(treegress.__file__).resolve().parent  # the package under test, wherever it is
 KEYS = {"name": (str,), "n": (int,), "x": (float,), "items": (list, float, str),
         "sub": (dict, dict), "any": None}
 

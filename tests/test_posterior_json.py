@@ -3,7 +3,7 @@ against ``json.loads``.
 
 ``posterior_to_json`` lays each draw out by hand and encodes a repeated draw
 object once.  The document it writes must be the bytes the plain indent-2
-dump of the same document gives, which is the layout the reference SHAs pin.
+dump of the same document gives (``oracles.posterior_json``), which is the layout the reference SHAs pin.
 The chain records a run of one state as one ``Draw`` object, repeated.
 
 ``posterior_from_json`` decodes a run of equal entries once when the text has
@@ -15,13 +15,13 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import asdict
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treegress.inference
+from oracles import posterior_json
 from treegress.cli import _print_fit_summary
 from treegress.experiments import gen_isotherm
 from treegress.inference import (
@@ -110,27 +110,6 @@ def posteriors(draw):
     return Posterior(tuple(out), draw(STATS), config)
 
 
-def oracle(posterior: Posterior) -> str:
-    """The writer as it was: the whole document through ``json.dumps(indent=2)``."""
-    doc = {
-        "config": asdict(posterior.config),
-        "seed": posterior.config.seed,
-        "draws": [
-            {
-                "expr": format_tree(d.expr.tree),
-                "theta_c": list(d.expr.theta_c),
-                "theta_d": [str(v) for v in d.expr.theta_d],
-                "ties": list(d.expr.ties),
-                "sigma": d.sigma,
-                "log_post": d.log_post,
-            }
-            for d in posterior.draws
-        ],
-        "accept_stats": posterior.accept_stats,
-    }
-    return json.dumps(doc, indent=2)
-
-
 def test_texts_are_the_format_tree_texts(e1):
     """``Posterior.texts`` formats each distinct node once through a memo, and gives
     ``format_tree``'s text for every tree of the e1-prior reference posterior, in
@@ -154,17 +133,17 @@ def test_texts_are_the_format_tree_texts(e1):
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(posteriors())
 def test_the_writer_gives_the_bytes_of_an_indent_2_dump(posterior):
-    assert posterior_to_json(posterior) == oracle(posterior)
+    assert posterior_to_json(posterior) == posterior_json(posterior)
 
 
 def test_an_empty_trace_and_a_run_with_signed_zeros():
     empty = Posterior((), {}, McmcConfig())
-    assert posterior_to_json(empty) == oracle(empty)
+    assert posterior_to_json(empty) == posterior_json(empty)
     d = Draw(SymbolicExpression(parse_tree("(* c# (pow x d#))"), (-0.0,), (Fraction(-2, 3),)),
              0.5, -math.inf)
     post = Posterior((d, d, _flip_zeros(d), d), {}, McmcConfig(seed=3))
     text = posterior_to_json(post)
-    assert text == oracle(post)
+    assert text == posterior_json(post)
     entries = json.loads(text)["draws"]
     assert [repr(e["theta_c"][0]) for e in entries] == ["-0.0", "-0.0", "0.0", "-0.0"]
     assert {e["theta_d"][0] for e in entries} == {"-2/3"}
@@ -179,7 +158,7 @@ def test_the_reference_langmuir_chain_records_one_draw_per_run(e_iso, capsys, mo
     assert len(seen) == len(post.draws) and all(a is b for a, b in zip(seen, post.draws))
 
     text = posterior_to_json(post)
-    assert text == oracle(post)
+    assert text == posterior_json(post)
     # the bytes `fit` writes for this chain, pinned in test_reference_posteriors.py
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "cc4ff7cabf7b75d212c681acbe781c09d41721cde21219a3e78e3053be708068")

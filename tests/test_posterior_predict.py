@@ -1,14 +1,13 @@
 """The predictive bands against the dense computation they replace.
 
 ``posterior_predict`` evaluates each distinct expression once and reads a
-point's quantiles from its distinct values and their draw counts.  The dense
-code below expands every point to all its draws and runs ``np.percentile``
-and ``np.mean`` on each row; the bands must be its bytes: on random
-posteriors, on the benchmark's reference posteriors, and in the files
-``report`` writes.
+point's quantiles from its distinct values and their draw counts.  The
+oracle, ``oracles.bands``, evaluates every draw by itself into a draws x points
+matrix and runs ``np.percentile`` and ``np.mean`` on each point; the bands must
+be its bytes: on random posteriors, on the benchmark's reference posteriors, and
+in the files ``report`` writes.
 """
 
-import math
 import random
 import tracemalloc
 
@@ -17,9 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treegress.cli import _BANDS, main
+import oracles
+from treegress.cli import main
 from treegress.errors import InputError
-from treegress.experiments import Dataset, gen_hyperelastic, gen_isotherm, read_dataset, rmse
+from treegress.experiments import Dataset, gen_hyperelastic, gen_isotherm, read_dataset
 from treegress.inference import (
     Draw,
     McmcConfig,
@@ -34,41 +34,11 @@ from treegress.trees import SymbolicExpression, eval_expression, parse_tree
 KEYS = ("mean", "q05", "q50", "q95", "dropped")
 
 
-def oracle(posterior, inputs, rng=None):
-    """posterior_predict as it was: a points x draws matrix, reduced by numpy row by row."""
-    if not posterior.draws:
-        raise InputError("posterior holds no draws")
-    inputs = {k: np.asarray(v, dtype=float) for k, v in inputs.items()}
-    exprs, index = posterior.distinct
-    values = np.take(np.column_stack([eval_expression(e, inputs) for e in exprs]), index, axis=1)
-    n = values.shape[0]
-    if rng is not None:
-        sigmas = np.array([d.sigma for d in posterior.draws])
-        values += sigmas * rng.standard_normal((sigmas.size, n)).T
-    finite = np.isfinite(values)
-    dropped = (~finite).sum(axis=1)
-    mean = np.full(n, np.nan)
-    quantiles = np.full((3, n), np.nan)
-    whole = np.flatnonzero(dropped == 0)
-    for start in range(0, whole.size, 256):
-        idx = whole[start:start + 256]
-        rows = values[idx]
-        mean[idx] = rows.mean(axis=1)
-        quantiles[:, idx] = np.percentile(rows, [5.0, 50.0, 95.0], axis=1)
-    for j in np.flatnonzero(dropped):
-        row = values[j, finite[j]]
-        if row.size:
-            mean[j] = row.mean()
-            quantiles[:, j] = np.percentile(row, [5.0, 50.0, 95.0])
-    return {"mean": mean, "q05": quantiles[0], "q50": quantiles[1], "q95": quantiles[2],
-            "dropped": dropped}
-
-
 def assert_same_bands(posterior, inputs, seed=None):
     def rng():
         return None if seed is None else np.random.default_rng(seed)
 
-    got, want = posterior_predict(posterior, inputs, rng()), oracle(posterior, inputs, rng())
+    got, want = posterior_predict(posterior, inputs, rng()), oracles.bands(posterior, inputs, rng())
     for key in KEYS:
         assert got[key].dtype == want[key].dtype, key
         assert got[key].tobytes() == want[key].tobytes(), key
@@ -207,32 +177,6 @@ def test_the_reference_bands_are_the_dense_bands(reference):
         assert_same_bands(post, ds.inputs(), seed=11)
 
 
-def oracle_report(posterior, paths, rng=None):
-    """(metrics.csv, bands.csv) as `report` wrote them: each distinct expression
-    evaluated for the RMSE and again for the dense bands, cell by cell."""
-    exprs, index = posterior.distinct
-    metrics, lines, x_names = [], [], None
-    for path in paths:
-        ds = read_dataset(path)
-        inputs = ds.inputs()
-        if x_names is None:
-            x_names = list(inputs)
-            lines.append(",".join(["dataset", *x_names, *_BANDS, "flagged"]) + "\n")
-        preds = [eval_expression(e, inputs) for e in exprs]
-        errors = np.array([rmse(p, ds.target) if np.isfinite(p).all() else math.nan
-                           for p in preds])[index]
-        per_draw = errors[~np.isnan(errors)]
-        mean, std = (np.mean(per_draw), np.std(per_draw)) if per_draw.size else (math.nan,) * 2
-        metrics.append(f"{path.stem},{float(mean)!r},{float(std)!r},"
-                       f"{errors.size - per_draw.size}\n")
-        bands = oracle(posterior, inputs, rng=rng)
-        columns = [inputs[v] for v in x_names] + [bands[q] for q in _BANDS]
-        for j in np.argsort(inputs[x_names[0]], kind="stable"):
-            cells = ",".join(repr(float(c[j])) for c in columns)
-            lines.append(f"{path.stem},{cells},{int(bands['dropped'][j] == len(posterior.draws))}\n")
-    return "dataset,rmse_mean,rmse_std,dropped_draws\n" + "".join(metrics), "".join(lines)
-
-
 @pytest.mark.parametrize("noise", [False, True])
 def test_the_reference_reports_are_the_dense_reports(reference, tmp_path, capsys, noise):
     post, data = reference
@@ -246,8 +190,9 @@ def test_the_reference_reports_are_the_dense_reports(reference, tmp_path, capsys
             "--out-dir", str(tmp_path / "report"), "--seed", "5"]
     assert main(argv + ["--with-noise"] * noise) == 0
     capsys.readouterr()
-    metrics, bands = oracle_report(posterior_from_json(post_path.read_text(encoding="utf-8")),
-                                   paths, np.random.default_rng(5) if noise else None)
+    metrics, bands = oracles.report(posterior_from_json(post_path.read_text(encoding="utf-8")),
+                                    [(path.stem, read_dataset(path)) for path in paths],
+                                    np.random.default_rng(5) if noise else None)
     assert (tmp_path / "report" / "metrics.csv").read_text(encoding="utf-8") == metrics
     assert (tmp_path / "report" / "bands.csv").read_text(encoding="utf-8") == bands
 

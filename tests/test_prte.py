@@ -27,15 +27,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_ties
-from test_prior_analysis import (
-    _draw_oracle,
-    _fixed_oracle,
-    _plan_sites,
-    _sample_oracle,
-    _scope_targets,
-    _site,
-)
+import oracles
+from oracles import marker_logpdf, reference_ties
+from test_prior_analysis import _plan_sites
 from treegress.errors import (
     DepthBudgetExhausted,
     InputError,
@@ -474,16 +468,6 @@ def test_marker_draws_follow_declared_rate(e_iso):
     assert abs(mean - 1 / 0.015) < 4 * (1 / 0.015) / math.sqrt(len(draws))
 
 
-def _old_logpdf(prior, x):
-    """MarkerPrior.logpdf with its logarithms taken on every call: the oracle."""
-    if prior.kind == "exp":
-        if x < 0:
-            return -math.inf
-        return math.log(prior.rate) - prior.rate * x
-    z = (x - prior.mean) / prior.stddev
-    return -0.5 * z * z - math.log(prior.stddev) - 0.5 * math.log(2 * math.pi)
-
-
 def _scored(prior, x):
     """The chain's log density of one marker of this prior at x, read through its record."""
     one = PriorSpec("one", PSymbol(RankedSymbol("k#", 0)), markers={"k#": prior})
@@ -498,13 +482,13 @@ def test_marker_logpdf_keeps_the_bits_of_the_formula(all_shipped):
                MarkerPrior("normal", mean=-2.0, stddev=7.0)]
     for prior in priors:
         for x in (-1e300, -1.0, -0.0, 0.0, 5e-324, 0.3, 1e300):
-            got, want = _scored(prior, x), _old_logpdf(prior, x)
+            got, want = _scored(prior, x), marker_logpdf(prior, x)
             assert struct.pack("<d", got) == struct.pack("<d", want), (prior, x)
 
 
 def test_marker_prior_validates_only_its_kind_s_scale():
     # a field the kind does not read is not checked, and its log is not taken
-    assert _scored(MarkerPrior("normal", rate=0.0), 0.0) == _old_logpdf(MarkerPrior("normal"), 0.0)
+    assert _scored(MarkerPrior("normal", rate=0.0), 0.0) == marker_logpdf(MarkerPrior("normal"), 0.0)
     assert _scored(MarkerPrior("exp", stddev=-1.0), 1.0) == -1.0
 
 
@@ -599,7 +583,7 @@ THETAS = (st.sampled_from([-0.0, 0.0, -1.0, 5e-324, -5e-324, 2e-310, -1e308, 1e3
 @given(NESTED_TREES, st.tuples(MARKER_PRIORS, MARKER_PRIORS, MARKER_PRIORS), st.data())
 def test_the_record_scorer_is_the_formula_summed_over_tied_groups(tree, priors, data):
     """The chain's marker log density, read from its per-tree record of constants,
-    is the sum of ``_old_logpdf`` over the tie groups in slot order, to the bit."""
+    is the sum of ``oracles.marker_logpdf`` over the tie groups in slot order, to the bit."""
     prior = dataclasses.replace(NESTED, markers=dict(zip(("a#", "b#", "k#"), priors)))
     ties, tags = reference_ties(tree, prior)
     assert compute_ties(tree, prior) == (ties, tags)
@@ -608,7 +592,7 @@ def test_the_record_scorer_is_the_formula_summed_over_tied_groups(tree, priors, 
                                  max_size=tree.n_disc))
     want = 0.0
     for tag, x in zip(tags, theta):
-        want += _old_logpdf(prior.markers[tag], x)
+        want += marker_logpdf(prior.markers[tag], x)
     if theta_d:
         want -= len(theta_d) * math.log(2)
     ctx = _ChainContext(prior, None, None, McmcConfig(prior_only=True))
@@ -662,45 +646,6 @@ def test_isotherm_root_is_saturation_product(e_iso):
         assert t.children[0].symbol.name == "sT#"
 
 
-def _float_accumulating_pick(choice, rng):
-    """The branch pick as it was before PChoice stored its running sums: the
-    reference that the bisect over ``PChoice.cumulative`` must reproduce."""
-    r = rng.random()
-    acc = 0.0
-    for w, branch in choice.branches:
-        acc += float(w)
-        if r < acc:
-            return branch
-    return choice.branches[-1][1]
-
-
-def _choices(e):
-    """Every PChoice node of a prior expression."""
-    pending, found = [e], []
-    while pending:
-        node = pending.pop()
-        if isinstance(node, PChoice):
-            found.append(node)
-            pending.extend(b for _, b in node.branches)
-        elif isinstance(node, PConcat):
-            pending += [node.left, node.right]
-        elif isinstance(node, PIter):
-            pending.append(node.body)
-        else:
-            pending.extend(getattr(node, "children", ()))
-    return found
-
-
-class _Fixed:
-    """A stand-in generator whose random() returns one given value."""
-
-    def __init__(self, r):
-        self.r = r
-
-    def random(self):
-        return self.r
-
-
 def _attempt(draw):
     """The tree of one draw, or the error type and message it ends with."""
     try:
@@ -710,38 +655,32 @@ def _attempt(draw):
 
 
 def test_branch_pick_matches_the_float_accumulating_pick(all_shipped):
+    """At and just below every running sum of every choice, and at the largest draw
+    below 1: the plan record's branch is the oracle's pick, ``_draw`` picks the symbol
+    that pick reaches, and one attempt from the record ends as the oracle's does."""
     for name, prior in all_shipped.items():
-        targets, nodes = _scope_targets(prior.root)
-        fixed, plan = _fixed_oracle(nodes, targets), prior.graph.plan
-        fast = np.random.default_rng(5)
-        got = [sample_tree(prior, fast) for _ in range(300)]
-        ref = np.random.default_rng(5)
-        want = [_sample_oracle(prior, fixed, targets, ref, _float_accumulating_pick)
-                for _ in range(300)]
-        assert got == want, name
-        assert fast.bit_generator.state == ref.bit_generator.state, name
-        records = [(at, choice) for choice in _choices(prior.root)
+        targets, nodes = oracles.scope_targets(prior.root)
+        plan = prior.graph.plan
+        choices = [n for n in nodes if isinstance(n, PChoice)]
+        records = [(at, choice) for choice in choices
                    for at, (symbol, _, sums) in enumerate(plan)
                    if symbol is None and sums is choice.cumulative]
-        assert len(records) == len(_choices(prior.root)), name
-        sites = _plan_sites(plan, targets, fixed, [(0, prior.root), *records])
+        assert len(records) == len(choices), name
+        sites = _plan_sites(plan, targets, oracles.held(nodes, targets), [(0, prior.root), *records])
         # the plan with every symbol record holding its own index: a draw from a choice
         # record gives the index of the symbol record it picks
         probe = tuple((symbol, (), (i, 0)) if symbol is not None else (symbol, kids, sums)
                       for i, (symbol, kids, sums) in enumerate(plan))
-        # at and just below every running sum, and the largest draw below 1: the plan
-        # record's branch is the float-accumulating pick, ``_draw`` picks the symbol that
-        # pick reaches, and one attempt from the record ends as one from the choice does
         for at, choice in records:
             _, branches, sums = plan[at]
             edges = [r for acc in choice.cumulative for r in (acc, math.nextafter(acc, 0.0))]
             for r in edges + [0.0, math.nextafter(1.0, 0.0)]:
-                pick = _site(_float_accumulating_pick(choice, _Fixed(r)), targets)
+                fixed = oracles.FixedRandom(r)
+                pick = oracles.site(oracles.pick_branch(choice, fixed), targets)
                 assert sites[branches[bisect_right(sums, r)]] is pick, (name, r)
                 while isinstance(pick, PChoice):
-                    pick = _site(_float_accumulating_pick(pick, _Fixed(r)), targets)
-                assert sites[_draw(probe, _Fixed(r), (at,), 0, 0)[0]] is pick, (name, r)
-                ours = _attempt(lambda: _draw(plan, _Fixed(r), (at,), 0, prior.max_depth)[0])
-                theirs = _attempt(lambda: _draw_oracle(prior, fixed, targets, _Fixed(r), (choice,),
-                                                       0, _float_accumulating_pick)[0])
+                    pick = oracles.site(oracles.pick_branch(pick, fixed), targets)
+                assert sites[_draw(probe, fixed, (at,), 0, 0)[0]] is pick, (name, r)
+                ours = _attempt(lambda: _draw(plan, fixed, (at,), 0, prior.max_depth)[0])
+                theirs = _attempt(lambda: oracles.draw(prior, targets, fixed, (choice,), 0)[0])
                 assert ours == theirs, (name, r)

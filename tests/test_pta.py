@@ -41,7 +41,8 @@ FGA = RankedAlphabet([F, G, A])
 
 # -- independent oracles --------------------------------------------------------
 
-from helpers import all_trees, brute_force_eval
+from helpers import all_trees
+from oracles import FixedRandom, brute_force_eval
 
 
 def hand_built_pta():
@@ -116,8 +117,8 @@ def test_two_state_automaton_is_valid():
 
 
 @pytest.mark.parametrize(
-    "change",
-    [
+    "change, match",
+    [(change, None) for change in [
         {"tables": {("g", 1): ([0, 0, 1], [0.25, 0.25, 0.5], ([1, 2, 1],)), ("a", 0): A_AT_1}},
         {"tables": {("g", 1): ([0, 2], [0.5, 0.5], ([1, 1],)), ("a", 0): A_AT_1}},
         {"tables": {("g", 1): G_LOOP, ("a", 0): ([2], [1.0], ())}},
@@ -141,7 +142,11 @@ def test_two_state_automaton_is_valid():
         {"tables": {("g", 1): ([0, 1], ["x", 0.5], ([1, 1],)), ("a", 0): A_AT_1}},
         {"initial": ["x", 0.0]},
         {"initial": [1.0, [0.0]]},
-        {"tables": [("g", 1)]},
+    ]] + [
+        ({"tables": [("g", 1)]}, r"tables \[\('g', 1\)\] is not a mapping"),
+        ({"tables": 5}, "tables 5 is not a mapping"),
+        ({"tables": None}, "tables None is not a mapping"),
+        ({"states": 5}, "states 5 is not a sequence"),
     ],
     ids=["child-past-end", "source-past-end", "final-past-end", "child-minus-one",
          "negative-initial", "child-1.5", "source-0.9", "leaf-vector-length",
@@ -149,11 +154,11 @@ def test_two_state_automaton_is_valid():
          "key-outside-alphabet", "leaf-state-twice", "leaf-with-a-child-array",
          "leaf-entry-of-two", "entry-of-two-for-g", "integer-entry", "ragged-states",
          "integer-child-part", "string-probability", "string-initial", "ragged-initial",
-         "tables-not-a-mapping"],
+         "tables-not-a-mapping", "tables-not-iterable", "tables-none", "states-not-iterable"],
 )
-def test_constructor_rejects_bad_state_indices_and_negative_initial_mass(change):
-    with pytest.raises(InputError):  # never a bare ValueError or TypeError
-        Pta(FGA, ("s0", "s1"), **{**TWO_STATE, **change})
+def test_constructor_rejects_bad_state_indices_and_negative_initial_mass(change, match):
+    with pytest.raises(InputError, match=match):  # never a bare ValueError or TypeError
+        Pta(FGA, **{"states": ("s0", "s1"), **TWO_STATE, **change})
 
 
 # -- brute-force equivalence ---------------------------------------------------------
@@ -343,16 +348,6 @@ def test_generation_probability_matches_frequency(e1):
         assert abs(c / n - p) < 4 * se
 
 
-class _Draws:
-    """Stands in for a generator: ``random()`` returns the given values in turn."""
-
-    def __init__(self, *values):
-        self.values = list(values)
-
-    def random(self):
-        return self.values.pop(0)
-
-
 def test_a_regrow_past_max_depth_raises_depth_budget_exhausted(e_sum):
     pta = compile_prior(e_sum)
     plus_state = int(pta.tables[("+", 2)][0][0])  # its every tree is at least one level deep
@@ -364,10 +359,10 @@ def test_a_row_with_missing_mass_raises_depth_budget_exhausted():
     # s0's one g-row sums to 0.5: a draw below it grows (g a), any other one dies
     pta = Pta(RankedAlphabet([G, A]), ("s0", "s1"), [1.0, 0.0],
               {("g", 1): ([0], [0.5], ([1],)), ("a", 0): A_AT_1})
-    assert sample_from_state(pta, 0, _Draws(0.4999)) == parse_tree("(g a)")
+    assert sample_from_state(pta, 0, FixedRandom(0.4999)) == parse_tree("(g a)")
     for u in (0.5, 0.9):
         with pytest.raises(DepthBudgetExhausted, match="missing row mass"):
-            sample_from_state(pta, 0, _Draws(u))
+            sample_from_state(pta, 0, FixedRandom(u))
 
 
 # -- product ------------------------------------------------------------------------------

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_trees, brute_force_eval
+from helpers import all_trees
+from oracles import brute_force_eval
 from treegress.pta import Pta, inside, outside, pta_eval
 from treegress.trees import RankedAlphabet, RankedSymbol
 

@@ -1,100 +1,25 @@
 """The text readers against reference tokenizers, and print/parse round-trips.
 
-``oracle_tokenize`` and ``oracle_tokenize_sexpr`` are character-by-character
-tokenizers kept here as the specification of the lexical rules: the readers in
-``treegress.prte`` and ``treegress.trees`` must split every text the same way,
-and fail on it with the same error, message, line and column.
+``oracle_tokenize`` and ``oracle_tokenize_sexpr`` (``tests/oracles.py``) are
+character-by-character tokenizers kept as the specification of the lexical
+rules: the readers in ``treegress.prte`` and ``treegress.trees`` must split every
+text the same way, and fail on it with the same error, message, line and column.
 """
 
 import ast
 import re
-from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import OracleToken, oracle_tokenize, oracle_tokenize_sexpr
 from treegress import prte, trees
 from treegress.errors import PrteSyntaxError, TreegressError
 from treegress.prte import format_prte, parse_prte
 from treegress.trees import RankedSymbol, Tree, format_tree, parse_tree
-
-_NUMBER_RE = re.compile(r"-?\d+(\.\d+)?(/\d+)?")
-_VAR_RE = re.compile(r"\$[A-Za-z_][A-Za-z0-9_]*")
-_PUNCT = "(){},:."
-
-
-@dataclass(frozen=True)
-class OracleToken:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-def oracle_tokenize(text: str):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(OracleToken(ch, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        m = _VAR_RE.match(text, i)
-        if m:
-            tokens.append(OracleToken("var", m.group()[1:], line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m and (m.end() >= n or text[m.end()].isspace() or text[m.end()] in _PUNCT):
-            tokens.append(OracleToken("num", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        j = i
-        while j < n and not text[j].isspace() and text[j] not in _PUNCT and text[j] != "$":
-            j += 1
-        if j == i:
-            raise PrteSyntaxError(f"unexpected character {ch!r}", line, col)
-        tokens.append(OracleToken("name", text[i:j], line, col))
-        col += j - i
-        i = j
-    tokens.append(OracleToken("eof", "", line, col))
-    return tokens
-
-
-def oracle_tokenize_sexpr(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            tokens.append(ch)
-            i += 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-    return tokens
 
 
 # Pieces of text: every token class and its edge cases (a number glued to a
@@ -131,10 +56,6 @@ def tokenize_by_oracle(text: str):
             for t in oracle_tokenize(text)]
 
 
-class _OracleSexpr:
-    findall = staticmethod(oracle_tokenize_sexpr)
-
-
 @settings(derandomize=True, database=None, deadline=None, max_examples=600)
 @given(texts)
 def test_prte_tokens_and_errors_match_the_oracle(text):
@@ -156,7 +77,7 @@ def test_tree_tokens_and_parse_tree_match_the_oracle(text):
     assert trees._SEXPR_TOKEN.findall(text) == oracle_tokenize_sexpr(text)
     got = outcome(parse_tree, text)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(trees, "_SEXPR_TOKEN", _OracleSexpr)
+        mp.setattr(trees, "_SEXPR_TOKEN", SimpleNamespace(findall=oracle_tokenize_sexpr))
         assert got == outcome(parse_tree, text)
 
 

@@ -15,7 +15,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import addresses, reference_eval, reference_ties
+from helpers import addresses
+from oracles import reference_eval, reference_ties
 from treegress.errors import (
     ArityMismatch,
     InputError,
