@@ -85,6 +85,9 @@ def test_a_fixed_block_at_the_depth_bound_draws_as_built(max_depth):
 
 def test_a_state_whose_one_entry_can_die_is_not_held():
     assert set(_held(MAY_DIE.regrow)) == {1}
+
+
+def test_the_sibling_loop_regrow_equals_the_recursive_one_on_missing_row_mass():
     outcomes = _check_grow(MAY_DIE, range(20), 50)
     assert {type(out) for out in outcomes[:20]} == {Tree, tuple}  # from q0 some grow g(a), some die
     assert any("missing row mass" in out[1] for out in outcomes if isinstance(out, tuple))
