@@ -72,13 +72,13 @@ class Pta:
             raise InputError(f"initial vector {initial!r} is not a vector of numbers") from None
         try:
             unknown = set(tables) - alphabet.symbol_keys()
-            tables.get  # the lookup _stored reads: a mapping has it
+            get = tables.get
         except (TypeError, AttributeError):
             raise InputError(f"tables {tables!r} is not a mapping of (symbol name, rank) "
                              "to entries") from None
         if unknown:
             raise AlphabetMismatch(f"tables on symbols outside the alphabet: {sorted(unknown)}")
-        self.tables = {(s.name, s.rank): _stored(s, tables) for s in alphabet}
+        self.tables = {(s.name, s.rank): _stored(s, get) for s in alphabet}
         self._validate()
 
     def _validate(self):
@@ -154,11 +154,11 @@ class Pta:
         return json.dumps(doc, indent=2)
 
 
-def _stored(sym, tables):
-    """The symbol's entry of ``tables`` as arrays, checked for shape."""
+def _stored(sym, get):
+    """The symbol's entry, read through the tables' ``get``, as arrays, checked for shape."""
     name, rank = sym.name, sym.rank
     try:
-        states, probs, kids = tables.get((name, rank), ((), (), ((),) * rank))
+        states, probs, kids = get((name, rank), ((), (), ((),) * rank))
         probs, *idx = (np.asarray(a) for a in (probs, states, *kids))
         if len(kids) != rank or probs.ndim != 1 or any(a.shape != probs.shape for a in idx):
             raise InputError(f"{name}/{rank} needs {2 + rank} arrays of one length")

@@ -1,8 +1,7 @@
 """Run the mutant registry: every mutant in ``tests/mutants.json`` must be killed.
 
-    python3 tests/run_mutants.py                 # every registered mutant
-    python3 tests/run_mutants.py ID ...          # only these
-    python3 tests/run_mutants.py --registry F    # the mutants of another file
+    python3 tests/run_mutants.py           # every registered mutant
+    python3 tests/run_mutants.py ID ...    # only these
 
 Each mutant names a file under ``src/``, an ``old`` text that occurs there
 exactly once, the ``new`` text that replaces it, and the test ids that must
@@ -33,9 +32,9 @@ WARNINGS = ["-W", "error::RuntimeWarning", "-W", "error::pytest.PytestUnraisable
 JOBS = min(4, os.cpu_count() or 1)
 
 
-def load(path=REGISTRY) -> list:
+def load() -> list:
     """The registry's mutants, in file order."""
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    return json.loads(REGISTRY.read_text(encoding="utf-8"))
 
 
 def run(mutant) -> tuple:
@@ -66,9 +65,8 @@ def run(mutant) -> tuple:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ids", nargs="*", help="run only these mutants")
-    parser.add_argument("--registry", default=REGISTRY, help="the mutant list to run")
     args = parser.parse_args(argv)
-    mutants = load(args.registry)
+    mutants = load()
     unknown = set(args.ids) - {m["id"] for m in mutants}
     if unknown:
         parser.error(f"no mutants {sorted(unknown)}")

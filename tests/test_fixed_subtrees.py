@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from test_prior_analysis import _check_draws, _outcome, _plan_held
+from helpers import check_draws, draw_outcome, plan_held
 from treegress.experiments import gen_isotherm
 from treegress.inference import McmcConfig, run_chain
 from treegress.prte import build_prior, held_trees
@@ -54,8 +54,8 @@ def _check_grow(pta, seeds, max_depth) -> list:
     outcomes = []
     for q in range(pta.n_states):
         for seed in seeds:
-            got = _outcome(lambda rng: sample_from_state(pta, q, rng, max_depth), seed)
-            want = _outcome(lambda rng: oracles.grow(pta, rng, q, 0, max_depth), seed)
+            got = draw_outcome(lambda rng: sample_from_state(pta, q, rng, max_depth), seed)
+            want = draw_outcome(lambda rng: oracles.grow(pta, rng, q, 0, max_depth), seed)
             assert got[1] == want[1]
             assert got[0] is want[0] if isinstance(want[0], Tree) else got[0] == want[0]
             outcomes.append(want[0])
@@ -64,7 +64,7 @@ def _check_grow(pta, seeds, max_depth) -> list:
 
 def test_shipped_priors_hold_their_fixed_blocks(e_iso, e_hyp):
     for prior in (e_iso, e_hyp):
-        assert max(tree.size for tree, _, _ in _plan_held(prior.graph.plan).values()) >= 10
+        assert max(tree.size for tree, _, _ in plan_held(prior.graph.plan).values()) >= 10
         assert max(n for _, _, n in _held(compile_prior(prior).regrow).values()) >= 5
 
 
@@ -72,9 +72,9 @@ def test_shipped_priors_hold_their_fixed_blocks(e_iso, e_hyp):
 def test_a_fixed_block_at_the_depth_bound_draws_as_built(max_depth):
     prior = build_prior("block", BLOCK, max_depth=max_depth)
     block = parse_tree("(g (g a))")
-    assert block in {tree for tree, _, _ in _plan_held(prior.graph.plan).values()}
+    assert block in {tree for tree, _, _ in plan_held(prior.graph.plan).values()}
     assert block in {tree for tree, _, _ in _held(compile_prior(prior).regrow).values()}
-    outcomes = _check_draws(prior, range(40))
+    outcomes = check_draws(prior, range(40))
     under_f = [out.children[0] is block for out in outcomes
                if isinstance(out, Tree) and out.symbol.name == "f"]
     if max_depth == 3:  # the block fits below f, and is drawn there
@@ -119,7 +119,7 @@ def test_held_trees_on_hand_built_records():
 
 def test_held_entries_are_their_trees_on_shipped_priors(all_shipped):
     for prior in all_shipped.values():
-        for held in (_plan_held(prior.graph.plan), _held(compile_prior(prior).regrow)):
+        for held in (plan_held(prior.graph.plan), _held(compile_prior(prior).regrow)):
             assert held and all(entry == oracles.walked_entry(entry[0]) for entry in held.values())
 
 

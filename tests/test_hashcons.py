@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import treegress.inference as inf
-from test_prior_analysis import _outcome
+from helpers import draw_outcome
 from treegress import trees
 from treegress.experiments import gen_hyperelastic, gen_isotherm
 from treegress.inference import (
@@ -40,10 +40,10 @@ DRAWS = 20
 
 def _check_sampler(draw, seeds, alphabet):
     for seed in seeds:
-        tree, state = _outcome(draw, seed)
-        assert _outcome(draw, seed) == (tree, state)
+        tree, state = draw_outcome(draw, seed)
+        assert draw_outcome(draw, seed) == (tree, state)
         if isinstance(tree, Tree):
-            assert _outcome(draw, seed)[0] is tree
+            assert draw_outcome(draw, seed)[0] is tree
             assert parse_tree(format_tree(tree), alphabet) is tree
             assert all(Tree(n.symbol, n.children) is n for _, n in tree.walk())
 

@@ -21,8 +21,8 @@ import numpy as np
 import pytest
 
 import oracles
-from treegress.errors import DepthBudgetExhausted
-from treegress.prte import PConcat, PIter, PSymbol, PVar, _draw, build_prior, prte_density, sample_tree
+from helpers import check_draws, plan_held, plan_sites
+from treegress.prte import PConcat, PIter, PVar, build_prior, prte_density, sample_tree
 from treegress.trees import RankedSymbol, Tree, parse_tree
 
 # nested subst and iter; an inner iter shadows an outer one of the same name,
@@ -39,77 +39,10 @@ NESTED = {
 }
 
 
-def _plan_sites(plan, targets, fixed, starts):
-    """Plan index -> the symbol or choice node its record stands for, matched record
-    by record from the (index, node) pairs ``starts``.  Each index stands for one node
-    and each node has one index; a symbol's record carries its symbol, one index per
-    child and the held entry of ``fixed``, the oracle's; a choice's its running sums
-    and one index per branch, the last repeated."""
-    sites, index, pending = {}, {}, list(starts)
-    while pending:
-        i, node = pending.pop()
-        node = oracles.site(node, targets)
-        if i in sites:
-            assert sites[i] is node and index[id(node)] == i
-            continue
-        assert id(node) not in index
-        sites[i], index[id(node)] = node, i
-        symbol, kids, held = plan[i]
-        if isinstance(node, PSymbol):
-            assert symbol is node.symbol and held == fixed.get(id(node))
-            assert len(kids) == len(node.children)
-            pending += zip(kids, node.children)
-        else:
-            assert symbol is None and held is node.cumulative
-            assert len(kids) == len(node.branches) + 1 and kids[-1] == kids[-2]
-            pending += zip(kids, (b for _, b in node.branches))
-    return sites
-
-
-def _plan_held(plan) -> dict:
-    """Plan index -> the (tree, height, inner nodes) its symbol record holds, for each
-    held record."""
-    return {i: held for i, (symbol, _, held) in enumerate(plan)
-            if symbol is not None and held is not None}
-
-
-def _outcome(draw, seed):
-    """(the tree, or the error type and message, of one draw; the generator state after it)."""
-    rng = np.random.default_rng(seed)
-    try:
-        out = draw(rng)
-    except DepthBudgetExhausted as exc:
-        out = (DepthBudgetExhausted, str(exc))
-    return out, rng.bit_generator.state
-
-
 def _priors(all_shipped):
     nested = [build_prior(name, text, max_depth=depth)
               for name, text in NESTED.items() for depth in (50, 3)]
     return [*all_shipped.values(), *nested]
-
-
-def _check_draws(prior, seeds) -> list:
-    """``sample_tree`` and one attempt of ``_draw`` from each seed give the oracles'
-    tree objects or errors, and generator states; returns the oracles' outcomes."""
-    outcomes = []
-    targets, nodes = oracles.scope_targets(prior.root)
-    plan = prior.graph.plan
-    # every plan record is reached from the root, and holds the oracle's tree or none
-    assert len(_plan_sites(plan, targets, oracles.held(nodes, targets), [(0, prior.root)])) \
-        == len(plan)
-    for seed in seeds:
-        for ours, theirs in [
-            (lambda rng: sample_tree(prior, rng),
-             lambda rng: oracles.sample(prior, targets, rng)),
-            (lambda rng: _draw(prior.graph.plan, rng, (0,), 0, prior.max_depth)[0],
-             lambda rng: oracles.draw(prior, targets, rng, (prior.root,), 0)[0]),
-        ]:
-            (tree, state), (again, state_again) = _outcome(ours, seed), _outcome(theirs, seed)
-            assert state == state_again
-            assert tree is again if isinstance(tree, Tree) else tree == again
-            outcomes.append(again)
-    return outcomes
 
 
 def test_the_target_table_is_the_four_way_step(all_shipped):
@@ -122,22 +55,22 @@ def test_the_target_table_is_the_four_way_step(all_shipped):
 
 def test_draws_equal_the_four_way_step_on_shipped_priors(all_shipped):
     for prior in all_shipped.values():
-        _check_draws(prior, range(60))
+        check_draws(prior, range(60))
 
 
 @pytest.mark.parametrize("name", NESTED)
 @pytest.mark.parametrize("max_depth", [50, 3])
 def test_draws_equal_the_four_way_step_on_nested_scopes(name, max_depth):
     prior = build_prior(name, NESTED[name], max_depth=max_depth)
-    _check_draws(prior, range(200))
+    check_draws(prior, range(200))
 
 
 def test_fixed_trees_take_the_least_heights(all_shipped):
     for prior in _priors(all_shipped):
         graph, (targets, nodes) = prior.graph, oracles.scope_targets(prior.root)
         assert graph.height == graph.heights[id(prior.root)]
-        sites = _plan_sites(graph.plan, targets, oracles.held(nodes, targets), [(0, prior.root)])
-        held = _plan_held(graph.plan)
+        sites = plan_sites(graph.plan, targets, oracles.held(nodes, targets), [(0, prior.root)])
+        held = plan_held(graph.plan)
         assert held
         for i, (tree, height, _) in held.items():
             assert height == graph.heights[id(sites[i])] == max(len(a) for a, _ in tree.walk())

@@ -28,8 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from helpers import plan_sites
 from oracles import marker_logpdf, reference_ties
-from test_prior_analysis import _plan_sites
 from treegress.errors import (
     DepthBudgetExhausted,
     InputError,
@@ -666,7 +666,7 @@ def test_branch_pick_matches_the_float_accumulating_pick(all_shipped):
                    for at, (symbol, _, sums) in enumerate(plan)
                    if symbol is None and sums is choice.cumulative]
         assert len(records) == len(choices), name
-        sites = _plan_sites(plan, targets, oracles.held(nodes, targets), [(0, prior.root), *records])
+        sites = plan_sites(plan, targets, oracles.held(nodes, targets), [(0, prior.root), *records])
         # the plan with every symbol record holding its own index: a draw from a choice
         # record gives the index of the symbol record it picks
         probe = tuple((symbol, (), (i, 0)) if symbol is not None else (symbol, kids, sums)
