@@ -27,6 +27,7 @@ from treegress.inference import (
     McmcConfig,
     Posterior,
     _ChainContext,
+    _jump_to,
     _stdnorm_logpdf,
     _sum_squared_error,
     expand_params,
@@ -777,6 +778,22 @@ def test_zero_step_scale_proposal_identical(e_iso):
     proposal, log_fwd, log_rev = propose_params(state, ctx, rng)
     assert proposal.expr == state.expr
     assert log_fwd == log_rev == 0.0
+
+
+def test_a_discrete_jump_scores_its_draws_both_ways():
+    # two d# values drawn uniformly from three: the jump up adds -2 log 3 to
+    # log_fwd, and the jump back adds it to log_rev
+    prior = build_prior("disc", "choice{ 1/2: x, 1/2: +(d#, +(d#, x)) }", variables=["x"],
+                        theta_d_support=["1/2", "1", "2"])
+    ctx = _ChainContext(prior, compile_prior(prior), None, McmcConfig(prior_only=True))
+    x, two = parse_tree("x"), parse_tree("(+ d# (+ d# x))")
+    rng = np.random.default_rng(0)
+    up, log_fwd, log_rev = _jump_to(ctx.make_state(SymbolicExpression(x), 1.0), ctx, two, (), rng,
+                                    0.0, 0.0)
+    assert up.expr.tree is two and set(up.expr.theta_d) <= set(prior.theta_d_support)
+    assert (log_fwd, log_rev) == (-2 * math.log(3), 0.0)
+    down, log_fwd, log_rev = _jump_to(up, ctx, x, (), rng, 0.0, 0.0)
+    assert down.expr.theta_d == () and (log_fwd, log_rev) == (0.0, -2 * math.log(3))
 
 
 def _full_path(move, state, ctx, rng):

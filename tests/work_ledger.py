@@ -3,10 +3,11 @@
     python tests/work_ledger.py            # print the ledger of src/ as JSON
     python tests/work_ledger.py --write    # rewrite tests/work_ledger.json
 
-Each run is a ``bench/run.py`` workload at its reference seeds (data seed 7, chain
-seed 0): ``gen-data`` and then ``fit`` through ``cli.main``, each under its own
-``cProfile``, so that data generation and the fit are keyed apart.  The prior-only
-``e1-prior`` fit reads the bench's one-row ``y`` csv, which no treegress code writes.
+Each run is a workload of ``bench/run.py``, whose table ``WORKLOADS`` and reference
+seeds (data seed 7, chain seed 0) are read from that file: ``gen-data`` and then ``fit``
+through ``cli.main``, each under its own ``cProfile``, so that data generation and the
+fit are keyed apart.  The prior-only ``e1-prior`` fit reads the bench's one-row ``y``
+csv, which no treegress code writes.
 
 Keys, with the call count of each (Python 3.11, numpy 2.4):
   - ``file:qualname`` for every profiled function whose code is in the package,
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import cProfile
+import importlib.util
 import io
 import json
 import os
@@ -36,13 +38,24 @@ from pathlib import Path
 
 LEDGER = Path(__file__).resolve().with_name("work_ledger.json")
 SRC = LEDGER.parents[1] / "src"
-DATA_SEED, CHAIN_SEED = 7, 0
-# name: (prior, gen-data task or None for a one-row y csv, config, chains), as in bench/run.py
-RUNS = {
-    "langmuir": ("E_iso", "isotherm:langmuir", {"burn_in": 2000, "samples": 1000, "thin": 1}, 1),
-    "ogden": ("E_hyp", "hyperelastic", {"burn_in": 2000, "samples": 1000, "thin": 1}, 2),
-    "e1-prior": ("E_1", None, {"burn_in": 0, "samples": 2000, "thin": 2, "prior_only": True}, 1),
-}
+
+
+def _bench():
+    """``bench/run.py`` loaded as a module, for its workload table and reference seeds."""
+    path = LEDGER.parents[1] / "bench" / "run.py"
+    spec = importlib.util.spec_from_file_location("bench_run", path)
+    bench = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = bench  # dataclasses look their module up there
+    try:
+        spec.loader.exec_module(bench)
+    finally:
+        del sys.modules[spec.name]
+    return bench
+
+
+_BENCH = _bench()
+WORKLOADS = _BENCH.WORKLOADS
+DATA_SEED, CHAIN_SEED = _BENCH.REFERENCE_DATA_SEED, _BENCH.REFERENCE_CHAIN_SEED
 _ADDRESS = re.compile(r" at 0x[0-9a-f]+")
 
 
@@ -72,27 +85,32 @@ def _profiled(main, argv, package: Path) -> dict:
     return _counts(profile, package)
 
 
+def reference_run(name: str, d: Path, call) -> dict:
+    """The workload's inputs at the reference seeds, in the directory ``d``: ``call(argv)``
+    on its ``gen-data`` (or the one-row ``y`` csv written for a prior-only fit), then on
+    its ``fit``, which writes ``d / "posterior.json"``.  Returns {"gen-data": ..., "fit":
+    ...}, what the calls returned."""
+    wl, out = WORKLOADS[name], {}
+    if wl.task is None:
+        y = random.Random(DATA_SEED).uniform(-1.0, 1.0)
+        (d / "train.csv").write_text(f"y\n{y!r}\n", encoding="utf-8")
+    else:
+        out["gen-data"] = call(["gen-data", "--task", wl.task, "--seed", str(DATA_SEED),
+                                "--out-dir", str(d)])
+    (d / "config.json").write_text(json.dumps(dict(wl.config, seed=CHAIN_SEED)), encoding="utf-8")
+    out["fit"] = call(["fit", "--prior", wl.prior, "--train", str(d / "train.csv"),
+                       "--config", str(d / "config.json"), "--out", str(d / "posterior.json"),
+                       "--chains", str(wl.chains)])
+    return out
+
+
 def measure(name: str) -> dict:
     """The ledger of one run, in this interpreter: {"gen-data": ..., "fit": ...}."""
     from treegress import cli
 
     package = Path(cli.__file__).resolve().parent
-    prior, task, config, chains = RUNS[name]
-    ledger = {}
     with tempfile.TemporaryDirectory(prefix="treegress-ledger-") as tmp:
-        d = Path(tmp)
-        if task is None:
-            y = random.Random(DATA_SEED).uniform(-1.0, 1.0)
-            (d / "train.csv").write_text(f"y\n{y!r}\n", encoding="utf-8")
-        else:
-            argv = ["gen-data", "--task", task, "--seed", str(DATA_SEED), "--out-dir", tmp]
-            ledger["gen-data"] = _profiled(cli.main, argv, package)
-        (d / "config.json").write_text(json.dumps(dict(config, seed=CHAIN_SEED)), encoding="utf-8")
-        argv = ["fit", "--prior", prior, "--train", str(d / "train.csv"),
-                "--config", str(d / "config.json"), "--out", str(d / "posterior.json"),
-                "--chains", str(chains)]
-        ledger["fit"] = _profiled(cli.main, argv, package)
-    return ledger
+        return reference_run(name, Path(tmp), lambda argv: _profiled(cli.main, argv, package))
 
 
 def run_all() -> dict:
@@ -102,7 +120,7 @@ def run_all() -> dict:
     procs = {name: subprocess.Popen([sys.executable, *(f"-W{w}" for w in sys.warnoptions),
                                      __file__, "--run", name], stdout=subprocess.PIPE, text=True,
                                     env=env)
-             for name in sorted(RUNS)}
+             for name in sorted(WORKLOADS)}
     outs = {name: proc.communicate()[0] for name, proc in procs.items()}
     failed = [name for name, proc in procs.items() if proc.returncode]
     if failed:
