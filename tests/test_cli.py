@@ -1,6 +1,6 @@
 """End-to-end tests of the command-line surface: exit codes, output
-stability, file formats.  Malformed inputs are the rows of
-``test_malformed_input_exits_2``, at the end of this file."""
+stability, file formats.  Malformed inputs are table rows, at the end of
+this file, that one runner checks."""
 
 import importlib.resources
 import json
@@ -572,7 +572,10 @@ def test_report_data_without_rows_exits_2_before_evaluating(capsys, tmp_path, mo
 
 # -- malformed input -------------------------------------------------------------
 #
-# One row per malformed input: its id, its argv as one shell-quoted string in
+# One row per malformed input, in five tables by the input at fault (prior files
+# and run configs, posteriors, JSON text that does not decode, a directory, file
+# or encoding where another is expected, and the rest), each row checked by
+# ``check_exits_2``.  A row is its id, its argv as one shell-quoted string in
 # which "@/" is the test's directory, the files it writes there over BASE, the
 # error class, a fragment of the message (or a tuple of fragments, "@/" again the
 # directory), the stdout lines printed before the error, and the paths that must
@@ -598,7 +601,7 @@ COMB = {"name": "comb", "expression": "iter $x { choice{ 999/1000: +(f, $x), 1/1
 
 
 def row(id, argv, message, files=None, error="InputError", lines=0, absent=(), env=None):
-    return pytest.param(argv, files or {}, error, message, lines, absent, env or {}, id=id)
+    return pytest.param((argv, files or {}, error, message, lines, absent, env or {}), id=id)
 
 
 def edited(edit):
@@ -676,52 +679,44 @@ RUN_CONFIGS = [  # id, run config, message
        ("lambda_sigma drew sigma ", ", out of float range: pin sigma0"))
       for v in (1e308, 1e200, 1e160)),
 ]
-POSTERIOR_EDITS = [  # id, edit of the hand posterior's document, message
-    ("posterior-burn-in-x", lambda doc: doc["config"].update(burn_in="x"),
-     "config field burn_in must be int, got 'x'"),
-    ("posterior-config-walkers", lambda doc: doc["config"].update(walkers=5),
-     "posterior config: unknown keys ['walkers']"),
-    ("posterior-no-draws", lambda doc: doc.pop("draws"), "posterior: missing keys ['draws']"),
-    ("posterior-no-config", lambda doc: doc.pop("config"), "posterior: missing keys ['config']"),
-    ("draws-object", lambda doc: doc.update(draws={}), "'draws' must be of type list"),
-    ("seed-x", lambda doc: doc.update(seed="x"), "'seed' must be of type int"),
-    ("posterior-unknown-key", lambda doc: doc.update(diagnostics={}),
-     "posterior: unknown keys ['diagnostics']"),
-    ("seed-not-the-configs", lambda doc: doc.update(seed=-3),
-     "'seed' -3 is not its config's seed 0"),
-    ("seed-1-config-99", lambda doc: doc.update(seed=1, config={**doc["config"], "seed": 99}),
+# edit of the hand posterior's document, message, and the fragment that names the
+# row where it is not the message: "<lambda>-fragment", as pytest first named it
+POSTERIOR_EDITS = [
+    (lambda doc: doc["config"].update(burn_in="x"),
+     "config field burn_in must be int, got 'x'", "burn_in"),
+    (lambda doc: doc["config"].update(walkers=5),
+     "posterior config: unknown keys ['walkers']", "walkers"),
+    (lambda doc: doc.pop("draws"), "posterior: missing keys ['draws']", "draws"),
+    (lambda doc: doc.pop("config"), "posterior: missing keys ['config']", "config"),
+    (lambda doc: doc.update(draws={}), "'draws' must be of type list"),
+    (lambda doc: doc.update(seed="x"), "'seed' must be of type int"),
+    (lambda doc: doc.update(diagnostics={}), "posterior: unknown keys ['diagnostics']"),
+    (lambda doc: doc.update(seed=-3), "'seed' -3 is not its config's seed 0"),
+    (lambda doc: doc.update(seed=1, config={**doc["config"], "seed": 99}),
      "'seed' 1 is not its config's seed 99"),
-    ("draw-without-sigma", lambda doc: doc["draws"][1].pop("sigma"),
-     "draw 1 is not an object whose"),
-    ("draw-5", lambda doc: doc["draws"].__setitem__(2, 5), "draw 2 is not an object whose"),
-    ("theta-c-string", lambda doc: doc["draws"][3].update(theta_c="1.0"),
-     "draw 3 is not an object whose"),
-    ("log-post-null", lambda doc: doc["draws"][0].update(log_post=None),
-     "draw 0 is not an object whose"),
-    ("sigma-true", lambda doc: doc["draws"][1].update(sigma=True), "draw 1 is not an object whose"),
-    ("tie-float", lambda doc: doc["draws"][2].update(ties=[0.0]), "draw 2 is not an object whose"),
-    ("tie-negative", lambda doc: doc["draws"][3].update(ties=[-1], theta_c=[]),
-     "draw 3: tie groups must be numbered by first occurrence"),
-    ("theta-c-true", lambda doc: doc["draws"][0].update(theta_c=[True]),
-     "draw 0 is not an object whose"),
-    ("theta-d-number", lambda doc: doc["draws"][1].update(theta_d=[1]),
-     "draw 1 is not an object whose"),
-    ("theta-d-x", lambda doc: doc["draws"][1].update(theta_d=["x"]),
-     "draw 1: Invalid literal for Fraction: 'x'"),
-    ("expr-unclosed", lambda doc: doc["draws"][2].update(expr="(* c#"), "draw 2: missing ')'"),
-    ("theta-c-short", lambda doc: doc["draws"][3].update(theta_c=[]),
-     "draw 3: 1 marker groups but 0 continuous parameters"),
-    ("sigma-0", lambda doc: doc["draws"][0].update(sigma=0.0),
-     "draw 0: sigma must be positive and finite"),
-    ("sigma-negative", lambda doc: doc["draws"][1].update(sigma=-0.1),
-     "draw 1: sigma must be positive and finite"),
-    ("sigma-nan", lambda doc: doc["draws"][2].update(sigma=math.nan),
+    (lambda doc: doc["draws"][1].pop("sigma"), "draw 1 is not an object whose"),
+    (lambda doc: doc["draws"].__setitem__(2, 5), "draw 2 is not an object whose"),
+    (lambda doc: doc["draws"][3].update(theta_c="1.0"), "draw 3 is not an object whose"),
+    (lambda doc: doc["draws"][0].update(log_post=None), "draw 0 is not an object whose"),
+    (lambda doc: doc["draws"][1].update(sigma=True), "draw 1 is not an object whose"),
+    (lambda doc: doc["draws"][2].update(ties=[0.0]), "draw 2 is not an object whose"),
+    (lambda doc: doc["draws"][3].update(ties=[-1], theta_c=[]),
+     "draw 3: tie groups must be numbered by first occurrence", "draw 3: tie groups"),
+    (lambda doc: doc["draws"][0].update(theta_c=[True]), "draw 0 is not an object whose"),
+    (lambda doc: doc["draws"][1].update(theta_d=[1]), "draw 1 is not an object whose"),
+    (lambda doc: doc["draws"][1].update(theta_d=["x"]),
+     "draw 1: Invalid literal for Fraction: 'x'", "draw 1: "),
+    (lambda doc: doc["draws"][2].update(expr="(* c#"), "draw 2: missing ')'", "draw 2: "),
+    (lambda doc: doc["draws"][3].update(theta_c=[]),
+     "draw 3: 1 marker groups but 0 continuous parameters", "draw 3: "),
+    (lambda doc: doc["draws"][0].update(sigma=0.0), "draw 0: sigma must be positive and finite"),
+    (lambda doc: doc["draws"][1].update(sigma=-0.1), "draw 1: sigma must be positive and finite"),
+    (lambda doc: doc["draws"][2].update(sigma=math.nan),
      "draw 2: sigma must be positive and finite"),
-    ("sigma-inf", lambda doc: doc["draws"][3].update(sigma=math.inf),
+    (lambda doc: doc["draws"][3].update(sigma=math.inf),
      "draw 3: sigma must be positive and finite"),
-    ("draw-null", lambda doc: doc["draws"].__setitem__(0, None), "draw 0 is not an object whose"),
-    ("draw-unknown-key", lambda doc: doc["draws"][3].update(extra=1),
-     "draw 3 is not an object whose only keys"),
+    (lambda doc: doc["draws"].__setitem__(0, None), "draw 0 is not an object whose"),
+    (lambda doc: doc["draws"][3].update(extra=1), "draw 3 is not an object whose only keys"),
 ]
 DATA_FILES = [  # id, report --data file, message
     ("csv-short-line", "c,s\n1.0,2.0\n3.0\n", "@/d.csv: line 3 has 1 cells, the header has 2"),
@@ -737,10 +732,10 @@ TRAIN_FILES = [  # id, fit --train file, message
 ]
 JSON_TEXTS = {"nested-100000-deep": '{"a": ' + NEST + "}", "truncated": '{"name": "t",',
               "two-values": "[1] 2", "int-5000-digits": '{"seed": ' + "1" * 5000 + "}"}
-JSON_READERS = [  # id prefix, argv, the file it reads, the reader's name
-    ("prior", PARSE, "prior.json", "prior file"),
-    ("config", FIT, "c.json", "run config"),
-    ("posterior", REPORT, "post.json", "posterior"),
+JSON_READERS = [  # argv, its option that names the file, the file, the reader's name
+    (PARSE, "--prior", "prior.json", "prior file"),
+    (FIT, "--config", "c.json", "run config"),
+    (REPORT, "--posterior", "post.json", "posterior"),
 ]
 SEEDED = {
     "sample": "sample --prior E_1 --n 1",
@@ -752,20 +747,48 @@ CHAIN_3 = {"prior.json": _chain_prior(3)}
 TARGET_ONLY = posterior_to_json(Posterior(
     (Draw(SymbolicExpression(parse_tree("(* 2 3)")), 0.1, -1.0),), {}, McmcConfig()))
 
-ROWS = [
+PRIORS_AND_RUN_CONFIGS = [
     *(row(id, PARSE, message, {"prior.json": doc}) for id, doc, message in PRIOR_FILES),
     row("weights-sum-1.1", PARSE, "choice weights sum to 1.1, expected 1",
         {"prior.json": {"name": "bad", "expression": "choice{ 0.5: a, 0.6: b }"}},
         "WeightSumError"),
     *(row(id, FIT, message, {"c.json": doc}, absent=("p.json",))
       for id, doc, message in RUN_CONFIGS),
-    *(row(id, REPORT, message, {"post.json": edited(edit)}, absent=("rep",))
-      for id, edit, message in POSTERIOR_EDITS),
+]
+POSTERIORS = [row(f"<lambda>-{name[0] if name else message}", REPORT, message,
+                  {"post.json": edited(edit)}, absent=("rep",))
+              for edit, message, *name in POSTERIOR_EDITS]
+UNDECODABLE = [row(f"{argv.split()[0]}-{option}-{reader}-{id}", argv,
+                   f"{reader}: cannot decode JSON (", {name: text})
+               for argv, option, name, reader in JSON_READERS for id, text in JSON_TEXTS.items()]
+# a directory, a file or a non-UTF-8 file where another is expected
+FILES = [
+    row("parse---prior-folder-IsADirectoryError", PARSE, "Is a directory: '@/prior.json'",
+        {"prior.json": DIR}, "IsADirectoryError"),
+    row("fit---train-folder-IsADirectoryError", FIT, "Is a directory: '@/train.csv'",
+        {"train.csv": DIR}, "IsADirectoryError"),
+    row("fit---out-folder-IsADirectoryError", FIT, "cannot write @/p.json", {"p.json": DIR},
+        "IsADirectoryError"),
+    row("fit---out-missing-parent-FileNotFoundError", FIT.replace("@/p.json", "@/absent/p.json"),
+        "cannot write @/absent/p.json", error="FileNotFoundError", absent=("absent",)),
+    row("report---posterior-folder-IsADirectoryError", REPORT, "Is a directory: '@/post.json'",
+        {"post.json": DIR}, "IsADirectoryError", absent=("rep",)),
+    row("report---out-dir-file-FileExistsError", REPORT, "File exists: '@/rep'",
+        {"rep": "c,s\n"}, "FileExistsError"),
+    row("gen-data---out-dir-file/sub-NotADirectoryError",
+        "gen-data --task isotherm:langmuir --out-dir @/d.csv/sub",
+        "Not a directory: '@/d.csv/sub'", error="NotADirectoryError"),
+    *(row(f"{argv.split()[0]}-{option}-latin-1-UnicodeDecodeError", argv,
+          "'utf-8' codec can't decode byte 0xe9", {name: LATIN_1}, "UnicodeDecodeError")
+      for argv, option, name in [
+          (PARSE, "--prior", "prior.json"), (FIT, "--train", "train.csv"),
+          (FIT, "--config", "c.json"), (REPORT, "--posterior", "post.json"),
+          (REPORT, "--data", "d.csv")]),
+]
+ROWS = [
     *(row(id, REPORT, message, {"d.csv": body}) for id, body, message in DATA_FILES),
     *(row(id, FIT, message, {"train.csv": body}, absent=("p.json",))
       for id, body, message in TRAIN_FILES),
-    *(row(f"{prefix}-{id}", argv, f"{reader}: cannot decode JSON (", {name: text})
-      for prefix, argv, name, reader in JSON_READERS for id, text in JSON_TEXTS.items()),
     *(row(f"seed-minus-1-{command}", f"{command_argv} --seed -1",
           "a seed must be non-negative, got -1", absent=("p.json", "rep", "data"))
       for command, command_argv in SEEDED.items()),
@@ -831,29 +854,10 @@ ROWS = [
       for id, header in [("header", "c,s\n"), ("blank-line", "c,s\n\n")]),
     row("data-target-only", REPORT, "no input columns",
         {"post.json": TARGET_ONLY, "d.csv": "s\n6.0\n6.0\n"}),
-    # a directory, a file or a non-UTF-8 file where another is expected
-    row("prior-folder", PARSE, "Is a directory: '@/prior.json'", {"prior.json": DIR},
-        "IsADirectoryError"),
-    row("train-folder", FIT, "Is a directory: '@/train.csv'", {"train.csv": DIR},
-        "IsADirectoryError"),
-    row("out-folder", FIT, "cannot write @/p.json", {"p.json": DIR}, "IsADirectoryError"),
-    row("out-missing-parent", FIT.replace("@/p.json", "@/absent/p.json"),
-        "cannot write @/absent/p.json", error="FileNotFoundError", absent=("absent",)),
-    row("posterior-folder", REPORT, "Is a directory: '@/post.json'", {"post.json": DIR},
-        "IsADirectoryError", absent=("rep",)),
-    row("out-dir-file", REPORT, "File exists: '@/rep'", {"rep": "c,s\n"}, "FileExistsError"),
-    row("out-dir-under-a-file", "gen-data --task isotherm:langmuir --out-dir @/d.csv/sub",
-        "Not a directory: '@/d.csv/sub'", error="NotADirectoryError"),
-    *(row(f"{id}-latin-1", argv, "'utf-8' codec can't decode byte 0xe9", {name: LATIN_1},
-          "UnicodeDecodeError") for id, argv, name in [
-        ("prior", PARSE, "prior.json"), ("train", FIT, "train.csv"), ("config", FIT, "c.json"),
-        ("posterior", REPORT, "post.json"), ("data", REPORT, "d.csv")]),
 ]
 
 
-@pytest.mark.parametrize("argv, files, error, message, lines, absent, env", ROWS)
-def test_malformed_input_exits_2(capsys, tmp_path, monkeypatch, argv, files, error, message,
-                                 lines, absent, env):
+def check_exits_2(capsys, tmp_path, monkeypatch, argv, files, error, message, lines, absent, env):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     here = f"{tmp_path}/"
@@ -879,3 +883,28 @@ def test_malformed_input_exits_2(capsys, tmp_path, monkeypatch, argv, files, err
     for fragment in (message,) if isinstance(message, str) else message:
         assert fragment.replace("@/", here) in doc["message"]
     assert [name for name in absent if (tmp_path / name).exists()] == []
+
+
+@pytest.mark.parametrize("case", PRIORS_AND_RUN_CONFIGS)
+def test_malformed_prior_or_run_config_exits_2(capsys, tmp_path, monkeypatch, case):
+    check_exits_2(capsys, tmp_path, monkeypatch, *case)
+
+
+@pytest.mark.parametrize("case", POSTERIORS)
+def test_malformed_posterior_exits_2(capsys, tmp_path, monkeypatch, case):
+    check_exits_2(capsys, tmp_path, monkeypatch, *case)
+
+
+@pytest.mark.parametrize("case", UNDECODABLE)
+def test_json_text_that_does_not_decode_exits_2(capsys, tmp_path, monkeypatch, case):
+    check_exits_2(capsys, tmp_path, monkeypatch, *case)
+
+
+@pytest.mark.parametrize("case", FILES)
+def test_a_directory_file_or_non_utf8_input_exits_2(capsys, tmp_path, monkeypatch, case):
+    check_exits_2(capsys, tmp_path, monkeypatch, *case)
+
+
+@pytest.mark.parametrize("case", ROWS)
+def test_malformed_input_exits_2(capsys, tmp_path, monkeypatch, case):
+    check_exits_2(capsys, tmp_path, monkeypatch, *case)
