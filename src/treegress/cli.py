@@ -21,11 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, RuntimeFailure, TreegressError, json_object
+from .errors import InputError, RuntimeFailure, json_object
 from .experiments import gen_hyperelastic, gen_isotherm, prior_documents, read_dataset, rmse
 from .inference import (
     CONFIG_KEYS,
-    Draw,
     McmcConfig,
     Posterior,
     posterior_from_json,
@@ -138,8 +137,6 @@ def _fmt_density(value) -> str:
 
 
 def cmd_gen_data(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     task = args.task
     if task.startswith("isotherm:"):
         datasets = gen_isotherm(task.split(":", 1)[1], args.seed)
@@ -147,17 +144,16 @@ def cmd_gen_data(args) -> int:
         datasets = gen_hyperelastic(args.seed)
     else:
         raise InputError(f"unknown task '{task}' (isotherm:<name> or hyperelastic)")
+    out_dir = Path(args.out_dir)  # made once the data are drawn: a rejected task leaves none
+    out_dir.mkdir(parents=True, exist_ok=True)
     for split, data in datasets.items():
         path = out_dir / f"{split}.csv"
         data.to_csv(path)
         print(str(path))
         resampled = data.meta.get("resampled", 0)
         if resampled:
-            print(
-                json.dumps({"note": "pole-adjacent inputs redrawn", "split": split,
-                            "count": resampled}),
-                file=sys.stderr,
-            )
+            print(json.dumps({"note": "pole-adjacent inputs redrawn", "split": split,
+                              "count": resampled}), file=sys.stderr)
     return 0
 
 
@@ -169,9 +165,7 @@ def cmd_fit(args) -> int:
     if args.seed is not None:
         doc["seed"] = args.seed
     config = McmcConfig(**doc)
-    prior_ref = args.prior or refs["prior"]
-    train_ref = args.train or refs["train"]
-    out_ref = args.out or refs["out"]
+    prior_ref, train_ref, out_ref = (getattr(args, key) or ref for key, ref in refs.items())
     if not (prior_ref and train_ref and out_ref):
         raise InputError("fit needs a prior, a train csv, and an output path")
     out = Path(out_ref)  # checked before the chain runs, not after
@@ -180,18 +174,12 @@ def cmd_fit(args) -> int:
     prior = _resolve_prior(prior_ref)
     train = read_dataset(train_ref)
 
-    partial: list[Draw] = []
     try:
-        posterior = run_chains(prior, train, config, args.chains, on_draw=partial.append)
-    except InputError:
-        raise
-    except TreegressError as exc:
-        config = dataclasses.replace(config, max_depth=config.max_depth or prior.max_depth)
-        trace = Posterior(tuple(partial), {}, config)
-        out.write_text(posterior_to_json(trace), encoding="utf-8")
-        raise RuntimeFailure(
-            f"inference stopped after {len(partial)} draws: {exc}"
-        ) from exc
+        posterior = run_chains(prior, train, config, args.chains)
+    except RuntimeFailure as exc:  # the trace of the draws before the failure
+        out.write_text(posterior_to_json(exc.posterior), encoding="utf-8")
+        stopped = f"inference stopped after {len(exc.posterior.draws)} draws: {exc}"
+        raise RuntimeFailure(stopped) from exc
 
     out.write_text(posterior_to_json(posterior), encoding="utf-8")
     _print_fit_summary(posterior)
@@ -213,8 +201,6 @@ def _print_fit_summary(posterior: Posterior) -> None:
 
 def cmd_report(args) -> int:
     posterior = posterior_from_json(Path(args.posterior).read_text(encoding="utf-8"))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed) if args.with_noise else None
 
     metrics_lines, bands_lines = [], []
@@ -249,6 +235,8 @@ def cmd_report(args) -> int:
         for *cells, f in zip(*(c[order].tolist() for c in columns), flagged[order].tolist()):
             bands_lines.append(f"{name},{','.join(map(repr, cells))},{int(f)}\n")
 
+    out_dir = Path(args.out_dir)  # made once every input is read: a rejected one leaves none
+    out_dir.mkdir(parents=True, exist_ok=True)
     metrics_path = out_dir / "metrics.csv"
     metrics_path.write_text("dataset,rmse_mean,rmse_std,dropped_draws\n" + "".join(metrics_lines),
                             encoding="utf-8", newline="\n")

@@ -71,10 +71,25 @@ _CACHE_CAP = 200_000
 MOVES = ("global", "local", "params", "sigma")
 
 
-# the Python types accepted for each field annotation of McmcConfig
-_FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool,
-                "int | None": (numbers.Integral, type(None)),
-                "float | None": (numbers.Real, type(None))}
+def _sigma_in_range(sigma) -> bool:  # the likelihood's sigma**2 and its log are in float range
+    return sigma > 0 and abs(math.log(sigma)) <= _MAX_LOG_SIGMA
+
+
+# each field of McmcConfig: the Python types it takes (a JSON true is a bool, not 1, and
+# a float must be finite), the test a value other than None passes, that rule in words
+_INT, _REAL, _OPTIONAL = (numbers.Integral,), (numbers.Real,), (type(None),)
+_NON_NEGATIVE, _POSITIVE = (lambda v: v >= 0, "non-negative"), (lambda v: v > 0, "positive")
+_FIELD_RULES = {
+    "burn_in": (_INT, *_NON_NEGATIVE), "samples": (_INT, *_POSITIVE),
+    "thin": (_INT, *_POSITIVE), "seed": (_INT, *_NON_NEGATIVE),
+    "lambda_sigma": (_REAL, *_POSITIVE), "prior_only": ((bool,), lambda v: True, None),
+    "tau": (_REAL, lambda v: v >= _MIN_TAU, f"at least {_MIN_TAU!r}"),
+    **dict.fromkeys(("step_sigma", "step_theta", "p_global", "p_local", "p_param", "p_sigma"),
+                    (_REAL, *_NON_NEGATIVE)),
+    "max_depth": (_INT + _OPTIONAL, *_POSITIVE), "state_budget": (_INT, *_POSITIVE),
+    "sigma0": (_REAL + _OPTIONAL, _sigma_in_range,
+               f"positive with |log sigma0| <= {_MAX_LOG_SIGMA:.1f}"),
+}
 # a posterior draw's only keys and the JSON types of their values (a number is an int or a float)
 _DRAW_KEYS = ("expr", "theta_c", "theta_d", "ties", "sigma", "log_post")
 _DRAW_TYPES = {(str, list, list, list, s, p) for s in (int, float) for p in (int, float)}
@@ -104,31 +119,19 @@ class McmcConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            kind = _FIELD_KINDS[f.type]  # a JSON true is a bool, not 1
-            if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-                raise InputError(f"config field {f.name} must be {f.type}, got {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):  # JSON admits NaN
-                raise InputError(f"config field {f.name} must be finite, got {value!r}")
-        if self.seed < 0:
-            raise InputError(f"seed must be non-negative, got {self.seed}")
-        if self.burn_in < 0 or self.samples <= 0 or self.thin <= 0:
-            raise InputError("burn_in >= 0, samples > 0, thin > 0 required")
+            kinds, passes, rule = _FIELD_RULES[f.name]
+            if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+                rule = f.type
+            elif isinstance(value, float) and not math.isfinite(value):  # JSON admits NaN
+                rule = "finite"
+            elif value is None or passes(value):
+                continue
+            raise InputError(f"config field {f.name} must be {rule}, got {value!r}")
         if self.samples % self.thin:
             raise InputError("samples must be divisible by thin")
-        if self.lambda_sigma <= 0 or self.tau < _MIN_TAU:
-            raise InputError(f"lambda_sigma must be positive and tau at least {_MIN_TAU!r}")
-        if self.step_sigma < 0 or self.step_theta < 0:
-            raise InputError("step scales must be non-negative")
-        if (self.max_depth is not None and self.max_depth <= 0) or self.state_budget <= 0:
-            raise InputError("max_depth and state_budget must be positive")
-        mix = (self.p_global, self.p_local, self.p_param, self.p_sigma)
-        if any(p < 0 for p in mix):
-            raise InputError("move probabilities must be non-negative")
-        if abs(sum(mix) - 1.0) > 1e-12:
-            raise InputError(f"move mix sums to {sum(mix)!r}, expected 1")
-        if self.sigma0 is not None and not (
-                self.sigma0 > 0 and abs(math.log(self.sigma0)) <= _MAX_LOG_SIGMA):
-            raise InputError(f"sigma0 must be positive with |log sigma0| <= {_MAX_LOG_SIGMA:.1f}")
+        mix = sum(self.move_mix().values())
+        if abs(mix - 1.0) > 1e-12:
+            raise InputError(f"move mix sums to {mix!r}, expected 1")
 
     def move_mix(self):
         return dict(zip(MOVES, (self.p_global, self.p_local, self.p_param, self.p_sigma)))
@@ -546,11 +549,6 @@ def _step(state: ChainState, ctx: _ChainContext, rng, stats) -> ChainState:
     return state
 
 
-def run_chain(prior: PriorSpec, data, config: McmcConfig, on_draw=None) -> Posterior:
-    """One chain: ``run_chains`` with ``chains=1``, seeded by ``config.seed`` itself."""
-    return run_chains(prior, data, config, 1, on_draw)
-
-
 def _initial_state(ctx: _ChainContext, rng) -> ChainState:
     """Prior-consistent start: expression and parameters from the prior,
     sigma from its exponential prior unless pinned.  Redraw the expression
@@ -559,7 +557,7 @@ def _initial_state(ctx: _ChainContext, rng) -> ChainState:
     sigma = ctx.config.sigma0
     if sigma is None:  # a draw meets the range a pinned sigma0 meets
         sigma = float(rng.exponential(1.0 / ctx.config.lambda_sigma))
-        if not (sigma > 0 and abs(math.log(sigma)) <= _MAX_LOG_SIGMA):
+        if not _sigma_in_range(sigma):
             raise InputError(f"lambda_sigma drew sigma {sigma!r}, out of float range: pin sigma0")
     for _ in range(1000):
         state = ctx.make_state(sample_expression(ctx.prior, rng), sigma)
@@ -568,41 +566,45 @@ def _initial_state(ctx: _ChainContext, rng) -> ChainState:
     raise RuntimeFailure("no prior draw evaluates finitely on the data")
 
 
-def run_chains(prior: PriorSpec, data, config: McmcConfig, chains: int, on_draw=None) -> Posterior:
-    """Independent chains, each seeded from the master seed (one chain: the seed
-    itself) and merged in chain order.  A chain burns in, then records every
-    thin-th state of the next `samples` steps.  The depth is the config's
-    ``max_depth``, or the prior's when that is None; the returned config records
-    it.  The prior is compiled, the data checked and ``np.errstate(all="ignore")`` entered
-    once; all chains share one context, whose caches hold pure functions of interned
-    trees.  Aborted moves count as rejections, so the kernel is total; a proposal deeper
-    than max_depth lies outside the support of the depth-truncated target.  ``on_draw``
-    sees each Draw as it is recorded, chain after chain; while a chain's state is the
-    one last recorded, its Draw object is recorded again."""
+def run_chains(prior: PriorSpec, data, config: McmcConfig, chains: int = 1) -> Posterior:
+    """Independent chains, each seeded from the master seed (one chain: the seed itself)
+    and merged in chain order.  A chain burns in, then records every thin-th state of
+    the next `samples` steps.  The depth is the config's ``max_depth``, or the prior's
+    when that is None; the returned config records it.  The prior is compiled, the data
+    checked and ``np.errstate(all="ignore")`` entered once; all chains share one context,
+    whose caches hold pure functions of interned trees.  Aborted moves count as
+    rejections, so the kernel is total; a proposal deeper than max_depth lies outside the
+    support of the depth-truncated target.  A RuntimeFailure from ``compile_prior`` or a
+    chain carries ``exc.posterior``: the draws so far, no move counts, the config it ran."""
     if not 1 <= chains <= sys.maxsize:  # SeedSequence.spawn takes at most sys.maxsize
         raise InputError(f"chains must be at least 1 and at most {sys.maxsize}, got {chains}")
     if config.max_depth is None:
         config = replace(config, max_depth=prior.max_depth)
     elif prior.max_depth != config.max_depth:
         prior = replace(prior, max_depth=config.max_depth)
-    ctx = _ChainContext(prior, compile_prior(prior, config.state_budget), data, config)
     seeds = [config.seed] if chains == 1 else [
         int(s.generate_state(1)[0]) for s in np.random.SeedSequence(config.seed).spawn(chains)]
     stats = {move: {"proposed": 0, "accepted": 0, "aborted": 0} for move in MOVES}
     draws = []
-    with np.errstate(all="ignore"):  # a non-finite prediction scores -inf; it does not warn
-        for seed in seeds:
-            rng = np.random.default_rng(seed)
-            state, recorded = _initial_state(ctx, rng), None
-            for k in range(-config.burn_in, config.samples):
-                state = _step(state, ctx, rng, stats)
-                if k >= 0 and (k + 1) % config.thin == 0:
-                    if state is not recorded:  # a run of one state is one Draw, appended again
-                        draw, recorded = Draw(state.expr, state.sigma, state.log_posterior), state
-                    draws.append(draw)
-                    if on_draw is not None:
-                        on_draw(draw)
+    try:
+        ctx = _ChainContext(prior, compile_prior(prior, config.state_budget), data, config)
+        with np.errstate(all="ignore"):  # a non-finite prediction scores -inf; it does not warn
+            for seed in seeds:
+                rng = np.random.default_rng(seed)
+                state, last = _initial_state(ctx, rng), None  # last: the state last recorded
+                for k in range(-config.burn_in, config.samples):
+                    state = _step(state, ctx, rng, stats)
+                    if k >= 0 and (k + 1) % config.thin == 0:
+                        if state is not last:  # a run of one state is one Draw, appended again
+                            draw, last = Draw(state.expr, state.sigma, state.log_posterior), state
+                        draws.append(draw)
+    except RuntimeFailure as exc:
+        exc.posterior = Posterior(tuple(draws), {}, config)
+        raise
     return Posterior(tuple(draws), stats, config)
+
+
+run_chain = run_chains  # the one-chain name of README's sketch, the tests and the benchmark
 
 
 # -- posterior summaries ------------------------------------------------------------------

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from treegress.cli import main
+from treegress.errors import RuntimeFailure
+from treegress.experiments import prior_library
 from treegress.inference import (
     Draw,
     McmcConfig,
@@ -297,6 +299,41 @@ def test_fit_with_no_finite_start_exits_3_and_writes_an_empty_trace(capsys, tmp_
     }
     trace = json.loads(out_path.read_text())
     assert trace["draws"] == [] and trace["config"]["max_depth"] == 50  # the prior's depth
+
+
+def test_a_fit_stopped_in_its_second_chain_writes_the_first_chains_draws(
+        capsys, tmp_path, monkeypatch):
+    import treegress.inference
+
+    train = tmp_path / "train.csv"
+    train.write_text("c,s\n1.0,2.0\n2.0,3.0\n")
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"burn_in": 20, "samples": 30, "thin": 3, "seed": 4}))
+    argv = ("fit", "--prior", "E_iso", "--train", str(train), "--config", str(config),
+            "--chains", "2", "--out")
+    code, _, err = run_cli(capsys, *argv, str(tmp_path / "whole.json"))
+    assert code == 0, err
+    whole = json.loads((tmp_path / "whole.json").read_text())
+    real, calls = treegress.inference._initial_state, []
+
+    def second_cannot_start(ctx, rng):
+        calls.append(rng)
+        if len(calls) == 2:
+            raise RuntimeFailure("the second chain cannot start")
+        return real(ctx, rng)
+
+    monkeypatch.setattr(treegress.inference, "_initial_state", second_cannot_start)
+    code, out, err = run_cli(capsys, *argv, str(tmp_path / "trace.json"))
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {
+        "error": "RuntimeFailure",
+        "message": "inference stopped after 10 draws: the second chain cannot start",
+    }
+    trace = json.loads((tmp_path / "trace.json").read_text())
+    assert trace["draws"] == whole["draws"][:10] and trace["accept_stats"] == {}
+    # the depth the run used: the prior's, as the config sets none
+    assert trace["config"] == whole["config"]
+    assert trace["config"]["max_depth"] == prior_library()["E_iso"].max_depth
 
 
 def test_fit_takes_a_max_depth_at_the_prior_height(capsys, tmp_path):
@@ -666,13 +703,14 @@ RUN_CONFIGS = [  # id, run config, message
     ("train-5", {"train": 5}, "run config: key 'train' must be of type str"),
     ("prior-list", {"prior": ["E_iso"]}, "run config: key 'prior' must be of type str"),
     ("out-null", {"out": None, "train": "x.csv"}, "run config: key 'out' must be of type str"),
-    ("seed-negative", {"seed": -1}, "seed must be non-negative, got -1"),
-    ("tau-tiny", {"tau": 1e-310}, "tau at least"),
+    ("seed-negative", {"seed": -1}, "config field seed must be non-negative, got -1"),
+    ("tau-tiny", {"tau": 1e-310},
+     "config field tau must be at least 4.144200061469663e-306, got 1e-310"),
     ("config-walkers", {"burn_in": 10, "walkers": 5}, "run config: unknown keys ['walkers']"),
     ("sigma0-1e-200", {"burn_in": 1, "samples": 10, "thin": 1, "sigma0": 1e-200},
-     "sigma0 must be positive with |log sigma0| <= 354.9"),
+     "config field sigma0 must be positive with |log sigma0| <= 354.9, got 1e-200"),
     ("sigma0-1e200", {"burn_in": 1, "samples": 10, "thin": 1, "sigma0": 1e200},
-     "sigma0 must be positive with |log sigma0| <= 354.9"),
+     "config field sigma0 must be positive with |log sigma0| <= 354.9, got 1e+200"),
     # sigma ~ Exp(lambda_sigma) lands where the likelihood's sigma squared
     # underflows: an input error naming the fix, before any expression is drawn
     *((f"lambda-sigma-{v:g}", {"burn_in": 1, "samples": 10, "thin": 1, "lambda_sigma": v},
@@ -779,14 +817,16 @@ FILES = [
         "gen-data --task isotherm:langmuir --out-dir @/d.csv/sub",
         "Not a directory: '@/d.csv/sub'", error="NotADirectoryError"),
     *(row(f"{argv.split()[0]}-{option}-latin-1-UnicodeDecodeError", argv,
-          "'utf-8' codec can't decode byte 0xe9", {name: LATIN_1}, "UnicodeDecodeError")
+          "'utf-8' codec can't decode byte 0xe9", {name: LATIN_1}, "UnicodeDecodeError",
+          absent=("p.json", "rep"))
       for argv, option, name in [
           (PARSE, "--prior", "prior.json"), (FIT, "--train", "train.csv"),
           (FIT, "--config", "c.json"), (REPORT, "--posterior", "post.json"),
           (REPORT, "--data", "d.csv")]),
 ]
 ROWS = [
-    *(row(id, REPORT, message, {"d.csv": body}) for id, body, message in DATA_FILES),
+    *(row(id, REPORT, message, {"d.csv": body}, absent=("rep",))
+      for id, body, message in DATA_FILES),
     *(row(id, FIT, message, {"train.csv": body}, absent=("p.json",))
       for id, body, message in TRAIN_FILES),
     *(row(f"seed-minus-1-{command}", f"{command_argv} --seed -1",
@@ -807,7 +847,7 @@ ROWS = [
     row("tree-foreign-symbol", "density --prior E_1 --tree '(h a)' --via both",
         "symbol 'h' not in alphabet", error="UnknownSymbol"),
     row("task-pendulum", "gen-data --task pendulum --seed 1 --out-dir @/data",
-        "unknown task 'pendulum' (isotherm:<name> or hyperelastic)"),
+        "unknown task 'pendulum' (isotherm:<name> or hyperelastic)", absent=("data",)),
     # max_depth: out of its range, or below the prior's height
     *(row(f"sample-max-depth-{id}", f"sample --prior E_1 --n 1 --max-depth {depth}",
           f"max_depth must be between 1 and 400, got {depth}")
@@ -845,15 +885,17 @@ ROWS = [
          "c.json": {"burn_in": 1, "samples": 10, "thin": 1, "sigma0": 1.0}}, absent=("p.json",)),
     # report's datasets
     row("data-other-input-columns", "report --posterior @/post.json --data @/a.csv @/d.csv "
-        "--out-dir @/rep", "input columns ['c'] differ", {"a.csv": "c,d,s\n1.0,1.0,2.0\n"}),
+        "--out-dir @/rep", "input columns ['c'] differ", {"a.csv": "c,d,s\n1.0,1.0,2.0\n"},
+        absent=("rep",)),
     row("data-no-input-columns", "report --posterior @/post.json --data @/a.csv @/d.csv "
         "--out-dir @/rep", "input columns [] differ",
-        {"a.csv": "c,d,s\n1.0,1.0,2.0\n", "d.csv": "s\n1.0\n"}),
+        {"a.csv": "c,d,s\n1.0,1.0,2.0\n", "d.csv": "s\n1.0\n"}, absent=("rep",)),
     *(row(f"second-data-without-rows-{id}", "report --posterior @/post.json --data @/d.csv "
-          "@/empty.csv --out-dir @/rep", "@/empty.csv has no rows", {"empty.csv": header})
+          "@/empty.csv --out-dir @/rep", "@/empty.csv has no rows", {"empty.csv": header},
+          absent=("rep",))
       for id, header in [("header", "c,s\n"), ("blank-line", "c,s\n\n")]),
     row("data-target-only", REPORT, "no input columns",
-        {"post.json": TARGET_ONLY, "d.csv": "s\n6.0\n6.0\n"}),
+        {"post.json": TARGET_ONLY, "d.csv": "s\n6.0\n6.0\n"}, absent=("rep",)),
 ]
 
 

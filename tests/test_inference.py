@@ -333,27 +333,86 @@ def test_stdnorm_logpdf_is_the_exactly_summed_density(values):
 # -- config ------------------------------------------------------------------------
 
 def test_config_validation():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="move mix sums to 2.0, expected 1"):
         McmcConfig(p_global=0.5, p_local=0.5, p_param=0.5, p_sigma=0.5)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="samples must be divisible by thin"):
         McmcConfig(samples=1001, thin=10)
-    with pytest.raises(InputError):
-        McmcConfig(tau=0.0)
-    # a JSON true is a bool, not 1: only a bool field takes it
-    for field in ("burn_in", "tau", "sigma0", "max_depth"):
-        with pytest.raises(InputError, match=field):
-            McmcConfig(**{field: True})
-    # a JSON NaN or Infinity is a float; no float field takes it
-    for field, value in [("tau", math.nan), ("tau", math.inf), ("p_global", math.nan),
-                         ("step_sigma", math.nan), ("step_theta", math.inf),
-                         ("lambda_sigma", math.nan), ("sigma0", math.nan), ("sigma0", math.inf),
-                         ("sigma0", -math.inf)]:
-        with pytest.raises(InputError, match=f"{field} must be finite"):
-            McmcConfig(**{field: value})
-    with pytest.raises(InputError, match="max_depth"):
-        McmcConfig(max_depth=0)
-    McmcConfig(prior_only=True)
     assert McmcConfig().max_depth is None  # defaults valid; None is the prior's depth
+    assert {row[1] for row in CONFIG_BOUNDS} == set(McmcConfig.__dataclass_fields__)
+
+
+TINY = 5e-324  # the least positive float
+MIN_TAU = 745 / sys.float_info.max
+LOG_SIGMA_BOUND = 0.5 * math.log(sys.float_info.max)  # sigma**2 in float range
+
+
+def _widest_sigma(toward):
+    """The float farthest from 1 toward ``toward`` (0 or inf) whose log is within
+    LOG_SIGMA_BOUND in size, found by stepping one float at a time."""
+    x = math.exp(math.copysign(LOG_SIGMA_BOUND, toward - 1))
+    while abs(math.log(x)) > LOG_SIGMA_BOUND:
+        x = math.nextafter(x, 1.0)
+    while abs(math.log(math.nextafter(x, toward))) <= LOG_SIGMA_BOUND:
+        x = math.nextafter(x, toward)
+    return x
+
+
+SIGMA_RULE = "positive with |log sigma0| <= 354.9"
+SIGMA_LOW, SIGMA_HIGH = _widest_sigma(0.0), _widest_sigma(math.inf)
+# id, field, the value at its bound (accepted), the value just past it (rejected), the
+# rule the rejection names, the other fields that make the accepted config valid
+CONFIG_BOUNDS = [
+    ("burn_in-minus-1", "burn_in", 0, -1, "non-negative", {}),
+    ("samples-0", "samples", 1, 0, "positive", {"thin": 1}),
+    ("thin-0", "thin", 1, 0, "positive", {}),
+    ("seed-minus-1", "seed", 0, -1, "non-negative", {}),
+    ("lambda_sigma-0", "lambda_sigma", TINY, 0.0, "positive", {}),
+    ("tau-below-its-floor", "tau", MIN_TAU, math.nextafter(MIN_TAU, 0.0), f"at least {MIN_TAU!r}",
+     {}),
+    *((f"{field}-below-0", field, 0.0, -TINY, "non-negative", others) for field, others in [
+        ("step_sigma", {}), ("step_theta", {}), ("p_global", {"p_local": 0.6}),
+        ("p_local", {"p_global": 0.6}), ("p_param", {"p_local": 0.7}),
+        ("p_sigma", {"p_local": 0.5})]),
+    ("max_depth-0", "max_depth", 1, 0, "positive", {}),
+    ("state_budget-0", "state_budget", 1, 0, "positive", {}),
+    ("sigma0-below-the-least", "sigma0", SIGMA_LOW, math.nextafter(SIGMA_LOW, 0.0), SIGMA_RULE,
+     {}),
+    ("sigma0-above-the-largest", "sigma0", SIGMA_HIGH, math.nextafter(SIGMA_HIGH, math.inf),
+     SIGMA_RULE, {}),
+    ("sigma0-0", "sigma0", 1.0, 0.0, SIGMA_RULE, {}),  # 0 has no log: checked before it
+    ("prior_only-1", "prior_only", True, 1, "bool", {}),  # a bool field takes no other type
+]
+
+
+@pytest.mark.parametrize("field, at, past, rule, others", [row[1:] for row in CONFIG_BOUNDS],
+                         ids=[row[0] for row in CONFIG_BOUNDS])
+def test_each_config_field_is_checked_at_its_bound(field, at, past, rule, others):
+    assert getattr(McmcConfig(**others, **{field: at}), field) == at
+    with pytest.raises(InputError) as exc:
+        McmcConfig(**others, **{field: past})
+    assert str(exc.value) == f"config field {field} must be {rule}, got {past!r}"
+
+
+# a JSON true is a bool, not 1, so only a bool field takes it; a JSON NaN or Infinity is
+# a float, which no float field takes
+CONFIG_TYPES = [
+    *((field, True, kind) for field, kind in [
+        ("burn_in", "int"), ("tau", "float"), ("sigma0", "float | None"),
+        ("max_depth", "int | None")]),
+    ("samples", 10.0, "int"), ("seed", "3", "int"), ("p_sigma", None, "float"),
+    *((field, value, "finite") for field, value in [
+        ("tau", math.nan), ("tau", math.inf), ("p_global", math.nan), ("step_sigma", math.nan),
+        ("step_theta", math.inf), ("lambda_sigma", math.nan), ("sigma0", math.nan),
+        ("sigma0", math.inf), ("sigma0", -math.inf)]),
+]
+
+
+@pytest.mark.parametrize("field, value, rule", CONFIG_TYPES,
+                         ids=[f"{row[0]}-{row[1]!r}" for row in CONFIG_TYPES])
+def test_a_config_field_of_another_type_or_not_finite_is_rejected(field, value, rule):
+    with pytest.raises(InputError) as exc:
+        McmcConfig(**{field: value})
+    assert str(exc.value) == f"config field {field} must be {rule}, got {value!r}"
 
 
 # -- prior recovery -------------------------------------------------------------------
@@ -585,12 +644,10 @@ def test_run_chains_equals_the_merge_of_single_chains(workload, e_hyp, e1):
         "e1-prior": (e1, None, 3, McmcConfig(burn_in=0, samples=400, thin=2, seed=0,
                                             prior_only=True)),
     }[workload]
-    seen = []
-    got = run_chains(prior, data, config, chains, on_draw=seen.append)
+    got = run_chains(prior, data, config, chains)
     want = oracles.merged_chains(prior, data, config, chains)
     assert posterior_to_json(got) == posterior_to_json(want)
     assert json.dumps(got.accept_stats) == json.dumps(want.accept_stats)
-    assert tuple(seen) == got.draws
 
 
 def test_run_chain_calls_the_proposer_in_the_table(e_iso, monkeypatch):
@@ -1027,8 +1084,6 @@ def test_boltzmann_temperature_limits(e1):
     coldest = boltzmann(745 / sys.float_info.max)
     assert np.all(np.isfinite(coldest)) and coldest.sum() == pytest.approx(1.0)
     assert np.all(coldest[~support] == 0.0)
-    with pytest.raises(InputError, match="tau at least"):
-        McmcConfig(tau=math.nextafter(745 / sys.float_info.max, 0.0))
 
 
 def test_each_cut_site_is_tempered_as_on_its_own(all_shipped):
